@@ -39,7 +39,7 @@ from .germs import (
     classify,
 )
 from .jets import compose_univariate, poly_to_jet
-from .locus import BoxDomain
+from .locus import BoxDomain, newton_batch
 from .poly import InvalidSpec, Poly1, Poly2, poly_from_spec, poly_to_spec
 
 __all__ = [
@@ -371,21 +371,6 @@ def _hess_trace_polys(prob: ConsLawProblem):
     return tau, t1, t2, t1.partial(1), t1.partial(2), t2.partial(2)
 
 
-def _stacked_tables(*polys: Poly2) -> np.ndarray:
-    """Dense coefficient tables stacked on a trailing axis."""
-    tabs = [p._dense_table() for p in polys]
-    di = max(t.shape[0] for t in tabs)
-    dj = max(t.shape[1] for t in tabs)
-    c = np.zeros((di, dj, len(tabs)))
-    for k, t in enumerate(tabs):
-        c[: t.shape[0], : t.shape[1], k] = t
-    return c
-
-
-def _polyval2d(x: float, y: float, c: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval2d(x, y, c)
-
-
 def first_singularity(
     prob: ConsLawProblem,
     box: BoxDomain,
@@ -415,48 +400,32 @@ def first_singularity(
     grid_best_point = (float(xs[idx_min[0]]), float(ys[idx_min[1]]))
     t_grid_min = -1.0 / tau_min
 
-    # Seeds: the most negative trace nodes plus every interior local
-    # minimum of the trace over the negative region.
+    # Seeds: the most negative trace nodes, then every interior local
+    # minimum of the trace over the negative region in row-major order.
+    # The order decides which of two roots closer than 1e-6 is kept.
     flat_order = np.argsort(tg, axis=None)
-    seeds: list[tuple[float, float]] = []
-    for k in flat_order[:16]:
-        i, j = np.unravel_index(int(k), tg.shape)
-        if neg[i, j]:
-            seeds.append((float(xs[i]), float(ys[j])))
-    for i in range(1, tg.shape[0] - 1):
-        for j in range(1, tg.shape[1] - 1):
-            if not neg[i, j]:
-                continue
-            window = tg[i - 1 : i + 2, j - 1 : j + 2]
-            if tg[i, j] <= float(np.min(window)):
-                seeds.append((float(xs[i]), float(ys[j])))
+    top = np.array(np.unravel_index(flat_order[:16], tg.shape)).T
+    window_min = np.lib.stride_tricks.sliding_window_view(tg, (3, 3)).min(axis=(2, 3))
+    local = np.argwhere(neg[1:-1, 1:-1] & (tg[1:-1, 1:-1] <= window_min)) + 1
+    idx = np.concatenate([top[neg[top[:, 0], top[:, 1]]], local])
+    seeds = np.stack([xs[idx[:, 0]], ys[idx[:, 1]]], axis=1)
 
-    from .locus import _newton2  # shared damped Newton
-
-    # stack the gradient and Hessian coefficient tables so each Newton
-    # step costs two Horner evaluations instead of five
-    grad_c = _stacked_tables(t1, t2)
-    hess_c = _stacked_tables(t11, t12, t22)
-
-    def system(x):
-        return _polyval2d(float(x[0]), float(x[1]), grad_c)
-
-    def jacobian(x):
-        a, b, c = _polyval2d(float(x[0]), float(x[1]), hess_c)
-        return ((a, b), (b, c))
-
+    x, _, ok = newton_batch(
+        lambda u: (t1(u), t2(u)),
+        lambda u: ((t11(u), t12(u)), (t12(u), t22(u))),
+        seeds,
+        tol,
+        box,
+    )
+    ok &= box.contains(x.T)
     roots: list[tuple[float, tuple[float, float]]] = []
-    for s in seeds:
-        x, _, ok = _newton2(system, jacobian, s, tol, box)
-        if not ok or not box.contains(x):
-            continue
-        tv = tau((x[0], x[1]))
+    for (a, b), tv in zip(x[ok], tau(x[ok].T)):
         if tv >= 0.0:
             continue
-        pt = (float(x[0]), float(x[1]))
+        pt = (float(a), float(b))
         if any((pt[0] - q[0]) ** 2 + (pt[1] - q[1]) ** 2 <= 1e-12 for _, q in roots):
             continue
-        roots.append((-1.0 / tv, pt))
+        roots.append((-1.0 / float(tv), pt))
 
     if not roots:
         raise SolverFailed(

@@ -28,7 +28,6 @@ from .germs import (
     PlaneMapGerm,
     ToleranceConfig,
     classify,
-    null_field,
 )
 from .poly import Poly1, Poly2, poly_from_spec
 
@@ -39,6 +38,7 @@ __all__ = [
     "NotRegularCurve",
     "sample_singular_set",
     "find_special_points",
+    "newton_batch",
     "critical_value_image",
     "ruling_map",
 ]
@@ -48,6 +48,11 @@ DEDUP_RADIUS = 1e-6
 
 #: Newton step-size floor; with the residual bound, defines convergence
 STEP_TOL = 1e-12
+
+#: Most grid cells per axis.  The node meshgrid and the batched Newton
+#: sweeps (one seed per cell) hold arrays sized by the cell count, so
+#: memory grows with the square of the grid: about 100 MB at 512.
+MAX_GRID = 512
 
 
 class NotRegularCurve(ValueError):
@@ -76,6 +81,8 @@ class BoxDomain:
             raise ValueError(f"box must have positive extent, got lo={lo} hi={hi}")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ValueError("grid needs at least 2 cells per axis")
+        if self.grid[0] > MAX_GRID or self.grid[1] > MAX_GRID:
+            raise ValueError(f"grid allows at most {MAX_GRID} cells per axis, got {self.grid}")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -83,12 +90,15 @@ class BoxDomain:
             np.linspace(self.lo[1], self.hi[1], self.grid[1] + 1),
         )
 
-    def contains(self, u, slack: float = 1e-9) -> bool:
+    def contains(self, u, slack: float = 1e-9):
+        """Whether u = (u1, u2), scalars or coordinate arrays, lies in the widened box."""
         sx = slack * (1.0 + abs(self.hi[0] - self.lo[0]))
         sy = slack * (1.0 + abs(self.hi[1] - self.lo[1]))
         return (
-            self.lo[0] - sx <= u[0] <= self.hi[0] + sx
-            and self.lo[1] - sy <= u[1] <= self.hi[1] + sy
+            (self.lo[0] - sx <= u[0])
+            & (u[0] <= self.hi[0] + sx)
+            & (self.lo[1] - sy <= u[1])
+            & (u[1] <= self.hi[1] + sy)
         )
 
 
@@ -135,54 +145,92 @@ class SpecialPoint:
         }
 
 
-def _newton2(system, jacobian, x0, tol: ToleranceConfig, box: BoxDomain | None = None):
-    """Damped two-dimensional Newton iteration.
+def _solve2(J: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the 2x2 systems J[k] x[k] = b[k] by LU with partial pivoting.
 
-    system and jacobian are callables returning a length-2 array and a
-    2x2 array.  Steps that increase the residual norm are halved up to
-    eight times; when no step length helps the iteration aborts.
-    Returns (x, residual_norm, converged); convergence requires both a
-    small step and a small residual.  Iterates that leave the box
-    (when given) by a wide margin abort early.
+    Returns (x, ok); ok is False where x[k] is not finite, which covers
+    an exactly singular J[k]: a zero pivot turns the division into an
+    infinity or a NaN.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    fx = np.asarray(system(x), dtype=float)
-    rnorm = float(np.max(np.abs(fx)))
-    converged = False
+    a11, a12, a21, a22 = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+    swap = np.abs(a21) > np.abs(a11)
+    p11, p12 = np.where(swap, a21, a11), np.where(swap, a22, a12)
+    p21, p22 = np.where(swap, a11, a21), np.where(swap, a12, a22)
+    q1, q2 = np.where(swap, b[:, 1], b[:, 0]), np.where(swap, b[:, 0], b[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = p21 / p11
+        u22 = p22 - m * p12
+        x2 = (q2 - m * q1) / u22
+        x1 = (q1 - p12 * x2) / p11
+    x = np.stack([x1, x2], axis=1)
+    return x, np.all(np.isfinite(x), axis=1)
+
+
+def _row_max_abs(a: np.ndarray) -> np.ndarray:
+    # np.max over a length-2 axis is several times slower than this
+    return np.maximum(np.abs(a[:, 0]), np.abs(a[:, 1]))
+
+
+def newton_batch(
+    system,
+    jacobian,
+    seeds,
+    tol: ToleranceConfig,
+    box: BoxDomain,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped two-dimensional Newton iteration from many seeds at once.
+
+    system maps a pair of coordinate arrays (u1, u2) to the pair of
+    residual arrays, jacobian to ((F1_u1, F1_u2), (F2_u1, F2_u2)).  Each
+    seed runs its own iteration: a step that increases the residual norm
+    is halved up to eight times, and the seed stops when no step length
+    helps, its Jacobian is singular, or it leaves the box by slack 0.5.
+    Convergence requires both a small step and a small residual.  Seeds
+    never interact, so each result is the one the seed gets alone.
+    Returns (x, residual_norm, converged), shaped (n, 2), (n,) and (n,).
+    """
+
+    def values(fn, x):
+        return np.moveaxis(np.asarray(fn(x.T), dtype=float), -1, 0)
+
+    x = np.array(seeds, dtype=float).reshape(-1, 2)
+    fx = values(system, x)
+    rnorm = _row_max_abs(fx)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
     for _ in range(tol.newton_max_iter):
-        J = np.asarray(jacobian(x), dtype=float)
-        try:
-            step = np.linalg.solve(J, -fx)
-        except np.linalg.LinAlgError:
+        if not active.size:
             break
-        if not np.all(np.isfinite(step)):
-            break
-        t = 1.0
-        accepted = False
+        xa, ra = x[active], rnorm[active]
+        step, solved = _solve2(values(jacobian, xa), -fx[active])
+        # line search over the seeds whose step length is still open
+        t = np.zeros(len(active))
+        pending = np.flatnonzero(solved)
+        length = 1.0
         for _ in range(8):
-            cand = x + t * step
-            fc = np.asarray(system(cand), dtype=float)
-            cnorm = float(np.max(np.abs(fc)))
-            if cnorm <= rnorm or rnorm == 0.0:
-                accepted = True
+            if not pending.size:
                 break
-            t *= 0.5
-        if not accepted:
-            # no step length shrinks the residual: the iteration has
-            # stalled at a local minimum of |F| and cannot converge
-            break
-        x, fx, rnorm = cand, fc, cnorm
-        if box is not None and not box.contains(x, slack=0.5):
-            break
-        if float(np.max(np.abs(t * step))) <= STEP_TOL * (1.0 + float(np.max(np.abs(x)))):
-            if rnorm <= tol.newton_residual:
-                converged = True
-            break
-        if rnorm <= tol.newton_residual and float(np.max(np.abs(step))) <= 1e3 * STEP_TOL:
-            converged = True
-            break
+            cand = xa[pending] + length * step[pending]
+            fc = values(system, cand)
+            cnorm = _row_max_abs(fc)
+            ok = (cnorm <= ra[pending]) | (ra[pending] == 0.0)
+            idx = active[pending[ok]]
+            x[idx], fx[idx], rnorm[idx] = cand[ok], fc[ok], cnorm[ok]
+            t[pending[ok]] = length
+            pending = pending[~ok]
+            length *= 0.5
+        # seeds without an accepted step have stalled at a local minimum
+        # of |F| (or met a singular Jacobian) and cannot converge
+        moved = t > 0.0
+        idx, step, t = active[moved], step[moved], t[moved][:, None]
+        stop = ~box.contains(x[idx].T, slack=0.5)
+        small = _row_max_abs(t * step) <= STEP_TOL * (1.0 + _row_max_abs(x[idx]))
+        small_resid = rnorm[idx] <= tol.newton_residual
+        done = ~stop & (small | (small_resid & (_row_max_abs(step) <= 1e3 * STEP_TOL)))
+        converged[idx[done]] = small_resid[done]
+        active = idx[~(stop | done)]
     else:
-        converged = rnorm <= tol.newton_residual
+        converged[active] = rnorm[active] <= tol.newton_residual
     return x, rnorm, converged
 
 
@@ -398,7 +446,7 @@ def _build_curve(chain, closed, sharpened, residuals) -> CurveSample:
 def _dedup(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     out: list[tuple[float, float]] = []
     for p in sorted(points):
-        if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 > DEDUP_RADIUS**2 for q in out):
+        if not any(_close(p, q) for q in out):
             out.append(p)
     return out
 
@@ -410,100 +458,69 @@ def find_special_points(
 ) -> list[SpecialPoint]:
     """Locate and classify candidate non-fold points inside the box.
 
-    Two Newton systems seed from every grid cell center: grad lambda = 0
-    (kept when the root also lies on the singular set) and
-    (lambda, eta lambda) = 0.  Roots of the first system take priority
-    when the two families overlap, since a degenerate point also
-    solves the second system.  Results are deduplicated and sorted by
-    location; each survivor is classified by re-basing the germ.
+    Newton systems seed from every grid cell center, one batched sweep
+    each: grad lambda = 0 (kept when the root also lies on the singular
+    set) and (lambda, eta lambda) = 0.  The null field eta comes from
+    either Jacobian row, first (P_v, -P_u) or second (-Q_v, Q_u), so the
+    second system is swept once per row, and a root is kept only from
+    the row that null_field would pick at that root.  Roots of the first
+    system take priority when the two families overlap, since a
+    degenerate point also solves the second system.  Results are
+    deduplicated and sorted by location; each survivor is classified by
+    re-basing the germ.
     """
     lam = f.discriminant_poly()
     lam1, lam2 = lam.partial(1), lam.partial(2)
     lam11, lam12 = lam1.partial(1), lam1.partial(2)
     lam22 = lam2.partial(2)
 
-    # A search-wide null field: the base-point construction applied
-    # globally.  For maps whose first component has a non-degenerate
-    # gradient somewhere (all catalog forms), the first row serves; the
-    # fallback mirrors the base-point rule.
-    P, Q = f.components
-    if not (P.partial(1).is_zero() and P.partial(2).is_zero()):
-        eta1, eta2 = P.partial(2), -P.partial(1)
-    else:
-        eta1, eta2 = -Q.partial(2), Q.partial(1)
-    eta_lam = eta1 * lam1 + eta2 * lam2
-    el1, el2 = eta_lam.partial(1), eta_lam.partial(2)
-
     xs, ys = box.axes()
     U1, U2 = np.meshgrid(xs, ys, indexing="ij")
     scale = float(np.max(np.abs(lam.eval_grid(U1, U2))))
     lam_zero_bound = max(tol.zero_rel * scale, tol.newton_residual)
+    centers = np.meshgrid((xs[:-1] + xs[1:]) / 2.0, (ys[:-1] + ys[1:]) / 2.0, indexing="ij")
+    seeds = np.stack(centers, axis=-1).reshape(-1, 2)
 
-    seeds = [
-        ((xs[i] + xs[i + 1]) / 2.0, (ys[j] + ys[j + 1]) / 2.0)
-        for i in range(box.grid[0])
-        for j in range(box.grid[1])
-    ]
+    def roots(system, jacobian, keep):
+        x, rnorm, ok = newton_batch(system, jacobian, seeds, tol, box)
+        ok &= box.contains(x.T)
+        ok[ok] = keep(x[ok].T)
+        return {(float(a), float(b)): float(r) for (a, b), r in zip(x[ok], rnorm[ok])}
 
-    def grad_system(x):
-        return (lam1(x), lam2(x))
+    degenerate_resid = roots(
+        lambda u: (lam1(u), lam2(u)),
+        lambda u: ((lam11(u), lam12(u)), (lam12(u), lam22(u))),
+        keep=lambda u: np.abs(lam(u)) <= lam_zero_bound,
+    )
+    degenerate_roots = _dedup(list(degenerate_resid))
 
-    def grad_jacobian(x):
-        a, b, c = lam11(x), lam12(x), lam22(x)
-        return ((a, b), (b, c))
-
-    def cusp_system(x):
-        return (lam(x), eta_lam(x))
-
-    def cusp_jacobian(x):
-        return ((lam1(x), lam2(x)), (el1(x), el2(x)))
-
-    degenerate_roots: list[tuple[float, float]] = []
-    degenerate_resid: dict[tuple[float, float], float] = {}
-    for s in seeds:
-        x, rnorm, ok = _newton2(grad_system, grad_jacobian, s, tol, box)
-        if not ok or not box.contains(x):
-            continue
-        if abs(lam((x[0], x[1]))) > lam_zero_bound:
-            continue
-        pt = (float(x[0]), float(x[1]))
-        degenerate_roots.append(pt)
-        degenerate_resid[pt] = rnorm
-    degenerate_roots = _dedup(degenerate_roots)
-
-    cusp_roots: list[tuple[float, float]] = []
+    P, Q = f.components
+    Pu, Pv = P.partial(1), P.partial(2)
+    thresh = tol.rank_threshold * max(f.derivative_scale(), 1e-300)
     cusp_resid: dict[tuple[float, float], float] = {}
-    for s in seeds:
-        x, rnorm, ok = _newton2(cusp_system, cusp_jacobian, s, tol, box)
-        if not ok or not box.contains(x):
-            continue
-        pt = (float(x[0]), float(x[1]))
-        cusp_roots.append(pt)
-        cusp_resid[pt] = rnorm
-    cusp_roots = [
-        p
-        for p in _dedup(cusp_roots)
-        if all(
-            (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 > DEDUP_RADIUS**2
-            for q in degenerate_roots
+    for (eta1, eta2), first_row in (((Pv, -Pu), True), ((-Q.partial(2), Q.partial(1)), False)):
+        eta_lam = eta1 * lam1 + eta2 * lam2
+        el1, el2 = eta_lam.partial(1), eta_lam.partial(2)
+        cusp_resid.update(
+            roots(
+                lambda u: (lam(u), eta_lam(u)),
+                lambda u: ((lam1(u), lam2(u)), (el1(u), el2(u))),
+                keep=lambda u: (np.maximum(np.abs(Pu(u)), np.abs(Pv(u))) > thresh) == first_row,
+            )
         )
+    cusp_roots = [
+        p for p in _dedup(list(cusp_resid)) if not any(_close(p, q) for q in degenerate_roots)
     ]
 
     out: list[SpecialPoint] = []
-    for pt in degenerate_roots:
-        report = classify(f.rebase(pt), tol)
-        best = min(
-            (r for p, r in degenerate_resid.items() if _close(p, pt)),
-            default=degenerate_resid.get(pt, 0.0),
-        )
-        out.append(SpecialPoint(pt, "DegenerateCandidate", best, report))
-    for pt in cusp_roots:
-        report = classify(f.rebase(pt), tol)
-        best = min(
-            (r for p, r in cusp_resid.items() if _close(p, pt)),
-            default=cusp_resid.get(pt, 0.0),
-        )
-        out.append(SpecialPoint(pt, "CuspCandidate", best, report))
+    for kind, points, resid in (
+        ("DegenerateCandidate", degenerate_roots, degenerate_resid),
+        ("CuspCandidate", cusp_roots, cusp_resid),
+    ):
+        for pt in points:
+            report = classify(f.rebase(pt), tol)
+            best = min(r for p, r in resid.items() if _close(p, pt))
+            out.append(SpecialPoint(pt, kind, best, report))
     out.sort(key=lambda sp: (sp.location[0], sp.location[1], sp.kind))
     return out
 

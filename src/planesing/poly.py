@@ -182,10 +182,20 @@ class Poly2:
             return Poly2({(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j >= 1})
         raise ValueError("axis must be 1 or 2")
 
-    def __call__(self, u) -> float:
+    def __call__(self, u):
+        """Value at the point u = (u1, u2).
+
+        u1 and u2 may also be coordinate arrays of one shape; the values
+        then come back as an array, each bit for bit the value at its
+        point, since the same Horner table serves both.
+        """
+        import numpy as np
         from numpy.polynomial import polynomial as _npp
 
-        return float(_npp.polyval2d(float(u[0]), float(u[1]), self._dense_table()))
+        out = _npp.polyval2d(
+            np.asarray(u[0], dtype=float), np.asarray(u[1], dtype=float), self._dense_table()
+        )
+        return float(out) if out.ndim == 0 else out
 
     def eval_grid(self, U1, U2):
         """Evaluate on numpy arrays, with per-axis power caching."""

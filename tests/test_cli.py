@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from planesing.cli import main
+from planesing.locus import MAX_GRID
 
 
 def run(args):
@@ -232,6 +233,7 @@ def test_bad_box_exits_64(capsys):
     assert run(["trace", "--builtin", "fold", "--box", "1,1,0,0"]) == 64
     assert run(["trace", "--builtin", "fold", "--box", "1,2,3"]) == 64
     assert run(["trace", "--builtin", "fold", "--grid", "1.5,8"]) == 64
+    assert run(["trace", "--builtin", "fold", "--grid", f"{MAX_GRID + 1},8"]) == 64
 
 
 def test_console_script_entry_point(tmp_path):

@@ -8,21 +8,29 @@ import pytest
 from planesing.germs import (
     BEAKS,
     CUSP,
+    DEFAULT_TOLERANCES,
     FOLD,
     LIPS,
     SWALLOWTAIL,
+    PlaneMapGerm,
+    ToleranceConfig,
     builtin_germ,
     classify,
     discriminant,
 )
 from planesing.locus import (
+    MAX_GRID,
+    STEP_TOL,
     BoxDomain,
     NotRegularCurve,
+    _solve2,
     critical_value_image,
     find_special_points,
+    newton_batch,
     ruling_map,
     sample_singular_set,
 )
+from planesing.parsing import parse_map
 from planesing.poly import Poly1, Poly2
 
 BOX = BoxDomain((-1.0, -1.0), (1.0, 1.0))
@@ -33,6 +41,8 @@ def test_box_validation():
         BoxDomain((0.0, 0.0), (0.0, 1.0))
     with pytest.raises(ValueError):
         BoxDomain((0.0, 0.0), (1.0, 1.0), (1, 8))
+    with pytest.raises(ValueError):
+        BoxDomain((0.0, 0.0), (1.0, 1.0), (MAX_GRID + 1, 8))
 
 
 def test_fold_singular_set_is_one_line():
@@ -104,15 +114,25 @@ def test_cusp_special_point():
 
 
 def test_swallowtail_special_point():
-    points = find_special_points(builtin_germ("swallowtail"), BOX)
-    assert len(points) == 1
-    (sp,) = points
-    assert sp.kind == "CuspCandidate"
-    assert sp.report.singularity_class == SWALLOWTAIL
+    # the component-swapped form's first-row null field vanishes at the
+    # swallowtail point, so its cusp root must come from the second row
+    swapped = PlaneMapGerm(parse_map("(u*v+v^4, u)"))
+    locations = []
+    for germ in (builtin_germ("swallowtail"), swapped):
+        points = find_special_points(germ, BOX)
+        assert len(points) == 1
+        (sp,) = points
+        assert sp.kind == "CuspCandidate"
+        assert sp.report.singularity_class == SWALLOWTAIL
+        locations.append(sp.location)
+    assert locations[0] == locations[1]
 
 
 def test_fold_has_no_special_points():
     assert find_special_points(builtin_germ("fold"), BOX) == []
+    # lambda = 2u is a fold line; the first-row null field (2v, -2u)
+    # vanishes at the origin, where null_field takes the second row
+    assert find_special_points(PlaneMapGerm(parse_map("(u^2+v^2, v)")), BOX) == []
 
 
 def test_cusp_image_is_cuspidal_curve():
@@ -202,3 +222,91 @@ def test_box_contains():
     assert box.contains((0.5, 1.0))
     assert not box.contains((1.5, 1.0))
     assert box.contains((1.0 + 1e-12, 1.0))
+
+
+def _poly_system(f1, f2):
+    jac = ((f1.partial(1), f1.partial(2)), (f2.partial(1), f2.partial(2)))
+    return (
+        lambda u: (f1(u), f2(u)),
+        lambda u: tuple(tuple(d(u) for d in row) for row in jac),
+    )
+
+
+def _quadratic_system():
+    # F = (u^2 - 4, v): roots (+-2, 0), Jacobian singular on u = 0
+    return _poly_system(Poly2({(2, 0): 1.0, (0, 0): -4.0}), Poly2.variable(2))
+
+
+def test_newton_batch_seed_outcomes():
+    system, jacobian = _quadratic_system()
+    seeds = [(1.5, 0.5), (-1.5, -0.2), (0.0, 0.7), (0.1, 0.0), (2.0, 0.0)]
+    x, rnorm, ok = newton_batch(system, jacobian, seeds, DEFAULT_TOLERANCES, BOX)
+    assert ok.tolist() == [True, True, False, False, True]
+    assert x[0].tolist() == [2.0, 0.0] and x[1].tolist() == [-2.0, 0.0]
+    # singular Jacobian: the seed stops where it started
+    assert x[2].tolist() == [0.0, 0.7]
+    # a damped step lands beyond the box's 0.5 slack (u > 2.5)
+    assert x[3, 0] > 2.5 and not BOX.contains(x[3], slack=0.5)
+    # a seed at a root stays there with zero residual
+    assert x[4].tolist() == [2.0, 0.0] and rnorm[4] == 0.0
+    # F = (u^3 - 1, v) from u = 0.05: only the eighth step length, 1/128,
+    # lowers the residual, and the seed goes on to converge
+    system, jacobian = _poly_system(Poly2({(3, 0): 1.0, (0, 0): -1.0}), Poly2.variable(2))
+    x, _, ok = newton_batch(system, jacobian, [(0.05, 0.0)], DEFAULT_TOLERANCES, BOX)
+    assert ok.tolist() == [True] and x[0].tolist() == [1.0, 0.0]
+
+
+def test_newton_batch_seeds_are_independent():
+    system, jacobian = _quadratic_system()
+    seeds = [(1.5, 0.5), (0.0, 0.7), (-1.5, -0.2), (0.1, 0.0), (2.0, 0.0), (0.9, -0.3)]
+    batch = newton_batch(system, jacobian, seeds, DEFAULT_TOLERANCES, BOX)
+    for k, seed in enumerate(seeds):
+        alone = newton_batch(system, jacobian, [seed], DEFAULT_TOLERANCES, BOX)
+        for got, want in zip(batch, alone):
+            assert got[k].tobytes() == want[0].tobytes()
+
+
+def _newton_reference(system, jacobian, x0, tol, box):
+    # the scalar loop that newton_batch runs on all seeds at once
+    x = np.array(x0, dtype=float)
+    fx = np.array(system(x), dtype=float)
+    rnorm = float(np.max(np.abs(fx)))
+    for _ in range(tol.newton_max_iter):
+        step, solved = _solve2(np.array(jacobian(x), dtype=float)[None], -fx[None])
+        if not solved[0]:
+            return x, rnorm, False
+        step, t = step[0], 1.0
+        for _ in range(8):
+            cand = x + t * step
+            fc = np.array(system(cand), dtype=float)
+            cnorm = float(np.max(np.abs(fc)))
+            if cnorm <= rnorm or rnorm == 0.0:
+                break
+            t *= 0.5
+        else:
+            return x, rnorm, False
+        x, fx, rnorm = cand, fc, cnorm
+        if not box.contains(x, slack=0.5):
+            return x, rnorm, False
+        if np.max(np.abs(t * step)) <= STEP_TOL * (1.0 + np.max(np.abs(x))):
+            return x, rnorm, rnorm <= tol.newton_residual
+        if rnorm <= tol.newton_residual and np.max(np.abs(step)) <= 1e3 * STEP_TOL:
+            return x, rnorm, True
+    return x, rnorm, rnorm <= tol.newton_residual
+
+
+@pytest.mark.parametrize("name", ["lips", "cusp", "swallowtail"])
+@pytest.mark.parametrize("tol", [DEFAULT_TOLERANCES, ToleranceConfig(newton_max_iter=20)])
+def test_newton_batch_matches_scalar_loop(name, tol):
+    # the special-point systems of a normal form (u, Q), whose first-row
+    # null field is (0, -1); their seeds converge, stall or leave the box
+    lam = builtin_germ(name).discriminant_poly()
+    l1, l2 = lam.partial(1), lam.partial(2)
+    systems = [_poly_system(l1, l2), _poly_system(lam, -l2)]
+    box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (8, 8))
+    seeds = np.stack(np.meshgrid(*box.axes(), indexing="ij"), axis=-1).reshape(-1, 2) * 1.3
+    for system, jacobian in systems:
+        batch = newton_batch(system, jacobian, seeds, tol, box)
+        for k, seed in enumerate(seeds):
+            x, rnorm, ok = _newton_reference(system, jacobian, seed, tol, box)
+            assert (batch[0][k].tobytes(), batch[1][k], batch[2][k]) == (x.tobytes(), rnorm, ok)

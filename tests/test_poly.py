@@ -61,6 +61,17 @@ def test_poly2_eval_grid_matches_pointwise(rng):
             assert grid[i, j] == pytest.approx(p((a, b)), abs=1e-14)
 
 
+def test_poly2_call_on_arrays_matches_pointwise_bits(rng):
+    p = Poly2({(i, j): rng.uniform(-1, 1) for i in range(5) for j in range(5 - i)})
+    pts = rng.uniform(-2.0, 2.0, (9, 2))
+    values = p(pts.T)
+    assert isinstance(values, np.ndarray) and values.shape == (9,)
+    assert isinstance(p(pts[0]), float)
+    for v, pt in zip(values, pts):
+        assert v.tobytes() == np.float64(p(pt)).tobytes()
+    assert p((pts[:, :1], pts[:, 1:])).shape == (9, 1)
+
+
 def test_poly2_shift():
     p = Poly2({(2, 0): 1.0, (1, 1): 1.0})  # u^2 + uv
     q = p.shift((1.0, -2.0))  # p(1+w1, -2+w2) as polynomial in (w1, w2)

@@ -63,6 +63,12 @@ __all__ = [
 #: relative tie window for competing minimizers of the singular time
 TIME_TIE_REL = 1e-9
 
+#: Largest degree of a characteristic velocity f_i'(phi), bounded by
+#: deg f_i' * deg phi.  The characteristic map's discriminant has about
+#: twice this degree, and every frame traces it on the grid; the
+#: problems in use stay at degree 16.
+MAX_VELOCITY_DEGREE = 64
+
 
 class SolverFailed(RuntimeError):
     """The box search could not certify an interior first singularity.
@@ -95,6 +101,12 @@ class ConsLawProblem:
             raise InvalidSpec("flux components must be one-variable polynomials")
         if not isinstance(self.phi, Poly2):
             raise InvalidSpec("initial profile must be a two-variable polynomial")
+        degree = max(self.f1.derivative().degree(), self.f2.derivative().degree())
+        degree *= self.phi.degree()
+        if degree > MAX_VELOCITY_DEGREE:
+            raise InvalidSpec(
+                f"velocity degree deg f' * deg phi = {degree} exceeds the cap {MAX_VELOCITY_DEGREE}"
+            )
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ConsLawProblem":
@@ -120,6 +132,14 @@ class ConsLawProblem:
     def flux_deriv(self, component: int, m: int) -> Poly1:
         f = self.f1 if component == 1 else self.f2
         return f.derivative(m)
+
+    @cached_property
+    def velocity_polys(self) -> tuple[Poly2, Poly2]:
+        """The characteristic velocity (f1'(phi), f2'(phi)) as exact polynomials."""
+        return (
+            self.f1.derivative().compose2(self.phi),
+            self.f2.derivative().compose2(self.phi),
+        )
 
     @cached_property
     def trace_poly(self) -> Poly2:
@@ -151,8 +171,7 @@ def characteristic_map(prob: ConsLawProblem, t: float, base=(0.0, 0.0)) -> Plane
     """The time-t characteristic map as a polynomial germ at ``base``."""
     t = float(t)
     u1, u2 = Poly2.variable(1), Poly2.variable(2)
-    v1 = prob.f1.derivative().compose2(prob.phi)
-    v2 = prob.f2.derivative().compose2(prob.phi)
+    v1, v2 = prob.velocity_polys
     return PlaneMapGerm((u1 + t * v1, u2 + t * v2), base)
 
 

@@ -404,13 +404,13 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     margins are recorded regardless of the verdict.
     """
     rank = rank_df(f, tol)
-    lam = discriminant(f)
-    scale_lam = lam.max_abs_coeff()
-
     # A deeper jet of the same discriminant feeds the derived
     # quantities, so each of them still carries a populated jet of its
     # own whose coefficient scale is the right yardstick for its value.
     lam_deep = poly_to_jet(f.discriminant_poly(), f.base_point, 6)
+    lam = lam_deep.truncate(3)
+    scale_lam = lam.max_abs_coeff()
+
     h11 = lam_deep.partial(1).partial(1)
     h12 = lam_deep.partial(1).partial(2)
     h22 = lam_deep.partial(2).partial(2)

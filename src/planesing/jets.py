@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .poly import InvalidSpec, Poly1, Poly2, poly_from_spec
+from .poly import InvalidSpec, Poly1, Poly2, convolve2, outside_order, poly_from_spec
 
 __all__ = [
     "Jet1",
@@ -149,10 +149,7 @@ class Jet2:
         table = np.zeros((n, n))
         m = min(n, c.shape[0])
         table[:m, :m] = c[:m, :m]
-        for i in range(n):
-            for j in range(n):
-                if i + j > order:
-                    table[i, j] = 0.0
+        table[outside_order(order)] = 0.0
         _finite_or_raise(table)
         table.setflags(write=False)
         self.base_point = (float(base_point[0]), float(base_point[1]))
@@ -226,18 +223,7 @@ class Jet2:
             return NotImplemented
         base = _common_base2(self, other)
         n = _common_order2(self, other)
-        out = np.zeros((n + 1, n + 1))
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                ca = self.coeffs[i, j]
-                if ca == 0.0:
-                    continue
-                for a in range(n + 1 - i - j):
-                    for b in range(n + 1 - i - j - a):
-                        cb = other.coeffs[a, b]
-                        if cb != 0.0:
-                            out[i + a, j + b] += ca * cb
-        return Jet2(base, out, n)
+        return Jet2(base, convolve2(self.coeffs, other.coeffs)[: n + 1, : n + 1], n)
 
     __rmul__ = __mul__
 

@@ -265,6 +265,48 @@ def _edge_crossing(p0, p1, v0, v1):
     return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
 
 
+def _sharpen(lam: Poly2, x: np.ndarray, y: np.ndarray, resid_bound: float, max_iter: int):
+    """Project the points (x[k], y[k]) onto lam = 0, all at once.
+
+    Each point takes damped steps x <- x - t lam grad / |grad|^2 along
+    the gradient of lam, with t halved from 1 while t > 1e-4 until
+    |lam| does not grow.  A point stops when |lam| <= resid_bound, when
+    its gradient vanishes (|grad|^2 <= 1e-300), when no halving helps,
+    or after max_iter steps.  The arithmetic is the scalar loop's on
+    arrays, so each point ends bit for bit where it would alone.
+    Returns new arrays x, y and lam(x, y).
+    """
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    r = lam((x, y))
+    active = np.arange(len(x))
+    lam1, lam2 = lam.partial(1), lam.partial(2)
+    for _ in range(max_iter):
+        active = active[~(np.abs(r[active]) <= resid_bound)]
+        if not active.size:
+            break
+        xa, ya, ra = x[active], y[active], r[active]
+        gx, gy = lam1((xa, ya)), lam2((xa, ya))
+        g2 = gx * gx + gy * gy
+        live = ~(g2 <= 1e-300)
+        active, xa, ya, ra = active[live], xa[live], ya[live], ra[live]
+        gx, gy, g2 = gx[live], gy[live], g2[live]
+        moved = np.zeros(len(active), dtype=bool)
+        p = np.arange(len(active))  # points still halving their step
+        t = 1.0
+        while t > 1e-4 and p.size:
+            cx = xa[p] - t * ra[p] * gx[p] / g2[p]
+            cy = ya[p] - t * ra[p] * gy[p] / g2[p]
+            rc = lam((cx, cy))
+            ok = np.abs(rc) <= np.abs(ra[p])
+            idx = active[p[ok]]
+            x[idx], y[idx], r[idx] = cx[ok], cy[ok], rc[ok]
+            moved[p[ok]] = True
+            p = p[~ok]
+            t *= 0.5
+        active = active[moved]
+    return x, y, r
+
+
 def sample_singular_set(
     f: PlaneMapGerm,
     box: BoxDomain,
@@ -280,7 +322,6 @@ def sample_singular_set(
     endpoint-cell index.
     """
     lam = f.discriminant_poly()
-    lam1, lam2 = lam.partial(1), lam.partial(2)
     xs, ys = box.axes()
     U1, U2 = np.meshgrid(xs, ys, indexing="ij")
     vals = lam.eval_grid(U1, U2)
@@ -348,33 +389,11 @@ def sample_singular_set(
     if not segments:
         return []
 
-    # Sharpen each crossing with a few damped Newton projections along
-    # the gradient, x <- x - lam * grad / |grad|^2.
-    resid_bound = tol.newton_residual * scale
-    sharpened: dict[tuple, tuple[float, float]] = {}
-    residuals: dict[tuple, float] = {}
-    for key, pt in crossings.items():
-        x, y = pt
-        r = lam((x, y))
-        for _ in range(tol.newton_max_iter):
-            if abs(r) <= resid_bound:
-                break
-            gx, gy = lam1((x, y)), lam2((x, y))
-            g2 = gx * gx + gy * gy
-            if g2 <= 1e-300:
-                break
-            t = 1.0
-            while t > 1e-4:
-                cx, cy = x - t * r * gx / g2, y - t * r * gy / g2
-                rc = lam((cx, cy))
-                if abs(rc) <= abs(r):
-                    x, y, r = cx, cy, rc
-                    break
-                t *= 0.5
-            else:
-                break
-        sharpened[key] = (float(x), float(y))
-        residuals[key] = abs(float(r))
+    pts = np.array(list(crossings.values()))
+    x, y, r = _sharpen(lam, pts[:, 0], pts[:, 1], tol.newton_residual * scale, tol.newton_max_iter)
+    keys = list(crossings)
+    sharpened = dict(zip(keys, zip(x.tolist(), y.tolist())))
+    residuals = dict(zip(keys, np.abs(r).tolist()))
 
     # Link segments into chains by walking edge adjacency.
     adj: dict[tuple, list[tuple]] = {}
@@ -535,11 +554,13 @@ def critical_value_image(f: PlaneMapGerm, curves: list[CurveSample]) -> list[Cur
     Residuals and the closed flag carry over unchanged; they still
     describe the quality of the source-plane sample.
     """
+    P, Q = f.components
     out = []
     for c in curves:
+        v = np.array(c.vertices).T
         out.append(
             CurveSample(
-                vertices=[tuple(map(float, f.value_at(v))) for v in c.vertices],
+                vertices=list(zip(P(v).tolist(), Q(v).tolist())),
                 residuals=list(c.residuals),
                 closed=c.closed,
             )

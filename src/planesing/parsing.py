@@ -3,21 +3,29 @@
 Accepts sums of signed monomial terms with explicit or juxtaposed
 multiplication and integer powers, e.g. ``(u, v^3+u^3 v)`` for a plane
 map or ``t,t^3`` for a curve.  Plane maps use variables u, v; curves
-use t.  The output is exact Poly1/Poly2 values ready for germ
-construction.
+use t.  An expression may not pass degree MAX_INPUT_DEGREE, and no
+exponent or product beyond it is built.  The output is exact
+Poly1/Poly2 values ready for germ construction.
 """
 
 from __future__ import annotations
 
 import re
 
-from .poly import Poly1, Poly2
+from .poly import MAX_INPUT_DEGREE, Poly1, Poly2
 
 __all__ = ["ParseError", "parse_map", "parse_curve", "parse_reals"]
 
 
 class ParseError(ValueError):
     """The expression does not conform to the inline grammar."""
+
+
+def _product(a, b):
+    """a * b, refused before it is built when its degree would pass the cap."""
+    if a.degree() + b.degree() > MAX_INPUT_DEGREE:
+        raise ParseError(f"expression degree exceeds the cap {MAX_INPUT_DEGREE}")
+    return a * b
 
 
 _TOKEN = re.compile(
@@ -93,10 +101,10 @@ class _Parser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                acc = acc * self.parse_factor()
+                acc = _product(acc, self.parse_factor())
             elif kind in ("num", "name") or (kind == "op" and val == "("):
                 # juxtaposition: "u^3 v", "3u", "2(u+v)"
-                acc = acc * self.parse_factor()
+                acc = _product(acc, self.parse_factor())
             else:
                 return acc
 
@@ -123,10 +131,14 @@ class _Parser:
             ekind, eval_ = self.take()
             if ekind != "num" or not re.fullmatch(r"\d+", eval_):
                 raise ParseError(f"exponent must be a non-negative integer, got {eval_!r}")
+            # the length test keeps int() off digit strings of any length
+            digits = eval_.lstrip("0")
+            if len(digits) > len(str(MAX_INPUT_DEGREE)) or int(eval_) > MAX_INPUT_DEGREE:
+                raise ParseError(f"exponent {eval_} exceeds the cap {MAX_INPUT_DEGREE}")
             power = int(eval_)
             out = self.one * 1.0
             for _ in range(power):
-                out = out * base
+                out = _product(out, base)
             return out
         return base
 

@@ -1,22 +1,53 @@
-"""Exact sparse polynomials in one or two variables.
+"""Exact polynomials in one or two variables.
 
-Coefficients are floats keyed by exponent (int for one variable, an
-(i, j) pair for two).  Arithmetic is exact up to float rounding; no
-coefficient thresholding happens here.  This layer backs the jet
-machinery and every place the rest of the package needs a globally
-valid expression rather than a truncated local one.
+A Poly1 keeps its coefficients sparsely, keyed by exponent.  A Poly2
+keeps one dense coefficient table, and its products, shifts and
+derivatives are array operations on that table; convolve2 and
+outside_order are the table kernel that the jets share.  Arithmetic is
+exact up to float rounding; no coefficient thresholding happens here.
+This layer backs the jet machinery and every place the rest of the
+package needs a globally valid expression rather than a truncated local
+one.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Mapping
 
-__all__ = ["InvalidSpec", "Poly1", "Poly2", "poly_from_spec", "poly_to_spec"]
+import numpy as np
+
+__all__ = [
+    "InvalidSpec",
+    "MAX_INPUT_DEGREE",
+    "Poly1",
+    "Poly2",
+    "convolve2",
+    "outside_order",
+    "poly_from_spec",
+    "poly_to_spec",
+]
+
+#: Largest degree of one input term (the sum of its exponents) in a
+#: polynomial spec, and largest degree of an inline expression.  A
+#: Poly2 table grows with the square of the degree and a product costs
+#: the product of two table sizes, so input degrees are bounded before
+#: anything is built.  The inputs in use stay at degree 5 or below; a
+#: degree-16 map has a degree-30 discriminant, the size the
+#: conservation-law problems in use already produce.
+MAX_INPUT_DEGREE = 16
 
 
 class InvalidSpec(ValueError):
     """Malformed polynomial spec (bad arity, exponents, or coefficients)."""
+
+
+def _overflow_raises_later():
+    # overflow in a table operation yields inf or nan, which the
+    # finiteness check of every new table turns into InvalidSpec;
+    # numpy's warning would only repeat it
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _check_coeff(c) -> float:
@@ -24,6 +55,53 @@ def _check_coeff(c) -> float:
     if not math.isfinite(c):
         raise InvalidSpec(f"non-finite coefficient {c!r}")
     return c
+
+
+def _flat(t: np.ndarray, width: int) -> np.ndarray:
+    padded = np.zeros((t.shape[0], width))
+    padded[:, : t.shape[1]] = t
+    return padded.ravel()[: (t.shape[0] - 1) * width + t.shape[1]]
+
+
+def convolve2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full 2-D convolution of two coefficient tables: the product's table.
+
+    Both tables are padded to the product's width and flattened, so one
+    1-D convolution gives every entry: a column index never reaches the
+    width, hence no entry wraps into the next row.
+    """
+    rows, width = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
+    return np.convolve(_flat(a, width), _flat(b, width)).reshape(rows, width)
+
+
+@lru_cache(maxsize=None)
+def outside_order(order: int) -> np.ndarray:
+    """Read-only mask of the (order+1)^2 table entries with i + j > order."""
+    k = np.arange(order + 1)
+    mask = np.add.outer(k, k) > order
+    mask.setflags(write=False)
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _pascal(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(i, a) and max(i - a, 0) at [a, i], both n x n and read-only."""
+    comb = np.array([[math.comb(i, a) for i in range(n)] for a in range(n)], dtype=float)
+    k = np.arange(n)
+    gap = np.maximum(k[None, :] - k[:, None], 0)
+    comb.setflags(write=False)
+    gap.setflags(write=False)
+    return comb, gap
+
+
+def _binomial(d: float, n: int) -> np.ndarray:
+    """B[a, i] = C(i, a) d**(i - a), n x n.
+
+    B @ c holds the coefficients in w of sum_i c_i (d + w)**i.
+    """
+    comb, gap = _pascal(n)
+    with _overflow_raises_later():
+        return comb * d**gap
 
 
 class Poly1:
@@ -126,36 +204,55 @@ class Poly1:
 
 
 class Poly2:
-    """Polynomial in two variables, stored as {(i, j): coefficient}."""
+    """Polynomial in two variables, stored as a dense coefficient table.
 
-    __slots__ = ("coeffs", "_dense")
+    Entry (i, j) of ``table`` multiplies u1**i * u2**j.  The table is
+    float64, finite, read-only and trimmed: its last row and its last
+    column each hold a nonzero entry (the zero polynomial is [[0.0]]).
+    """
+
+    __slots__ = ("table",)
 
     def __init__(self, coeffs: Mapping[tuple, float] | None = None):
-        clean: dict[tuple[int, int], float] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                i, j = int(e[0]), int(e[1])
-                if i < 0 or j < 0:
-                    raise InvalidSpec(f"negative exponent {(i, j)}")
-                c = _check_coeff(c)
-                if c != 0.0:
-                    clean[(i, j)] = clean.get((i, j), 0.0) + c
-        self.coeffs = {e: c for e, c in clean.items() if c != 0.0}
-        self._dense = None
+        terms = []
+        for e, c in (coeffs or {}).items():
+            i, j = int(e[0]), int(e[1])
+            if i < 0 or j < 0:
+                raise InvalidSpec(f"negative exponent {(i, j)}")
+            terms.append((i, j, _check_coeff(c)))
+        rows = max((i for i, _, _ in terms), default=0) + 1
+        cols = max((j for _, j, _ in terms), default=0) + 1
+        table = np.zeros((rows, cols))
+        for i, j, c in terms:
+            table[i, j] += c
+        self._set_table(table)
 
-    def _dense_table(self):
-        # coefficient matrix for Horner evaluation; instances never
-        # mutate coeffs after construction, so build it once
-        if self._dense is None:
-            import numpy as np
+    @classmethod
+    def _of(cls, table: np.ndarray) -> "Poly2":
+        """Wrap a freshly computed table, which the instance then owns."""
+        p = cls.__new__(cls)
+        p._set_table(table)
+        return p
 
-            di = max((i for i, _ in self.coeffs), default=0)
-            dj = max((j for _, j in self.coeffs), default=0)
-            m = np.zeros((di + 1, dj + 1))
-            for (i, j), c in self.coeffs.items():
-                m[i, j] = c
-            self._dense = m
-        return self._dense
+    def _set_table(self, table: np.ndarray) -> None:
+        if not np.isfinite(table).all():
+            raise InvalidSpec("non-finite coefficient")
+        nonzero = table != 0.0
+        rows = np.flatnonzero(nonzero.any(axis=1))
+        if rows.size:
+            cols = np.flatnonzero(nonzero.any(axis=0))
+            if (rows[-1] + 1, cols[-1] + 1) != table.shape:
+                table = table[: rows[-1] + 1, : cols[-1] + 1].copy()
+        else:
+            table = np.zeros((1, 1))
+        table.setflags(write=False)
+        self.table = table
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], float]:
+        """The nonzero coefficients as a new {(i, j): c} dict."""
+        i, j = np.nonzero(self.table)
+        return dict(zip(zip(i.tolist(), j.tolist()), self.table[i, j].tolist()))
 
     @classmethod
     def variable(cls, axis: int) -> "Poly2":
@@ -170,16 +267,18 @@ class Poly2:
         return cls({(0, 0): c})
 
     def degree(self) -> int:
-        return max((i + j for i, j in self.coeffs), default=0)
+        i, j = np.nonzero(self.table)
+        return int((i + j).max(initial=0))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.table.any()
 
     def partial(self, axis: int) -> "Poly2":
+        t = self.table
         if axis == 1:
-            return Poly2({(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i >= 1})
+            return Poly2._of(t[1:] * np.arange(1, t.shape[0])[:, None])
         if axis == 2:
-            return Poly2({(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j >= 1})
+            return Poly2._of(t[:, 1:] * np.arange(1, t.shape[1]))
         raise ValueError("axis must be 1 or 2")
 
     def __call__(self, u):
@@ -189,25 +288,20 @@ class Poly2:
         then come back as an array, each bit for bit the value at its
         point, since the same Horner table serves both.
         """
-        import numpy as np
         from numpy.polynomial import polynomial as _npp
 
         out = _npp.polyval2d(
-            np.asarray(u[0], dtype=float), np.asarray(u[1], dtype=float), self._dense_table()
+            np.asarray(u[0], dtype=float), np.asarray(u[1], dtype=float), self.table
         )
         return float(out) if out.ndim == 0 else out
 
     def eval_grid(self, U1, U2):
         """Evaluate on numpy arrays, with per-axis power caching."""
-        import numpy as np
-
-        di = max((i for i, _ in self.coeffs), default=0)
-        dj = max((j for _, j in self.coeffs), default=0)
         p1 = [np.ones_like(U1)]
-        for _ in range(di):
+        for _ in range(self.table.shape[0] - 1):
             p1.append(p1[-1] * U1)
         p2 = [np.ones_like(U2)]
-        for _ in range(dj):
+        for _ in range(self.table.shape[1] - 1):
             p2.append(p2[-1] * U2)
         out = np.zeros(np.broadcast(U1, U2).shape)
         for (i, j), c in self.coeffs.items():
@@ -219,15 +313,17 @@ class Poly2:
             other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0.0) + c
-        return Poly2(out)
+        a, b = self.table, other.table
+        out = np.zeros((max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])))
+        out[: a.shape[0], : a.shape[1]] = a
+        with _overflow_raises_later():
+            out[: b.shape[0], : b.shape[1]] += b
+        return Poly2._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly2({e: -c for e, c in self.coeffs.items()})
+        return Poly2._of(-self.table)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Poly2) else -float(other))
@@ -236,51 +332,43 @@ class Poly2:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Poly2({e: c * other for e, c in self.coeffs.items()})
-        if not isinstance(other, Poly2):
+        if not isinstance(other, (int, float, Poly2)):
             return NotImplemented
-        out: dict[tuple[int, int], float] = {}
-        for (ia, ja), ca in self.coeffs.items():
-            for (ib, jb), cb in other.coeffs.items():
-                e = (ia + ib, ja + jb)
-                out[e] = out.get(e, 0.0) + ca * cb
-        return Poly2(out)
+        with _overflow_raises_later():
+            if isinstance(other, Poly2):
+                return Poly2._of(convolve2(self.table, other.table))
+            return Poly2._of(self.table * other)
 
     __rmul__ = __mul__
+
+    def _shifted_table(self, base) -> np.ndarray:
+        t = self.table
+        b1, b2 = _binomial(float(base[0]), t.shape[0]), _binomial(float(base[1]), t.shape[1])
+        with _overflow_raises_later():
+            return b1 @ t @ b2.T
 
     def shift(self, base) -> "Poly2":
         """Rewrite p(u) as a polynomial in (u - base), exactly.
 
         The returned poly q satisfies q(w) = p(base + w) for all w.
         """
-        d1, d2 = float(base[0]), float(base[1])
-        out: dict[tuple[int, int], float] = {}
-        for (i, j), c in self.coeffs.items():
-            for a in range(i + 1):
-                for b in range(j + 1):
-                    w = c * math.comb(i, a) * math.comb(j, b) * d1 ** (i - a) * d2 ** (j - b)
-                    if w != 0.0:
-                        e = (a, b)
-                        out[e] = out.get(e, 0.0) + w
-        return Poly2(out)
+        return Poly2._of(self._shifted_table(base))
 
-    def recentered_coeffs(self, base, order: int):
-        """Taylor coefficient table at ``base``, truncated at total order."""
-        import numpy as np
+    def recentered_coeffs(self, base, order: int) -> np.ndarray:
+        """Taylor coefficient table at ``base``, truncated at total order.
 
-        d1, d2 = float(base[0]), float(base[1])
+        The whole shifted table is computed before truncating, so every
+        order gives the same bits for the coefficients it keeps.
+        """
+        full = self._shifted_table(base)
         out = np.zeros((order + 1, order + 1))
-        for (i, j), c in self.coeffs.items():
-            for a in range(min(i, order) + 1):
-                for b in range(min(j, order - a) + 1):
-                    out[a, b] += (
-                        c * math.comb(i, a) * math.comb(j, b) * d1 ** (i - a) * d2 ** (j - b)
-                    )
+        m1, m2 = min(order + 1, full.shape[0]), min(order + 1, full.shape[1])
+        out[:m1, :m2] = full[:m1, :m2]
+        out[outside_order(order)] = 0.0
         return out
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return float(np.max(np.abs(self.table)))
 
     def __repr__(self):
         return f"Poly2({self.coeffs!r})"
@@ -290,8 +378,9 @@ def poly_from_spec(spec: Mapping) -> Poly1 | Poly2:
     """Build a polynomial from its JSON form.
 
     The spec is ``{"vars": 1 or 2, "terms": [{"c": coeff, "e": exponents}]}``
-    with ``e`` a one- or two-element list matching ``vars``.  Duplicate
-    exponent tuples are summed.  Raises InvalidSpec on anything else.
+    with ``e`` a one- or two-element list matching ``vars``, whose sum is
+    at most MAX_INPUT_DEGREE.  Duplicate exponent tuples are summed.
+    Raises InvalidSpec on anything else.
     """
     if not isinstance(spec, Mapping):
         raise InvalidSpec(f"spec must be a mapping, got {type(spec).__name__}")
@@ -318,9 +407,14 @@ def poly_from_spec(spec: Mapping) -> Poly1 | Poly2:
         e = list(e)
         if len(e) != nvars:
             raise InvalidSpec(f"exponent arity {len(e)} does not match vars={nvars}")
-        for x in e:
-            if int(x) != x or int(x) < 0:
-                raise InvalidSpec(f"exponents must be non-negative integers, got {e}")
+        try:
+            bad = any(int(x) != x or int(x) < 0 for x in e)
+        except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
+            bad = True
+        if bad:
+            raise InvalidSpec(f"exponents must be non-negative integers, got {e}")
+        if sum(int(x) for x in e) > MAX_INPUT_DEGREE:
+            raise InvalidSpec(f"term degree of {e} exceeds the cap {MAX_INPUT_DEGREE}")
         key = int(e[0]) if nvars == 1 else (int(e[0]), int(e[1]))
         acc[key] = acc.get(key, 0.0) + c
     return Poly1(acc) if nvars == 1 else Poly2(acc)

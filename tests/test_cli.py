@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from planesing.cli import main
+from planesing.conslaw import MAX_VELOCITY_DEGREE
 from planesing.locus import MAX_GRID
+from planesing.poly import MAX_INPUT_DEGREE
 
 
 def run(args):
@@ -73,6 +75,8 @@ def test_classify_requires_exactly_one_source(tmp_path, capsys):
 
 def test_classify_rejects_malformed_map(capsys):
     assert run(["classify", "--map", "(u, v^"]) == 64
+    assert run(["classify", "--map", f"(u, v^{MAX_INPUT_DEGREE + 1})"]) == 64
+    assert run(["trace", "--curve", f"t,t^{MAX_INPUT_DEGREE + 1}", "--builtin", "ruling"]) == 64
     assert "planesing:" in capsys.readouterr().err
 
 
@@ -227,6 +231,23 @@ def test_invalid_json_input_exits_64(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert run(["classify", str(bad)]) == 64
+    # a term just over the degree cap
+    over = {"vars": 2, "terms": [{"c": 1.0, "e": [MAX_INPUT_DEGREE, 1]}]}
+    v = {"vars": 2, "terms": [{"c": 1.0, "e": [0, 1]}]}
+    bad.write_text(json.dumps({"components": [over, v]}))
+    assert run(["classify", str(bad)]) == 64
+    # velocity degree deg f' * deg phi just over its cap, with every term
+    # under the input cap
+    df = next(k for k in range(2, MAX_INPUT_DEGREE) if (MAX_VELOCITY_DEGREE + 1) % k == 0)
+    dphi = (MAX_VELOCITY_DEGREE + 1) // df
+    assert dphi <= MAX_INPUT_DEGREE
+    prob = {
+        "f1": {"vars": 1, "terms": [{"c": 1.0, "e": [df + 1]}]},
+        "f2": {"vars": 1, "terms": []},
+        "phi": {"vars": 2, "terms": [{"c": 1.0, "e": [1, 0]}, {"c": 1.0, "e": [0, dphi]}]},
+    }
+    bad.write_text(json.dumps(prob))
+    assert run(["conslaw", str(bad)]) == 64
 
 
 def test_bad_box_exits_64(capsys):

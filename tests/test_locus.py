@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from planesing.conslaw import ConsLawProblem, builtin_problem, characteristic_map
 from planesing.germs import (
     BEAKS,
     CUSP,
@@ -23,6 +24,8 @@ from planesing.locus import (
     STEP_TOL,
     BoxDomain,
     NotRegularCurve,
+    _edge_crossing,
+    _sharpen,
     _solve2,
     critical_value_image,
     find_special_points,
@@ -310,3 +313,74 @@ def test_newton_batch_matches_scalar_loop(name, tol):
         for k, seed in enumerate(seeds):
             x, rnorm, ok = _newton_reference(system, jacobian, seed, tol, box)
             assert (batch[0][k].tobytes(), batch[1][k], batch[2][k]) == (x.tobytes(), rnorm, ok)
+
+
+def _sharpen_reference(lam, pt, resid_bound, max_iter):
+    # the scalar loop that sample_singular_set ran on each vertex
+    lam1, lam2 = lam.partial(1), lam.partial(2)
+    x, y = pt
+    r = lam((x, y))
+    for _ in range(max_iter):
+        if abs(r) <= resid_bound:
+            break
+        gx, gy = lam1((x, y)), lam2((x, y))
+        g2 = gx * gx + gy * gy
+        if g2 <= 1e-300:
+            break
+        t = 1.0
+        while t > 1e-4:
+            cx, cy = x - t * r * gx / g2, y - t * r * gy / g2
+            rc = lam((cx, cy))
+            if abs(rc) <= abs(r):
+                x, y, r = cx, cy, rc
+                break
+            t *= 0.5
+        else:
+            break
+    return float(x), float(y), float(r)
+
+
+def _first_shock_discriminant(rng):
+    # a problem like the acceptance corpus (flux degree 5, profile
+    # degree 4), frozen after its singular set has appeared in the box
+    while True:
+        prob = ConsLawProblem(
+            Poly1({k: rng.uniform(-1, 1) for k in range(6)}),
+            Poly1({k: rng.uniform(-1, 1) for k in range(6)}),
+            Poly2({(i, j): rng.uniform(-1, 1) for i in range(5) for j in range(5 - i)}),
+        )
+        tau = prob.trace_poly.eval_grid(*np.meshgrid(*BOX.axes(), indexing="ij"))
+        if tau.min() < 0.0:
+            return characteristic_map(prob, -1.5 / tau.min()).discriminant_poly()
+
+
+@pytest.mark.parametrize("name", ["lips", "beaks", "burgers-lips", "first-shock"])
+def test_sharpen_matches_scalar_loop(rng, name):
+    if name in ("lips", "beaks"):
+        lams = [builtin_germ(name).discriminant_poly()]
+    elif name == "burgers-lips":
+        # at t = 0.9 the gradient vanishes at the origin, off the singular
+        # set; at t = 1.1 the set is a closed curve around it
+        prob = builtin_problem(name)
+        lams = [characteristic_map(prob, t).discriminant_poly() for t in (0.9, 1.1)]
+    else:
+        lams = [_first_shock_discriminant(rng)]
+    box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (16, 16))
+    xs, ys = box.axes()
+    for lam in lams:
+        vals = lam.eval_grid(*np.meshgrid(xs, ys, indexing="ij"))
+        pts = [(0.0, 0.0)] + [tuple(p) for p in rng.uniform(-1.0, 1.0, (40, 2))]
+        # the crossings marching squares places on sign-changing grid edges
+        for i in range(len(xs)):
+            for j in range(len(ys)):
+                for k, m in ((i + 1, j), (i, j + 1)):
+                    if k < len(xs) and m < len(ys) and (vals[i, j] >= 0.0) != (vals[k, m] >= 0.0):
+                        ends = (xs[i], ys[j]), (xs[k], ys[m])
+                        pts.append(_edge_crossing(*ends, vals[i, j], vals[k, m]))
+        resid_bound = DEFAULT_TOLERANCES.newton_residual * float(np.max(np.abs(vals)))
+        pts = np.array(pts)
+        for max_iter in (DEFAULT_TOLERANCES.newton_max_iter, 2):
+            x, y, r = _sharpen(lam, pts[:, 0], pts[:, 1], resid_bound, max_iter)
+            for k, pt in enumerate(pts):
+                want = _sharpen_reference(lam, tuple(pt), resid_bound, max_iter)
+                assert np.array([x[k], y[k], r[k]]).tobytes() == np.array(want).tobytes()

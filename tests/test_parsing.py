@@ -1,6 +1,7 @@
 import pytest
 
 from planesing.parsing import ParseError, parse_curve, parse_map, parse_reals
+from planesing.poly import MAX_INPUT_DEGREE
 
 
 def test_parse_map_lips_form():
@@ -71,6 +72,11 @@ def test_parse_map_rejects_t():
         "(u, @)",         # stray token
         "",               # empty
         "(u, v/2)",       # unsupported operator
+        f"(u, v^{MAX_INPUT_DEGREE + 1})",              # exponent over the cap
+        f"(u, 2^{MAX_INPUT_DEGREE + 1})",              # even of a constant
+        f"(u, (v^{MAX_INPUT_DEGREE // 2 + 1})^2)",     # degree over the cap
+        f"(u, u^{MAX_INPUT_DEGREE} v)",                # by a product
+        "(u, v^" + "9" * 5000 + ")",                   # digits int() refuses
     ],
 )
 def test_parse_map_rejects_malformed(bad):

@@ -3,7 +3,70 @@ import math
 import numpy as np
 import pytest
 
-from planesing.poly import InvalidSpec, Poly1, Poly2, poly_from_spec, poly_to_spec
+from planesing.poly import (
+    MAX_INPUT_DEGREE,
+    InvalidSpec,
+    Poly1,
+    Poly2,
+    poly_from_spec,
+    poly_to_spec,
+)
+
+#: Bound on |dense - sparse| relative to the sum of the absolute values
+#: of the terms behind each coefficient, fixed from float64 rounding: a
+#: sum of n rounded terms is off by at most about n * 1.1e-16 of that
+#: sum, and no coefficient below sums more than 153 terms (a product of
+#: two degree-16 tables; a shift sums at most 17 * 17), so each side is
+#: within 1.7e-14 of the exact value.
+REF_REL_TOL = 1e-13
+
+# Sparse reference implementations: the dict loops Poly2 used before
+# it stored a dense table.
+
+
+def sparse_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (ia, ja), ca in a.items():
+        for (ib, jb), cb in b.items():
+            e = (ia + ib, ja + jb)
+            out[e] = out.get(e, 0.0) + ca * cb
+    return out
+
+
+def sparse_shift(coeffs: dict, base) -> dict:
+    d1, d2 = float(base[0]), float(base[1])
+    out: dict = {}
+    for (i, j), c in coeffs.items():
+        for a in range(i + 1):
+            for b in range(j + 1):
+                w = c * math.comb(i, a) * math.comb(j, b) * d1 ** (i - a) * d2 ** (j - b)
+                if w != 0.0:
+                    out[(a, b)] = out.get((a, b), 0.0) + w
+    return out
+
+
+def sparse_recentered(coeffs: dict, base, order: int) -> np.ndarray:
+    d1, d2 = float(base[0]), float(base[1])
+    out = np.zeros((order + 1, order + 1))
+    for (i, j), c in coeffs.items():
+        for a in range(min(i, order) + 1):
+            for b in range(min(j, order - a) + 1):
+                out[a, b] += c * math.comb(i, a) * math.comb(j, b) * d1 ** (i - a) * d2 ** (j - b)
+    return out
+
+
+def random_coeffs(rng, degree: int) -> dict:
+    return {(i, j): rng.uniform(-1, 1) for i in range(degree + 1) for j in range(degree + 1 - i)}
+
+
+def absolute(coeffs: dict) -> dict:
+    return {e: abs(c) for e, c in coeffs.items()}
+
+
+def assert_close_to_reference(got: dict, ref: dict, bound: dict):
+    for e in set(got) | set(ref):
+        err = abs(got.get(e, 0.0) - ref.get(e, 0.0))
+        assert err <= REF_REL_TOL * bound.get(e, 0.0), (e, err, bound.get(e, 0.0))
 
 
 def test_poly1_evaluation_and_degree():
@@ -88,6 +151,46 @@ def test_poly2_recentered_coeffs_shape():
     assert table[0, 0] == pytest.approx(p((0.5, 0.5)))
 
 
+@pytest.mark.parametrize("da, db", [(0, 3), (1, 1), (3, 4), (7, 5), (MAX_INPUT_DEGREE, 2),
+                                     (MAX_INPUT_DEGREE, MAX_INPUT_DEGREE)])
+def test_product_matches_sparse_reference(rng, da, db):
+    a, b = random_coeffs(rng, da), random_coeffs(rng, db)
+    got = (Poly2(a) * Poly2(b)).coeffs
+    assert_close_to_reference(got, sparse_mul(a, b), sparse_mul(absolute(a), absolute(b)))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3, 6, 12, MAX_INPUT_DEGREE])
+def test_shift_and_recentering_match_sparse_reference(rng, degree):
+    c = random_coeffs(rng, degree)
+    p, mag = Poly2(c), absolute(c)
+    for base in (rng.uniform(-1, 1, 2), (0.0, rng.uniform(-2, 2)), (0.0, 0.0)):
+        abs_base = (abs(base[0]), abs(base[1]))
+        bound = sparse_shift(mag, abs_base)
+        assert_close_to_reference(p.shift(base).coeffs, sparse_shift(c, base), bound)
+        for order in (3, 6):
+            got = p.recentered_coeffs(base, order)
+            ref = sparse_recentered(c, base, order)
+            tri = sparse_recentered(mag, abs_base, order)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= REF_REL_TOL * tri)
+        # a lower order keeps exactly the bits of the higher one
+        low, high = p.recentered_coeffs(base, 3), p.recentered_coeffs(base, 6)
+        kept = np.add.outer(range(4), range(4)) <= 3
+        assert low.tobytes() == np.where(kept, high[:4, :4], 0.0).tobytes()
+
+
+def test_poly2_overflowing_operations_raise_invalid_spec():
+    big = Poly2({(1, 0): 1e200, (0, 0): 1.0})
+    for op in (
+        lambda: big * Poly2({(0, 1): 1e200}),
+        lambda: big * 1e200,
+        lambda: big + Poly2({(1, 0): 1.7e308}) + Poly2({(1, 0): 1.7e308}),
+        lambda: big.shift((1e300, 0.0)),
+    ):
+        with pytest.raises(InvalidSpec):
+            op()
+
+
 def test_spec_round_trip():
     spec = {"vars": 2, "terms": [{"c": 3.0, "e": [0, 2]}, {"c": -1.0, "e": [1, 0]}]}
     p = poly_from_spec(spec)
@@ -110,6 +213,11 @@ def test_spec_duplicate_terms_sum():
         {"vars": 1, "terms": [{"c": 1.0, "e": [-1]}]},
         {"vars": 1, "terms": [{"c": math.inf, "e": [1]}]},
         {"vars": 2, "terms": [{"c": 1.0}]},
+        {"vars": 1, "terms": [{"c": 1.0, "e": [math.inf]}]},
+        {"vars": 2, "terms": [{"c": 1.0, "e": [math.nan, 0]}]},
+        {"vars": 2, "terms": [{"c": 1.0, "e": ["a", 0]}]},
+        {"vars": 1, "terms": [{"c": 1.0, "e": [MAX_INPUT_DEGREE + 1]}]},
+        {"vars": 2, "terms": [{"c": 1.0, "e": [MAX_INPUT_DEGREE, 1]}]},
         "not a mapping",
     ],
 )

@@ -1,0 +1,68 @@
+"""Property-based checks of the Poly2 table kernel and the jets built on it.
+
+Each tolerance is fixed from float64 rounding: a computed coefficient
+is a sum of at most a few hundred rounded terms, so it lies within
+1e-13 of the exact value relative to the sum of the terms' absolute
+values.  That sum is the same computation run on absolute values,
+which bounds every term from above.  Results below the normal range
+also carry an absolute error of at most a few 2**-1074, which ABS_TOL
+covers.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planesing.jets import poly_to_jet
+from planesing.poly import Poly2
+
+REL_TOL = 1e-13
+ABS_TOL = 1e-300
+
+coefficients = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+points = st.tuples(coefficients, coefficients)
+
+
+@st.composite
+def polys(draw, max_degree=6):
+    d = draw(st.integers(0, max_degree))
+    exps = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    values = draw(st.lists(coefficients, min_size=len(exps), max_size=len(exps)))
+    return Poly2(dict(zip(exps, values)))
+
+
+def magnitude(p: Poly2) -> Poly2:
+    return Poly2({e: abs(c) for e, c in p.coeffs.items()})
+
+
+def padded(p: Poly2, shape) -> np.ndarray:
+    out = np.zeros(shape)
+    out[: p.table.shape[0], : p.table.shape[1]] = p.table
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), points)
+def test_shift_then_shift_back_is_identity(p, base):
+    back = p.shift(base).shift((-base[0], -base[1]))
+    # |B(-d)| = B(|d|), so shifting |p| twice by |base| bounds every term
+    far = (abs(base[0]), abs(base[1]))
+    bound = magnitude(p).shift(far).shift(far).table
+    err = np.abs(padded(back, bound.shape) - padded(p, bound.shape))
+    assert np.all(err <= REL_TOL * bound + ABS_TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), polys(), points, st.integers(0, 6))
+def test_poly_to_jet_is_a_ring_homomorphism(p, q, base, order):
+    jp, jq = poly_to_jet(p, base, order), poly_to_jet(q, base, order)
+    far = (abs(base[0]), abs(base[1]))
+    sum_bound = poly_to_jet(magnitude(p) + magnitude(q), far, order).coeffs
+    prod_bound = poly_to_jet(magnitude(p) * magnitude(q), far, order).coeffs
+    assert np.all(np.abs(poly_to_jet(p + q, base, order).coeffs - (jp + jq).coeffs)
+                  <= REL_TOL * sum_bound + ABS_TOL)
+    assert np.all(np.abs(poly_to_jet(p * q, base, order).coeffs - (jp * jq).coeffs)
+                  <= REL_TOL * prod_bound + ABS_TOL)

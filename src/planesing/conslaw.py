@@ -142,13 +142,42 @@ class ConsLawProblem:
         )
 
     @cached_property
+    def phi_partials(self) -> dict[str, Poly2]:
+        """The partials of phi through order three, keyed "p1" ... "p222"."""
+        p1, p2 = self.phi.partial(1), self.phi.partial(2)
+        p11, p12, p22 = p1.partial(1), p1.partial(2), p2.partial(2)
+        return {
+            "p1": p1,
+            "p2": p2,
+            "p11": p11,
+            "p12": p12,
+            "p22": p22,
+            "p111": p11.partial(1),
+            "p112": p11.partial(2),
+            "p122": p12.partial(2),
+            "p222": p22.partial(2),
+        }
+
+    @cached_property
+    def flux_derivs(self) -> dict[str, Poly1]:
+        """Derivatives two to four of f1 and f2, keyed "a2" ... "a4" and "b2" ... "b4"."""
+        return {
+            f"{name}{m}": f.derivative(m)
+            for name, f in (("a", self.f1), ("b", self.f2))
+            for m in (2, 3, 4)
+        }
+
+    @cached_property
     def trace_poly(self) -> Poly2:
         """trace C as an exact polynomial: f1''(phi) phi_1 + f2''(phi) phi_2."""
-        p1, p2 = self.phi.partial(1), self.phi.partial(2)
-        return (
-            self.f1.derivative(2).compose2(self.phi) * p1
-            + self.f2.derivative(2).compose2(self.phi) * p2
-        )
+        d, flux = self.phi_partials, self.flux_derivs
+        return flux["a2"].compose2(self.phi) * d["p1"] + flux["b2"].compose2(self.phi) * d["p2"]
+
+    @cached_property
+    def trace_partials(self) -> tuple[Poly2, ...]:
+        """The partials of trace_poly through order two: t1, t2, t11, t12, t22."""
+        t1, t2 = self.trace_poly.partial(1), self.trace_poly.partial(2)
+        return t1, t2, t1.partial(1), t1.partial(2), t2.partial(2)
 
 
 @dataclass(frozen=True)
@@ -177,10 +206,8 @@ def characteristic_map(prob: ConsLawProblem, t: float, base=(0.0, 0.0)) -> Plane
 
 def shape_operator(prob: ConsLawProblem, u) -> ShapeOperator:
     y = prob.phi(u)
-    a2 = prob.f1.derivative(2)(y)
-    b2 = prob.f2.derivative(2)(y)
-    p1 = prob.phi.partial(1)(u)
-    p2 = prob.phi.partial(2)(u)
+    a2, b2 = prob.flux_derivs["a2"](y), prob.flux_derivs["b2"](y)
+    p1, p2 = prob.phi_partials["p1"](u), prob.phi_partials["p2"](u)
     entries = ((a2 * p1, a2 * p2), (b2 * p1, b2 * p2))
     return ShapeOperator(entries=entries, trace=entries[0][0] + entries[1][1])
 
@@ -202,29 +229,9 @@ def singular_time_field(
 
 def _phi_data(prob: ConsLawProblem, u):
     """All profile derivatives through order three and flux values at phi(u)."""
-    phi = prob.phi
-    y = phi(u)
-    p1 = phi.partial(1)
-    p2 = phi.partial(2)
-    d = {
-        "p1": p1(u),
-        "p2": p2(u),
-        "p11": p1.partial(1)(u),
-        "p12": p1.partial(2)(u),
-        "p22": p2.partial(2)(u),
-        "p111": p1.partial(1).partial(1)(u),
-        "p112": p1.partial(1).partial(2)(u),
-        "p122": p1.partial(2).partial(2)(u),
-        "p222": p2.partial(2).partial(2)(u),
-    }
-    flux = {
-        "a2": prob.f1.derivative(2)(y),
-        "a3": prob.f1.derivative(3)(y),
-        "a4": prob.f1.derivative(4)(y),
-        "b2": prob.f2.derivative(2)(y),
-        "b3": prob.f2.derivative(3)(y),
-        "b4": prob.f2.derivative(4)(y),
-    }
+    y = prob.phi(u)
+    d = {k: p(u) for k, p in prob.phi_partials.items()}
+    flux = {k: f(y) for k, f in prob.flux_derivs.items()}
     return d, flux
 
 
@@ -384,12 +391,6 @@ class Frame:
         }
 
 
-def _hess_trace_polys(prob: ConsLawProblem):
-    tau = prob.trace_poly
-    t1, t2 = tau.partial(1), tau.partial(2)
-    return tau, t1, t2, t1.partial(1), t1.partial(2), t2.partial(2)
-
-
 def first_singularity(
     prob: ConsLawProblem,
     box: BoxDomain,
@@ -406,10 +407,10 @@ def first_singularity(
     point -- that means the true minimizer sits on the box boundary or
     was missed, and reporting it as a first singularity would be wrong.
     """
-    tau, t1, t2, t11, t12, t22 = _hess_trace_polys(prob)
+    tau = prob.trace_poly
+    t1, t2, t11, t12, t22 = prob.trace_partials
     xs, ys = box.axes()
-    U1, U2 = np.meshgrid(xs, ys, indexing="ij")
-    tg = tau.eval_grid(U1, U2)
+    tg = box.grid_values(tau, "characteristic trace")
     neg = tg < 0.0
     if not bool(np.any(neg)):
         return None
@@ -473,9 +474,8 @@ def first_singularity(
 def _analyze_point(prob, point, t, tol, co_minimizers) -> FirstSingularity:
     xi = xi_closed_form(prob, point)
     tau_val = prob.trace_poly(point)
-    h11 = prob.trace_poly.partial(1).partial(1)(point)
-    h12 = prob.trace_poly.partial(1).partial(2)(point)
-    h22 = prob.trace_poly.partial(2).partial(2)(point)
+    _, _, t11, t12, t22 = prob.trace_partials
+    h11, h12, h22 = t11(point), t12(point), t22(point)
     hess_scale = max(abs(h11), abs(h12), abs(h22))
     xi3_solid = abs(xi[2]) >= 10.0 * tol.zero_rel * max(hess_scale**2, 1e-300)
     germ = characteristic_map(prob, t, point)

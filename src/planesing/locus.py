@@ -2,10 +2,14 @@
 
 The singular set of a polynomial plane map is the zero level set of
 its discriminant.  This module walks that level set over a rectangular
-domain with a marching-squares pass (linear interpolation on cell
-edges, center-sample disambiguation for saddle cells), sharpens every
-vertex with a damped Newton projection along the discriminant
-gradient, and links the cell segments into polylines.
+domain: the discriminant is evaluated on the box's tensor grid by
+separable Horner (each node value bit for bit its point value), and a
+marching-squares pass classifies every cell at once as arrays and
+visits only the cells whose corner signs change (linear interpolation
+on cell edges, center-sample disambiguation for saddle cells, both
+computed as arrays).  Every vertex is sharpened with a damped Newton
+projection along the discriminant gradient, and the cell segments are
+linked into polylines.
 
 On top of the traced curves it searches for the two kinds of points
 the classification tree cares about beyond folds: critical points of
@@ -29,7 +33,7 @@ from .germs import (
     ToleranceConfig,
     classify,
 )
-from .poly import Poly1, Poly2, poly_from_spec
+from .poly import InvalidSpec, Poly1, Poly2, poly_from_spec
 
 __all__ = [
     "BoxDomain",
@@ -49,7 +53,7 @@ DEDUP_RADIUS = 1e-6
 #: Newton step-size floor; with the residual bound, defines convergence
 STEP_TOL = 1e-12
 
-#: Most grid cells per axis.  The node meshgrid and the batched Newton
+#: Most grid cells per axis.  The node values and the batched Newton
 #: sweeps (one seed per cell) hold arrays sized by the cell count, so
 #: memory grows with the square of the grid: about 100 MB at 512.
 MAX_GRID = 512
@@ -77,6 +81,8 @@ class BoxDomain:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
+        if not all(map(math.isfinite, lo + hi + (hi[0] - lo[0], hi[1] - lo[1]))):
+            raise ValueError(f"box corners and extent must be finite, got lo={lo} hi={hi}")
         if not (lo[0] < hi[0] and lo[1] < hi[1]):
             raise ValueError(f"box must have positive extent, got lo={lo} hi={hi}")
         if self.grid[0] < 2 or self.grid[1] < 2:
@@ -89,6 +95,17 @@ class BoxDomain:
             np.linspace(self.lo[0], self.hi[0], self.grid[0] + 1),
             np.linspace(self.lo[1], self.hi[1], self.grid[1] + 1),
         )
+
+    def grid_values(self, p: Poly2, name: str) -> np.ndarray:
+        """p at the grid nodes, shaped (grid[0] + 1, grid[1] + 1).
+
+        Raises InvalidSpec, naming p by name, when a value overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = p.eval_grid(*self.axes())
+        if not np.isfinite(vals).all():
+            raise InvalidSpec(f"the {name} overflows on the box grid")
+        return vals
 
     def contains(self, u, slack: float = 1e-9):
         """Whether u = (u1, u2), scalars or coordinate arrays, lies in the widened box."""
@@ -238,10 +255,10 @@ def newton_batch(
 # corners (bit order: SW, SE, NE, NW; bit set means value >= 0) list
 # the pairs of crossed edges to connect.  Edges are numbered S=0, E=1,
 # N=2, W=3.  Configurations 5 and 10 are ambiguous saddles resolved by
-# the cell-center sample.
+# the cell-center sample so that each segment separates the center from
+# the corners of opposite sign: their key takes the bit 16 when the
+# center value is >= 0.
 _SEGMENT_TABLE: dict[int, list[tuple[int, int]]] = {
-    0: [],
-    15: [],
     1: [(3, 0)],
     14: [(3, 0)],
     2: [(0, 1)],
@@ -254,15 +271,32 @@ _SEGMENT_TABLE: dict[int, list[tuple[int, int]]] = {
     12: [(3, 1)],
     6: [(0, 2)],
     9: [(0, 2)],
+    5 | 16: [(3, 0), (1, 2)],  # SW and NE positive
+    5: [(3, 2), (1, 0)],
+    10 | 16: [(0, 1), (2, 3)],  # SE and NW positive
+    10: [(0, 3), (2, 1)],
 }
 
+# Edge keys: ("h", i, j) is the edge from node (i, j) to (i+1, j),
+# ("v", i, j) the edge from (i, j) to (i, j+1).  Edge e of cell (i, j)
+# is (kind, i + di, j + dj) for _CELL_EDGES[e] = (kind, di, dj).
+_CELL_EDGES = (("h", 0, 0), ("v", 1, 0), ("h", 0, 1), ("v", 0, 0))
 
-def _edge_crossing(p0, p1, v0, v1):
-    """Linear zero crossing on one edge; endpoints with v == 0 land exactly."""
+
+def _edge_crossings(x0, y0, x1, y1, v0, v1):
+    """Linear zero crossings on the edges from (x0, y0) to (x1, y1).
+
+    All arguments are arrays of one length; v0 and v1 are the values at
+    the two ends.  t is 0.5 where v0 == v1 and v0 / (v0 - v1) elsewhere,
+    clamped to [0, 1], so an end with value 0 is hit exactly.  Returns
+    the arrays x0 + t (x1 - x0) and y0 + t (y1 - y0).
+    """
     denom = v0 - v1
-    t = 0.5 if denom == 0.0 else v0 / denom
-    t = min(max(t, 0.0), 1.0)
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denom == 0.0, 0.5, v0 / denom)
+    t = np.where(0.0 > t, 0.0, t)
+    t = np.where(t > 1.0, 1.0, t)
+    return x0 + t * (x1 - x0), y0 + t * (y1 - y0)
 
 
 def _sharpen(lam: Poly2, x: np.ndarray, y: np.ndarray, resid_bound: float, max_iter: int):
@@ -322,80 +356,58 @@ def sample_singular_set(
     endpoint-cell index.
     """
     lam = f.discriminant_poly()
-    xs, ys = box.axes()
-    U1, U2 = np.meshgrid(xs, ys, indexing="ij")
-    vals = lam.eval_grid(U1, U2)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    vals = box.grid_values(lam, "discriminant")
+    scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         # identically zero on the grid: the whole box is singular;
         # report no curves rather than fabricating one
         return []
-
-    pos = vals >= 0.0  # zero nudged positive
-
-    nx, ny = box.grid
-    # Edge keys: ("h", i, j) is the edge from node (i, j) to (i+1, j);
-    # ("v", i, j) from (i, j) to (i, j+1).
-    crossings: dict[tuple, tuple[float, float]] = {}
-
-    def edge_point(kind, i, j):
-        key = (kind, i, j)
-        pt = crossings.get(key)
-        if pt is None:
-            if kind == "h":
-                p0 = (xs[i], ys[j])
-                p1 = (xs[i + 1], ys[j])
-                v0, v1 = vals[i, j], vals[i + 1, j]
-            else:
-                p0 = (xs[i], ys[j])
-                p1 = (xs[i], ys[j + 1])
-                v0, v1 = vals[i, j], vals[i, j + 1]
-            pt = _edge_crossing(p0, p1, v0, v1)
-            crossings[key] = pt
-        return key
-
-    def cell_edge_key(i, j, e):
-        if e == 0:
-            return edge_point("h", i, j)
-        if e == 1:
-            return edge_point("v", i + 1, j)
-        if e == 2:
-            return edge_point("h", i, j + 1)
-        return edge_point("v", i, j)
-
-    segments: list[tuple[tuple, tuple]] = []
-    for i in range(nx):
-        for j in range(ny):
-            code = (
-                (1 if pos[i, j] else 0)
-                | (2 if pos[i + 1, j] else 0)
-                | (4 if pos[i + 1, j + 1] else 0)
-                | (8 if pos[i, j + 1] else 0)
-            )
-            if code in (5, 10):
-                center = ((xs[i] + xs[i + 1]) / 2.0, (ys[j] + ys[j + 1]) / 2.0)
-                center_pos = lam(center) >= 0.0
-                # Connect crossings so that each segment separates the
-                # center from the corners of opposite sign.
-                if code == 5:  # SW and NE positive
-                    pairs = [(3, 0), (1, 2)] if center_pos else [(3, 2), (1, 0)]
-                else:  # SE and NW positive
-                    pairs = [(0, 1), (2, 3)] if center_pos else [(0, 3), (2, 1)]
-            else:
-                pairs = _SEGMENT_TABLE[code]
-            for e0, e1 in pairs:
-                segments.append((cell_edge_key(i, j, e0), cell_edge_key(i, j, e1)))
-
+    segments, keys, x, y = _march(lam, *box.axes(), vals)
     if not segments:
         return []
-
-    pts = np.array(list(crossings.values()))
-    x, y, r = _sharpen(lam, pts[:, 0], pts[:, 1], tol.newton_residual * scale, tol.newton_max_iter)
-    keys = list(crossings)
+    x, y, r = _sharpen(lam, x, y, tol.newton_residual * scale, tol.newton_max_iter)
     sharpened = dict(zip(keys, zip(x.tolist(), y.tolist())))
     residuals = dict(zip(keys, np.abs(r).tolist()))
+    return _link_curves(segments, sharpened, residuals)
 
-    # Link segments into chains by walking edge adjacency.
+
+def _march(lam: Poly2, xs: np.ndarray, ys: np.ndarray, vals: np.ndarray):
+    """Marching squares over the node values vals of lam on the axes xs, ys.
+
+    Only the cells whose corners change sign are visited, in row-major
+    order; the saddle centers are sampled in one batch.  Returns
+    (segments, keys, x, y): the segments as pairs of edge keys in cell
+    order, the keys of all sign-changing edges, and the crossing
+    (x[k], y[k]) on edge keys[k].
+    """
+    pos = vals >= 0.0  # zero nudged positive
+    code = 1 * pos[:-1, :-1] | 2 * pos[1:, :-1] | 4 * pos[1:, 1:] | 8 * pos[:-1, 1:]
+    ci, cj = np.nonzero((code != 0) & (code != 15))
+    code = code[ci, cj]
+    saddle = (code == 5) | (code == 10)
+    si, sj = ci[saddle], cj[saddle]
+    code[saddle] |= 16 * (lam(((xs[si] + xs[si + 1]) / 2.0, (ys[sj] + ys[sj + 1]) / 2.0)) >= 0.0)
+
+    segments: list[tuple[tuple, tuple]] = []
+    for i, j, c in zip(ci.tolist(), cj.tolist(), code.tolist()):
+        for pair in _SEGMENT_TABLE[c]:
+            (ka, ia, ja), (kb, ib, jb) = (_CELL_EDGES[e] for e in pair)
+            segments.append(((ka, i + ia, j + ja), (kb, i + ib, j + jb)))
+
+    # every sign-changing edge is crossed by a segment, and no other
+    hi, hj = np.nonzero(pos[:-1, :] != pos[1:, :])
+    vi, vj = np.nonzero(pos[:, :-1] != pos[:, 1:])
+    keys = [("h", i, j) for i, j in zip(hi.tolist(), hj.tolist())]
+    keys += [("v", i, j) for i, j in zip(vi.tolist(), vj.tolist())]
+    i0, j0 = np.concatenate([hi, vi]), np.concatenate([hj, vj])
+    h_edge = np.arange(len(keys)) < len(hi)
+    i1, j1 = i0 + h_edge, j0 + ~h_edge
+    x, y = _edge_crossings(xs[i0], ys[j0], xs[i1], ys[j1], vals[i0, j0], vals[i1, j1])
+    return segments, keys, x, y
+
+
+def _link_curves(segments, sharpened, residuals) -> list[CurveSample]:
+    """Link segments into chains by walking edge adjacency."""
     adj: dict[tuple, list[tuple]] = {}
     for a, b in segments:
         adj.setdefault(a, []).append(b)
@@ -403,7 +415,6 @@ def sample_singular_set(
 
     def chain_from(start, visited_pairs):
         chain = [start]
-        prev = None
         node = start
         while True:
             nxt = None
@@ -417,7 +428,7 @@ def sample_singular_set(
             if nxt is None:
                 return chain, False
             chain.append(nxt)
-            prev, node = node, nxt
+            node = nxt
             if node == start:
                 chain.pop()
                 return chain, True
@@ -493,9 +504,8 @@ def find_special_points(
     lam11, lam12 = lam1.partial(1), lam1.partial(2)
     lam22 = lam2.partial(2)
 
+    scale = float(np.max(np.abs(box.grid_values(lam, "discriminant"))))
     xs, ys = box.axes()
-    U1, U2 = np.meshgrid(xs, ys, indexing="ij")
-    scale = float(np.max(np.abs(lam.eval_grid(U1, U2))))
     lam_zero_bound = max(tol.zero_rel * scale, tol.newton_residual)
     centers = np.meshgrid((xs[:-1] + xs[1:]) / 2.0, (ys[:-1] + ys[1:]) / 2.0, indexing="ij")
     seeds = np.stack(centers, axis=-1).reshape(-1, 2)

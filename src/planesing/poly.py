@@ -288,25 +288,26 @@ class Poly2:
         then come back as an array, each bit for bit the value at its
         point, since the same Horner table serves both.
         """
-        from numpy.polynomial import polynomial as _npp
+        from numpy.polynomial import polynomial as npp
 
-        out = _npp.polyval2d(
+        out = npp.polyval2d(
             np.asarray(u[0], dtype=float), np.asarray(u[1], dtype=float), self.table
         )
         return float(out) if out.ndim == 0 else out
 
-    def eval_grid(self, U1, U2):
-        """Evaluate on numpy arrays, with per-axis power caching."""
-        p1 = [np.ones_like(U1)]
-        for _ in range(self.table.shape[0] - 1):
-            p1.append(p1[-1] * U1)
-        p2 = [np.ones_like(U2)]
-        for _ in range(self.table.shape[1] - 1):
-            p2.append(p2[-1] * U2)
-        out = np.zeros(np.broadcast(U1, U2).shape)
-        for (i, j), c in self.coeffs.items():
-            out += c * p1[i] * p2[j]
-        return out
+    def eval_grid(self, xs, ys) -> np.ndarray:
+        """Values on the tensor grid of the 1-D axes xs and ys.
+
+        Entry (a, b) of the (len(xs), len(ys)) result is the value at
+        (xs[a], ys[b]).  The grid is evaluated by separable Horner, first
+        along xs for every column of the table and then along ys, the
+        order __call__ takes at one point, so every entry equals the point
+        value bit for bit.  No BLAS product is involved, so the bits do
+        not depend on the BLAS thread count either.
+        """
+        from numpy.polynomial import polynomial as npp
+
+        return npp.polygrid2d(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), self.table)
 
     def __add__(self, other):
         if isinstance(other, (int, float)):

@@ -250,11 +250,18 @@ def test_invalid_json_input_exits_64(tmp_path, capsys):
     assert run(["conslaw", str(bad)]) == 64
 
 
-def test_bad_box_exits_64(capsys):
+def test_bad_box_exits_64(tmp_path, capsys):
     assert run(["trace", "--builtin", "fold", "--box", "1,1,0,0"]) == 64
     assert run(["trace", "--builtin", "fold", "--box", "1,2,3"]) == 64
     assert run(["trace", "--builtin", "fold", "--grid", "1.5,8"]) == 64
     assert run(["trace", "--builtin", "fold", "--grid", f"{MAX_GRID + 1},8"]) == 64
+    assert run(["trace", "--builtin", "beaks", "--grid", "8,8", "--box=-inf,-1,1,1"]) == 64
+    assert run(["trace", "--builtin", "beaks", "--grid", "8,8", "--box=-1e200,-1,1e200,1"]) == 64
+    assert run(["conslaw", "--builtin", "burgers-lips", "--grid", "8,8", "--box=-inf,-1,1,1"]) == 64
+    assert run(
+        ["conslaw", "--builtin", "burgers-lips", "--grid", "8,8", "--box=-1e200,-1,1e200,1",
+         "--out", str(tmp_path)]
+    ) == 64
 
 
 def test_console_script_entry_point(tmp_path):

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from planesing.conslaw import ConsLawProblem, builtin_problem, characteristic_map
+from planesing.conslaw import (
+    ConsLawProblem,
+    builtin_problem,
+    characteristic_map,
+    first_singularity,
+)
 from planesing.germs import (
     BEAKS,
     CUSP,
@@ -24,7 +29,8 @@ from planesing.locus import (
     STEP_TOL,
     BoxDomain,
     NotRegularCurve,
-    _edge_crossing,
+    _link_curves,
+    _march,
     _sharpen,
     _solve2,
     critical_value_image,
@@ -34,7 +40,7 @@ from planesing.locus import (
     sample_singular_set,
 )
 from planesing.parsing import parse_map
-from planesing.poly import Poly1, Poly2
+from planesing.poly import InvalidSpec, Poly1, Poly2
 
 BOX = BoxDomain((-1.0, -1.0), (1.0, 1.0))
 
@@ -46,6 +52,24 @@ def test_box_validation():
         BoxDomain((0.0, 0.0), (1.0, 1.0), (1, 8))
     with pytest.raises(ValueError):
         BoxDomain((0.0, 0.0), (1.0, 1.0), (MAX_GRID + 1, 8))
+    for lo, hi in (
+        ((-math.inf, -1.0), (1.0, 1.0)),
+        ((-1.0, -1.0), (1.0, math.inf)),
+        ((math.nan, -1.0), (1.0, 1.0)),
+        ((-1e308, -1.0), (1e308, 1.0)),  # finite corners, infinite extent
+    ):
+        with pytest.raises(ValueError):
+            BoxDomain(lo, hi)
+
+
+def test_overflowing_grid_values_raise_invalid_spec():
+    box = BoxDomain((-1e200, -1.0), (1e200, 1.0), (8, 8))
+    with pytest.raises(InvalidSpec, match="overflows on the box grid"):
+        sample_singular_set(builtin_germ("beaks"), box)
+    with pytest.raises(InvalidSpec, match="overflows on the box grid"):
+        find_special_points(builtin_germ("beaks"), box)
+    with pytest.raises(InvalidSpec, match="overflows on the box grid"):
+        first_singularity(builtin_problem("burgers-lips"), box)
 
 
 def test_fold_singular_set_is_one_line():
@@ -65,7 +89,7 @@ def test_vertex_residuals_are_certified():
         lam = g.discriminant_poly()
         box = BOX
         xs, ys = box.axes()
-        grid_scale = np.max(np.abs(lam.eval_grid(xs[:, None], ys[None, :])))
+        grid_scale = np.max(np.abs(lam.eval_grid(xs, ys)))
         for curve in sample_singular_set(g, box):
             assert curve.residuals
             for v, r in zip(curve.vertices, curve.residuals):
@@ -341,6 +365,10 @@ def _sharpen_reference(lam, pt, resid_bound, max_iter):
 
 
 def _first_shock_discriminant(rng):
+    return _first_shock_map(rng).discriminant_poly()
+
+
+def _first_shock_map(rng):
     # a problem like the acceptance corpus (flux degree 5, profile
     # degree 4), frozen after its singular set has appeared in the box
     while True:
@@ -349,9 +377,9 @@ def _first_shock_discriminant(rng):
             Poly1({k: rng.uniform(-1, 1) for k in range(6)}),
             Poly2({(i, j): rng.uniform(-1, 1) for i in range(5) for j in range(5 - i)}),
         )
-        tau = prob.trace_poly.eval_grid(*np.meshgrid(*BOX.axes(), indexing="ij"))
+        tau = prob.trace_poly.eval_grid(*BOX.axes())
         if tau.min() < 0.0:
-            return characteristic_map(prob, -1.5 / tau.min()).discriminant_poly()
+            return characteristic_map(prob, -1.5 / tau.min())
 
 
 @pytest.mark.parametrize("name", ["lips", "beaks", "burgers-lips", "first-shock"])
@@ -368,7 +396,7 @@ def test_sharpen_matches_scalar_loop(rng, name):
     box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (16, 16))
     xs, ys = box.axes()
     for lam in lams:
-        vals = lam.eval_grid(*np.meshgrid(xs, ys, indexing="ij"))
+        vals = lam.eval_grid(xs, ys)
         pts = [(0.0, 0.0)] + [tuple(p) for p in rng.uniform(-1.0, 1.0, (40, 2))]
         # the crossings marching squares places on sign-changing grid edges
         for i in range(len(xs)):
@@ -376,7 +404,7 @@ def test_sharpen_matches_scalar_loop(rng, name):
                 for k, m in ((i + 1, j), (i, j + 1)):
                     if k < len(xs) and m < len(ys) and (vals[i, j] >= 0.0) != (vals[k, m] >= 0.0):
                         ends = (xs[i], ys[j]), (xs[k], ys[m])
-                        pts.append(_edge_crossing(*ends, vals[i, j], vals[k, m]))
+                        pts.append(_edge_crossing_reference(*ends, vals[i, j], vals[k, m]))
         resid_bound = DEFAULT_TOLERANCES.newton_residual * float(np.max(np.abs(vals)))
         pts = np.array(pts)
         for max_iter in (DEFAULT_TOLERANCES.newton_max_iter, 2):
@@ -384,3 +412,148 @@ def test_sharpen_matches_scalar_loop(rng, name):
             for k, pt in enumerate(pts):
                 want = _sharpen_reference(lam, tuple(pt), resid_bound, max_iter)
                 assert np.array([x[k], y[k], r[k]]).tobytes() == np.array(want).tobytes()
+
+
+# The per-cell marching loop that sample_singular_set ran before _march,
+# ported as the reference that _march must reproduce bit for bit.
+_SEGMENT_TABLE_REFERENCE = {
+    0: [], 15: [],
+    1: [(3, 0)], 14: [(3, 0)], 2: [(0, 1)], 13: [(0, 1)],
+    4: [(1, 2)], 11: [(1, 2)], 8: [(2, 3)], 7: [(2, 3)],
+    3: [(3, 1)], 12: [(3, 1)], 6: [(0, 2)], 9: [(0, 2)],
+}
+
+
+def _edge_crossing_reference(p0, p1, v0, v1):
+    denom = v0 - v1
+    t = 0.5 if denom == 0.0 else v0 / denom
+    t = min(max(t, 0.0), 1.0)
+    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+
+
+def _march_reference(lam, xs, ys, vals):
+    """(segments, crossings by edge key, saddle (code, center >= 0) pairs seen)."""
+    pos = vals >= 0.0
+    crossings = {}
+    saddles = set()
+
+    def edge_point(kind, i, j):
+        key = (kind, i, j)
+        if key not in crossings:
+            p0 = (xs[i], ys[j])
+            if kind == "h":
+                p1, v0, v1 = (xs[i + 1], ys[j]), vals[i, j], vals[i + 1, j]
+            else:
+                p1, v0, v1 = (xs[i], ys[j + 1]), vals[i, j], vals[i, j + 1]
+            crossings[key] = _edge_crossing_reference(p0, p1, v0, v1)
+        return key
+
+    def cell_edge_key(i, j, e):
+        if e == 0:
+            return edge_point("h", i, j)
+        if e == 1:
+            return edge_point("v", i + 1, j)
+        if e == 2:
+            return edge_point("h", i, j + 1)
+        return edge_point("v", i, j)
+
+    segments = []
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            code = (
+                (1 if pos[i, j] else 0)
+                | (2 if pos[i + 1, j] else 0)
+                | (4 if pos[i + 1, j + 1] else 0)
+                | (8 if pos[i, j + 1] else 0)
+            )
+            if code in (5, 10):
+                center = ((xs[i] + xs[i + 1]) / 2.0, (ys[j] + ys[j + 1]) / 2.0)
+                center_pos = lam(center) >= 0.0
+                saddles.add((code, center_pos))
+                if code == 5:
+                    pairs = [(3, 0), (1, 2)] if center_pos else [(3, 2), (1, 0)]
+                else:
+                    pairs = [(0, 1), (2, 3)] if center_pos else [(0, 3), (2, 1)]
+            else:
+                pairs = _SEGMENT_TABLE_REFERENCE[code]
+            for e0, e1 in pairs:
+                segments.append((cell_edge_key(i, j, e0), cell_edge_key(i, j, e1)))
+    return segments, crossings, saddles
+
+
+def _saddle_map(a, b, sign):
+    # lambda = sign (u - a)(v - b): one saddle cell around (a, b)
+    P = Poly2({(2, 0): 0.5, (1, 0): -a})
+    Q = Poly2({(0, 2): 0.5 * sign, (0, 1): -b * sign})
+    return PlaneMapGerm((P, Q), (0.0, 0.0))
+
+
+def _marching_cases(rng):
+    prob = builtin_problem("burgers-lips")
+    return {
+        "lips": builtin_germ("lips"),
+        "beaks": builtin_germ("beaks"),
+        "swallowtail": builtin_germ("swallowtail"),
+        "burgers-lips 0.9": characteristic_map(prob, 0.9),
+        "burgers-lips 1.1": characteristic_map(prob, 1.1),
+        "first-shock": _first_shock_map(rng),
+        # lambda = u v is exactly zero on the grid lines through the origin
+        "zero nodes": PlaneMapGerm((Poly2({(2, 0): 0.5}), Poly2({(0, 2): 0.5})), (0.0, 0.0)),
+        "saddle 5 center+": _saddle_map(0.03, 0.05, 1.0),
+        "saddle 5 center-": _saddle_map(0.03, 0.1, 1.0),
+        "saddle 10 center+": _saddle_map(0.03, 0.1, -1.0),
+        "saddle 10 center-": _saddle_map(0.03, 0.05, -1.0),
+        # on the 16x16 grid the center of the saddle cell is a root
+        "saddle 5 center 0": _saddle_map(0.0625, 0.05, 1.0),
+    }
+
+
+def _curve_bits(c):
+    return (np.array(c.vertices, dtype=float).tobytes(), np.array(c.residuals).tobytes(), c.closed)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        BoxDomain((-1.0, -1.0), (1.0, 1.0), (16, 16)),
+        BoxDomain((-1.0, -1.0), (1.0, 1.0), (64, 64)),
+        BoxDomain((-1.0, -0.5), (0.5, 1.0), (24, 48)),
+    ],
+    ids=["16x16", "64x64", "24x48"],
+)
+def test_march_matches_per_cell_loop(rng, box):
+    xs, ys = box.axes()
+    tol = DEFAULT_TOLERANCES
+    saddles_seen = set()
+    for name, germ in _marching_cases(rng).items():
+        lam = germ.discriminant_poly()
+        vals = lam.eval_grid(xs, ys)
+        segments, keys, x, y = _march(lam, xs, ys, vals)
+        want_segments, crossings, saddles = _march_reference(lam, xs, ys, vals)
+        saddles_seen |= saddles
+        assert segments == want_segments, name
+        assert sorted(keys) == sorted(crossings), name
+        got = dict(zip(keys, zip(x, y)))
+        for key, pt in crossings.items():
+            assert np.array(got[key]).tobytes() == np.array(pt).tobytes(), (name, key)
+
+        curves = sample_singular_set(germ, box, tol)
+        want = []
+        if want_segments:
+            pts = np.array(list(crossings.values()))
+            scale = float(np.max(np.abs(vals)))
+            sx, sy, r = _sharpen(
+                lam, pts[:, 0], pts[:, 1], tol.newton_residual * scale, tol.newton_max_iter
+            )
+            want = _link_curves(
+                want_segments,
+                dict(zip(crossings, zip(sx.tolist(), sy.tolist()))),
+                dict(zip(crossings, np.abs(r).tolist())),
+            )
+        assert [_curve_bits(c) for c in curves] == [_curve_bits(c) for c in want], name
+        if name == "zero nodes":
+            assert (vals == 0.0).any()
+        if name in ("beaks", "burgers-lips 1.1", "zero nodes"):
+            assert curves, name
+    if box.grid == (16, 16):
+        assert saddles_seen == {(5, True), (5, False), (10, True), (10, False)}

@@ -117,11 +117,23 @@ def test_poly2_eval_grid_matches_pointwise(rng):
     p = Poly2({(i, j): rng.uniform(-1, 1) for i in range(4) for j in range(4 - i)})
     u1 = np.linspace(-1.0, 1.0, 7)
     u2 = np.linspace(-0.5, 0.5, 5)
-    grid = p.eval_grid(u1[:, None], u2[None, :])
+    grid = p.eval_grid(u1, u2)
     assert grid.shape == (7, 5)
     for i, a in enumerate(u1):
         for j, b in enumerate(u2):
-            assert grid[i, j] == pytest.approx(p((a, b)), abs=1e-14)
+            assert grid[i, j].tobytes() == np.float64(p((a, b))).tobytes()
+
+
+def test_poly2_eval_grid_degree_30_matches_pointwise_bits(rng):
+    # the size of a first-shock discriminant, on non-square axes
+    p = Poly2({(i, j): rng.uniform(-1, 1) for i in range(31) for j in range(31 - i)})
+    assert p.degree() == 30
+    u1 = np.linspace(-1.0, 1.0, 65)
+    u2 = np.linspace(-0.7, 1.3, 41)
+    grid = p.eval_grid(u1, u2)
+    assert grid.shape == (65, 41)
+    pointwise = [[p((a, b)) for b in u2] for a in u1]
+    assert grid.tobytes() == np.array(pointwise).tobytes()
 
 
 def test_poly2_call_on_arrays_matches_pointwise_bits(rng):

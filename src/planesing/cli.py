@@ -273,8 +273,8 @@ def _problem_from_config(cfg: RunConfig) -> ConsLawProblem:
 
 def run_conslaw(cfg: RunConfig) -> int:
     prob = _problem_from_config(cfg)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
 
+    # the output directory is made after the search, so exit 64 leaves none behind
     if cfg.at is not None:
         u = parse_reals(cfg.at, 2)
         t = None
@@ -289,6 +289,7 @@ def run_conslaw(cfg: RunConfig) -> int:
             print(str(exc), file=sys.stderr)
             print("no singularity at the requested point")
             return EXIT_NO_SINGULARITY
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
         if "json" in cfg.formats:
             dump_json(record.to_dict(), cfg.output_dir / "point_analysis.json")
         print(
@@ -300,6 +301,7 @@ def run_conslaw(cfg: RunConfig) -> int:
     try:
         result = first_singularity(prob, cfg.box, cfg.tolerances)
     except SolverFailed as exc:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
         dump_json(
             {
                 "error": "SolverFailed",
@@ -317,6 +319,7 @@ def run_conslaw(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
         return EXIT_SOLVER
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
 
     if result is None:
         if "json" in cfg.formats:

@@ -39,7 +39,7 @@ from .germs import (
     classify,
 )
 from .jets import compose_univariate, poly_to_jet
-from .locus import BoxDomain, newton_batch
+from .locus import BoxDomain, critical_value_image, newton_batch, sample_singular_set
 from .poly import InvalidSpec, Poly1, Poly2, poly_from_spec, poly_to_spec
 
 __all__ = [
@@ -128,10 +128,6 @@ class ConsLawProblem:
             "f2": poly_to_spec(self.f2),
             "phi": poly_to_spec(self.phi),
         }
-
-    def flux_deriv(self, component: int, m: int) -> Poly1:
-        f = self.f1 if component == 1 else self.f2
-        return f.derivative(m)
 
     @cached_property
     def velocity_polys(self) -> tuple[Poly2, Poly2]:
@@ -529,8 +525,6 @@ def lips_birth_frames(
     singular curve be born around u_star.  Each frame carries the
     traced source-plane curves and their images in the target plane.
     """
-    from .locus import critical_value_image, sample_singular_set
-
     times = [float(t) for t in times]
     if not times or min(times) >= t_star or max(times) <= t_star:
         raise ValueError("frame times must straddle the singular time")

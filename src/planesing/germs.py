@@ -26,6 +26,8 @@ can be re-derived from the report alone.
 Maps are given by exact polynomial components, so every jet here is an
 exact truncation; the tolerance policy exists for inputs that arrive
 through rounded arithmetic (conjugation, Newton-located base points).
+A germ derives its Jacobian rows once, and uses_first_row is the one rule
+for which row the null field is built from, in classify and in locus.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "discriminant",
     "rank_df",
     "null_field",
+    "uses_first_row",
     "eta_derivatives",
     "classify",
     "conjugate_by_diffeos",
@@ -152,10 +155,11 @@ class PlaneMapGerm:
     Components are exact two-variable polynomials; the base point just
     marks where jets are taken.  Target constants are irrelevant to
     every derived quantity (they drop out of the Jacobian), so germs
-    are not translated in the target.
+    are not translated in the target.  The Jacobian and discriminant
+    polynomials are derived once, on first use, and kept.
     """
 
-    __slots__ = ("components", "base_point", "_lam_poly")
+    __slots__ = ("components", "base_point", "_lam_poly", "_jacobian")
 
     def __init__(self, components, base_point=(0.0, 0.0)):
         comp1, comp2 = components
@@ -168,6 +172,7 @@ class PlaneMapGerm:
         self.components = (comp1, comp2)
         self.base_point = (float(base_point[0]), float(base_point[1]))
         self._lam_poly = None
+        self._jacobian = None
 
     @classmethod
     def from_jets(cls, jet1: Jet2, jet2: Jet2) -> "PlaneMapGerm":
@@ -175,57 +180,40 @@ class PlaneMapGerm:
         if jet1.base_point != jet2.base_point:
             raise ValueError("component jets must share a base point")
         p = jet1.base_point
-        polys = []
-        for jet in (jet1, jet2):
-            local = Poly2(
-                {
-                    (i, j): jet.coeffs[i, j]
-                    for i in range(jet.order + 1)
-                    for j in range(jet.order + 1 - i)
-                    if jet.coeffs[i, j] != 0.0
-                }
-            )
-            polys.append(local.shift((-p[0], -p[1])))
-        return cls((polys[0], polys[1]), p)
+        return cls(tuple(Poly2._of(j.coeffs).shift((-p[0], -p[1])) for j in (jet1, jet2)), p)
 
     def rebase(self, new_base) -> "PlaneMapGerm":
-        return PlaneMapGerm(self.components, new_base)
+        g = PlaneMapGerm(self.components, new_base)
+        g._lam_poly, g._jacobian = self._lam_poly, self._jacobian
+        return g
 
     def value_at(self, u=None):
         u = self.base_point if u is None else u
         return (self.components[0](u), self.components[1](u))
 
+    def jacobian(self) -> tuple[tuple[Poly2, Poly2], tuple[Poly2, Poly2]]:
+        """((P_u1, P_u2), (Q_u1, Q_u2)) as exact global polynomials (cached)."""
+        if self._jacobian is None:
+            self._jacobian = tuple((c.partial(1), c.partial(2)) for c in self.components)
+        return self._jacobian
+
     def jacobian_at(self, u=None) -> np.ndarray:
         u = self.base_point if u is None else u
-        P, Q = self.components
-        return np.array(
-            [
-                [P.partial(1)(u), P.partial(2)(u)],
-                [Q.partial(1)(u), Q.partial(2)(u)],
-            ]
-        )
+        return np.array([[d(u) for d in row] for row in self.jacobian()])
 
     def component_jets(self, order: int = 4) -> tuple[Jet2, Jet2]:
-        return (
-            poly_to_jet(self.components[0], self.base_point, order),
-            poly_to_jet(self.components[1], self.base_point, order),
-        )
+        return tuple(poly_to_jet(c, self.base_point, order) for c in self.components)
 
     def discriminant_poly(self) -> Poly2:
         """Jacobian determinant as an exact global polynomial (cached)."""
         if self._lam_poly is None:
-            P, Q = self.components
-            self._lam_poly = P.partial(1) * Q.partial(2) - P.partial(2) * Q.partial(1)
+            (Pu, Pv), (Qu, Qv) = self.jacobian()
+            self._lam_poly = Pu * Qv - Pv * Qu
         return self._lam_poly
 
     def derivative_scale(self) -> float:
         """Magnitude scale of df: largest non-constant Taylor coefficient."""
-        s = 0.0
-        for comp in self.components:
-            for (i, j), c in comp.coeffs.items():
-                if i + j >= 1:
-                    s = max(s, abs(c))
-        return s
+        return max(float(np.abs(c.table).ravel()[1:].max(initial=0.0)) for c in self.components)
 
     def __repr__(self):
         return f"PlaneMapGerm({self.components[0]!r}, {self.components[1]!r}, base={self.base_point!r})"
@@ -272,6 +260,21 @@ def rank_df(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     return 2
 
 
+def _row_threshold(f: PlaneMapGerm, tol: ToleranceConfig) -> float:
+    # a Jacobian row whose entries are all this small counts as vanishing
+    return tol.rank_threshold * max(f.derivative_scale(), 1e-300)
+
+
+def uses_first_row(f: PlaneMapGerm, u, tol: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Whether the null field at u is built from the first Jacobian row.
+
+    It is unless max(|P_u1|, |P_u2|) <= rank_threshold * derivative_scale
+    at u.  u is a point, or a pair of coordinate arrays for a boolean array.
+    """
+    (Pu, Pv), _ = f.jacobian()
+    return np.maximum(np.abs(Pu(u)), np.abs(Pv(u))) > _row_threshold(f, tol)
+
+
 def null_field(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> NullField:
     """Canonical null direction field of a corank-one germ.
 
@@ -280,18 +283,12 @@ def null_field(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Nu
     both rows vanish there (the Jacobian is zero and no single row
     determines a kernel direction).
     """
-    P, Q = f.components
+    (Pu, Pv), (Qu, Qv) = f.jacobian()
     p = f.base_point
-    Pu, Pv = P.partial(1), P.partial(2)
-    Qu, Qv = Q.partial(1), Q.partial(2)
-    scale = f.derivative_scale()
-    thresh = tol.rank_threshold * max(scale, 1e-300)
-    if max(abs(Pu(p)), abs(Pv(p))) > thresh:
-        polys = (Pv, -Pu)
-        provenance = "first-row"
-    elif max(abs(Qu(p)), abs(Qv(p))) > thresh:
-        polys = (-Qv, Qu)
-        provenance = "second-row"
+    if uses_first_row(f, p, tol):
+        polys, provenance = (Pv, -Pu), "first-row"
+    elif max(abs(Qu(p)), abs(Qv(p))) > _row_threshold(f, tol):
+        polys, provenance = (-Qv, Qu), "second-row"
     else:
         raise CorankTwoError(f"Jacobian vanishes at {p}; null direction undefined")
     jets = (poly_to_jet(polys[0], p, 3), poly_to_jet(polys[1], p, 3))
@@ -411,9 +408,8 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     lam = lam_deep.truncate(3)
     scale_lam = lam.max_abs_coeff()
 
-    h11 = lam_deep.partial(1).partial(1)
-    h12 = lam_deep.partial(1).partial(2)
-    h22 = lam_deep.partial(2).partial(2)
+    lam1, lam2 = lam_deep.partial(1), lam_deep.partial(2)
+    h11, h12, h22 = lam1.partial(1), lam1.partial(2), lam2.partial(2)
     det_hess_jet = h11 * h22 - h12 * h12
 
     lam0 = lam.value
@@ -467,10 +463,7 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
         return report
 
     nf = null_field(f, tol)
-    eta_deep = (
-        poly_to_jet(nf.eta_polys[0], f.base_point, 5),
-        poly_to_jet(nf.eta_polys[1], f.base_point, 5),
-    )
+    eta_deep = tuple(poly_to_jet(e, f.base_point, 5) for e in nf.eta_polys)
     d1, d2, d3 = _eta_derivative_jets(lam_deep, eta_deep)
     report.eta_at_p = nf.values_at_base()
     report.eta_provenance = nf.provenance
@@ -539,12 +532,9 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
 
 
 def _linear_part(p1: Poly2, p2: Poly2) -> np.ndarray:
-    return np.array(
-        [
-            [p1.coeffs.get((1, 0), 0.0), p1.coeffs.get((0, 1), 0.0)],
-            [p2.coeffs.get((1, 0), 0.0), p2.coeffs.get((0, 1), 0.0)],
-        ]
-    )
+    """The table entries (1, 0) and (0, 1) of both components."""
+    corners = [np.pad(p.table[:2, :2], ((0, 1), (0, 1))) for p in (p1, p2)]
+    return np.array([[c[1, 0], c[0, 1]] for c in corners])
 
 
 def conjugate_by_diffeos(
@@ -574,28 +564,19 @@ def conjugate_by_diffeos(
     if math.hypot(*tv) > 1e-9:
         raise NotADiffeomorphism(f"target map sends the origin to {tv}")
 
-    Ls = np.array(
-        [
-            [s1.partial(1)(p), s1.partial(2)(p)],
-            [s2.partial(1)(p), s2.partial(2)(p)],
-        ]
-    )
+    Ls = PlaneMapGerm((s1, s2), p).jacobian_at()
     Lt = _linear_part(t1, t2)
     for name, L in (("source", Ls), ("target", Lt)):
         if abs(np.linalg.det(L)) <= 1e-8 * max(1.0, np.max(np.abs(L)) ** 2):
             raise NotADiffeomorphism(f"{name} map has a singular linear part")
 
     s_jets = (poly_to_jet(s1, p, order), poly_to_jet(s2, p, order))
-    fv = f.value_at()
-    mid = []
-    for comp, const in zip(f.components, fv):
-        outer = poly_to_jet(comp, p, order)
-        composed = compose_map(outer, s_jets[0], s_jets[1])
-        mid.append(composed - const)
+    mid = [
+        compose_map(poly_to_jet(comp, p, order), *s_jets) - const
+        for comp, const in zip(f.components, f.value_at())
+    ]
     t_jets = (poly_to_jet(t1, (0.0, 0.0), order), poly_to_jet(t2, (0.0, 0.0), order))
-    g1 = compose_map(t_jets[0], mid[0], mid[1])
-    g2 = compose_map(t_jets[1], mid[0], mid[1])
-    return PlaneMapGerm.from_jets(g1, g2)
+    return PlaneMapGerm.from_jets(*(compose_map(t, *mid) for t in t_jets))
 
 
 def _u() -> Poly2:

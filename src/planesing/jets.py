@@ -10,7 +10,9 @@ construction; operations return new jets.
 Coefficients are stored in the monomial basis: a `Jet2` with
 coefficient table ``c`` represents ``sum c[i, j] * (u1 - p1)**i *
 (u2 - p2)**j`` over ``i + j <= order``, so the (i, j)-th partial
-derivative at the base point is ``c[i, j] * i! * j!``.
+derivative at the base point is ``c[i, j] * i! * j!``.  A `Jet2` table
+is a `Poly2` table cut to that triangle: its product is the same
+``convolve2`` and its partial derivative the same scaled slice.
 """
 
 from __future__ import annotations
@@ -103,10 +105,6 @@ class Jet1:
             raise JetOrderExhausted(f"cannot extend order {self.order} to {order}")
         return Jet1(self.base_point, self.coeffs[: order + 1], order)
 
-    def __call__(self, y: float) -> float:
-        dy = float(y) - self.base_point
-        return float(sum(c * dy**k for k, c in enumerate(self.coeffs)))
-
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 0.0
 
@@ -175,17 +173,14 @@ class Jet2:
     def partial(self, axis: int) -> "Jet2":
         if self.order == 0:
             raise JetOrderExhausted("cannot differentiate an order-0 jet")
-        n = self.order
-        out = np.zeros((n, n))
+        c, k = self.coeffs, np.arange(1, self.order + 1)
         if axis == 1:
-            for i in range(1, n + 1):
-                out[i - 1, : n + 1 - i] = i * self.coeffs[i, : n + 1 - i]
+            out = c[1:, :-1] * k[:, None]
         elif axis == 2:
-            for j in range(1, n + 1):
-                out[: n + 1 - j, j - 1] = j * self.coeffs[: n + 1 - j, j]
+            out = c[:-1, 1:] * k
         else:
             raise ValueError("axis must be 1 or 2")
-        return Jet2(self.base_point, out, n - 1)
+        return Jet2(self.base_point, out, self.order - 1)
 
     def truncate(self, order: int) -> "Jet2":
         if order > self.order:
@@ -207,9 +202,7 @@ class Jet2:
         return Jet2(self.base_point, -self.coeffs, self.order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        if not isinstance(other, Jet2):
+        if not isinstance(other, (int, float, Jet2)):
             return NotImplemented
         return self + (-other)
 
@@ -226,17 +219,6 @@ class Jet2:
         return Jet2(base, convolve2(self.coeffs, other.coeffs)[: n + 1, : n + 1], n)
 
     __rmul__ = __mul__
-
-    def __call__(self, u) -> float:
-        d1 = float(u[0]) - self.base_point[0]
-        d2 = float(u[1]) - self.base_point[1]
-        total = 0.0
-        for i in range(self.order + 1):
-            for j in range(self.order + 1 - i):
-                c = self.coeffs[i, j]
-                if c != 0.0:
-                    total += c * d1**i * d2**j
-        return float(total)
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs)))

@@ -32,6 +32,7 @@ from .germs import (
     PlaneMapGerm,
     ToleranceConfig,
     classify,
+    uses_first_row,
 )
 from .poly import InvalidSpec, Poly1, Poly2, poly_from_spec
 
@@ -493,7 +494,7 @@ def find_special_points(
     set) and (lambda, eta lambda) = 0.  The null field eta comes from
     either Jacobian row, first (P_v, -P_u) or second (-Q_v, Q_u), so the
     second system is swept once per row, and a root is kept only from
-    the row that null_field would pick at that root.  Roots of the first
+    the row that null_field would pick at that root (uses_first_row).  Roots of the first
     system take priority when the two families overlap, since a
     degenerate point also solves the second system.  Results are
     deduplicated and sorted by location; each survivor is classified by
@@ -523,18 +524,16 @@ def find_special_points(
     )
     degenerate_roots = _dedup(list(degenerate_resid))
 
-    P, Q = f.components
-    Pu, Pv = P.partial(1), P.partial(2)
-    thresh = tol.rank_threshold * max(f.derivative_scale(), 1e-300)
+    (Pu, Pv), (Qu, Qv) = f.jacobian()
     cusp_resid: dict[tuple[float, float], float] = {}
-    for (eta1, eta2), first_row in (((Pv, -Pu), True), ((-Q.partial(2), Q.partial(1)), False)):
+    for (eta1, eta2), first_row in (((Pv, -Pu), True), ((-Qv, Qu), False)):
         eta_lam = eta1 * lam1 + eta2 * lam2
         el1, el2 = eta_lam.partial(1), eta_lam.partial(2)
         cusp_resid.update(
             roots(
                 lambda u: (lam(u), eta_lam(u)),
                 lambda u: ((lam1(u), lam2(u)), (el1(u), el2(u))),
-                keep=lambda u: (np.maximum(np.abs(Pu(u)), np.abs(Pv(u))) > thresh) == first_row,
+                keep=lambda u: uses_first_row(f, u, tol) == first_row,
             )
         )
     cusp_roots = [

@@ -258,10 +258,12 @@ def test_bad_box_exits_64(tmp_path, capsys):
     assert run(["trace", "--builtin", "beaks", "--grid", "8,8", "--box=-inf,-1,1,1"]) == 64
     assert run(["trace", "--builtin", "beaks", "--grid", "8,8", "--box=-1e200,-1,1e200,1"]) == 64
     assert run(["conslaw", "--builtin", "burgers-lips", "--grid", "8,8", "--box=-inf,-1,1,1"]) == 64
+    out = tmp_path / "not-made"
     assert run(
         ["conslaw", "--builtin", "burgers-lips", "--grid", "8,8", "--box=-1e200,-1,1e200,1",
-         "--out", str(tmp_path)]
+         "--out", str(out)]
     ) == 64
+    assert not out.exists()
 
 
 def test_console_script_entry_point(tmp_path):

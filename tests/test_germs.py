@@ -24,8 +24,10 @@ from planesing.germs import (
     eta_derivatives,
     null_field,
     rank_df,
+    uses_first_row,
 )
-from planesing.jets import poly_to_jet
+from planesing.germs import _linear_part
+from planesing.jets import Jet2, poly_to_jet
 from planesing.poly import Poly2
 
 CATALOG = {
@@ -307,3 +309,118 @@ def test_gray_zone_reports_unrecognized():
     assert report.singularity_class == UNRECOGNIZED
     assert report.margins["eta_lambda"]["decision"] == "uncertain"
     assert report.note
+
+
+# Reference ports of the dict-based forms that the table reads replaced;
+# the new code must give the same bits.
+
+
+def _from_jets_reference(jet1, jet2):
+    p = jet1.base_point
+    polys = []
+    for jet in (jet1, jet2):
+        local = Poly2(
+            {
+                (i, j): jet.coeffs[i, j]
+                for i in range(jet.order + 1)
+                for j in range(jet.order + 1 - i)
+                if jet.coeffs[i, j] != 0.0
+            }
+        )
+        polys.append(local.shift((-p[0], -p[1])))
+    return PlaneMapGerm((polys[0], polys[1]), p)
+
+
+def _derivative_scale_reference(f):
+    s = 0.0
+    for comp in f.components:
+        for (i, j), c in comp.coeffs.items():
+            if i + j >= 1:
+                s = max(s, abs(c))
+    return s
+
+
+def _linear_part_reference(p1, p2):
+    return np.array(
+        [
+            [p1.coeffs.get((1, 0), 0.0), p1.coeffs.get((0, 1), 0.0)],
+            [p2.coeffs.get((1, 0), 0.0), p2.coeffs.get((0, 1), 0.0)],
+        ]
+    )
+
+
+def _random_jet(rng, order, base):
+    table = rng.uniform(-3.0, 3.0, (order + 1, order + 1)) * 10.0 ** rng.integers(-8, 9)
+    table[rng.random(table.shape) < 0.3] = 0.0
+    table[rng.random(table.shape) < 0.1] = -0.0
+    return Jet2(base, table, order)
+
+
+def _conjugated_germs(rng, n):
+    for _ in range(n):
+        src, tgt = random_origin_diffeo(rng), random_origin_diffeo(rng)
+        for name in CATALOG:
+            yield conjugate_by_diffeos(builtin_germ(name), src, tgt)
+
+
+def _same_germ(g, h):
+    assert g.base_point == h.base_point
+    for a, b in zip(g.components, h.components):
+        assert a.table.shape == b.table.shape
+        assert np.array_equal(a.table, b.table)
+
+
+def test_from_jets_matches_dict_rebuild(rng):
+    for order in range(1, 7):
+        for _ in range(10):
+            base = tuple(rng.uniform(-1.0, 1.0, 2))
+            j1, j2 = _random_jet(rng, order, base), _random_jet(rng, order, base)
+            _same_germ(PlaneMapGerm.from_jets(j1, j2), _from_jets_reference(j1, j2))
+    for g in _conjugated_germs(rng, 5):
+        jets = g.rebase(tuple(rng.uniform(-0.5, 0.5, 2))).component_jets(order=4)
+        _same_germ(PlaneMapGerm.from_jets(*jets), _from_jets_reference(*jets))
+
+
+def test_table_reads_match_dict_reads(rng):
+    germs = list(_conjugated_germs(rng, 10))
+    for order in range(1, 7):
+        for _ in range(5):
+            base = tuple(rng.uniform(-1.0, 1.0, 2))
+            germs.append(
+                PlaneMapGerm.from_jets(_random_jet(rng, order, base), _random_jet(rng, order, base))
+            )
+    germs += [builtin_germ(name) for name in CATALOG]
+    germs.append(PlaneMapGerm((Poly2.constant(2.0), Poly2())))
+    for g in germs:
+        assert g.derivative_scale() == _derivative_scale_reference(g)
+        assert np.array_equal(_linear_part(*g.components), _linear_part_reference(*g.components))
+
+
+def _first_row_reference(f, u, tol):
+    P, _ = f.components
+    thresh = tol.rank_threshold * max(_derivative_scale_reference(f), 1e-300)
+    return max(abs(P.partial(1)(u)), abs(P.partial(2)(u))) > thresh
+
+
+def test_row_rule_on_arrays_matches_its_point_values(rng):
+    u, v = Poly2.variable(1), Poly2.variable(2)
+    germs = [
+        PlaneMapGerm((u * u + v * v, v)),  # first row vanishes at the origin only
+        PlaneMapGerm((v * v, v)),  # first row vanishes on the line v = 0
+        PlaneMapGerm((v * v * v + u * v, u)),
+    ]
+    germs += [builtin_germ(name) for name in CATALOG]
+    germs += list(_conjugated_germs(rng, 3))
+    tol = ToleranceConfig()
+    xs = np.concatenate([[0.0, 0.0, 0.5, -0.25, 1e-12], rng.uniform(-1.0, 1.0, 40)])
+    ys = np.concatenate([[0.0, 1e-300, 0.0, 0.0, 0.0], rng.uniform(-1.0, 1.0, 40)])
+    for g in germs:
+        on_array = uses_first_row(g, (xs, ys), tol)
+        assert on_array.shape == xs.shape
+        for k, pt in enumerate(zip(xs, ys)):
+            assert on_array[k] == uses_first_row(g, pt, tol) == _first_row_reference(g, pt, tol)
+    assert not uses_first_row(germs[0], (0.0, 0.0))
+    assert not uses_first_row(germs[1], (0.7, 0.0))
+    assert uses_first_row(germs[1], (0.0, 0.7))
+    for g in germs[:2]:
+        assert null_field(g).provenance == "second-row"

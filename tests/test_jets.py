@@ -277,3 +277,33 @@ def test_compose_map_linear_shear():
     assert out.coeffs[2, 0] == pytest.approx(1.0)
     assert out.coeffs[0, 2] == pytest.approx(-1.0)
     assert abs(out.coeffs[1, 1]) < 1e-15
+
+
+def _partial_reference(jet, axis):
+    """Jet2.partial as the loop over rows it was before the table slice."""
+    n = jet.order
+    out = np.zeros((n, n))
+    if axis == 1:
+        for i in range(1, n + 1):
+            out[i - 1, : n + 1 - i] = i * jet.coeffs[i, : n + 1 - i]
+    else:
+        for j in range(1, n + 1):
+            out[: n + 1 - j, j - 1] = j * jet.coeffs[: n + 1 - j, j]
+    return Jet2(jet.base_point, out, n - 1)
+
+
+def _random_jet(rng, order):
+    table = rng.uniform(-3.0, 3.0, (order + 1, order + 1)) * 10.0 ** rng.integers(-8, 9)
+    table[rng.random(table.shape) < 0.3] = 0.0  # sparse entries, as jets of low-degree maps
+    table[rng.random(table.shape) < 0.1] = -0.0
+    return Jet2(tuple(rng.uniform(-2.0, 2.0, 2)), table, order)
+
+
+def test_partial_matches_row_loop_bit_for_bit(rng):
+    for order in range(1, 7):
+        for _ in range(20):
+            jet = _random_jet(rng, order)
+            for axis in (1, 2):
+                got, ref = jet.partial(axis), _partial_reference(jet, axis)
+                assert got.order == ref.order and got.base_point == ref.base_point
+                assert got.coeffs.tobytes() == ref.coeffs.tobytes()

@@ -298,6 +298,9 @@ def run_conslaw(cfg: RunConfig) -> int:
         )
         return _class_exit(record.report)
 
+    # the frame times are checked before anything is written: the list
+    # before the search, and that it straddles t* right after it
+    times = None if cfg.time is None else parse_reals(cfg.time)
     try:
         result = first_singularity(prob, cfg.box, cfg.tolerances)
     except SolverFailed as exc:
@@ -319,6 +322,14 @@ def run_conslaw(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
         return EXIT_SOLVER
+    frames = None
+    if result is not None and times is not None:
+        try:
+            frames = lips_birth_frames(
+                prob, result.u_star, result.t_star, times, cfg.box, cfg.tolerances
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
 
     if result is None:
@@ -338,14 +349,7 @@ def run_conslaw(cfg: RunConfig) -> int:
         f"xi3={result.xi[2]:g}"
     )
 
-    if cfg.time is not None:
-        times = parse_reals(cfg.time)
-        try:
-            frames = lips_birth_frames(
-                prob, result.u_star, result.t_star, times, cfg.box, cfg.tolerances
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+    if frames is not None:
         manifest = []
         for k, frame in enumerate(frames):
             entry: dict = {"index": k, "t": frame.time}

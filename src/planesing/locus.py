@@ -15,8 +15,11 @@ On top of the traced curves it searches for the two kinds of points
 the classification tree cares about beyond folds: critical points of
 the discriminant lying on the set (lips/beaks material) and points
 where the null-direction derivative of the discriminant vanishes on
-the set (cusp/swallowtail material).  Each located point is classified
-by re-basing the germ there.
+the set (cusp/swallowtail material).  Their Newton systems run from
+every cell center in one damped Newton loop (newton_batch) whose state
+is kept as 1-D coordinate arrays, and each polynomial the systems share
+is evaluated once per step.  Each located point is classified by
+re-basing the germ there.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ DEDUP_RADIUS = 1e-6
 #: Newton step-size floor; with the residual bound, defines convergence
 STEP_TOL = 1e-12
 
-#: Most grid cells per axis.  The node values and the batched Newton
-#: sweeps (one seed per cell) hold arrays sized by the cell count, so
-#: memory grows with the square of the grid: about 100 MB at 512.
+#: Most grid cells per axis.  The node values and the Newton loop (one
+#: seed per cell for each of three systems) hold arrays sized by the
+#: cell count, so memory grows with the square of the grid: `trace` of
+#: the beaks normal form at 512 x 512 peaks at 260 MB RSS.
 MAX_GRID = 512
 
 
@@ -163,93 +167,164 @@ class SpecialPoint:
         }
 
 
-def _solve2(J: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the 2x2 systems J[k] x[k] = b[k] by LU with partial pivoting.
+#: Most points a polynomial is evaluated at in one call.  Horner on a
+#: table with c columns holds a few (c, points) temporaries, so blocks
+#: bound them.  On 2 vCPUs, `trace` of a map with dense degree-16
+#: components at the 512 x 512 grid cap peaked at 624 MB RSS in 390 s
+#: evaluating all runs at once, and at 253-258 MB in 200-265 s in
+#: blocks of 16384 points.
+_EVAL_BLOCK = 16384
 
-    Returns (x, ok); ok is False where x[k] is not finite, which covers
-    an exactly singular J[k]: a zero pivot turns the division into an
-    infinity or a NaN.
+
+def _solve2(a11, a12, a21, a22, b1, b2):
+    """Solve the 2x2 systems [[a11, a12], [a21, a22]] (x1, x2) = (b1, b2).
+
+    The arguments are 1-D arrays of one length, one system per entry,
+    solved by LU with partial pivoting.  Returns (x1, x2, ok); ok is
+    False where x1 or x2 is not finite, which covers an exactly singular
+    matrix: a zero pivot turns the division into an infinity or a NaN.
     """
-    a11, a12, a21, a22 = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
     swap = np.abs(a21) > np.abs(a11)
     p11, p12 = np.where(swap, a21, a11), np.where(swap, a22, a12)
     p21, p22 = np.where(swap, a11, a21), np.where(swap, a12, a22)
-    q1, q2 = np.where(swap, b[:, 1], b[:, 0]), np.where(swap, b[:, 0], b[:, 1])
+    q1, q2 = np.where(swap, b2, b1), np.where(swap, b1, b2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = p21 / p11
         u22 = p22 - m * p12
         x2 = (q2 - m * q1) / u22
         x1 = (q1 - p12 * x2) / p11
-    x = np.stack([x1, x2], axis=1)
-    return x, np.all(np.isfinite(x), axis=1)
+    return x1, x2, np.isfinite(x1) & np.isfinite(x2)
 
 
-def _row_max_abs(a: np.ndarray) -> np.ndarray:
-    # np.max over a length-2 axis is several times slower than this
-    return np.maximum(np.abs(a[:, 0]), np.abs(a[:, 1]))
+def _slot_groups(slots):
+    """For each slot k, the runs of consecutive systems that hold one polynomial there.
+
+    slots[s][k] is the polynomial in slot k of system s.  Returns, per
+    slot, a list of [polynomial, first system, end system].
+    """
+    plan = []
+    for k in range(len(slots[0])):
+        groups: list[list] = []
+        for s, row in enumerate(slots):
+            if groups and groups[-1][0] is row[k]:
+                groups[-1][2] = s + 1
+            else:
+                groups.append([row[k], s, s + 1])
+        plan.append(groups)
+    return plan
+
+
+def _evaluate(plan, bounds, u1, u2):
+    """The value of every slot at the points (u1[i], u2[i]), one array per slot.
+
+    Entries bounds[s]:bounds[s + 1] belong to system s.  A polynomial is
+    evaluated once over each range of entries, whether it fills one slot
+    of consecutive systems or several slots of one system, in blocks of
+    at most _EVAL_BLOCK points.
+    """
+    seen: dict[tuple, np.ndarray] = {}
+    out = []
+    for groups in plan:
+        parts = []
+        for p, s, e in groups:
+            lo, hi = bounds[s], bounds[e]
+            if lo == hi:
+                continue
+            key = (id(p), lo, hi)
+            if key not in seen:
+                blocks = [
+                    p((u1[a : min(a + _EVAL_BLOCK, hi)], u2[a : min(a + _EVAL_BLOCK, hi)]))
+                    for a in range(lo, hi, _EVAL_BLOCK)
+                ]
+                seen[key] = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            parts.append(seen[key])
+        out.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+    return out
 
 
 def newton_batch(
-    system,
-    jacobian,
+    systems,
     seeds,
     tol: ToleranceConfig,
     box: BoxDomain,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped two-dimensional Newton iteration from many seeds at once.
+    """Damped two-dimensional Newton iteration of many systems from many seeds.
 
-    system maps a pair of coordinate arrays (u1, u2) to the pair of
-    residual arrays, jacobian to ((F1_u1, F1_u2), (F2_u1, F2_u2)).  Each
-    seed runs its own iteration: a step that increases the residual norm
-    is halved up to eight times, and the seed stops when no step length
+    Each system is ((F1, F2), ((F1_u1, F1_u2), (F2_u1, F2_u2))), given
+    as Poly2s.  Every system runs from every seed, all in one loop: run
+    k of system s is entry s * n + k of the state arrays, so the runs of
+    one system are contiguous in every sorted index array, and a
+    polynomial held by consecutive systems in one slot, or by several
+    slots of one system, is evaluated once over all their runs.  Each
+    run iterates on its own: a step that increases the residual norm is
+    halved up to eight times, and the run stops when no step length
     helps, its Jacobian is singular, or it leaves the box by slack 0.5.
-    Convergence requires both a small step and a small residual.  Seeds
-    never interact, so each result is the one the seed gets alone.
-    Returns (x, residual_norm, converged), shaped (n, 2), (n,) and (n,).
+    Convergence requires both a small step and a small residual.  Runs
+    never interact, so each result is the one the run gets alone.
+    Returns (x, residual_norm, converged), shaped (m, n, 2), (m, n) and
+    (m, n) for m systems and n seeds.
     """
+    seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
+    m, n = len(systems), len(seeds)
+    if not m * n:
+        return np.zeros((m, n, 2)), np.zeros((m, n)), np.zeros((m, n), dtype=bool)
+    values = _slot_groups([F for F, _ in systems])
+    jacobian = _slot_groups([J[0] + J[1] for _, J in systems])
+    starts = np.arange(m + 1) * n
 
-    def values(fn, x):
-        return np.moveaxis(np.asarray(fn(x.T), dtype=float), -1, 0)
+    def split(index):
+        # index is sorted, so the entries of system s are a slice of it
+        return [0, len(index)] if m == 1 else np.searchsorted(index, starts).tolist()
 
-    x = np.array(seeds, dtype=float).reshape(-1, 2)
-    fx = values(system, x)
-    rnorm = _row_max_abs(fx)
-    converged = np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
+    u1, u2 = np.tile(seeds[:, 0], m), np.tile(seeds[:, 1], m)
+    active = np.arange(m * n)
+    f1, f2 = _evaluate(values, split(active), u1, u2)
+    rnorm = np.maximum(np.abs(f1), np.abs(f2))
+    converged = np.zeros(m * n, dtype=bool)
     for _ in range(tol.newton_max_iter):
         if not active.size:
             break
-        xa, ra = x[active], rnorm[active]
-        step, solved = _solve2(values(jacobian, xa), -fx[active])
-        # line search over the seeds whose step length is still open
+        a1, a2, ra = u1[active], u2[active], rnorm[active]
+        J = _evaluate(jacobian, split(active), a1, a2)
+        s1, s2, solved = _solve2(*J, -f1[active], -f2[active])
+        # line search over the runs whose step length is still open
         t = np.zeros(len(active))
         pending = np.flatnonzero(solved)
         length = 1.0
         for _ in range(8):
             if not pending.size:
                 break
-            cand = xa[pending] + length * step[pending]
-            fc = values(system, cand)
-            cnorm = _row_max_abs(fc)
-            ok = (cnorm <= ra[pending]) | (ra[pending] == 0.0)
-            idx = active[pending[ok]]
-            x[idx], fx[idx], rnorm[idx] = cand[ok], fc[ok], cnorm[ok]
+            index = active[pending]
+            c1 = a1[pending] + length * s1[pending]
+            c2 = a2[pending] + length * s2[pending]
+            g1, g2 = _evaluate(values, split(index), c1, c2)
+            cnorm = np.maximum(np.abs(g1), np.abs(g2))
+            rp = ra[pending]
+            ok = (cnorm <= rp) | (rp == 0.0)
+            index = index[ok]
+            u1[index], u2[index], rnorm[index] = c1[ok], c2[ok], cnorm[ok]
+            f1[index], f2[index] = g1[ok], g2[ok]
             t[pending[ok]] = length
             pending = pending[~ok]
             length *= 0.5
-        # seeds without an accepted step have stalled at a local minimum
+        # runs without an accepted step have stalled at a local minimum
         # of |F| (or met a singular Jacobian) and cannot converge
         moved = t > 0.0
-        idx, step, t = active[moved], step[moved], t[moved][:, None]
-        stop = ~box.contains(x[idx].T, slack=0.5)
-        small = _row_max_abs(t * step) <= STEP_TOL * (1.0 + _row_max_abs(x[idx]))
-        small_resid = rnorm[idx] <= tol.newton_residual
-        done = ~stop & (small | (small_resid & (_row_max_abs(step) <= 1e3 * STEP_TOL)))
-        converged[idx[done]] = small_resid[done]
-        active = idx[~(stop | done)]
+        index, s1, s2, t = active[moved], s1[moved], s2[moved], t[moved]
+        x1, x2 = u1[index], u2[index]
+        stop = ~box.contains((x1, x2), slack=0.5)
+        small = np.maximum(np.abs(t * s1), np.abs(t * s2)) <= STEP_TOL * (
+            1.0 + np.maximum(np.abs(x1), np.abs(x2))
+        )
+        small_resid = rnorm[index] <= tol.newton_residual
+        small_step = np.maximum(np.abs(s1), np.abs(s2)) <= 1e3 * STEP_TOL
+        done = ~stop & (small | (small_resid & small_step))
+        converged[index[done]] = small_resid[done]
+        active = index[~(stop | done)]
     else:
         converged[active] = rnorm[active] <= tol.newton_residual
-    return x, rnorm, converged
+    x = np.stack([u1, u2], axis=-1).reshape(m, n, 2)
+    return x, rnorm.reshape(m, n), converged.reshape(m, n)
 
 
 # Marching squares: for each sign configuration of the four cell
@@ -482,6 +557,23 @@ def _dedup(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return out
 
 
+def _special_point_systems(f: PlaneMapGerm) -> list:
+    """The Newton systems of find_special_points, in newton_batch form.
+
+    grad lambda = 0 first, then (lambda, eta lambda) = 0 with eta from
+    the first and then the second Jacobian row.
+    """
+    lam = f.discriminant_poly()
+    lam1, lam2 = lam.partial(1), lam.partial(2)
+    lam12 = lam1.partial(2)
+    systems = [((lam1, lam2), ((lam1.partial(1), lam12), (lam12, lam2.partial(2))))]
+    (Pu, Pv), (Qu, Qv) = f.jacobian()
+    for eta1, eta2 in ((Pv, -Pu), (-Qv, Qu)):
+        eta_lam = eta1 * lam1 + eta2 * lam2
+        systems.append(((lam, eta_lam), ((lam1, lam2), (eta_lam.partial(1), eta_lam.partial(2)))))
+    return systems
+
+
 def find_special_points(
     f: PlaneMapGerm,
     box: BoxDomain,
@@ -489,53 +581,40 @@ def find_special_points(
 ) -> list[SpecialPoint]:
     """Locate and classify candidate non-fold points inside the box.
 
-    Newton systems seed from every grid cell center, one batched sweep
-    each: grad lambda = 0 (kept when the root also lies on the singular
-    set) and (lambda, eta lambda) = 0.  The null field eta comes from
-    either Jacobian row, first (P_v, -P_u) or second (-Q_v, Q_u), so the
-    second system is swept once per row, and a root is kept only from
-    the row that null_field would pick at that root (uses_first_row).  Roots of the first
-    system take priority when the two families overlap, since a
-    degenerate point also solves the second system.  Results are
+    Three Newton systems run from every grid cell center in one
+    newton_batch loop: grad lambda = 0 (a root is kept when it also lies
+    on the singular set) and (lambda, eta lambda) = 0 twice, once for
+    each Jacobian row the null field eta can come from, first (P_v, -P_u)
+    or second (-Q_v, Q_u).  A root of (lambda, eta lambda) is kept only
+    from the row that null_field would pick there (uses_first_row).  The
+    two row systems share lambda, lambda_u and lambda_v, and lambda_uv
+    fills two slots of the first system, so the loop evaluates each of
+    them once.  Roots of the first system take priority when the two
+    families overlap, since a degenerate point also solves the second
+    system.  Results are
     deduplicated and sorted by location; each survivor is classified by
     re-basing the germ.
     """
     lam = f.discriminant_poly()
-    lam1, lam2 = lam.partial(1), lam.partial(2)
-    lam11, lam12 = lam1.partial(1), lam1.partial(2)
-    lam22 = lam2.partial(2)
-
     scale = float(np.max(np.abs(box.grid_values(lam, "discriminant"))))
     xs, ys = box.axes()
     lam_zero_bound = max(tol.zero_rel * scale, tol.newton_residual)
     centers = np.meshgrid((xs[:-1] + xs[1:]) / 2.0, (ys[:-1] + ys[1:]) / 2.0, indexing="ij")
     seeds = np.stack(centers, axis=-1).reshape(-1, 2)
 
-    def roots(system, jacobian, keep):
-        x, rnorm, ok = newton_batch(system, jacobian, seeds, tol, box)
-        ok &= box.contains(x.T)
-        ok[ok] = keep(x[ok].T)
-        return {(float(a), float(b)): float(r) for (a, b), r in zip(x[ok], rnorm[ok])}
+    x, rnorm, ok = newton_batch(_special_point_systems(f), seeds, tol, box)
+    ok &= box.contains((x[..., 0], x[..., 1]))
 
-    degenerate_resid = roots(
-        lambda u: (lam1(u), lam2(u)),
-        lambda u: ((lam11(u), lam12(u)), (lam12(u), lam22(u))),
-        keep=lambda u: np.abs(lam(u)) <= lam_zero_bound,
-    )
+    def roots(s, keep):
+        good = ok[s]
+        good[good] = keep(x[s, good].T)
+        return {(float(a), float(b)): float(r) for (a, b), r in zip(x[s, good], rnorm[s, good])}
+
+    degenerate_resid = roots(0, lambda u: np.abs(lam(u)) <= lam_zero_bound)
     degenerate_roots = _dedup(list(degenerate_resid))
-
-    (Pu, Pv), (Qu, Qv) = f.jacobian()
     cusp_resid: dict[tuple[float, float], float] = {}
-    for (eta1, eta2), first_row in (((Pv, -Pu), True), ((-Qv, Qu), False)):
-        eta_lam = eta1 * lam1 + eta2 * lam2
-        el1, el2 = eta_lam.partial(1), eta_lam.partial(2)
-        cusp_resid.update(
-            roots(
-                lambda u: (lam(u), eta_lam(u)),
-                lambda u: ((lam1(u), lam2(u)), (el1(u), el2(u))),
-                keep=lambda u: uses_first_row(f, u, tol) == first_row,
-            )
-        )
+    for s, first_row in ((1, True), (2, False)):
+        cusp_resid.update(roots(s, lambda u: uses_first_row(f, u, tol) == first_row))
     cusp_roots = [
         p for p in _dedup(list(cusp_resid)) if not any(_close(p, q) for q in degenerate_roots)
     ]

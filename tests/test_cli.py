@@ -214,12 +214,17 @@ def test_conslaw_forced_point_rarefaction_exits_3(tmp_path):
 
 
 def test_conslaw_frames_must_straddle(tmp_path, capsys):
-    code = run(
-        ["conslaw", "--builtin", "burgers-lips",
-         "--box", "-0.4,-0.4,0.4,0.4", "--time", "1.5,2.0",
-         "--out", str(tmp_path)]
-    )
-    assert code == 64
+    # a malformed list or times that do not straddle t* = 1 exit 64
+    # before --out is made
+    out = tmp_path / "out"
+    for times in ("1.5,2.0", "0.9,abc", "0.5"):
+        code = run(
+            ["conslaw", "--builtin", "burgers-lips",
+             "--box", "-0.4,-0.4,0.4,0.4", "--time", times,
+             "--out", str(out)]
+        )
+        assert code == 64
+        assert not out.exists()
 
 
 def test_missing_input_file_exits_64(tmp_path, capsys):

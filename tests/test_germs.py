@@ -424,3 +424,49 @@ def test_row_rule_on_arrays_matches_its_point_values(rng):
     assert uses_first_row(germs[1], (0.0, 0.7))
     for g in germs[:2]:
         assert null_field(g).provenance == "second-row"
+
+
+def test_eta_derivatives_match_an_exact_sympy_oracle():
+    # eta lambda, eta^2 lambda and eta^3 lambda of the first-row field
+    # (P_v, -P_u), derived in exact rationals, against classify's report
+    # on normal forms in dyadic affine-plus-quadratic coordinates at
+    # dyadic base points; the germs' float coefficients are exact
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v")
+    forms = {
+        "fold": v**2,
+        "cusp": v**3 + u * v,
+        "lips": v**3 + u**2 * v,
+        "beaks": v**3 - u**2 * v,
+        "swallowtail": v**4 + u * v,
+    }
+    rng = np.random.default_rng(17)
+
+    def dyadic(bound, den):
+        return sp.Rational(int(rng.integers(-bound * den, bound * den + 1)), den)
+
+    for name, q in forms.items():
+        for _ in range(4):
+            p = (dyadic(1, 8), dyadic(1, 8))
+            a11, a12, a21, a22 = (dyadic(1, 4) for _ in range(4))
+            if a11 * a22 - a12 * a21 == 0:
+                a11, a22 = a11 + 1, a22 + 1
+            X, Y = u - p[0], v - p[1]
+            x = a11 * X + a12 * Y + dyadic(1, 4) * X**2
+            y = a21 * X + a22 * Y
+            P = sp.expand(x)
+            Q = sp.expand(q.subs({u: x, v: y}, simultaneous=True) + dyadic(1, 2) * x)
+            comps = []
+            for e in (P, Q):
+                terms = sp.Poly(e, u, v).terms()
+                assert all(sp.Rational(float(c)) == c for _, c in terms)
+                comps.append(Poly2({m: float(c) for m, c in terms}))
+            report = classify(PlaneMapGerm(tuple(comps), (float(p[0]), float(p[1]))))
+            assert report.eta_provenance == "first-row", name
+
+            g = P.diff(u) * Q.diff(v) - P.diff(v) * Q.diff(u)
+            got = (report.eta_lambda, report.eta2_lambda, report.eta3_lambda)
+            for value in got:
+                g = sp.expand(P.diff(v) * g.diff(u) - P.diff(u) * g.diff(v))
+                want = g.subs({u: p[0], v: p[1]})
+                assert abs(sp.Rational(value) - want) <= sp.Rational(1, 10**12) * (1 + abs(want))

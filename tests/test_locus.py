@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from planesing import locus
 from planesing.conslaw import (
     ConsLawProblem,
     builtin_problem,
@@ -32,7 +33,7 @@ from planesing.locus import (
     _link_curves,
     _march,
     _sharpen,
-    _solve2,
+    _special_point_systems,
     critical_value_image,
     find_special_points,
     newton_batch,
@@ -252,11 +253,7 @@ def test_box_contains():
 
 
 def _poly_system(f1, f2):
-    jac = ((f1.partial(1), f1.partial(2)), (f2.partial(1), f2.partial(2)))
-    return (
-        lambda u: (f1(u), f2(u)),
-        lambda u: tuple(tuple(d(u) for d in row) for row in jac),
-    )
+    return (f1, f2), ((f1.partial(1), f1.partial(2)), (f2.partial(1), f2.partial(2)))
 
 
 def _quadratic_system():
@@ -265,9 +262,9 @@ def _quadratic_system():
 
 
 def test_newton_batch_seed_outcomes():
-    system, jacobian = _quadratic_system()
+    system = _quadratic_system()
     seeds = [(1.5, 0.5), (-1.5, -0.2), (0.0, 0.7), (0.1, 0.0), (2.0, 0.0)]
-    x, rnorm, ok = newton_batch(system, jacobian, seeds, DEFAULT_TOLERANCES, BOX)
+    x, rnorm, ok = (a[0] for a in newton_batch([system], seeds, DEFAULT_TOLERANCES, BOX))
     assert ok.tolist() == [True, True, False, False, True]
     assert x[0].tolist() == [2.0, 0.0] and x[1].tolist() == [-2.0, 0.0]
     # singular Jacobian: the seed stops where it started
@@ -278,48 +275,79 @@ def test_newton_batch_seed_outcomes():
     assert x[4].tolist() == [2.0, 0.0] and rnorm[4] == 0.0
     # F = (u^3 - 1, v) from u = 0.05: only the eighth step length, 1/128,
     # lowers the residual, and the seed goes on to converge
-    system, jacobian = _poly_system(Poly2({(3, 0): 1.0, (0, 0): -1.0}), Poly2.variable(2))
-    x, _, ok = newton_batch(system, jacobian, [(0.05, 0.0)], DEFAULT_TOLERANCES, BOX)
-    assert ok.tolist() == [True] and x[0].tolist() == [1.0, 0.0]
+    system = _poly_system(Poly2({(3, 0): 1.0, (0, 0): -1.0}), Poly2.variable(2))
+    x, _, ok = newton_batch([system], [(0.05, 0.0)], DEFAULT_TOLERANCES, BOX)
+    assert ok.tolist() == [[True]] and x[0, 0].tolist() == [1.0, 0.0]
 
 
 def test_newton_batch_seeds_are_independent():
-    system, jacobian = _quadratic_system()
+    # F2 = v fills the second slot of one system and the first of the next
+    system = _quadratic_system()
+    F2 = system[0][1]
+    systems = [system, _poly_system(F2, Poly2({(3, 0): 1.0, (1, 1): 0.5, (0, 0): -1.0}))]
     seeds = [(1.5, 0.5), (0.0, 0.7), (-1.5, -0.2), (0.1, 0.0), (2.0, 0.0), (0.9, -0.3)]
-    batch = newton_batch(system, jacobian, seeds, DEFAULT_TOLERANCES, BOX)
-    for k, seed in enumerate(seeds):
-        alone = newton_batch(system, jacobian, [seed], DEFAULT_TOLERANCES, BOX)
-        for got, want in zip(batch, alone):
-            assert got[k].tobytes() == want[0].tobytes()
+    batch = newton_batch(systems, seeds, DEFAULT_TOLERANCES, BOX)
+    for s, system in enumerate(systems):
+        for k, seed in enumerate(seeds):
+            alone = newton_batch([system], [seed], DEFAULT_TOLERANCES, BOX)
+            for got, want in zip(batch, alone):
+                assert got[s, k].tobytes() == want[0, 0].tobytes()
 
 
-def _newton_reference(system, jacobian, x0, tol, box):
-    # the scalar loop that newton_batch runs on all seeds at once
-    x = np.array(x0, dtype=float)
-    fx = np.array(system(x), dtype=float)
-    rnorm = float(np.max(np.abs(fx)))
-    for _ in range(tol.newton_max_iter):
-        step, solved = _solve2(np.array(jacobian(x), dtype=float)[None], -fx[None])
-        if not solved[0]:
-            return x, rnorm, False
-        step, t = step[0], 1.0
+def _max_abs(a, b):
+    # max(|a|, |b|), NaN when either is NaN, as numpy.maximum gives it
+    return math.nan if math.isnan(a) or math.isnan(b) else max(abs(a), abs(b))
+
+
+def _solve2_reference(a11, a12, a21, a22, b1, b2):
+    # LU with partial pivoting in Python floats; None where the step
+    # is not finite (a zero pivot included)
+    if abs(a21) > abs(a11):
+        a11, a12, a21, a22, b1, b2 = a21, a22, a11, a12, b2, b1
+    if a11 == 0.0:
+        return None
+    m = a21 / a11
+    u22 = a22 - m * a12
+    if u22 == 0.0:
+        return None
+    x2 = (b2 - m * b1) / u22
+    x1 = (b1 - a12 * x2) / a11
+    return (x1, x2) if math.isfinite(x1) and math.isfinite(x2) else None
+
+
+def _newton_reference(system, x0, tol, box):
+    # the scalar loop that newton_batch runs on every run at once;
+    # returns (x, residual norm, converged, iterations started)
+    (F1, F2), ((A11, A12), (A21, A22)) = system
+    x = (float(x0[0]), float(x0[1]))
+    f1, f2 = F1(x), F2(x)
+    rnorm = _max_abs(f1, f2)
+    for it in range(1, tol.newton_max_iter + 1):
+        step = _solve2_reference(A11(x), A12(x), A21(x), A22(x), -f1, -f2)
+        if step is None:
+            return x, rnorm, False, it
+        (s1, s2), t = step, 1.0
         for _ in range(8):
-            cand = x + t * step
-            fc = np.array(system(cand), dtype=float)
-            cnorm = float(np.max(np.abs(fc)))
+            cand = (x[0] + t * s1, x[1] + t * s2)
+            g1, g2 = F1(cand), F2(cand)
+            cnorm = _max_abs(g1, g2)
             if cnorm <= rnorm or rnorm == 0.0:
                 break
             t *= 0.5
         else:
-            return x, rnorm, False
-        x, fx, rnorm = cand, fc, cnorm
+            return x, rnorm, False, it
+        x, f1, f2, rnorm = cand, g1, g2, cnorm
         if not box.contains(x, slack=0.5):
-            return x, rnorm, False
-        if np.max(np.abs(t * step)) <= STEP_TOL * (1.0 + np.max(np.abs(x))):
-            return x, rnorm, rnorm <= tol.newton_residual
-        if rnorm <= tol.newton_residual and np.max(np.abs(step)) <= 1e3 * STEP_TOL:
-            return x, rnorm, True
-    return x, rnorm, rnorm <= tol.newton_residual
+            return x, rnorm, False, it
+        if _max_abs(t * s1, t * s2) <= STEP_TOL * (1.0 + _max_abs(*x)):
+            return x, rnorm, rnorm <= tol.newton_residual, it
+        if rnorm <= tol.newton_residual and _max_abs(s1, s2) <= 1e3 * STEP_TOL:
+            return x, rnorm, True, it
+    return x, rnorm, rnorm <= tol.newton_residual, tol.newton_max_iter
+
+
+def _run_bytes(x, rnorm, ok):
+    return np.asarray(x, dtype=float).tobytes(), np.float64(rnorm).tobytes(), bool(ok)
 
 
 @pytest.mark.parametrize("name", ["lips", "cusp", "swallowtail"])
@@ -332,11 +360,48 @@ def test_newton_batch_matches_scalar_loop(name, tol):
     systems = [_poly_system(l1, l2), _poly_system(lam, -l2)]
     box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (8, 8))
     seeds = np.stack(np.meshgrid(*box.axes(), indexing="ij"), axis=-1).reshape(-1, 2) * 1.3
-    for system, jacobian in systems:
-        batch = newton_batch(system, jacobian, seeds, tol, box)
+    for system in systems:
+        batch = newton_batch([system], seeds, tol, box)
         for k, seed in enumerate(seeds):
-            x, rnorm, ok = _newton_reference(system, jacobian, seed, tol, box)
-            assert (batch[0][k].tobytes(), batch[1][k], batch[2][k]) == (x.tobytes(), rnorm, ok)
+            x, rnorm, ok, _ = _newton_reference(system, seed, tol, box)
+            assert _run_bytes(*(a[0, k] for a in batch)) == _run_bytes(x, rnorm, ok)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOLERANCES, ToleranceConfig(newton_max_iter=20)])
+def test_newton_batch_merged_systems_match_each_run_alone(tol, monkeypatch):
+    # the three find_special_points systems in one loop: the row systems
+    # share lambda, lambda_u and lambda_v, and lambda_uv fills two slots
+    box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (6, 6))
+    seeds = np.stack(np.meshgrid(*box.axes(), indexing="ij"), axis=-1).reshape(-1, 2) * 1.3
+    maps = [builtin_germ("beaks"), builtin_germ("swallowtail")]
+    maps.append(PlaneMapGerm(parse_map("(u*v+v^4, u)"), (0.0, 0.0)))
+    stopped = set()
+    for f in maps:
+        systems = _special_point_systems(f)
+        _, ((_, lam12), (lam21, _)) = systems[0]
+        (lam, _), ((lam1, lam2), _) = systems[1]
+        assert lam12 is lam21
+        assert systems[2][0][0] is lam
+        assert systems[2][1][0][0] is lam1 and systems[2][1][0][1] is lam2
+        batch = newton_batch(systems, seeds, tol, box)
+        # evaluation in blocks of 5 points, which split every system's runs
+        with monkeypatch.context() as m:
+            m.setattr(locus, "_EVAL_BLOCK", 5)
+            blocked = newton_batch(systems, seeds, tol, box)
+        assert [a.tobytes() for a in blocked] == [a.tobytes() for a in batch]
+        for s, system in enumerate(systems):
+            for k, seed in enumerate(seeds):
+                x, rnorm, ok, iterations = _newton_reference(system, seed, tol, box)
+                stopped.add((iterations, ok))
+                want = _run_bytes(x, rnorm, ok)
+                assert _run_bytes(*(a[s, k] for a in batch)) == want
+                alone = newton_batch([system], [seed], tol, box)
+                assert _run_bytes(*(a[0, 0] for a in alone)) == want
+    # runs converge and fail, and they stop at different iterations,
+    # some at the last one
+    assert {ok for _, ok in stopped} == {True, False}
+    assert len({it for it, _ in stopped}) >= 3
+    assert tol.newton_max_iter in {it for it, _ in stopped}
 
 
 def _sharpen_reference(lam, pt, resid_bound, max_iter):

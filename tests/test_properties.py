@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planesing.jets import poly_to_jet
+from planesing.jets import compose_map, poly_to_jet
 from planesing.poly import Poly2
 
 REL_TOL = 1e-13
@@ -66,3 +66,30 @@ def test_poly_to_jet_is_a_ring_homomorphism(p, q, base, order):
                   <= REL_TOL * sum_bound + ABS_TOL)
     assert np.all(np.abs(poly_to_jet(p * q, base, order).coeffs - (jp * jq).coeffs)
                   <= REL_TOL * prod_bound + ABS_TOL)
+
+
+def composed(g: Poly2, p: Poly2, q: Poly2) -> Poly2:
+    """g(p, q) as one polynomial, by products of the tables."""
+    out = Poly2.constant(0.0)
+    for (i, j), c in g.coeffs.items():
+        term = Poly2.constant(c)
+        for _ in range(i):
+            term = term * p
+        for _ in range(j):
+            term = term * q
+        out = out + term
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(3), polys(3), polys(3), points, st.integers(0, 4))
+def test_compose_map_is_the_jet_of_the_composition(g, p, q, base, order):
+    jp, jq = poly_to_jet(p, base, order), poly_to_jet(q, base, order)
+    outer = poly_to_jet(g, (jp.value, jq.value), order)
+    got = compose_map(outer, jp, jq).coeffs
+    want = poly_to_jet(composed(g, p, q), base, order).coeffs
+    # every term of either side is bounded by the same composition of
+    # absolute values, taken at |base|
+    far = (abs(base[0]), abs(base[1]))
+    bound = poly_to_jet(composed(magnitude(g), magnitude(p), magnitude(q)), far, order).coeffs
+    assert np.all(np.abs(got - want) <= REL_TOL * bound + ABS_TOL)

@@ -17,9 +17,10 @@ the discriminant lying on the set (lips/beaks material) and points
 where the null-direction derivative of the discriminant vanishes on
 the set (cusp/swallowtail material).  Their Newton systems run from
 every cell center in one damped Newton loop (newton_batch) whose state
-is kept as 1-D coordinate arrays, and each polynomial the systems share
-is evaluated once per step.  Each located point is classified by
-re-basing the germ there.
+is kept as 1-D coordinate arrays; each system's two values, and its
+four Jacobian entries, are evaluated in one stacked Horner pass
+(poly.HornerStack).  Each located point is classified by re-basing the
+germ there.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .germs import (
     classify,
     uses_first_row,
 )
-from .poly import InvalidSpec, Poly1, Poly2, poly_from_spec
+from .poly import HornerStack, InvalidSpec, Poly1, Poly2, poly_from_spec
 
 __all__ = [
     "BoxDomain",
@@ -60,7 +61,7 @@ STEP_TOL = 1e-12
 #: Most grid cells per axis.  The node values and the Newton loop (one
 #: seed per cell for each of three systems) hold arrays sized by the
 #: cell count, so memory grows with the square of the grid: `trace` of
-#: the beaks normal form at 512 x 512 peaks at 260 MB RSS.
+#: the beaks normal form at 512 x 512 peaks at 241 MB RSS.
 MAX_GRID = 512
 
 
@@ -167,15 +168,6 @@ class SpecialPoint:
         }
 
 
-#: Most points a polynomial is evaluated at in one call.  Horner on a
-#: table with c columns holds a few (c, points) temporaries, so blocks
-#: bound them.  On 2 vCPUs, `trace` of a map with dense degree-16
-#: components at the 512 x 512 grid cap peaked at 624 MB RSS in 390 s
-#: evaluating all runs at once, and at 253-258 MB in 200-265 s in
-#: blocks of 16384 points.
-_EVAL_BLOCK = 16384
-
-
 def _solve2(a11, a12, a21, a22, b1, b2):
     """Solve the 2x2 systems [[a11, a12], [a21, a22]] (x1, x2) = (b1, b2).
 
@@ -196,50 +188,18 @@ def _solve2(a11, a12, a21, a22, b1, b2):
     return x1, x2, np.isfinite(x1) & np.isfinite(x2)
 
 
-def _slot_groups(slots):
-    """For each slot k, the runs of consecutive systems that hold one polynomial there.
+def _evaluate(stacks, bounds, u1, u2) -> np.ndarray:
+    """Every slot's value at the points (u1[i], u2[i]), one row per slot.
 
-    slots[s][k] is the polynomial in slot k of system s.  Returns, per
-    slot, a list of [polynomial, first system, end system].
+    Entries bounds[s]:bounds[s + 1] belong to system s, whose stack
+    evaluates all of its slots there in one call.
     """
-    plan = []
-    for k in range(len(slots[0])):
-        groups: list[list] = []
-        for s, row in enumerate(slots):
-            if groups and groups[-1][0] is row[k]:
-                groups[-1][2] = s + 1
-            else:
-                groups.append([row[k], s, s + 1])
-        plan.append(groups)
-    return plan
-
-
-def _evaluate(plan, bounds, u1, u2):
-    """The value of every slot at the points (u1[i], u2[i]), one array per slot.
-
-    Entries bounds[s]:bounds[s + 1] belong to system s.  A polynomial is
-    evaluated once over each range of entries, whether it fills one slot
-    of consecutive systems or several slots of one system, in blocks of
-    at most _EVAL_BLOCK points.
-    """
-    seen: dict[tuple, np.ndarray] = {}
-    out = []
-    for groups in plan:
-        parts = []
-        for p, s, e in groups:
-            lo, hi = bounds[s], bounds[e]
-            if lo == hi:
-                continue
-            key = (id(p), lo, hi)
-            if key not in seen:
-                blocks = [
-                    p((u1[a : min(a + _EVAL_BLOCK, hi)], u2[a : min(a + _EVAL_BLOCK, hi)]))
-                    for a in range(lo, hi, _EVAL_BLOCK)
-                ]
-                seen[key] = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            parts.append(seen[key])
-        out.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
-    return out
+    parts = [
+        stack(u1[lo:hi], u2[lo:hi])
+        for stack, lo, hi in zip(stacks, bounds, bounds[1:])
+        if lo < hi
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def newton_batch(
@@ -253,14 +213,15 @@ def newton_batch(
     Each system is ((F1, F2), ((F1_u1, F1_u2), (F2_u1, F2_u2))), given
     as Poly2s.  Every system runs from every seed, all in one loop: run
     k of system s is entry s * n + k of the state arrays, so the runs of
-    one system are contiguous in every sorted index array, and a
-    polynomial held by consecutive systems in one slot, or by several
-    slots of one system, is evaluated once over all their runs.  Each
-    run iterates on its own: a step that increases the residual norm is
-    halved up to eight times, and the run stops when no step length
-    helps, its Jacobian is singular, or it leaves the box by slack 0.5.
-    Convergence requires both a small step and a small residual.  Runs
-    never interact, so each result is the one the run gets alone.
+    one system are contiguous in every sorted index array.  A system's
+    two values are evaluated by one HornerStack call over its runs, and
+    so are its four Jacobian entries; a polynomial that fills two slots
+    of one system is stacked once.  Each run iterates on its own: a step
+    that increases the residual norm is halved up to eight times, and
+    the run stops when no step length helps, its Jacobian is singular,
+    or it leaves the box by slack 0.5.  Convergence requires both a small
+    step and a small residual.  Runs never interact, so each result is
+    the one the run gets alone.
     Returns (x, residual_norm, converged), shaped (m, n, 2), (m, n) and
     (m, n) for m systems and n seeds.
     """
@@ -268,8 +229,8 @@ def newton_batch(
     m, n = len(systems), len(seeds)
     if not m * n:
         return np.zeros((m, n, 2)), np.zeros((m, n)), np.zeros((m, n), dtype=bool)
-    values = _slot_groups([F for F, _ in systems])
-    jacobian = _slot_groups([J[0] + J[1] for _, J in systems])
+    values = [HornerStack([p.table for p in F]) for F, _ in systems]
+    jacobian = [HornerStack([p.table for p in J[0] + J[1]]) for _, J in systems]
     starts = np.arange(m + 1) * n
 
     def split(index):
@@ -389,13 +350,13 @@ def _sharpen(lam: Poly2, x: np.ndarray, y: np.ndarray, resid_bound: float, max_i
     x, y = np.array(x, dtype=float), np.array(y, dtype=float)
     r = lam((x, y))
     active = np.arange(len(x))
-    lam1, lam2 = lam.partial(1), lam.partial(2)
+    grad = HornerStack([lam.partial(1).table, lam.partial(2).table])
     for _ in range(max_iter):
         active = active[~(np.abs(r[active]) <= resid_bound)]
         if not active.size:
             break
         xa, ya, ra = x[active], y[active], r[active]
-        gx, gy = lam1((xa, ya)), lam2((xa, ya))
+        gx, gy = grad(xa, ya)
         g2 = gx * gx + gy * gy
         live = ~(g2 <= 1e-300)
         active, xa, ya, ra = active[live], xa[live], ya[live], ra[live]
@@ -586,14 +547,12 @@ def find_special_points(
     on the singular set) and (lambda, eta lambda) = 0 twice, once for
     each Jacobian row the null field eta can come from, first (P_v, -P_u)
     or second (-Q_v, Q_u).  A root of (lambda, eta lambda) is kept only
-    from the row that null_field would pick there (uses_first_row).  The
-    two row systems share lambda, lambda_u and lambda_v, and lambda_uv
-    fills two slots of the first system, so the loop evaluates each of
-    them once.  Roots of the first system take priority when the two
-    families overlap, since a degenerate point also solves the second
-    system.  Results are
-    deduplicated and sorted by location; each survivor is classified by
-    re-basing the germ.
+    from the row that null_field would pick there (uses_first_row).
+    lambda_uv fills two slots of the first system and is stacked once.
+    Roots of the first system take priority when the two families
+    overlap, since a degenerate point also solves the second system.
+    Results are deduplicated and sorted by location; each survivor is
+    classified by re-basing the germ.
     """
     lam = f.discriminant_poly()
     scale = float(np.max(np.abs(box.grid_values(lam, "discriminant"))))

@@ -10,6 +10,7 @@ Poly1/Poly2 values ready for germ construction.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .poly import MAX_INPUT_DEGREE, Poly1, Poly2
@@ -213,12 +214,14 @@ def parse_curve(text: str) -> tuple[Poly1, Poly1]:
 
 
 def parse_reals(text: str, count: int | None = None) -> tuple[float, ...]:
-    """Parse a comma-separated list of real numbers."""
+    """Parse a comma-separated list of finite real numbers."""
     parts = [p.strip() for p in text.split(",")]
     try:
         values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"expected finite numbers, got {text!r}")
     if count is not None and len(values) != count:
         raise ParseError(f"expected {count} numbers, got {len(values)} in {text!r}")
     return values

@@ -3,7 +3,8 @@
 A Poly1 keeps its coefficients sparsely, keyed by exponent.  A Poly2
 keeps one dense coefficient table, and its products, shifts and
 derivatives are array operations on that table; convolve2 and
-outside_order are the table kernel that the jets share.  Arithmetic is
+outside_order are the table kernel that the jets share, and HornerStack
+evaluates several tables at the same points in one pass.  Arithmetic is
 exact up to float rounding; no coefficient thresholding happens here.
 This layer backs the jet machinery and every place the rest of the
 package needs a globally valid expression rather than a truncated local
@@ -19,6 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 __all__ = [
+    "HornerStack",
     "InvalidSpec",
     "MAX_INPUT_DEGREE",
     "Poly1",
@@ -72,6 +74,70 @@ def convolve2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     rows, width = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
     return np.convolve(_flat(a, width), _flat(b, width)).reshape(rows, width)
+
+
+#: Most stacked entries, points times stacked columns, that one block of
+#: a HornerStack evaluation holds; the block length in points follows
+#: from the stack.  Horner runs in place, so a block holds one array of
+#: that many floats (8 MB).  On 2 vCPUs, `trace` of a map with dense
+#: degree-16 components at the 512 x 512 grid cap took 85-97 s and
+#: peaked at 253 MB RSS with this budget, 145 s and 250 MB with 2**18
+#: entries, and 178 s and 322 MB with 2**22.
+_EVAL_BLOCK = 1 << 20
+
+
+class HornerStack:
+    """Coefficient tables evaluated at the same points in one Horner pass.
+
+    The columns of all tables form one stacked table, ordered by
+    descending u2 power and, within a power, widest table first; a table
+    with fewer rows gets leading zero rows.  Horner in u1 runs in place
+    over every stacked column at once.  Horner in u2 then runs, for each
+    power j, over the tables wider than j, which come first.  A leading
+    zero adds +0.0, and 0*x + t equals numpy's polyval t + x*0, so each
+    value is bit for bit the Poly2 value at its point.  A table given
+    twice (the same object) is stacked once.
+    """
+
+    __slots__ = ("_top", "_rows", "_runs", "_take", "_count")
+
+    def __init__(self, tables):
+        distinct: list[np.ndarray] = []
+        for t in tables:
+            if not any(t is d for d in distinct):
+                distinct.append(t)
+        distinct.sort(key=lambda t: -t.shape[1])
+        take = [next(k for k, d in enumerate(distinct) if d is t) for t in tables]
+        height = max(t.shape[0] for t in distinct)
+        columns, runs = [], []
+        for j in range(distinct[0].shape[1] - 1, -1, -1):
+            wider = [t for t in distinct if t.shape[1] > j]
+            runs.append((slice(len(wider)), slice(len(columns), len(columns) + len(wider))))
+            columns += [t[:, j] for t in wider]
+        stacked = np.zeros((height, len(columns)))
+        for c, col in enumerate(columns):
+            stacked[: len(col), c] = col
+        self._top, *self._rows = [stacked[i, :, None] for i in range(height - 1, -1, -1)]
+        self._runs = runs
+        self._take = None if take == list(range(len(distinct))) else take
+        self._count = len(distinct)
+
+    def __call__(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        """Values at the points (u1[i], u2[i]) of 1-D arrays, one row per table given."""
+        n = len(u1)
+        out = np.zeros((self._count, n))
+        block = max(1, _EVAL_BLOCK // len(self._top))
+        for a in range(0, n, block):
+            x1, x2, d = u1[a : a + block], u2[a : a + block], out[:, a : a + block]
+            c = self._top + x1 * 0.0
+            for row in self._rows:
+                c *= x1
+                c += row
+            for tables, columns in self._runs:
+                head = d[tables]
+                head *= x2
+                head += c[columns]
+        return out if self._take is None else out[self._take]
 
 
 @lru_cache(maxsize=None)

@@ -260,6 +260,8 @@ def test_bad_box_exits_64(tmp_path, capsys):
     assert run(["trace", "--builtin", "fold", "--box", "1,2,3"]) == 64
     assert run(["trace", "--builtin", "fold", "--grid", "1.5,8"]) == 64
     assert run(["trace", "--builtin", "fold", "--grid", f"{MAX_GRID + 1},8"]) == 64
+    assert run(["trace", "--builtin", "fold", "--grid", "inf,5"]) == 64
+    assert run(["trace", "--builtin", "fold", "--grid", "nan,5"]) == 64
     assert run(["trace", "--builtin", "beaks", "--grid", "8,8", "--box=-inf,-1,1,1"]) == 64
     assert run(["trace", "--builtin", "beaks", "--grid", "8,8", "--box=-1e200,-1,1e200,1"]) == 64
     assert run(["conslaw", "--builtin", "burgers-lips", "--grid", "8,8", "--box=-inf,-1,1,1"]) == 64
@@ -269,6 +271,20 @@ def test_bad_box_exits_64(tmp_path, capsys):
          "--out", str(out)]
     ) == 64
     assert not out.exists()
+
+
+def test_non_finite_point_or_time_exits_64(tmp_path):
+    out = tmp_path / "not-made"
+    for args in (
+        ["classify", "--map", "(u, v^3+u^2*v)", "--at", "inf,0"],
+        ["classify", "--map", "(u, v^3+u^2*v)", "--at", "nan,0"],
+        ["classify", "--builtin", "ruling", "--curve", "t,t^3", "--at", "inf"],
+        ["trace", "--map", "(u, v^3+u^2*v)", "--at", "nan,0", "--grid", "8,8"],
+        ["conslaw", "--builtin", "burgers-lips", "--at", "nan,0"],
+        ["conslaw", "--builtin", "burgers-lips", "--at", "0,0", "--time", "nan"],
+    ):
+        assert run([*args, "--out", str(out)]) == 64
+        assert not out.exists()
 
 
 def test_console_script_entry_point(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from planesing import locus
+from planesing import poly
 from planesing.conslaw import (
     ConsLawProblem,
     builtin_problem,
@@ -384,9 +384,9 @@ def test_newton_batch_merged_systems_match_each_run_alone(tol, monkeypatch):
         assert systems[2][0][0] is lam
         assert systems[2][1][0][0] is lam1 and systems[2][1][0][1] is lam2
         batch = newton_batch(systems, seeds, tol, box)
-        # evaluation in blocks of 5 points, which split every system's runs
+        # evaluation in blocks of a few points, which split every system's runs
         with monkeypatch.context() as m:
-            m.setattr(locus, "_EVAL_BLOCK", 5)
+            m.setattr(poly, "_EVAL_BLOCK", 24)
             blocked = newton_batch(systems, seeds, tol, box)
         assert [a.tobytes() for a in blocked] == [a.tobytes() for a in batch]
         for s, system in enumerate(systems):

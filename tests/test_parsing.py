@@ -91,3 +91,6 @@ def test_parse_reals():
         parse_reals("1,2", 3)
     with pytest.raises(ParseError):
         parse_reals("a,b", 2)
+    for bad in ("inf,5", "nan,5", "0,-inf", "1e999"):
+        with pytest.raises(ParseError):
+            parse_reals(bad)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from planesing import poly
 from planesing.poly import (
     MAX_INPUT_DEGREE,
+    HornerStack,
     InvalidSpec,
     Poly1,
     Poly2,
@@ -145,6 +147,59 @@ def test_poly2_call_on_arrays_matches_pointwise_bits(rng):
     for v, pt in zip(values, pts):
         assert v.tobytes() == np.float64(p(pt)).tobytes()
     assert p((pts[:, :1], pts[:, 1:])).shape == (9, 1)
+
+
+def _stack_polys(rng):
+    # shapes 1x1, 1xn, nx1 and wider, of degree 0 to 30, with interior
+    # zeros, a -0.0 in the top row and a degree-30 triangle
+    polys = []
+    for rows, cols in ((1, 1), (1, 9), (7, 1), (1, 31), (31, 1), (4, 4), (3, 17), (16, 15), (12, 2)):
+        t = rng.uniform(-2.0, 2.0, (rows, cols))
+        t[rng.random((rows, cols)) < 0.3] = 0.0
+        t[-1, -1] = rng.uniform(0.5, 1.5)
+        if cols > 1:
+            t[-1, 0] = -0.0
+        polys.append(Poly2._of(t))
+    polys.append(Poly2({(i, j): rng.uniform(-1, 1) for i in range(31) for j in range(31 - i)}))
+    # -0.0 + u2 keeps the sign of a zero only if -0.0 + u1*0 is kept
+    polys.append(Poly2._of(np.array([[-0.0, 1.0]])))
+    return polys
+
+
+def _stack_points(rng):
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    pts = [(a, b) for a in special for b in special]
+    pts += [(a, b) for a in special for b in (0.75, -1.25)] + [(b, a) for a in special for b in (0.5, -1.5)]
+    pts += rng.uniform(-1.5, 1.5, (40, 2)).tolist()
+    return np.array(pts).T.copy()
+
+
+def _assert_stack_matches_calls(stack, polys, u1, u2):
+    got = stack(u1, u2)
+    assert got.shape == (len(polys), len(u1))
+    for row, p in zip(got, polys):
+        want = p((u1, u2))
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(row), nan)
+        assert row[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_horner_stack_matches_poly2_call_bits(rng, monkeypatch):
+    polys = _stack_polys(rng)
+    u1, u2 = _stack_points(rng)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(1, len(polys) + 1):
+            # seeded subsets in shuffled order, one table given twice
+            chosen = [polys[i] for i in rng.permutation(len(polys))[:k]]
+            chosen.insert(int(rng.integers(k + 1)), chosen[0])
+            stack = HornerStack([p.table for p in chosen])
+            _assert_stack_matches_calls(stack, chosen, u1, u2)
+            # blocks of a few points, and of one point, split the points
+            for budget in (97, 1):
+                with monkeypatch.context() as m:
+                    m.setattr(poly, "_EVAL_BLOCK", budget)
+                    _assert_stack_matches_calls(stack, chosen, u1, u2)
+    assert HornerStack([polys[0].table])(u1[:0], u2[:0]).shape == (1, 0)
 
 
 def test_poly2_shift():

@@ -45,7 +45,7 @@ from .locus import (
     ruling_map,
     sample_singular_set,
 )
-from .parsing import ParseError, parse_curve, parse_map, parse_reals
+from .parsing import ParseError, check_reals, parse_curve, parse_map, parse_reals
 from .serialize import dump_json, write_curves_csv, write_svg
 
 EXIT_OK = 0
@@ -201,7 +201,8 @@ def _germ_from_config(cfg: RunConfig) -> PlaneMapGerm:
         raise ParseError('map JSON needs a "components" key with two PolySpecs') from exc
     if not isinstance(components, list) or len(components) != 2:
         raise ParseError('"components" must be a list of two PolySpecs')
-    base = tuple(data.get("base_point", (0.0, 0.0)))
+    base = data.get("base_point", [0.0, 0.0])
+    base = check_reals(base, 2, f'"base_point" {base!r}')
     if cfg.at:
         base = parse_reals(cfg.at, 2)
     try:

@@ -39,7 +39,7 @@ from .germs import (
     classify,
 )
 from .jets import compose_univariate, poly_to_jet
-from .locus import BoxDomain, critical_value_image, newton_batch, sample_singular_set
+from .locus import BoxDomain, _close, critical_value_image, newton_batch, sample_singular_set
 from .poly import InvalidSpec, Poly1, Poly2, poly_from_spec, poly_to_spec
 
 __all__ = [
@@ -433,7 +433,7 @@ def first_singularity(
         if tv >= 0.0:
             continue
         pt = (float(a), float(b))
-        if any((pt[0] - q[0]) ** 2 + (pt[1] - q[1]) ** 2 <= 1e-12 for _, q in roots):
+        if any(_close(pt, q) for _, q in roots):
             continue
         roots.append((-1.0 / float(tv), pt))
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import Jet2, compose_map, poly_to_jet
-from .poly import Poly2, poly_from_spec
+from .poly import InvalidSpec, Poly2, poly_from_spec
 
 __all__ = [
     "ToleranceConfig",
@@ -223,9 +223,10 @@ class PlaneMapGerm:
 class NullField:
     """Vector field spanning ker(df) along the singular set near p.
 
-    eta holds order-3 jets of the field components at the germ's base
-    point; eta_polys the same field as exact global polynomials.  The
-    field is built from one row of the Jacobian: with f = (P, Q),
+    eta holds order-5 jets of the field components at the germ's base
+    point (classify forms eta^3 lambda from them); eta_polys the same
+    field as exact global polynomials.  The field is built from one row
+    of the Jacobian: with f = (P, Q),
 
         first-row   eta = ( P_u2, -P_u1),  df(eta) = (0, -lambda)
         second-row  eta = (-Q_u2,  Q_u1),  df(eta) = (-lambda, 0)
@@ -249,8 +250,11 @@ def discriminant(f: PlaneMapGerm) -> Jet2:
 
 
 def rank_df(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Numerical rank of df at the base point via singular values."""
-    J = f.jacobian_at()
+    """Numerical rank of df at the base point via singular values (InvalidSpec on overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = f.jacobian_at()
+    if not np.isfinite(J).all():
+        raise InvalidSpec(f"the Jacobian overflows at {f.base_point}")
     s = np.linalg.svd(J, compute_uv=False)
     scale = f.derivative_scale()
     if s[0] <= tol.rank_threshold * max(scale, 0.0) or s[0] == 0.0:
@@ -291,7 +295,7 @@ def null_field(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Nu
         polys, provenance = (-Qv, Qu), "second-row"
     else:
         raise CorankTwoError(f"Jacobian vanishes at {p}; null direction undefined")
-    jets = (poly_to_jet(polys[0], p, 3), poly_to_jet(polys[1], p, 3))
+    jets = (poly_to_jet(polys[0], p, 5), poly_to_jet(polys[1], p, 5))
     return NullField(eta=jets, provenance=provenance, eta_polys=polys)
 
 
@@ -463,8 +467,7 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
         return report
 
     nf = null_field(f, tol)
-    eta_deep = tuple(poly_to_jet(e, f.base_point, 5) for e in nf.eta_polys)
-    d1, d2, d3 = _eta_derivative_jets(lam_deep, eta_deep)
+    d1, d2, d3 = _eta_derivative_jets(lam_deep, nf.eta)
     report.eta_at_p = nf.values_at_base()
     report.eta_provenance = nf.provenance
     report.eta_lambda = d1.value

@@ -7,9 +7,11 @@ separable Horner (each node value bit for bit its point value), and a
 marching-squares pass classifies every cell at once as arrays and
 visits only the cells whose corner signs change (linear interpolation
 on cell edges, center-sample disambiguation for saddle cells, both
-computed as arrays).  Every vertex is sharpened with a damped Newton
-projection along the discriminant gradient, and the cell segments are
-linked into polylines.
+computed as arrays).  It numbers the sign-changing edges once and
+returns each cell segment as the pair of edge numbers it joins.  Every
+crossing is sharpened with a damped Newton projection along the
+discriminant gradient, and the segments are linked into polylines by a
+walk over plain adjacency lists.
 
 On top of the traced curves it searches for the two kinds of points
 the classification tree cares about beyond folds: critical points of
@@ -290,34 +292,25 @@ def newton_batch(
 
 # Marching squares: for each sign configuration of the four cell
 # corners (bit order: SW, SE, NE, NW; bit set means value >= 0) list
-# the pairs of crossed edges to connect.  Edges are numbered S=0, E=1,
-# N=2, W=3.  Configurations 5 and 10 are ambiguous saddles resolved by
-# the cell-center sample so that each segment separates the center from
-# the corners of opposite sign: their key takes the bit 16 when the
-# center value is >= 0.
-_SEGMENT_TABLE: dict[int, list[tuple[int, int]]] = {
-    1: [(3, 0)],
-    14: [(3, 0)],
-    2: [(0, 1)],
-    13: [(0, 1)],
-    4: [(1, 2)],
-    11: [(1, 2)],
-    8: [(2, 3)],
-    7: [(2, 3)],
-    3: [(3, 1)],
-    12: [(3, 1)],
-    6: [(0, 2)],
-    9: [(0, 2)],
-    5 | 16: [(3, 0), (1, 2)],  # SW and NE positive
-    5: [(3, 2), (1, 0)],
-    10 | 16: [(0, 1), (2, 3)],  # SE and NW positive
-    10: [(0, 3), (2, 1)],
+# the crossed edges to connect, two per segment.  Edges are numbered
+# S=0, E=1, N=2, W=3.  Configurations 5 and 10 are ambiguous saddles
+# resolved by the cell-center sample so that each segment separates the
+# center from the corners of opposite sign: their key takes the bit 16
+# when the center value is >= 0.
+_SEGMENT_TABLE: dict[int, tuple[int, ...]] = {
+    1: (3, 0), 14: (3, 0), 2: (0, 1), 13: (0, 1),
+    4: (1, 2), 11: (1, 2), 8: (2, 3), 7: (2, 3),
+    3: (3, 1), 12: (3, 1), 6: (0, 2), 9: (0, 2),
+    5 | 16: (3, 0, 1, 2),  # SW and NE positive
+    5: (3, 2, 1, 0),
+    10 | 16: (0, 1, 2, 3),  # SE and NW positive
+    10: (0, 3, 2, 1),
 }
-
-# Edge keys: ("h", i, j) is the edge from node (i, j) to (i+1, j),
-# ("v", i, j) the edge from (i, j) to (i, j+1).  Edge e of cell (i, j)
-# is (kind, i + di, j + dj) for _CELL_EDGES[e] = (kind, di, dj).
-_CELL_EDGES = (("h", 0, 0), ("v", 1, 0), ("h", 0, 1), ("v", 0, 0))
+# the table as one zero-padded row per key, for lookup by array
+_SEGMENT_ROWS = np.zeros((32, 4), dtype=np.intp)
+for _key, _row in _SEGMENT_TABLE.items():
+    _SEGMENT_ROWS[_key, : len(_row)] = _row
+del _key, _row
 
 
 def _edge_crossings(x0, y0, x1, y1, v0, v1):
@@ -388,9 +381,10 @@ def sample_singular_set(
     Node values exactly equal to zero are nudged to the positive side
     for sign bookkeeping, which keeps crossings on the correct edges
     without moving them (interpolation still lands on the node).
-    Curves come back ordered deterministically: open chains first,
-    then loops, each starting from its lexicographically smallest
-    endpoint-cell index.
+    Curves come back ordered deterministically, with grid edges ordered
+    by their first node (i, j), the edge along u1 first: open chains
+    first, each from its smaller end edge, then loops, each from its
+    smallest edge toward the neighbour whose cell comes first row-major.
     """
     lam = f.discriminant_poly()
     vals = box.grid_values(lam, "discriminant")
@@ -399,13 +393,14 @@ def sample_singular_set(
         # identically zero on the grid: the whole box is singular;
         # report no curves rather than fabricating one
         return []
-    segments, keys, x, y = _march(lam, *box.axes(), vals)
-    if not segments:
+    segments, x, y = _march(lam, *box.axes(), vals)
+    if not len(segments):
         return []
     x, y, r = _sharpen(lam, x, y, tol.newton_residual * scale, tol.newton_max_iter)
-    sharpened = dict(zip(keys, zip(x.tolist(), y.tolist())))
-    residuals = dict(zip(keys, np.abs(r).tolist()))
-    return _link_curves(segments, sharpened, residuals)
+    x, y, r = x.tolist(), y.tolist(), np.abs(r).tolist()
+    chains = _link_curves(segments, len(x))
+    curves = [_build_curve(chain, closed, x, y, r) for chain, closed in chains]
+    return [c for c in curves if len(c.vertices) >= 2]
 
 
 def _march(lam: Poly2, xs: np.ndarray, ys: np.ndarray, vals: np.ndarray):
@@ -413,101 +408,80 @@ def _march(lam: Poly2, xs: np.ndarray, ys: np.ndarray, vals: np.ndarray):
 
     Only the cells whose corners change sign are visited, in row-major
     order; the saddle centers are sampled in one batch.  Returns
-    (segments, keys, x, y): the segments as pairs of edge keys in cell
-    order, the keys of all sign-changing edges, and the crossing
-    (x[k], y[k]) on edge keys[k].
+    (segments, x, y): the (m, 2) edge numbers each segment joins, in
+    cell order, and the crossing (x[k], y[k]) on edge k, numbering the
+    sign-changing edges by their first node (i, j), along u1 first.
     """
     pos = vals >= 0.0  # zero nudged positive
     code = 1 * pos[:-1, :-1] | 2 * pos[1:, :-1] | 4 * pos[1:, 1:] | 8 * pos[:-1, 1:]
     ci, cj = np.nonzero((code != 0) & (code != 15))
+    if not ci.size:
+        return np.zeros((0, 2), dtype=np.intp), np.zeros(0), np.zeros(0)
     code = code[ci, cj]
     saddle = (code == 5) | (code == 10)
     si, sj = ci[saddle], cj[saddle]
     code[saddle] |= 16 * (lam(((xs[si] + xs[si + 1]) / 2.0, (ys[sj] + ys[sj + 1]) / 2.0)) >= 0.0)
 
-    segments: list[tuple[tuple, tuple]] = []
-    for i, j, c in zip(ci.tolist(), cj.tolist(), code.tolist()):
-        for pair in _SEGMENT_TABLE[c]:
-            (ka, ia, ja), (kb, ib, jb) = (_CELL_EDGES[e] for e in pair)
-            segments.append(((ka, i + ia, j + ja), (kb, i + ib, j + jb)))
-
-    # every sign-changing edge is crossed by a segment, and no other
-    hi, hj = np.nonzero(pos[:-1, :] != pos[1:, :])
+    # every sign-changing edge is crossed by a segment, and no other.
+    # The edge from node (i, j) along u1 has the key 2 (i w + j), the one
+    # along u2 the key 2 (i w + j) + 1; an edge's number is its key's rank.
+    w = vals.shape[1]
+    along_u1 = np.flatnonzero(pos[:-1, :] != pos[1:, :])
     vi, vj = np.nonzero(pos[:, :-1] != pos[:, 1:])
-    keys = [("h", i, j) for i, j in zip(hi.tolist(), hj.tolist())]
-    keys += [("v", i, j) for i, j in zip(vi.tolist(), vj.tolist())]
-    i0, j0 = np.concatenate([hi, vi]), np.concatenate([hj, vj])
-    h_edge = np.arange(len(keys)) < len(hi)
-    i1, j1 = i0 + h_edge, j0 + ~h_edge
+    key = np.sort(np.concatenate([2 * along_u1, 2 * (vi * w + vj) + 1]))
+    # the keys of edges S, E, N, W of each visited cell, as edge numbers
+    node = 2 * (ci * w + cj)
+    sides = np.searchsorted(key, np.stack([node, node + 2 * w + 1, node + 2, node + 1], axis=1))
+    ends = np.take_along_axis(sides, _SEGMENT_ROWS[code], axis=1).reshape(-1, 2)
+    segments = ends[np.stack([np.ones_like(saddle), saddle], axis=1).ravel()]
+
+    (i0, j0), along_u2 = np.divmod(key // 2, w), key % 2
+    i1, j1 = i0 + 1 - along_u2, j0 + along_u2
     x, y = _edge_crossings(xs[i0], ys[j0], xs[i1], ys[j1], vals[i0, j0], vals[i1, j1])
-    return segments, keys, x, y
+    return segments, x, y
 
 
-def _link_curves(segments, sharpened, residuals) -> list[CurveSample]:
-    """Link segments into chains by walking edge adjacency."""
-    adj: dict[tuple, list[tuple]] = {}
-    for a, b in segments:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+def _link_curves(segments: np.ndarray, n: int) -> list[tuple[list[int], bool]]:
+    """Link the segments between edges 0..n-1 into chains (edges, closed).
 
-    def chain_from(start, visited_pairs):
-        chain = [start]
-        node = start
-        while True:
-            nxt = None
-            for nb in adj[node]:
-                pair = frozenset((node, nb)) if node != nb else (node, nb)
-                if pair in visited_pairs:
-                    continue
-                nxt = nb
-                visited_pairs.add(pair)
+    Each edge lies on one or two segments, and no two join the same two
+    edges, so they form paths and cycles: paths first, each from its
+    smaller end, then cycles, each from its smallest edge toward the
+    neighbour whose segment comes first.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in segments.tolist():
+        adj[a].append(b)
+        adj[b].append(a)
+    used = [False] * n
+    chains = []
+    for start in [k for k in range(n) if len(adj[k]) == 1] + list(range(n)):
+        if used[start]:
+            continue
+        chain, prev, node = [start], start, adj[start][0]
+        while node != start:
+            chain.append(node)
+            if len(adj[node]) == 1:
                 break
-            if nxt is None:
-                return chain, False
-            chain.append(nxt)
-            node = nxt
-            if node == start:
-                chain.pop()
-                return chain, True
-
-    ordered_keys = sorted(adj, key=lambda k: (k[1], k[2], k[0]))
-    visited_pairs: set = set()
-    used: set = set()
-    curves: list[CurveSample] = []
-    # open chains start at odd-degree crossings
-    for key in ordered_keys:
-        if key in used or len(adj[key]) != 1:
-            continue
-        chain, closed = chain_from(key, visited_pairs)
-        used.update(chain)
-        curves.append(_build_curve(chain, closed, sharpened, residuals))
-    for key in ordered_keys:
-        if key in used:
-            continue
-        remaining = [
-            nb
-            for nb in adj[key]
-            if frozenset((key, nb)) not in visited_pairs
-        ]
-        if not remaining:
-            used.add(key)
-            continue
-        chain, closed = chain_from(key, visited_pairs)
-        used.update(chain)
-        curves.append(_build_curve(chain, closed, sharpened, residuals))
-    return [c for c in curves if len(c.vertices) >= 2]
+            a, b = adj[node]
+            prev, node = node, b if a == prev else a
+        for k in chain:
+            used[k] = True
+        chains.append((chain, node == start))
+    return chains
 
 
-def _build_curve(chain, closed, sharpened, residuals) -> CurveSample:
+def _build_curve(chain, closed, x, y, r) -> CurveSample:
+    """The curve through the crossings (x[k], y[k]) with residuals r[k], k in chain."""
     verts: list[tuple[float, float]] = []
     res: list[float] = []
-    for key in chain:
-        pt = sharpened[key]
+    for k in chain:
+        pt = (x[k], y[k])
         if verts and abs(pt[0] - verts[-1][0]) + abs(pt[1] - verts[-1][1]) < 1e-15:
             continue
         verts.append(pt)
-        res.append(residuals[key])
-    return CurveSample(vertices=verts, residuals=res, closed=bool(closed))
+        res.append(r[k])
+    return CurveSample(vertices=verts, residuals=res, closed=closed)
 
 
 def _dedup(points: list[tuple[float, float]]) -> list[tuple[float, float]]:

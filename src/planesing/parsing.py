@@ -10,12 +10,12 @@ Poly1/Poly2 values ready for germ construction.
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 
 from .poly import MAX_INPUT_DEGREE, Poly1, Poly2
 
-__all__ = ["ParseError", "parse_map", "parse_curve", "parse_reals"]
+__all__ = ["ParseError", "parse_map", "parse_curve", "parse_reals", "check_reals"]
 
 
 class ParseError(ValueError):
@@ -215,13 +215,19 @@ def parse_curve(text: str) -> tuple[Poly1, Poly1]:
 
 def parse_reals(text: str, count: int | None = None) -> tuple[float, ...]:
     """Parse a comma-separated list of finite real numbers."""
-    parts = [p.strip() for p in text.split(",")]
     try:
-        values = tuple(float(p) for p in parts)
+        values = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"expected comma-separated numbers, got {text!r}") from exc
-    if not all(map(math.isfinite, values)):
-        raise ParseError(f"expected finite numbers, got {text!r}")
+    return check_reals(values, count, repr(text))
+
+
+def check_reals(values, count: int | None, source: str) -> tuple[float, ...]:
+    """The list or tuple values as floats if it holds count finite numbers (bools are not)."""
+    if not isinstance(values, (list, tuple)) or not all(type(v) in (int, float) for v in values):
+        raise ParseError(f"expected numbers, got {source}")
+    if not all(abs(v) <= sys.float_info.max for v in values):
+        raise ParseError(f"expected finite numbers, got {source}")
     if count is not None and len(values) != count:
-        raise ParseError(f"expected {count} numbers, got {len(values)} in {text!r}")
-    return values
+        raise ParseError(f"expected {count} numbers, got {len(values)} in {source}")
+    return tuple(map(float, values))

@@ -282,9 +282,25 @@ def test_non_finite_point_or_time_exits_64(tmp_path):
         ["trace", "--map", "(u, v^3+u^2*v)", "--at", "nan,0", "--grid", "8,8"],
         ["conslaw", "--builtin", "burgers-lips", "--at", "nan,0"],
         ["conslaw", "--builtin", "burgers-lips", "--at", "0,0", "--time", "nan"],
+        # finite, but the Jacobian overflows there
+        ["classify", "--map", "(u, v^3+u^2*v)", "--at", "1e308,0"],
     ):
         assert run([*args, "--out", str(out)]) == 64
         assert not out.exists()
+
+
+def test_bad_map_file_base_point_exits_64(tmp_path):
+    components = [
+        {"vars": 2, "terms": [{"c": 1.0, "e": [1, 0]}]},
+        {"vars": 2, "terms": [{"c": 1.0, "e": [0, 3]}, {"c": 1.0, "e": [2, 1]}]},
+    ]
+    src = tmp_path / "map.json"
+    out = tmp_path / "not-made"
+    for base in ([float("nan"), 0], ["a", 0], [0], [0, 0, 0], [True, 0], [10**400, 0], 5):
+        src.write_text(json.dumps({"components": components, "base_point": base}))
+        for command in (["classify"], ["trace", "--grid", "8,8"]):
+            assert run([*command, str(src), "--out", str(out)]) == 64, (base, command)
+            assert not out.exists()
 
 
 def test_console_script_entry_point(tmp_path):

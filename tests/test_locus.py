@@ -29,6 +29,7 @@ from planesing.locus import (
     MAX_GRID,
     STEP_TOL,
     BoxDomain,
+    CurveSample,
     NotRegularCurve,
     _link_curves,
     _march,
@@ -546,6 +547,80 @@ def _march_reference(lam, xs, ys, vals):
     return segments, crossings, saddles
 
 
+def _edge_keys_reference(vals):
+    """The sign-changing edges as (kind, i, j), in the order _march numbers them."""
+    pos = vals >= 0.0
+    n1, n2 = pos.shape
+    keys = []
+    for i in range(n1):
+        for j in range(n2):
+            if i + 1 < n1 and pos[i, j] != pos[i + 1, j]:
+                keys.append(("h", i, j))
+            if j + 1 < n2 and pos[i, j] != pos[i, j + 1]:
+                keys.append(("v", i, j))
+    return keys
+
+
+def _link_curves_reference(segments, sharpened, residuals):
+    """The chain walk over (kind, i, j) edge keys that _link_curves replaced."""
+    adj = {}
+    for a, b in segments:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+
+    def chain_from(start, visited_pairs):
+        chain = [start]
+        node = start
+        while True:
+            nxt = None
+            for nb in adj[node]:
+                pair = frozenset((node, nb)) if node != nb else (node, nb)
+                if pair in visited_pairs:
+                    continue
+                nxt = nb
+                visited_pairs.add(pair)
+                break
+            if nxt is None:
+                return chain, False
+            chain.append(nxt)
+            node = nxt
+            if node == start:
+                chain.pop()
+                return chain, True
+
+    def build(chain, closed):
+        verts, res = [], []
+        for key in chain:
+            pt = sharpened[key]
+            if verts and abs(pt[0] - verts[-1][0]) + abs(pt[1] - verts[-1][1]) < 1e-15:
+                continue
+            verts.append(pt)
+            res.append(residuals[key])
+        return CurveSample(vertices=verts, residuals=res, closed=bool(closed))
+
+    ordered_keys = sorted(adj, key=lambda k: (k[1], k[2], k[0]))
+    visited_pairs = set()
+    used = set()
+    curves = []
+    for key in ordered_keys:
+        if key in used or len(adj[key]) != 1:
+            continue
+        chain, closed = chain_from(key, visited_pairs)
+        used.update(chain)
+        curves.append(build(chain, closed))
+    for key in ordered_keys:
+        if key in used:
+            continue
+        remaining = [nb for nb in adj[key] if frozenset((key, nb)) not in visited_pairs]
+        if not remaining:
+            used.add(key)
+            continue
+        chain, closed = chain_from(key, visited_pairs)
+        used.update(chain)
+        curves.append(build(chain, closed))
+    return [c for c in curves if len(c.vertices) >= 2]
+
+
 def _saddle_map(a, b, sign):
     # lambda = sign (u - a)(v - b): one saddle cell around (a, b)
     P = Poly2({(2, 0): 0.5, (1, 0): -a})
@@ -593,14 +668,15 @@ def test_march_matches_per_cell_loop(rng, box):
     for name, germ in _marching_cases(rng).items():
         lam = germ.discriminant_poly()
         vals = lam.eval_grid(xs, ys)
-        segments, keys, x, y = _march(lam, xs, ys, vals)
+        segments, x, y = _march(lam, xs, ys, vals)
         want_segments, crossings, saddles = _march_reference(lam, xs, ys, vals)
         saddles_seen |= saddles
-        assert segments == want_segments, name
+        keys = _edge_keys_reference(vals)
+        assert [(keys[a], keys[b]) for a, b in segments.tolist()] == want_segments, name
         assert sorted(keys) == sorted(crossings), name
-        got = dict(zip(keys, zip(x, y)))
-        for key, pt in crossings.items():
-            assert np.array(got[key]).tobytes() == np.array(pt).tobytes(), (name, key)
+        assert set(np.bincount(segments.ravel(), minlength=len(keys)).tolist()) <= {1, 2}
+        for key, pt in zip(keys, zip(x, y)):
+            assert np.array(pt).tobytes() == np.array(crossings[key]).tobytes(), (name, key)
 
         curves = sample_singular_set(germ, box, tol)
         want = []
@@ -610,7 +686,7 @@ def test_march_matches_per_cell_loop(rng, box):
             sx, sy, r = _sharpen(
                 lam, pts[:, 0], pts[:, 1], tol.newton_residual * scale, tol.newton_max_iter
             )
-            want = _link_curves(
+            want = _link_curves_reference(
                 want_segments,
                 dict(zip(crossings, zip(sx.tolist(), sy.tolist()))),
                 dict(zip(crossings, np.abs(r).tolist())),
@@ -622,3 +698,35 @@ def test_march_matches_per_cell_loop(rng, box):
             assert curves, name
     if box.grid == (16, 16):
         assert saddles_seen == {(5, True), (5, False), (10, True), (10, False)}
+
+
+@pytest.mark.parametrize(
+    "n, segments, chains",
+    [
+        # one path 0-2-1-3, walked from its smaller end
+        (4, [(2, 1), (0, 2), (3, 1)], [([0, 2, 1, 3], False)]),
+        # one cycle, walked from 0 toward 1, whose segment comes first
+        (4, [(1, 3), (0, 1), (2, 0), (3, 2)], [([0, 1, 3, 2], True)]),
+        # the same cycle with the segment to 2 first
+        (4, [(2, 0), (1, 3), (0, 1), (3, 2)], [([0, 2, 3, 1], True)]),
+        # two interleaved cycles, ordered by their smallest edges
+        (
+            8,
+            [(1, 3), (3, 5), (0, 2), (2, 4), (5, 7), (4, 6), (7, 1), (6, 0)],
+            [([0, 2, 4, 6], True), ([1, 3, 5, 7], True)],
+        ),
+        # a path comes before a cycle even when the cycle's edges are smaller
+        (
+            7,
+            [(0, 1), (1, 2), (2, 3), (3, 0), (6, 5), (5, 4)],
+            [([4, 5, 6], False), ([0, 1, 2, 3], True)],
+        ),
+        # the two segments of a saddle cell (edges S=0, W=1, E=2, N=3)
+        (4, [(1, 0), (2, 3)], [([0, 1], False), ([2, 3], False)]),
+    ],
+    ids=["path", "cycle", "cycle-reversed", "two-cycles", "path-and-cycle", "saddle"],
+)
+def test_link_curves_walks_paths_then_cycles(n, segments, chains):
+    segments = np.array(segments, dtype=np.intp)
+    assert set(np.bincount(segments.ravel(), minlength=n).tolist()) <= {1, 2}
+    assert _link_curves(segments, n) == chains

@@ -1,6 +1,6 @@
 import pytest
 
-from planesing.parsing import ParseError, parse_curve, parse_map, parse_reals
+from planesing.parsing import ParseError, check_reals, parse_curve, parse_map, parse_reals
 from planesing.poly import MAX_INPUT_DEGREE
 
 
@@ -94,3 +94,9 @@ def test_parse_reals():
     for bad in ("inf,5", "nan,5", "0,-inf", "1e999"):
         with pytest.raises(ParseError):
             parse_reals(bad)
+    # the same check on values read from a JSON file
+    assert check_reals([0.5, -1], 2, "p") == (0.5, -1.0)
+    assert check_reals((1, 2, 3), None, "p") == (1.0, 2.0, 3.0)
+    for bad in ([1.0], ["a", 0], [True, 0], [None, 0], [float("nan"), 0], [10**400, 0]):
+        with pytest.raises(ParseError):
+            check_reals(bad, 2, "p")

@@ -426,8 +426,8 @@ def first_singularity(
     idx = np.concatenate([top[neg[top[:, 0], top[:, 1]]], local])
     seeds = np.stack([xs[idx[:, 0]], ys[idx[:, 1]]], axis=1)
 
-    x, _, ok = newton_batch([((t1, t2), ((t11, t12), (t12, t22)))], seeds, tol, box)
-    x, ok = x[0], ok[0] & box.contains(x[0].T)
+    x, _, ok = newton_batch(((t1, t2), ((t11, t12), (t12, t22))), seeds, tol, box)
+    ok &= box.contains(x.T)
     roots: list[tuple[float, tuple[float, float]]] = []
     for (a, b), tv in zip(x[ok], tau(x[ok].T)):
         if tv >= 0.0:

@@ -26,8 +26,8 @@ can be re-derived from the report alone.
 Maps are given by exact polynomial components, so every jet here is an
 exact truncation; the tolerance policy exists for inputs that arrive
 through rounded arithmetic (conjugation, Newton-located base points).
-A germ derives its Jacobian rows once, and uses_first_row is the one rule
-for which row the null field is built from, in classify and in locus.
+A germ derives its Jacobian rows once, and uses_first_row is the rule
+for which row null_field builds the null field from.
 """
 
 from __future__ import annotations

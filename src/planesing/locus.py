@@ -17,10 +17,11 @@ On top of the traced curves it searches for the two kinds of points
 the classification tree cares about beyond folds: critical points of
 the discriminant lying on the set (lips/beaks material) and points
 where the null-direction derivative of the discriminant vanishes on
-the set (cusp/swallowtail material).  Their Newton systems run from
-every cell center in one damped Newton loop (newton_batch) whose state
-is kept as 1-D coordinate arrays; each system's two values, and its
-four Jacobian entries, are evaluated in one stacked Horner pass
+the set (cusp/swallowtail material), lambda = eta1 lambda = eta2
+lambda = 0 for the null fields of both Jacobian rows, so no row is
+chosen.  Each system runs from every cell center in one damped
+(Gauss-)Newton loop (newton_batch) on 1-D coordinate arrays; its values
+and Jacobian entries are evaluated in one stacked Horner pass
 (poly.HornerStack).  Each located point is classified by re-basing the
 germ there.
 """
@@ -38,7 +39,6 @@ from .germs import (
     PlaneMapGerm,
     ToleranceConfig,
     classify,
-    uses_first_row,
 )
 from .poly import HornerStack, InvalidSpec, Poly1, Poly2, poly_from_spec
 
@@ -61,9 +61,9 @@ DEDUP_RADIUS = 1e-6
 STEP_TOL = 1e-12
 
 #: Most grid cells per axis.  The node values and the Newton loop (one
-#: seed per cell for each of three systems) hold arrays sized by the
-#: cell count, so memory grows with the square of the grid: `trace` of
-#: the beaks normal form at 512 x 512 peaks at 241 MB RSS.
+#: seed per cell, one system at a time) hold arrays sized by the cell
+#: count, so memory grows with the square of the grid: `trace` of the
+#: beaks normal form at 512 x 512 peaks at about 150 MB RSS.
 MAX_GRID = 512
 
 
@@ -153,7 +153,7 @@ class SpecialPoint:
     """A sharpened candidate point with its classification.
 
     kind is 'DegenerateCandidate' for roots of grad lambda on the set
-    and 'CuspCandidate' for roots of (lambda, eta lambda).
+    and 'CuspCandidate' for roots of (lambda, eta1 lambda, eta2 lambda).
     """
 
     location: tuple[float, float]
@@ -190,66 +190,60 @@ def _solve2(a11, a12, a21, a22, b1, b2):
     return x1, x2, np.isfinite(x1) & np.isfinite(x2)
 
 
-def _evaluate(stacks, bounds, u1, u2) -> np.ndarray:
-    """Every slot's value at the points (u1[i], u2[i]), one row per slot.
+def _newton_step(J, f):
+    """(s1, s2, ok) of _solve2 for J s = -f with two equations, J row-major.
 
-    Entries bounds[s]:bounds[s + 1] belong to system s, whose stack
-    evaluates all of its slots there in one call.
+    Three equations take the Gauss-Newton step (J^T J) s = -J^T f, each
+    entry summed row 0 + (row 1 + row 2): swapping the last two equations
+    and negating the first keeps every bit.
     """
-    parts = [
-        stack(u1[lo:hi], u2[lo:hi])
-        for stack, lo, hi in zip(stacks, bounds, bounds[1:])
-        if lo < hi
-    ]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    if len(f) == 2:
+        return _solve2(*J, -f[0], -f[1])
+    a, b = J[0::2], J[1::2]
+
+    def dot(x, y):
+        return x[0] * y[0] + (x[1] * y[1] + x[2] * y[2])
+
+    ab = dot(a, b)
+    return _solve2(dot(a, a), ab, ab, dot(b, b), -dot(a, f), -dot(b, f))
 
 
 def newton_batch(
-    systems,
+    system,
     seeds,
     tol: ToleranceConfig,
     box: BoxDomain,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped two-dimensional Newton iteration of many systems from many seeds.
+    """Damped (Gauss-)Newton iteration of one system from many seeds.
 
-    Each system is ((F1, F2), ((F1_u1, F1_u2), (F2_u1, F2_u2))), given
-    as Poly2s.  Every system runs from every seed, all in one loop: run
-    k of system s is entry s * n + k of the state arrays, so the runs of
-    one system are contiguous in every sorted index array.  A system's
-    two values are evaluated by one HornerStack call over its runs, and
-    so are its four Jacobian entries; a polynomial that fills two slots
-    of one system is stacked once.  Each run iterates on its own: a step
-    that increases the residual norm is halved up to eight times, and
-    the run stops when no step length helps, its Jacobian is singular,
-    or it leaves the box by slack 0.5.  Convergence requires both a small
-    step and a small residual.  Runs never interact, so each result is
-    the one the run gets alone.
-    Returns (x, residual_norm, converged), shaped (m, n, 2), (m, n) and
-    (m, n) for m systems and n seeds.
+    The system is (F, J): two or three Poly2 equations and their
+    partials, one pair (F_u1, F_u2) per equation.  All runs share one
+    loop on 1-D coordinate arrays, and per step one HornerStack call
+    evaluates the values, one the Jacobian.  Each run iterates on its
+    own: a step that raises the residual norm max |F_i| is halved up to
+    eight times.  It stops, converged if the residual is at most
+    newton_residual, when no step length helps or the step is not
+    finite, or on a small step.  It stops unconverged when it leaves the
+    box by slack 0.5 or, with three equations, when a step lowers a
+    residual above newton_residual by less than 10%, as on the way to a
+    singular root.  Runs never interact, so each result is the one the
+    run gets alone.
+    Returns (x, residual_norm, converged), shaped (n, 2), (n,) and (n,).
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
-    m, n = len(systems), len(seeds)
-    if not m * n:
-        return np.zeros((m, n, 2)), np.zeros((m, n)), np.zeros((m, n), dtype=bool)
-    values = [HornerStack([p.table for p in F]) for F, _ in systems]
-    jacobian = [HornerStack([p.table for p in J[0] + J[1]]) for _, J in systems]
-    starts = np.arange(m + 1) * n
-
-    def split(index):
-        # index is sorted, so the entries of system s are a slice of it
-        return [0, len(index)] if m == 1 else np.searchsorted(index, starts).tolist()
-
-    u1, u2 = np.tile(seeds[:, 0], m), np.tile(seeds[:, 1], m)
-    active = np.arange(m * n)
-    f1, f2 = _evaluate(values, split(active), u1, u2)
-    rnorm = np.maximum(np.abs(f1), np.abs(f2))
-    converged = np.zeros(m * n, dtype=bool)
+    F, J = system
+    values = HornerStack([p.table for p in F])
+    jacobian = HornerStack([p.table for row in J for p in row])
+    u1, u2 = seeds[:, 0].copy(), seeds[:, 1].copy()
+    f = values(u1, u2)
+    rnorm = np.abs(f).max(axis=0)
+    converged = np.zeros(len(seeds), dtype=bool)
+    active = np.arange(len(seeds))
     for _ in range(tol.newton_max_iter):
         if not active.size:
             break
         a1, a2, ra = u1[active], u2[active], rnorm[active]
-        J = _evaluate(jacobian, split(active), a1, a2)
-        s1, s2, solved = _solve2(*J, -f1[active], -f2[active])
+        s1, s2, solved = _newton_step(jacobian(a1, a2), f[:, active])
         # line search over the runs whose step length is still open
         t = np.zeros(len(active))
         pending = np.flatnonzero(solved)
@@ -257,37 +251,39 @@ def newton_batch(
         for _ in range(8):
             if not pending.size:
                 break
-            index = active[pending]
             c1 = a1[pending] + length * s1[pending]
             c2 = a2[pending] + length * s2[pending]
-            g1, g2 = _evaluate(values, split(index), c1, c2)
-            cnorm = np.maximum(np.abs(g1), np.abs(g2))
+            g = values(c1, c2)
+            cnorm = np.abs(g).max(axis=0)
             rp = ra[pending]
             ok = (cnorm <= rp) | (rp == 0.0)
-            index = index[ok]
+            index = active[pending[ok]]
             u1[index], u2[index], rnorm[index] = c1[ok], c2[ok], cnorm[ok]
-            f1[index], f2[index] = g1[ok], g2[ok]
+            f[:, index] = g[:, ok]
             t[pending[ok]] = length
             pending = pending[~ok]
             length *= 0.5
-        # runs without an accepted step have stalled at a local minimum
-        # of |F| (or met a singular Jacobian) and cannot converge
+        # a run without an accepted step is at a local minimum of |F|,
+        # perhaps at round-off, or met a singular Jacobian
         moved = t > 0.0
-        index, s1, s2, t = active[moved], s1[moved], s2[moved], t[moved]
+        stalled = active[~moved]
+        converged[stalled] = rnorm[stalled] <= tol.newton_residual
+        index, s1, s2, t, ra = active[moved], s1[moved], s2[moved], t[moved], ra[moved]
         x1, x2 = u1[index], u2[index]
         stop = ~box.contains((x1, x2), slack=0.5)
         small = np.maximum(np.abs(t * s1), np.abs(t * s2)) <= STEP_TOL * (
             1.0 + np.maximum(np.abs(x1), np.abs(x2))
         )
         small_resid = rnorm[index] <= tol.newton_residual
+        if len(F) == 3:
+            stop |= ~small_resid & (rnorm[index] > 0.9 * ra)
         small_step = np.maximum(np.abs(s1), np.abs(s2)) <= 1e3 * STEP_TOL
         done = ~stop & (small | (small_resid & small_step))
         converged[index[done]] = small_resid[done]
         active = index[~(stop | done)]
     else:
         converged[active] = rnorm[active] <= tol.newton_residual
-    x = np.stack([u1, u2], axis=-1).reshape(m, n, 2)
-    return x, rnorm.reshape(m, n), converged.reshape(m, n)
+    return np.stack([u1, u2], axis=-1), rnorm, converged
 
 
 # Marching squares: for each sign configuration of the four cell
@@ -492,21 +488,21 @@ def _dedup(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return out
 
 
-def _special_point_systems(f: PlaneMapGerm) -> list:
-    """The Newton systems of find_special_points, in newton_batch form.
+def _special_point_systems(f: PlaneMapGerm) -> tuple:
+    """The two Newton systems of find_special_points, in newton_batch form.
 
-    grad lambda = 0 first, then (lambda, eta lambda) = 0 with eta from
-    the first and then the second Jacobian row.
+    grad lambda = 0, then the row-free cusp system (lambda, eta1 lambda,
+    eta2 lambda) = 0 with eta1 = (P_v, -P_u) and eta2 = (-Q_v, Q_u).
     """
     lam = f.discriminant_poly()
     lam1, lam2 = lam.partial(1), lam.partial(2)
     lam12 = lam1.partial(2)
-    systems = [((lam1, lam2), ((lam1.partial(1), lam12), (lam12, lam2.partial(2))))]
     (Pu, Pv), (Qu, Qv) = f.jacobian()
-    for eta1, eta2 in ((Pv, -Pu), (-Qv, Qu)):
-        eta_lam = eta1 * lam1 + eta2 * lam2
-        systems.append(((lam, eta_lam), ((lam1, lam2), (eta_lam.partial(1), eta_lam.partial(2)))))
-    return systems
+    eta_lams = [e1 * lam1 + e2 * lam2 for e1, e2 in ((Pv, -Pu), (-Qv, Qu))]
+    return (
+        ((lam1, lam2), ((lam1.partial(1), lam12), (lam12, lam2.partial(2)))),
+        ((lam, *eta_lams), ((lam1, lam2), *((g.partial(1), g.partial(2)) for g in eta_lams))),
+    )
 
 
 def find_special_points(
@@ -516,15 +512,13 @@ def find_special_points(
 ) -> list[SpecialPoint]:
     """Locate and classify candidate non-fold points inside the box.
 
-    Three Newton systems run from every grid cell center in one
-    newton_batch loop: grad lambda = 0 (a root is kept when it also lies
-    on the singular set) and (lambda, eta lambda) = 0 twice, once for
-    each Jacobian row the null field eta can come from, first (P_v, -P_u)
-    or second (-Q_v, Q_u).  A root of (lambda, eta lambda) is kept only
-    from the row that null_field would pick there (uses_first_row).
-    lambda_uv fills two slots of the first system and is stacked once.
-    Roots of the first system take priority when the two families
-    overlap, since a degenerate point also solves the second system.
+    Both systems of _special_point_systems run from every grid cell
+    center, one newton_batch call each.  A root of grad lambda = 0 is
+    kept when it also lies on the singular set.  On the set, the two
+    Jacobian rows give parallel null fields, so a point where one row
+    vanishes solves the cusp system only if the other row's eta lambda
+    vanishes too.  Roots of the first system take priority when the two
+    families overlap, since a degenerate point also solves the second.
     Results are deduplicated and sorted by location; each survivor is
     classified by re-basing the germ.
     """
@@ -534,20 +528,17 @@ def find_special_points(
     lam_zero_bound = max(tol.zero_rel * scale, tol.newton_residual)
     centers = np.meshgrid((xs[:-1] + xs[1:]) / 2.0, (ys[:-1] + ys[1:]) / 2.0, indexing="ij")
     seeds = np.stack(centers, axis=-1).reshape(-1, 2)
+    gradient_system, cusp_system = _special_point_systems(f)
 
-    x, rnorm, ok = newton_batch(_special_point_systems(f), seeds, tol, box)
-    ok &= box.contains((x[..., 0], x[..., 1]))
+    def roots(system, keep=lambda u: True):
+        x, rnorm, ok = newton_batch(system, seeds, tol, box)
+        ok &= box.contains(x.T)
+        ok[ok] = keep(x[ok].T)
+        return {(float(a), float(b)): float(r) for (a, b), r in zip(x[ok], rnorm[ok])}
 
-    def roots(s, keep):
-        good = ok[s]
-        good[good] = keep(x[s, good].T)
-        return {(float(a), float(b)): float(r) for (a, b), r in zip(x[s, good], rnorm[s, good])}
-
-    degenerate_resid = roots(0, lambda u: np.abs(lam(u)) <= lam_zero_bound)
+    degenerate_resid = roots(gradient_system, lambda u: np.abs(lam(u)) <= lam_zero_bound)
     degenerate_roots = _dedup(list(degenerate_resid))
-    cusp_resid: dict[tuple[float, float], float] = {}
-    for s, first_row in ((1, True), (2, False)):
-        cusp_resid.update(roots(s, lambda u: uses_first_row(f, u, tol) == first_row))
+    cusp_resid = roots(cusp_system)
     cusp_roots = [
         p for p in _dedup(list(cusp_resid)) if not any(_close(p, q) for q in degenerate_roots)
     ]

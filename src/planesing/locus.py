@@ -22,8 +22,9 @@ lambda = 0 for the null fields of both Jacobian rows, so no row is
 chosen.  Each system runs from every cell center in one damped
 (Gauss-)Newton loop (newton_batch) on 1-D coordinate arrays; its values
 and Jacobian entries are evaluated in one stacked Horner pass
-(poly.HornerStack).  Each located point is classified by re-basing the
-germ there.
+(poly.HornerStack).  Where Gauss-Newton only halves its distance to a
+singular root of the cusp system per step, it tries a doubled step.
+Each located point is classified by re-basing the germ there.
 """
 
 from __future__ import annotations
@@ -213,6 +214,7 @@ def newton_batch(
     seeds,
     tol: ToleranceConfig,
     box: BoxDomain,
+    absorb=(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped (Gauss-)Newton iteration of one system from many seeds.
 
@@ -221,13 +223,14 @@ def newton_batch(
     loop on 1-D coordinate arrays, and per step one HornerStack call
     evaluates the values, one the Jacobian.  Each run iterates on its
     own: a step that raises the residual norm max |F_i| is halved up to
-    eight times.  It stops, converged if the residual is at most
-    newton_residual, when no step length helps or the step is not
-    finite, or on a small step.  It stops unconverged when it leaves the
-    box by slack 0.5 or, with three equations, when a step lowers a
-    residual above newton_residual by less than 10%, as on the way to a
-    singular root.  Runs never interact, so each result is the one the
-    run gets alone.
+    eight times, and with three equations first tried doubled where it
+    halves the last full step.  A run stops, converged if the residual
+    is at most newton_residual, when no step length helps or the step is
+    not finite, or on a small step.  It stops unconverged when it leaves
+    the box by slack 0.5, comes within DEDUP_RADIUS of a point in absorb,
+    or, with three equations, when a step lowers a residual above
+    newton_residual by less than 10%, as on the way to a singular root.
+    Runs never interact, so each result is the one the run gets alone.
     Returns (x, residual_norm, converged), shaped (n, 2), (n,) and (n,).
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
@@ -239,6 +242,7 @@ def newton_batch(
     rnorm = np.abs(f).max(axis=0)
     converged = np.zeros(len(seeds), dtype=bool)
     active = np.arange(len(seeds))
+    last = np.full((2, len(seeds)), np.nan)
     for _ in range(tol.newton_max_iter):
         if not active.size:
             break
@@ -247,12 +251,23 @@ def newton_batch(
         # line search over the runs whose step length is still open
         t = np.zeros(len(active))
         pending = np.flatnonzero(solved)
+        start = np.ones(len(active))
+        if len(F) == 3:
+            # a step along the last full step (cosine >= 0.99) at half its
+            # length (ratio 0.4 to 0.6) creeps toward a singular root:
+            # the line search tries twice the step first
+            l1, l2 = last
+            with np.errstate(invalid="ignore", over="ignore"):
+                sn, ln, dot = s1 * s1 + s2 * s2, l1 * l1 + l2 * l2, s1 * l1 + s2 * l2
+                aligned = (dot >= 0.0) & (dot * dot >= 0.9801 * sn * ln)
+                start[aligned & (0.16 * ln <= sn) & (sn <= 0.36 * ln)] = 2.0
         length = 1.0
         for _ in range(8):
             if not pending.size:
                 break
-            c1 = a1[pending] + length * s1[pending]
-            c2 = a2[pending] + length * s2[pending]
+            trial = length * start[pending]
+            c1 = a1[pending] + trial * s1[pending]
+            c2 = a2[pending] + trial * s2[pending]
             g = values(c1, c2)
             cnorm = np.abs(g).max(axis=0)
             rp = ra[pending]
@@ -260,7 +275,7 @@ def newton_batch(
             index = active[pending[ok]]
             u1[index], u2[index], rnorm[index] = c1[ok], c2[ok], cnorm[ok]
             f[:, index] = g[:, ok]
-            t[pending[ok]] = length
+            t[pending[ok]] = trial[ok]
             pending = pending[~ok]
             length *= 0.5
         # a run without an accepted step is at a local minimum of |F|,
@@ -274,13 +289,20 @@ def newton_batch(
         small = np.maximum(np.abs(t * s1), np.abs(t * s2)) <= STEP_TOL * (
             1.0 + np.maximum(np.abs(x1), np.abs(x2))
         )
+        for p1, p2 in absorb:
+            stop |= (x1 - p1) ** 2 + (x2 - p2) ** 2 <= DEDUP_RADIUS**2
         small_resid = rnorm[index] <= tol.newton_residual
         if len(F) == 3:
             stop |= ~small_resid & (rnorm[index] > 0.9 * ra)
         small_step = np.maximum(np.abs(s1), np.abs(s2)) <= 1e3 * STEP_TOL
         done = ~stop & (small | (small_resid & small_step))
         converged[index[done]] = small_resid[done]
-        active = index[~(stop | done)]
+        live = ~(stop | done)
+        active = index[live]
+        if len(F) == 3:
+            # each live run's last full step, NaN after any other step
+            full = t[live] == 1.0
+            last = np.where(full, s1[live], np.nan), np.where(full, s2[live], np.nan)
     else:
         converged[active] = rnorm[active] <= tol.newton_residual
     return np.stack([u1, u2], axis=-1), rnorm, converged
@@ -367,6 +389,18 @@ def _sharpen(lam: Poly2, x: np.ndarray, y: np.ndarray, resid_bound: float, max_i
     return x, y, r
 
 
+def _discriminant_on_grid(f: PlaneMapGerm, box: BoxDomain):
+    """(lambda, its node values, their largest |value|) on the box grid.
+
+    None when lambda is zero at every node: the whole box is singular,
+    and neither search reports a curve or a point there.
+    """
+    lam = f.discriminant_poly()
+    vals = box.grid_values(lam, "discriminant")
+    scale = float(np.max(np.abs(vals)))
+    return None if scale == 0.0 else (lam, vals, scale)
+
+
 def sample_singular_set(
     f: PlaneMapGerm,
     box: BoxDomain,
@@ -382,13 +416,10 @@ def sample_singular_set(
     first, each from its smaller end edge, then loops, each from its
     smallest edge toward the neighbour whose cell comes first row-major.
     """
-    lam = f.discriminant_poly()
-    vals = box.grid_values(lam, "discriminant")
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        # identically zero on the grid: the whole box is singular;
-        # report no curves rather than fabricating one
+    grid = _discriminant_on_grid(f, box)
+    if grid is None:
         return []
+    lam, vals, scale = grid
     segments, x, y = _march(lam, *box.axes(), vals)
     if not len(segments):
         return []
@@ -518,27 +549,30 @@ def find_special_points(
     Jacobian rows give parallel null fields, so a point where one row
     vanishes solves the cusp system only if the other row's eta lambda
     vanishes too.  Roots of the first system take priority when the two
-    families overlap, since a degenerate point also solves the second.
-    Results are deduplicated and sorted by location; each survivor is
-    classified by re-basing the germ.
+    families overlap, since a degenerate point also solves the second,
+    and cusp runs stop once they reach one.  Results are deduplicated
+    and sorted by location; each survivor is classified by re-basing the
+    germ.  A box where lambda is zero at every node reports no point.
     """
-    lam = f.discriminant_poly()
-    scale = float(np.max(np.abs(box.grid_values(lam, "discriminant"))))
+    grid = _discriminant_on_grid(f, box)
+    if grid is None:
+        return []
+    lam, _, scale = grid
     xs, ys = box.axes()
     lam_zero_bound = max(tol.zero_rel * scale, tol.newton_residual)
     centers = np.meshgrid((xs[:-1] + xs[1:]) / 2.0, (ys[:-1] + ys[1:]) / 2.0, indexing="ij")
     seeds = np.stack(centers, axis=-1).reshape(-1, 2)
     gradient_system, cusp_system = _special_point_systems(f)
 
-    def roots(system, keep=lambda u: True):
-        x, rnorm, ok = newton_batch(system, seeds, tol, box)
+    def roots(system, keep=lambda u: True, absorb=()):
+        x, rnorm, ok = newton_batch(system, seeds, tol, box, absorb)
         ok &= box.contains(x.T)
         ok[ok] = keep(x[ok].T)
         return {(float(a), float(b)): float(r) for (a, b), r in zip(x[ok], rnorm[ok])}
 
     degenerate_resid = roots(gradient_system, lambda u: np.abs(lam(u)) <= lam_zero_bound)
     degenerate_roots = _dedup(list(degenerate_resid))
-    cusp_resid = roots(cusp_system)
+    cusp_resid = roots(cusp_system, absorb=degenerate_roots)
     cusp_roots = [
         p for p in _dedup(list(cusp_resid)) if not any(_close(p, q) for q in degenerate_roots)
     ]

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,21 @@ def test_trace_swallowtail_cusp_candidate(tmp_path):
     kinds = [sp["kind"] for sp in data["special_points"]]
     assert kinds == ["CuspCandidate"]
     assert data["special_points"][0]["report"]["class"] == "Swallowtail"
+
+
+@pytest.mark.parametrize("spec", ["(u+v, u+v)", "(0, 0)"])
+def test_trace_identically_singular_map_reports_nothing(tmp_path, capsys, spec):
+    # lambda vanishes at every node, so the whole box is singular: no curve
+    # and no special point, rather than a degenerate root at every seed
+    t0 = time.perf_counter()
+    code = run(["trace", "--map", spec, "--grid", f"{MAX_GRID},{MAX_GRID}",
+                "--format", "json", "--out", str(tmp_path)])
+    assert code == 0
+    assert time.perf_counter() - t0 < 10.0
+    assert json.loads((tmp_path / "special_points.json").read_text()) == {
+        "curves": [], "special_points": []
+    }
+    assert capsys.readouterr().out == "curves=0 special_points=0\n"
 
 
 def test_conslaw_search_and_frames(tmp_path):

@@ -1,11 +1,12 @@
 """Singular-set tracing, special-point search, and the tangential ruling map."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from planesing import poly
+from planesing import locus, poly
 from planesing.conslaw import (
     ConsLawProblem,
     builtin_problem,
@@ -32,6 +33,7 @@ from planesing.locus import (
     BoxDomain,
     CurveSample,
     NotRegularCurve,
+    _close,
     _link_curves,
     _march,
     _sharpen,
@@ -176,6 +178,69 @@ def test_translated_swapped_swallowtail_special_point():
     assert sp.kind == "CuspCandidate"
     assert sp.report.singularity_class == SWALLOWTAIL
     assert math.dist(sp.location, c) <= 1e-6
+
+
+#: dyadic centres in [-0.5, 0.5]^2, so the translated forms are exact
+_OFFSETS = [(0.0, 0.0), (0.25, -0.125), (-0.375, 0.0625), (0.5, 0.5), (-0.5, 0.1875),
+            (0.0078125, -0.3125)]
+
+
+def _translated_swallowtail(c, swapped):
+    u, v = f"(u-({c[0]!r}))", f"(v-({c[1]!r}))"
+    comps = (u, f"{u}*{v}+{v}^4")
+    return PlaneMapGerm(parse_map("({}, {})".format(*(comps[::-1] if swapped else comps))), c)
+
+
+@pytest.mark.parametrize(
+    "form, n, c",
+    [("builtin", n, (0.0, 0.0)) for n in (12, 24, 64)]
+    + [(form, 12, c) for c in _OFFSETS for form in ("swallowtail", "swapped-swallowtail")],
+)
+def test_swallowtail_is_located_to_working_precision(form, n, c):
+    # the cusp system is singular at a swallowtail point; the doubled step
+    # of a creeping run lands within round-off of it, where plain
+    # Gauss-Newton stopped about 1e-9 away
+    if form == "builtin":
+        germ = builtin_germ("swallowtail")
+    else:
+        germ = _translated_swallowtail(c, form == "swapped-swallowtail")
+    box = BoxDomain((c[0] - 1.0, c[1] - 1.0), (c[0] + 1.0, c[1] + 1.0), (n, n))
+    (sp,) = find_special_points(germ, box)
+    assert sp.report.singularity_class == SWALLOWTAIL
+    assert math.dist(sp.location, c) <= 1e-12
+
+
+_GRID12 = BoxDomain((-1.0, -1.0), (1.0, 1.0), (12, 12))
+
+
+@pytest.mark.parametrize("name", ["lips", "beaks", "swallowtail"])
+def test_cusp_runs_at_singular_roots_stop_early(name, monkeypatch):
+    # Gauss-Newton only halves the distance to these points per step, and
+    # plain runs took 31 to 33 iterations; the doubled step, and runs that
+    # stop at a root of grad lambda, end them all by iteration 16
+    germ = builtin_germ(name)
+    points = find_special_points(germ, _GRID12)
+    absorb = [sp.location for sp in points if sp.kind == "DegenerateCandidate"]
+    xs, ys = _GRID12.axes()
+    centres = np.meshgrid((xs[:-1] + xs[1:]) / 2.0, (ys[:-1] + ys[1:]) / 2.0, indexing="ij")
+    cusp_system = _special_point_systems(germ)[1]
+    runs = [
+        _newton_reference(cusp_system, seed, DEFAULT_TOLERANCES, _GRID12, absorb)
+        for seed in np.stack(centres, axis=-1).reshape(-1, 2)
+    ]
+    assert max(it for *_, it in runs) <= 16
+    if name != "swallowtail":
+        # every run ends unconverged at the lips or beaks point
+        assert absorb == [(0.0, 0.0)]
+        assert not any(ok for _, _, ok, _ in runs)
+        assert all(_close(x, absorb[0]) for x, *_ in runs)
+    # a run absorbed at a root of grad lambda changes no output
+    with monkeypatch.context() as m:
+        m.setattr(locus, "newton_batch", lambda *args, absorb=(): newton_batch(*args))
+        plain = find_special_points(germ, _GRID12)
+    assert json.dumps([sp.to_dict() for sp in points]) == json.dumps(
+        [sp.to_dict() for sp in plain]
+    )
 
 
 #: entropy of the coordinate-change pool that the benchmark's classify
@@ -403,18 +468,31 @@ def _step_reference(rows, f):
     return _solve2_reference(dot(a, a), ab, ab, dot(b, b), -dot(a, f), -dot(b, f))
 
 
-def _newton_reference(system, x0, tol, box):
+def _halves(step, last):
+    # whether step goes on along last (cosine >= 0.99) at half its length
+    # (ratio 0.4 to 0.6), in squares
+    if last is None:
+        return False
+    (s1, s2), (l1, l2) = step, last
+    sn, ln, dot = s1 * s1 + s2 * s2, l1 * l1 + l2 * l2, s1 * l1 + s2 * l2
+    return dot >= 0.0 and dot * dot >= 0.9801 * sn * ln and 0.16 * ln <= sn <= 0.36 * ln
+
+
+def _newton_reference(system, x0, tol, box, absorb=()):
     # the scalar loop that newton_batch runs on every run at once;
     # returns (x, residual norm, converged, iterations started)
     F, J = system
     x = (float(x0[0]), float(x0[1]))
     f = [p(x) for p in F]
     rnorm = _max_abs(*f)
+    last = None  # the last accepted full step
     for it in range(1, tol.newton_max_iter + 1):
         step = _step_reference([[p(x) for p in row] for row in J], f)
         if step is None:
             return x, rnorm, rnorm <= tol.newton_residual, it
         (s1, s2), t = step, 1.0
+        if len(F) == 3 and _halves(step, last):
+            t = 2.0
         for _ in range(8):
             cand = (x[0] + t * s1, x[1] + t * s2)
             g = [p(cand) for p in F]
@@ -425,10 +503,11 @@ def _newton_reference(system, x0, tol, box):
         else:
             return x, rnorm, rnorm <= tol.newton_residual, it
         x, f, rnorm, before = cand, g, cnorm, rnorm
-        if not box.contains(x, slack=0.5):
+        if not box.contains(x, slack=0.5) or any(_close(x, p) for p in absorb):
             return x, rnorm, False, it
         if len(F) == 3 and rnorm > tol.newton_residual and rnorm > 0.9 * before:
             return x, rnorm, False, it
+        last = step if t == 1.0 else None
         if _max_abs(t * s1, t * s2) <= STEP_TOL * (1.0 + _max_abs(*x)):
             return x, rnorm, rnorm <= tol.newton_residual, it
         if rnorm <= tol.newton_residual and _max_abs(s1, s2) <= 1e3 * STEP_TOL:
@@ -453,33 +532,42 @@ _NEWTON_MAPS = {
 def test_newton_batch_matches_scalar_loop(name, tol, monkeypatch):
     # grad lambda = 0, the first-row (lambda, eta lambda) = 0 of a normal
     # form (u, Q), whose null field is (0, -1), and the row-free cusp
-    # system; their seeds converge, stall or leave the box
+    # system, alone and absorbed at the origin; their seeds converge,
+    # stall, leave the box or are absorbed
     f = _NEWTON_MAPS[name]
     gradient_system, cusp_system = _special_point_systems(f)
     lam = f.discriminant_poly()
-    systems = [gradient_system, _poly_system(lam, -lam.partial(2)), cusp_system]
+    systems = {
+        "gradient": (gradient_system, ()),
+        "first-row": (_poly_system(lam, -lam.partial(2)), ()),
+        "cusp": (cusp_system, ()),
+        "absorbed": (cusp_system, ((0.0, 0.0),)),
+    }
     box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (8, 8))
     seeds = np.stack(np.meshgrid(*box.axes(), indexing="ij"), axis=-1).reshape(-1, 2) * 1.3
-    stopped = set()
-    for system in systems:
-        batch = newton_batch(system, seeds, tol, box)
+    stopped = {}
+    for label, (system, absorb) in systems.items():
+        batch = newton_batch(system, seeds, tol, box, absorb)
         # evaluation in blocks of a few points, which split the live runs
         with monkeypatch.context() as m:
             m.setattr(poly, "_EVAL_BLOCK", 24)
-            blocked = newton_batch(system, seeds, tol, box)
+            blocked = newton_batch(system, seeds, tol, box, absorb)
         assert [a.tobytes() for a in blocked] == [a.tobytes() for a in batch]
         for k, seed in enumerate(seeds):
-            x, rnorm, ok, iterations = _newton_reference(system, seed, tol, box)
-            stopped.add((iterations, ok))
+            x, rnorm, ok, iterations = _newton_reference(system, seed, tol, box, absorb)
+            stopped.setdefault(label, set()).add((iterations, ok))
             assert _run_bytes(*(a[k] for a in batch)) == _run_bytes(x, rnorm, ok)
-    # runs converge and fail, at different iterations; only the runs to
-    # a singular root (lips, swallowtail), approached linearly, reach
-    # iteration 20, and none reaches the default cap of 50
-    assert {ok for _, ok in stopped} == {True, False}
-    iterations = {it for it, _ in stopped}
+    # runs converge and fail, at different iterations; only the first-row
+    # runs to a singular root (lips, swallowtail), approached linearly,
+    # reach iteration 20, and none reaches the default cap of 50.  The
+    # cusp system's doubled steps end every run by iteration 12.
+    outcomes = set().union(*stopped.values())
+    assert {ok for _, ok in outcomes} == {True, False}
+    iterations = {it for it, _ in outcomes}
     assert len(iterations) >= 2
     slow = name != "cusp"
     assert (tol.newton_max_iter in iterations) == (slow and tol.newton_max_iter == 20)
+    assert max(it for it, _ in stopped["cusp"] | stopped["absorbed"]) <= 12
 
 
 def _sharpen_reference(lam, pt, resid_bound, max_iter):

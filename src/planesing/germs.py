@@ -349,11 +349,11 @@ class ClassificationReport:
     d_lambda: tuple[float, float]
     hess_lambda: tuple[tuple[float, float], tuple[float, float]]
     det_hess_lambda: float
-    eta_at_p: tuple[float, float] | None
-    eta_provenance: str | None
-    eta_lambda: float | None
-    eta2_lambda: float | None
-    eta3_lambda: float | None
+    eta_at_p: tuple[float, float] | None = None
+    eta_provenance: str | None = None
+    eta_lambda: float | None = None
+    eta2_lambda: float | None = None
+    eta3_lambda: float | None = None
     margins: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     note: str = ""
@@ -361,10 +361,6 @@ class ClassificationReport:
     @property
     def is_definite(self) -> bool:
         return self.singularity_class in DEFINITE_CLASSES
-
-    @property
-    def lambda_value(self) -> float:
-        return self.lambda_jet.value
 
     def to_dict(self) -> dict:
         return {
@@ -438,11 +434,6 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
         d_lambda=d_lam,
         hess_lambda=hess,
         det_hess_lambda=det_hess,
-        eta_at_p=None,
-        eta_provenance=None,
-        eta_lambda=None,
-        eta2_lambda=None,
-        eta3_lambda=None,
         margins=margins,
         tolerances=tol.as_dict(),
     )
@@ -582,32 +573,26 @@ def conjugate_by_diffeos(
     return PlaneMapGerm.from_jets(*(compose_map(t, *mid) for t in t_jets))
 
 
-def _u() -> Poly2:
-    return Poly2.variable(1)
+#: The normal forms of the recognized classes, as functions of the
+#: coordinates u and v; builtin_germ builds only the one it is asked for.
+_NORMAL_FORMS = {
+    "immersion": lambda u, v: (u, v),
+    "fold": lambda u, v: (u, v * v),
+    "cusp": lambda u, v: (u, v * v * v + u * v),
+    "lips": lambda u, v: (u, v * v * v + u * u * v),
+    "beaks": lambda u, v: (u, v * v * v - u * u * v),
+    "swallowtail": lambda u, v: (u, u * v + v * v * v * v),
+}
 
-
-def _v() -> Poly2:
-    return Poly2.variable(2)
+BUILTIN_GERMS = tuple(_NORMAL_FORMS)
 
 
 def builtin_germ(name: str) -> PlaneMapGerm:
     """Normal forms of the recognized classes, as germs at the origin."""
-    u, v = _u(), _v()
-    table = {
-        "immersion": (u, v),
-        "fold": (u, v * v),
-        "cusp": (u, v * v * v + u * v),
-        "lips": (u, v * v * v + u * u * v),
-        "beaks": (u, v * v * v - u * u * v),
-        "swallowtail": (u, u * v + v * v * v * v),
-    }
     try:
-        comps = table[name]
+        form = _NORMAL_FORMS[name]
     except KeyError:
         raise KeyError(
-            f"unknown builtin germ {name!r}; choose from {sorted(table)}"
+            f"unknown builtin germ {name!r}; choose from {sorted(_NORMAL_FORMS)}"
         ) from None
-    return PlaneMapGerm(comps, (0.0, 0.0))
-
-
-BUILTIN_GERMS = ("immersion", "fold", "cusp", "lips", "beaks", "swallowtail")
+    return PlaneMapGerm(form(Poly2.variable(1), Poly2.variable(2)), (0.0, 0.0))

@@ -12,7 +12,9 @@ coefficient table ``c`` represents ``sum c[i, j] * (u1 - p1)**i *
 (u2 - p2)**j`` over ``i + j <= order``, so the (i, j)-th partial
 derivative at the base point is ``c[i, j] * i! * j!``.  A `Jet2` table
 is a `Poly2` table cut to that triangle: its product is the same
-``convolve2`` and its partial derivative the same scaled slice.
+``convolve2`` cut back to the triangle, and its partial derivative the
+same scaled slice.  `compose_map` runs on raw tables, padding each
+power of an inner jet once, and wraps only its result in a `Jet2`.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class CompositionBasePointMismatch(ValueError):
 
 
 def _finite_or_raise(arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidSpec("jet coefficients must be finite")
 
 
@@ -88,25 +90,11 @@ class Jet1:
     def value(self) -> float:
         return float(self.coeffs[0])
 
-    def derivative(self) -> "Jet1":
-        if self.order == 0:
-            raise JetOrderExhausted("cannot differentiate an order-0 jet")
-        k = np.arange(1, self.order + 1)
-        return Jet1(self.base_point, self.coeffs[1:] * k, self.order - 1)
-
     def deriv(self, k: int) -> float:
         """k-th derivative value at the base point."""
         if k > self.order:
             raise JetOrderExhausted(f"order {self.order} jet has no k={k} derivative")
         return float(self.coeffs[k] * math.factorial(k))
-
-    def truncate(self, order: int) -> "Jet1":
-        if order > self.order:
-            raise JetOrderExhausted(f"cannot extend order {self.order} to {order}")
-        return Jet1(self.base_point, self.coeffs[: order + 1], order)
-
-    def max_abs_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 0.0
 
     def __repr__(self):
         return f"Jet1(base={self.base_point!r}, order={self.order}, coeffs={self.coeffs.tolist()!r})"
@@ -216,7 +204,7 @@ class Jet2:
             return NotImplemented
         base = _common_base2(self, other)
         n = _common_order2(self, other)
-        return Jet2(base, convolve2(self.coeffs, other.coeffs)[: n + 1, : n + 1], n)
+        return Jet2(base, _order_part(convolve2(self.coeffs, other.coeffs), n), n)
 
     __rmul__ = __mul__
 
@@ -235,6 +223,21 @@ def det2x2(a11: Jet2, a12: Jet2, a21: Jet2, a22: Jet2) -> Jet2:
     return a11 * a22 - a12 * a21
 
 
+def _order_part(product: np.ndarray, n: int) -> np.ndarray:
+    """Order-n table of a product of two order-n tables, full or flat.
+
+    A view of the leading (n+1) x (n+1) block, zeroed beyond order n.
+    """
+    t = product.reshape(2 * n + 1, 2 * n + 1)[: n + 1, : n + 1]
+    t[outside_order(n)] = 0.0
+    return t
+
+
+def _check_base(value: float, base: float) -> None:
+    if abs(value - base) > BASE_MATCH_TOL * (1.0 + abs(base)):
+        raise CompositionBasePointMismatch(f"inner value {value} is not at outer base {base}")
+
+
 def compose_univariate(outer: Jet1, inner: Jet2) -> Jet2:
     """Jet of outer(inner(u1, u2)) at the inner jet's base point.
 
@@ -244,10 +247,7 @@ def compose_univariate(outer: Jet1, inner: Jet2) -> Jet2:
     inner one, because the composite needs outer derivatives up to the
     inner order.
     """
-    if abs(inner.value - outer.base_point) > BASE_MATCH_TOL * (1.0 + abs(outer.base_point)):
-        raise CompositionBasePointMismatch(
-            f"inner value {inner.value} is not at outer base {outer.base_point}"
-        )
+    _check_base(inner.value, outer.base_point)
     n = inner.order
     if outer.order < n:
         raise JetOrderExhausted(
@@ -261,28 +261,41 @@ def compose_univariate(outer: Jet1, inner: Jet2) -> Jet2:
 
 
 def compose_map(outer: Jet2, inner1: Jet2, inner2: Jet2) -> Jet2:
-    """Jet of outer(inner1(u), inner2(u)) at the inner jets' base point."""
+    """Jet of outer(inner1(u), inner2(u)) at the inner jets' base point.
+
+    The sum of outer.coeffs[i, j] x^i y^j, with x and y the inner jets
+    less their values at the common order n, formed on raw tables.
+    """
     base = _common_base2(inner1, inner2)
     for comp, ob in ((inner1, outer.base_point[0]), (inner2, outer.base_point[1])):
-        if abs(comp.value - ob) > BASE_MATCH_TOL * (1.0 + abs(ob)):
-            raise CompositionBasePointMismatch(
-                f"inner value {comp.value} is not at outer base coordinate {ob}"
-            )
+        _check_base(comp.value, ob)
     n = min(outer.order, inner1.order, inner2.order)
-    x = (inner1 - inner1.value).truncate(n)
-    y = (inner2 - inner2.value).truncate(n)
-    xp: list[Jet2] = [Jet2.constant(1.0, base, n)]
-    yp: list[Jet2] = [Jet2.constant(1.0, base, n)]
-    for _ in range(n):
-        xp.append(xp[-1] * x)
-        yp.append(yp[-1] * y)
-    result = Jet2.constant(0.0, base, n)
+    w = 2 * n + 1
+    # padded[0, k] holds x^k and padded[1, k] y^k, each row padded once to
+    # width w; flat[b, k] is the same table as convolve2 flattens it
+    padded = np.zeros((2, n + 1, n + 1, w))
+    padded[:, 0, 0, 0] = 1.0
+    tables = padded[..., : n + 1]
+    flat = padded.reshape(2, n + 1, -1)[..., : n * w + n + 1]
+    if n:  # an entry beyond order n never reaches one within it; Jet2 zeroes it
+        tables[:, 1] = [c.coeffs[: n + 1, : n + 1] for c in (inner1, inner2)]
+        tables[:, 1, 0, 0] = 0.0
+    for k in range(2, n + 1):
+        for b in range(2):
+            tables[b, k] = _order_part(np.convolve(flat[b, k - 1], flat[b, 1]), n)
+    _finite_or_raise(padded)
+    result = np.zeros((n + 1, n + 1))
     for i in range(n + 1):
         for j in range(n + 1 - i):
             c = outer.coeffs[i, j]
-            if c != 0.0:
-                result = result + (xp[i] * yp[j]) * c
-    return result
+            # the sum starts at 0.0, so it never holds -0.0 and adding a zero
+            # of either sign leaves it as it is: the product of 1 and a power
+            # is that power up to the signs of its zeros
+            if c != 0.0 and i and j:
+                result += _order_part(np.convolve(flat[0, i], flat[1, j]), n) * c
+            elif c != 0.0:
+                result += (tables[0, i] if i else tables[1, j]) * c
+    return Jet2(base, result, n)
 
 
 def poly_to_jet(spec, base_point, order: int | None = None):

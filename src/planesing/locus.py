@@ -551,8 +551,9 @@ def find_special_points(
     vanishes too.  Roots of the first system take priority when the two
     families overlap, since a degenerate point also solves the second,
     and cusp runs stop once they reach one.  Results are deduplicated
-    and sorted by location; each survivor is classified by re-basing the
-    germ.  A box where lambda is zero at every node reports no point.
+    and sorted by location; each survivor keeps the residual max |F_i|
+    of the run that ends at its location and is classified by re-basing
+    the germ.  A box where lambda is zero at every node reports no point.
     """
     grid = _discriminant_on_grid(f, box)
     if grid is None:
@@ -584,8 +585,7 @@ def find_special_points(
     ):
         for pt in points:
             report = classify(f.rebase(pt), tol)
-            best = min(r for p, r in resid.items() if _close(p, pt))
-            out.append(SpecialPoint(pt, kind, best, report))
+            out.append(SpecialPoint(pt, kind, resid[pt], report))
     out.sort(key=lambda sp: (sp.location[0], sp.location[1], sp.kind))
     return out
 

@@ -50,6 +50,34 @@ def test_builtin_names_are_stable():
     assert set(BUILTIN_GERMS) == set(CATALOG)
 
 
+def test_builtin_germ_tables_are_the_literal_products():
+    u, v = Poly2.variable(1), Poly2.variable(2)
+    literal = {
+        "immersion": (u, v),
+        "fold": (u, v * v),
+        "cusp": (u, v * v * v + u * v),
+        "lips": (u, v * v * v + u * u * v),
+        "beaks": (u, v * v * v - u * u * v),
+        "swallowtail": (u, u * v + v * v * v * v),
+    }
+    assert tuple(literal) == BUILTIN_GERMS
+    for name, comps in literal.items():
+        germ = builtin_germ(name)
+        assert germ.base_point == (0.0, 0.0)
+        for got, want in zip(germ.components, comps):
+            assert got.table.tobytes() == want.table.tobytes()
+            assert got.table.shape == want.table.shape
+
+
+def test_unknown_builtin_germ_lists_the_names():
+    with pytest.raises(KeyError) as info:
+        builtin_germ("folds")
+    assert info.value.args == (
+        "unknown builtin germ 'folds'; choose from "
+        "['beaks', 'cusp', 'fold', 'immersion', 'lips', 'swallowtail']",
+    )
+
+
 def test_discriminant_of_lips_form():
     lam = discriminant(builtin_germ("lips"))
     assert lam.coeffs[0, 2] == pytest.approx(3.0)

@@ -15,7 +15,8 @@ from planesing.jets import (
     det2x2,
     poly_to_jet,
 )
-from planesing.poly import Poly1, Poly2
+from planesing.germs import BUILTIN_GERMS, builtin_germ
+from planesing.poly import InvalidSpec, Poly1, Poly2
 
 ORIGIN = (0.0, 0.0)
 
@@ -307,3 +308,104 @@ def test_partial_matches_row_loop_bit_for_bit(rng):
                 got, ref = jet.partial(axis), _partial_reference(jet, axis)
                 assert got.order == ref.order and got.base_point == ref.base_point
                 assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def _compose_map_reference(outer, inner1, inner2):
+    """compose_map as the per-term Jet2 arithmetic it was before it ran on tables."""
+    base = inner1.base_point
+    n = min(outer.order, inner1.order, inner2.order)
+    x = (inner1 - inner1.value).truncate(n)
+    y = (inner2 - inner2.value).truncate(n)
+    xp = [Jet2.constant(1.0, base, n)]
+    yp = [Jet2.constant(1.0, base, n)]
+    for _ in range(n):
+        xp.append(xp[-1] * x)
+        yp.append(yp[-1] * y)
+    result = Jet2.constant(0.0, base, n)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            c = outer.coeffs[i, j]
+            if c != 0.0:
+                result = result + (xp[i] * yp[j]) * c
+    return result
+
+
+def _assert_same_bits(got, ref):
+    assert got.order == ref.order and got.base_point == ref.base_point
+    assert np.array_equal(got.coeffs, ref.coeffs)
+    assert np.array_equal(np.signbit(got.coeffs), np.signbit(ref.coeffs))
+
+
+def _degree3_change(rng):
+    """Degree-3 polynomial map of the plane fixing 0, invertible linear part."""
+    while True:
+        L = rng.uniform(-1.0, 1.0, (2, 2))
+        if 0.5 <= abs(np.linalg.det(L)) <= 2.0:
+            break
+    comps = []
+    for row in range(2):
+        terms = {(1, 0): L[row, 0], (0, 1): L[row, 1]}
+        for i in range(4):
+            for j in range(4 - i):
+                if i + j >= 2:
+                    terms[(i, j)] = rng.uniform(-0.5, 0.5)
+        comps.append(Poly2(terms))
+    return comps
+
+
+def test_compose_map_matches_per_term_reference_bit_for_bit(rng):
+    # the two compositions of conjugate_by_diffeos, each normal form taken
+    # through a source change at a base point p and then a target change,
+    # with the outer and both inner orders drawn independently
+    for _ in range(50):
+        source, target = _degree3_change(rng), _degree3_change(rng)
+        for p in (ORIGIN, (0.3, -0.7), (-1.25, 0.5)):
+            q = (source[0](p), source[1](p))
+            for name in BUILTIN_GERMS:
+                o1, o2, o3, o4, o5 = (int(k) for k in rng.integers(2, 6, 5))
+                inner = (poly_to_jet(source[0], p, o1), poly_to_jet(source[1], p, o2))
+                mid = []
+                for comp in builtin_germ(name).components:
+                    outer = poly_to_jet(comp, q, o3)
+                    got = compose_map(outer, *inner)
+                    _assert_same_bits(got, _compose_map_reference(outer, *inner))
+                    mid.append(got - got.value)
+                for comp, order in zip(target, (o4, o5)):
+                    outer = poly_to_jet(comp, ORIGIN, order)
+                    _assert_same_bits(compose_map(outer, *mid), _compose_map_reference(outer, *mid))
+    # inner tables holding -0.0, whose sign subtracting the value clears
+    for order in range(0, 6):
+        for _ in range(20):
+            inner = (_random_jet(rng, order), _random_jet(rng, order))
+            inner = (inner[0], Jet2(inner[0].base_point, inner[1].coeffs, order))
+            outer = _random_jet(rng, int(rng.integers(order, 7)))
+            outer = Jet2((inner[0].value, inner[1].value), outer.coeffs, outer.order)
+            _assert_same_bits(compose_map(outer, *inner), _compose_map_reference(outer, *inner))
+
+
+@pytest.mark.parametrize(
+    "inner_scale,outer_coeff",
+    [(1e200, 1.0), (1e70, 1e100)],  # an overflowing power, an overflowing term
+)
+def test_compose_map_overflow_raises_like_the_reference(inner_scale, outer_coeff):
+    inner = (
+        poly_to_jet(Poly2({(1, 0): inner_scale, (0, 1): 1.0}), ORIGIN, 4),
+        poly_to_jet(Poly2({(1, 0): 1.0, (0, 1): 1.0}), ORIGIN, 4),
+    )
+    outer = poly_to_jet(Poly2({(4, 0): outer_coeff, (0, 1): 1.0}), ORIGIN, 4)
+    for compose in (compose_map, _compose_map_reference):
+        with pytest.raises(InvalidSpec, match="jet coefficients must be finite"):
+            with np.errstate(over="ignore"):
+                compose(outer, *inner)
+
+
+def test_compose_map_cuts_an_overflow_beyond_the_order():
+    # x = u1 + 1e200 u1^2 u2^2: the (4, 4) entry of x^2 overflows, but it
+    # lies beyond order 4 and is cut before any finiteness check
+    inner = (
+        poly_to_jet(Poly2({(1, 0): 1.0, (2, 2): 1e200}), ORIGIN, 4),
+        poly_to_jet(Poly2({(0, 1): 1.0}), ORIGIN, 4),
+    )
+    outer = poly_to_jet(Poly2({(2, 0): 1.0, (2, 1): 3.0, (0, 1): 1.0}), ORIGIN, 4)
+    with np.errstate(over="ignore"):
+        _assert_same_bits(compose_map(outer, *inner), _compose_map_reference(outer, *inner))

@@ -243,6 +243,19 @@ def test_cusp_runs_at_singular_roots_stop_early(name, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("name", ["beaks", "swallowtail"])
+def test_newton_residual_is_its_systems_value_at_the_location(name):
+    # each point reports the residual of the run that ends at its location,
+    # not the smallest one among the runs of its cluster
+    germ = builtin_germ(name)
+    systems = dict(zip(("DegenerateCandidate", "CuspCandidate"), _special_point_systems(germ)))
+    points = find_special_points(germ, _GRID12)
+    assert points
+    for sp in points:
+        equations, _ = systems[sp.kind]
+        assert sp.newton_residual == max(abs(p(sp.location)) for p in equations)
+
+
 #: entropy of the coordinate-change pool that the benchmark's classify
 #: workload draws from (pool_diffeos in bench/workloads.py)
 POOL_ENTROPY = 9052455

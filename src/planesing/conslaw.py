@@ -39,7 +39,7 @@ from .germs import (
     classify,
 )
 from .jets import compose_univariate, poly_to_jet
-from .locus import BoxDomain, _close, critical_value_image, newton_batch, sample_singular_set
+from .locus import BoxDomain, _distinct, critical_value_image, newton_batch, sample_singular_set
 from .poly import InvalidSpec, Poly1, Poly2, poly_from_spec, poly_to_spec
 
 __all__ = [
@@ -427,15 +427,11 @@ def first_singularity(
     seeds = np.stack([xs[idx[:, 0]], ys[idx[:, 1]]], axis=1)
 
     x, _, ok = newton_batch(((t1, t2), ((t11, t12), (t12, t22))), seeds, tol, box)
-    ok &= box.contains(x.T)
-    roots: list[tuple[float, tuple[float, float]]] = []
-    for (a, b), tv in zip(x[ok], tau(x[ok].T)):
-        if tv >= 0.0:
-            continue
-        pt = (float(a), float(b))
-        if any(_close(pt, q) for _, q in roots):
-            continue
-        roots.append((-1.0 / float(tv), pt))
+    x = x[ok & box.contains(x.T)]
+    tv = tau(x.T)
+    x, tv = x[tv < 0.0], tv[tv < 0.0]
+    kept = _distinct(x)
+    roots = [(-1.0 / t, (a, b)) for (a, b), t in zip(x[kept].tolist(), tv[kept].tolist())]
 
     if not roots:
         raise SolverFailed(

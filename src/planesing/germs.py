@@ -224,9 +224,8 @@ class NullField:
     """Vector field spanning ker(df) along the singular set near p.
 
     eta holds order-5 jets of the field components at the germ's base
-    point (classify forms eta^3 lambda from them); eta_polys the same
-    field as exact global polynomials.  The field is built from one row
-    of the Jacobian: with f = (P, Q),
+    point (classify forms eta^3 lambda from them).  The field is built
+    from one row of the Jacobian: with f = (P, Q),
 
         first-row   eta = ( P_u2, -P_u1),  df(eta) = (0, -lambda)
         second-row  eta = (-Q_u2,  Q_u1),  df(eta) = (-lambda, 0)
@@ -238,7 +237,6 @@ class NullField:
 
     eta: tuple[Jet2, Jet2]
     provenance: str
-    eta_polys: tuple[Poly2, Poly2]
 
     def values_at_base(self) -> tuple[float, float]:
         return (self.eta[0].value, self.eta[1].value)
@@ -296,7 +294,7 @@ def null_field(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Nu
     else:
         raise CorankTwoError(f"Jacobian vanishes at {p}; null direction undefined")
     jets = (poly_to_jet(polys[0], p, 5), poly_to_jet(polys[1], p, 5))
-    return NullField(eta=jets, provenance=provenance, eta_polys=polys)
+    return NullField(eta=jets, provenance=provenance)
 
 
 def _directional_jet(g: Jet2, field: tuple[Jet2, Jet2]) -> Jet2:
@@ -525,12 +523,6 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     return report
 
 
-def _linear_part(p1: Poly2, p2: Poly2) -> np.ndarray:
-    """The table entries (1, 0) and (0, 1) of both components."""
-    corners = [np.pad(p.table[:2, :2], ((0, 1), (0, 1))) for p in (p1, p2)]
-    return np.array([[c[1, 0], c[0, 1]] for c in corners])
-
-
 def conjugate_by_diffeos(
     f: PlaneMapGerm,
     source,
@@ -551,25 +543,23 @@ def conjugate_by_diffeos(
     s1, s2 = (c if isinstance(c, Poly2) else poly_from_spec(c) for c in source)
     t1, t2 = (c if isinstance(c, Poly2) else poly_from_spec(c) for c in target)
 
-    sv = (s1(p), s2(p))
+    s_jets = (poly_to_jet(s1, p, order), poly_to_jet(s2, p, order))
+    t_jets = (poly_to_jet(t1, (0.0, 0.0), order), poly_to_jet(t2, (0.0, 0.0), order))
+    sv = (s_jets[0].value, s_jets[1].value)
     if math.hypot(sv[0] - p[0], sv[1] - p[1]) > 1e-9 * (1.0 + math.hypot(*p)):
         raise NotADiffeomorphism(f"source map sends base point {p} to {sv}")
-    tv = (t1((0.0, 0.0)), t2((0.0, 0.0)))
+    tv = (t_jets[0].value, t_jets[1].value)
     if math.hypot(*tv) > 1e-9:
         raise NotADiffeomorphism(f"target map sends the origin to {tv}")
-
-    Ls = PlaneMapGerm((s1, s2), p).jacobian_at()
-    Lt = _linear_part(t1, t2)
-    for name, L in (("source", Ls), ("target", Lt)):
+    for name, jets in (("source", s_jets), ("target", t_jets)):
+        L = np.array([[j.deriv(1, 0), j.deriv(0, 1)] for j in jets])
         if abs(np.linalg.det(L)) <= 1e-8 * max(1.0, np.max(np.abs(L)) ** 2):
             raise NotADiffeomorphism(f"{name} map has a singular linear part")
 
-    s_jets = (poly_to_jet(s1, p, order), poly_to_jet(s2, p, order))
     mid = [
         compose_map(poly_to_jet(comp, p, order), *s_jets) - const
         for comp, const in zip(f.components, f.value_at())
     ]
-    t_jets = (poly_to_jet(t1, (0.0, 0.0), order), poly_to_jet(t2, (0.0, 0.0), order))
     return PlaneMapGerm.from_jets(*(compose_map(t, *mid) for t in t_jets))
 
 

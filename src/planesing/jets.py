@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .poly import InvalidSpec, Poly1, Poly2, convolve2, outside_order, poly_from_spec
+from .poly import InvalidSpec, Poly1, Poly2, convolve2, outside_order
 
 __all__ = [
     "Jet1",
@@ -37,9 +37,6 @@ __all__ = [
     "compose_map",
     "poly_to_jet",
 ]
-
-DEFAULT_ORDER_1D = 6
-DEFAULT_ORDER_2D = 4
 
 #: how closely an inner jet's value must hit the outer jet's base point
 #: before composition is considered meaningful
@@ -298,25 +295,16 @@ def compose_map(outer: Jet2, inner1: Jet2, inner2: Jet2) -> Jet2:
     return Jet2(base, result, n)
 
 
-def poly_to_jet(spec, base_point, order: int | None = None):
+def poly_to_jet(p: Poly1 | Poly2, base_point, order: int):
     """Jet of a polynomial at ``base_point`` (exact Taylor re-centering).
 
-    ``spec`` may be a PolySpec mapping or an already-built Poly1/Poly2.
     The arity is taken from the polynomial and must match the base
     point: a scalar base for one variable, a pair for two.
     """
-    if isinstance(spec, (Poly1, Poly2)):
-        p = spec
-    else:
-        p = poly_from_spec(spec)
     if isinstance(p, Poly1):
         if hasattr(base_point, "__len__") and not isinstance(base_point, str):
             raise InvalidSpec("one-variable polynomial needs a scalar base point")
-        if order is None:
-            order = DEFAULT_ORDER_1D
         return Jet1(float(base_point), p.recentered_coeffs(float(base_point), order), order)
     if not hasattr(base_point, "__len__") or len(base_point) != 2:
         raise InvalidSpec("two-variable polynomial needs a two-component base point")
-    if order is None:
-        order = DEFAULT_ORDER_2D
     return Jet2(base_point, p.recentered_coeffs(base_point, order), order)

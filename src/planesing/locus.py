@@ -9,9 +9,9 @@ visits only the cells whose corner signs change (linear interpolation
 on cell edges, center-sample disambiguation for saddle cells, both
 computed as arrays).  It numbers the sign-changing edges once and
 returns each cell segment as the pair of edge numbers it joins.  Every
-crossing is sharpened with a damped Newton projection along the
-discriminant gradient, and the segments are linked into polylines by a
-walk over plain adjacency lists.
+crossing is sharpened onto lambda = 0 by the same Newton loop as the
+point searches, as a one-equation system, and the segments are linked
+into polylines by a walk over plain adjacency lists.
 
 On top of the traced curves it searches for the two kinds of points
 the classification tree cares about beyond folds: critical points of
@@ -24,13 +24,15 @@ chosen.  Each system runs from every cell center in one damped
 and Jacobian entries are evaluated in one stacked Horner pass
 (poly.HornerStack).  Where Gauss-Newton only halves its distance to a
 singular root of the cusp system per step, it tries a doubled step.
-Each located point is classified by re-basing the germ there.
+Converged runs are sorted and reduced to distinct roots by one array
+helper (_distinct), and each located point is classified by re-basing
+the germ there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,10 +196,18 @@ def _solve2(a11, a12, a21, a22, b1, b2):
 def _newton_step(J, f):
     """(s1, s2, ok) of _solve2 for J s = -f with two equations, J row-major.
 
-    Three equations take the Gauss-Newton step (J^T J) s = -J^T f, each
-    entry summed row 0 + (row 1 + row 2): swapping the last two equations
-    and negating the first keeps every bit.
+    One equation takes the minimum-norm step s = -f g / |g|^2 along its
+    gradient g; ok is False where s is not finite, as for g = 0.  Three
+    equations take the Gauss-Newton step (J^T J) s = -J^T f, each entry
+    summed row 0 + (row 1 + row 2): swapping the last two equations and
+    negating the first keeps every bit.
     """
+    if len(f) == 1:
+        g1, g2 = J
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = g1 * g1 + g2 * g2
+            s1, s2 = -f[0] * g1 / g, -f[0] * g2 / g
+        return s1, s2, np.isfinite(s1) & np.isfinite(s2)
     if len(f) == 2:
         return _solve2(*J, -f[0], -f[1])
     a, b = J[0::2], J[1::2]
@@ -218,19 +228,23 @@ def newton_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped (Gauss-)Newton iteration of one system from many seeds.
 
-    The system is (F, J): two or three Poly2 equations and their
-    partials, one pair (F_u1, F_u2) per equation.  All runs share one
-    loop on 1-D coordinate arrays, and per step one HornerStack call
-    evaluates the values, one the Jacobian.  Each run iterates on its
-    own: a step that raises the residual norm max |F_i| is halved up to
-    eight times, and with three equations first tried doubled where it
-    halves the last full step.  A run stops, converged if the residual
-    is at most newton_residual, when no step length helps or the step is
-    not finite, or on a small step.  It stops unconverged when it leaves
-    the box by slack 0.5, comes within DEDUP_RADIUS of a point in absorb,
-    or, with three equations, when a step lowers a residual above
-    newton_residual by less than 10%, as on the way to a singular root.
-    Runs never interact, so each result is the one the run gets alone.
+    The system is (F, J): one, two or three Poly2 equations and their
+    partials, one pair (F_u1, F_u2) per equation.  One equation takes
+    the minimum-norm step onto its zero set, two the Newton step, three
+    the Gauss-Newton step.  All runs share one loop on 1-D coordinate
+    arrays, and per step one HornerStack call evaluates the values, one
+    the Jacobian.  Each run iterates on its own: a step that raises the
+    residual norm max |F_i| is halved up to eight times, and with three
+    equations first tried doubled where it halves the last full step.
+    A run stops, converged if the residual is at most newton_residual,
+    when no step length helps or the step is not finite, or on a small
+    step.  It stops unconverged when it leaves the box by slack 0.5,
+    comes within DEDUP_RADIUS of a point in absorb, or, with three
+    equations, when a step lowers a residual above newton_residual by
+    less than 10%, as on the way to a singular root.  With one equation
+    a run stops, converged, as soon as its residual is at most
+    newton_residual, so a seed already within it does not move.  Runs
+    never interact, so each result is the one the run gets alone.
     Returns (x, residual_norm, converged), shaped (n, 2), (n,) and (n,).
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
@@ -244,6 +258,10 @@ def newton_batch(
     active = np.arange(len(seeds))
     last = np.full((2, len(seeds)), np.nan)
     for _ in range(tol.newton_max_iter):
+        if len(F) == 1:
+            within = rnorm[active] <= tol.newton_residual
+            converged[active[within]] = True
+            active = active[~within]
         if not active.size:
             break
         a1, a2, ra = u1[active], u2[active], rnorm[active]
@@ -347,48 +365,6 @@ def _edge_crossings(x0, y0, x1, y1, v0, v1):
     return x0 + t * (x1 - x0), y0 + t * (y1 - y0)
 
 
-def _sharpen(lam: Poly2, x: np.ndarray, y: np.ndarray, resid_bound: float, max_iter: int):
-    """Project the points (x[k], y[k]) onto lam = 0, all at once.
-
-    Each point takes damped steps x <- x - t lam grad / |grad|^2 along
-    the gradient of lam, with t halved from 1 while t > 1e-4 until
-    |lam| does not grow.  A point stops when |lam| <= resid_bound, when
-    its gradient vanishes (|grad|^2 <= 1e-300), when no halving helps,
-    or after max_iter steps.  The arithmetic is the scalar loop's on
-    arrays, so each point ends bit for bit where it would alone.
-    Returns new arrays x, y and lam(x, y).
-    """
-    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
-    r = lam((x, y))
-    active = np.arange(len(x))
-    grad = HornerStack([lam.partial(1).table, lam.partial(2).table])
-    for _ in range(max_iter):
-        active = active[~(np.abs(r[active]) <= resid_bound)]
-        if not active.size:
-            break
-        xa, ya, ra = x[active], y[active], r[active]
-        gx, gy = grad(xa, ya)
-        g2 = gx * gx + gy * gy
-        live = ~(g2 <= 1e-300)
-        active, xa, ya, ra = active[live], xa[live], ya[live], ra[live]
-        gx, gy, g2 = gx[live], gy[live], g2[live]
-        moved = np.zeros(len(active), dtype=bool)
-        p = np.arange(len(active))  # points still halving their step
-        t = 1.0
-        while t > 1e-4 and p.size:
-            cx = xa[p] - t * ra[p] * gx[p] / g2[p]
-            cy = ya[p] - t * ra[p] * gy[p] / g2[p]
-            rc = lam((cx, cy))
-            ok = np.abs(rc) <= np.abs(ra[p])
-            idx = active[p[ok]]
-            x[idx], y[idx], r[idx] = cx[ok], cy[ok], rc[ok]
-            moved[p[ok]] = True
-            p = p[~ok]
-            t *= 0.5
-        active = active[moved]
-    return x, y, r
-
-
 def _discriminant_on_grid(f: PlaneMapGerm, box: BoxDomain):
     """(lambda, its node values, their largest |value|) on the box grid.
 
@@ -423,8 +399,13 @@ def sample_singular_set(
     segments, x, y = _march(lam, *box.axes(), vals)
     if not len(segments):
         return []
-    x, y, r = _sharpen(lam, x, y, tol.newton_residual * scale, tol.newton_max_iter)
-    x, y, r = x.tolist(), y.tolist(), np.abs(r).tolist()
+    # each crossing moves onto lambda = 0 by minimum-norm Newton steps
+    # until |lambda| <= newton_residual * scale, a bound kept positive
+    # where the product underflows
+    sharp = replace(tol, newton_residual=max(tol.newton_residual * scale, math.ulp(0.0)))
+    system = ((lam,), ((lam.partial(1), lam.partial(2)),))
+    u, r, _ = newton_batch(system, np.stack([x, y], axis=1), sharp, box)
+    x, y, r = u[:, 0].tolist(), u[:, 1].tolist(), r.tolist()
     chains = _link_curves(segments, len(x))
     curves = [_build_curve(chain, closed, x, y, r) for chain, closed in chains]
     return [c for c in curves if len(c.vertices) >= 2]
@@ -511,12 +492,21 @@ def _build_curve(chain, closed, x, y, r) -> CurveSample:
     return CurveSample(vertices=verts, residuals=res, closed=closed)
 
 
-def _dedup(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    for p in sorted(points):
-        if not any(_close(p, q) for q in out):
-            out.append(p)
-    return out
+def _distinct(points) -> np.ndarray:
+    """Indices of the points, in the order given, that are kept as distinct.
+
+    A point is kept unless it lies within DEDUP_RADIUS of a point kept
+    before it.  Each kept point takes one array pass, which drops the
+    points within DEDUP_RADIUS of it.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    kept = []
+    rest = np.arange(len(points))
+    while rest.size:
+        kept.append(rest[0])
+        d = points[rest] - points[rest[0]]
+        rest = rest[d[:, 0] ** 2 + d[:, 1] ** 2 > DEDUP_RADIUS**2]
+    return np.array(kept, dtype=np.intp)
 
 
 def _special_point_systems(f: PlaneMapGerm) -> tuple:
@@ -566,32 +556,31 @@ def find_special_points(
     gradient_system, cusp_system = _special_point_systems(f)
 
     def roots(system, keep=lambda u: True, absorb=()):
-        x, rnorm, ok = newton_batch(system, seeds, tol, box, absorb)
+        # the distinct converged roots in the box, sorted by location
+        x, rnorm, ok = newton_batch(system, seeds, tol, box, absorb=absorb)
         ok &= box.contains(x.T)
         ok[ok] = keep(x[ok].T)
-        return {(float(a), float(b)): float(r) for (a, b), r in zip(x[ok], rnorm[ok])}
+        x, rnorm = x[ok], rnorm[ok]
+        order = np.lexsort((x[:, 1], x[:, 0]))
+        kept = order[_distinct(x[order])]
+        return x[kept], rnorm[kept]
 
-    degenerate_resid = roots(gradient_system, lambda u: np.abs(lam(u)) <= lam_zero_bound)
-    degenerate_roots = _dedup(list(degenerate_resid))
-    cusp_resid = roots(cusp_system, absorb=degenerate_roots)
-    cusp_roots = [
-        p for p in _dedup(list(cusp_resid)) if not any(_close(p, q) for q in degenerate_roots)
-    ]
-
+    degenerate, degenerate_resid = roots(
+        gradient_system, lambda u: np.abs(lam(u)) <= lam_zero_bound
+    )
+    cusp, cusp_resid = roots(cusp_system, absorb=degenerate)
+    # a degenerate point also solves the cusp system; it is reported once
+    d = cusp[:, None, :] - degenerate[None, :, :]
+    apart = (d[..., 0] ** 2 + d[..., 1] ** 2 > DEDUP_RADIUS**2).all(axis=1)
     out: list[SpecialPoint] = []
-    for kind, points, resid in (
-        ("DegenerateCandidate", degenerate_roots, degenerate_resid),
-        ("CuspCandidate", cusp_roots, cusp_resid),
+    for kind, x, rnorm in (
+        ("DegenerateCandidate", degenerate, degenerate_resid),
+        ("CuspCandidate", cusp[apart], cusp_resid[apart]),
     ):
-        for pt in points:
-            report = classify(f.rebase(pt), tol)
-            out.append(SpecialPoint(pt, kind, resid[pt], report))
+        for (a, b), r in zip(x.tolist(), rnorm.tolist()):
+            out.append(SpecialPoint((a, b), kind, r, classify(f.rebase((a, b)), tol)))
     out.sort(key=lambda sp: (sp.location[0], sp.location[1], sp.kind))
     return out
-
-
-def _close(p, q) -> bool:
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= DEDUP_RADIUS**2
 
 
 def critical_value_image(f: PlaneMapGerm, curves: list[CurveSample]) -> list[CurveSample]:

@@ -26,7 +26,6 @@ from planesing.germs import (
     rank_df,
     uses_first_row,
 )
-from planesing.germs import _linear_part
 from planesing.jets import Jet2, poly_to_jet
 from planesing.poly import Poly2
 
@@ -369,15 +368,6 @@ def _derivative_scale_reference(f):
     return s
 
 
-def _linear_part_reference(p1, p2):
-    return np.array(
-        [
-            [p1.coeffs.get((1, 0), 0.0), p1.coeffs.get((0, 1), 0.0)],
-            [p2.coeffs.get((1, 0), 0.0), p2.coeffs.get((0, 1), 0.0)],
-        ]
-    )
-
-
 def _random_jet(rng, order, base):
     table = rng.uniform(-3.0, 3.0, (order + 1, order + 1)) * 10.0 ** rng.integers(-8, 9)
     table[rng.random(table.shape) < 0.3] = 0.0
@@ -422,7 +412,6 @@ def test_table_reads_match_dict_reads(rng):
     germs.append(PlaneMapGerm((Poly2.constant(2.0), Poly2())))
     for g in germs:
         assert g.derivative_scale() == _derivative_scale_reference(g)
-        assert np.array_equal(_linear_part(*g.components), _linear_part_reference(*g.components))
 
 
 def _first_row_reference(f, u, tol):

@@ -181,6 +181,15 @@ def test_poly_to_jet_binomial_shift():
     assert jet.coeffs[2, 0] == pytest.approx(1.0)
 
 
+def test_poly_to_jet_base_point_matches_the_arity():
+    with pytest.raises(InvalidSpec, match="scalar base point"):
+        poly_to_jet(Poly1({2: 1.0}), (0.0, 0.0), 3)
+    with pytest.raises(InvalidSpec, match="two-component base point"):
+        poly_to_jet(Poly2({(2, 0): 1.0}), 0.0, 3)
+    with pytest.raises(InvalidSpec, match="two-component base point"):
+        poly_to_jet(Poly2({(2, 0): 1.0}), (0.0, 0.0, 0.0), 3)
+
+
 def test_poly_to_jet_constant():
     jet = poly_to_jet(Poly2.constant(5.0), (3.0, -7.0), 2)
     assert jet.value == 5.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,10 +34,9 @@ from planesing.locus import (
     BoxDomain,
     CurveSample,
     NotRegularCurve,
-    _close,
+    _distinct,
     _link_curves,
     _march,
-    _sharpen,
     _special_point_systems,
     critical_value_image,
     find_special_points,
@@ -306,6 +306,72 @@ def test_conjugated_degenerate_point_has_no_cusp_candidate(name, entry):
     points = find_special_points(_pool_conjugate(name, entry), HALF_BOX)
     near = [sp for sp in points if math.hypot(*sp.location) <= 1e-3]
     assert [sp.kind for sp in near] == ["DegenerateCandidate"]
+
+
+def _close(p, q):
+    # whether p and q are one point, as the searches deduplicate them
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= locus.DEDUP_RADIUS**2
+
+
+def test_distinct_keeps_points_apart_from_the_kept_ones():
+    # in a chain spaced 0.6e-6 apart the second point is within
+    # DEDUP_RADIUS of the first, the third is not, although it is within
+    # DEDUP_RADIUS of the dropped second
+    chain = np.array([(0.0, 0.0), (0.6e-6, 0.0), (1.2e-6, 0.0)])
+    assert _distinct(chain).tolist() == [0, 2]
+    assert _distinct(chain[::-1]).tolist() == [0, 2]
+    assert _distinct(np.zeros((0, 2))).tolist() == []
+
+
+def _special_points_reference(f, box, tol=DEFAULT_TOLERANCES):
+    # the deduplication find_special_points ran before _distinct: each
+    # converged run a dict entry {location: residual}, the locations
+    # sorted and kept unless close to a kept one; as (location, kind,
+    # residual), sorted
+    lam = f.discriminant_poly()
+    scale = float(np.max(np.abs(box.grid_values(lam, "discriminant"))))
+    lam_zero_bound = max(tol.zero_rel * scale, tol.newton_residual)
+    xs, ys = box.axes()
+    centers = np.meshgrid((xs[:-1] + xs[1:]) / 2.0, (ys[:-1] + ys[1:]) / 2.0, indexing="ij")
+    seeds = np.stack(centers, axis=-1).reshape(-1, 2)
+    gradient_system, cusp_system = _special_point_systems(f)
+
+    def roots(system, keep=lambda u: True, absorb=()):
+        x, rnorm, ok = newton_batch(system, seeds, tol, box, absorb)
+        ok &= box.contains(x.T)
+        ok[ok] = keep(x[ok].T)
+        return {(float(a), float(b)): float(r) for (a, b), r in zip(x[ok], rnorm[ok])}
+
+    def dedup(points):
+        out = []
+        for p in sorted(points):
+            if not any(_close(p, q) for q in out):
+                out.append(p)
+        return out
+
+    degenerate_resid = roots(gradient_system, lambda u: np.abs(lam(u)) <= lam_zero_bound)
+    degenerate = dedup(degenerate_resid)
+    cusp_resid = roots(cusp_system, absorb=degenerate)
+    cusp = [p for p in dedup(cusp_resid) if not any(_close(p, q) for q in degenerate)]
+    return sorted(
+        [(p, "DegenerateCandidate", degenerate_resid[p]) for p in degenerate]
+        + [(p, "CuspCandidate", cusp_resid[p]) for p in cusp]
+    )
+
+
+@pytest.mark.parametrize(
+    "name, entry", [("cusp", 2), ("lips", 9), ("beaks", 25), ("swallowtail", 0), ("swallowtail", 1)]
+)
+def test_special_points_match_dict_dedup(name, entry):
+    germ = _pool_conjugate(name, entry)
+    points = find_special_points(germ, HALF_BOX)
+    assert points
+    got = [(sp.location, sp.kind, sp.newton_residual) for sp in points]
+    want = _special_points_reference(germ, HALF_BOX)
+    assert [kind for _, kind, _ in got] == [kind for _, kind, _ in want]
+    assert np.array([(*p, r) for p, _, r in got]).tobytes() == np.array(
+        [(*p, r) for p, _, r in want]
+    ).tobytes()
 
 
 def test_fold_has_no_special_points():
@@ -584,7 +650,8 @@ def test_newton_batch_matches_scalar_loop(name, tol, monkeypatch):
 
 
 def _sharpen_reference(lam, pt, resid_bound, max_iter):
-    # the scalar loop that sample_singular_set ran on each vertex
+    # the scalar loop that sample_singular_set ran on each vertex, with
+    # the step halved at most eight times (down to t = 1/128)
     lam1, lam2 = lam.partial(1), lam.partial(2)
     x, y = pt
     r = lam((x, y))
@@ -596,7 +663,7 @@ def _sharpen_reference(lam, pt, resid_bound, max_iter):
         if g2 <= 1e-300:
             break
         t = 1.0
-        while t > 1e-4:
+        for _ in range(8):
             cx, cy = x - t * r * gx / g2, y - t * r * gy / g2
             rc = lam((cx, cy))
             if abs(rc) <= abs(r):
@@ -606,6 +673,13 @@ def _sharpen_reference(lam, pt, resid_bound, max_iter):
         else:
             break
     return float(x), float(y), float(r)
+
+
+def _sharpen(lam, pts, resid_bound, max_iter, box):
+    # the one-equation newton_batch call of sample_singular_set
+    tol = replace(DEFAULT_TOLERANCES, newton_residual=resid_bound, newton_max_iter=max_iter)
+    system = ((lam,), ((lam.partial(1), lam.partial(2)),))
+    return newton_batch(system, pts, tol, box)
 
 
 def _first_shock_discriminant(rng):
@@ -652,10 +726,11 @@ def test_sharpen_matches_scalar_loop(rng, name):
         resid_bound = DEFAULT_TOLERANCES.newton_residual * float(np.max(np.abs(vals)))
         pts = np.array(pts)
         for max_iter in (DEFAULT_TOLERANCES.newton_max_iter, 2):
-            x, y, r = _sharpen(lam, pts[:, 0], pts[:, 1], resid_bound, max_iter)
+            x, r, _ = _sharpen(lam, pts, resid_bound, max_iter, box)
             for k, pt in enumerate(pts):
-                want = _sharpen_reference(lam, tuple(pt), resid_bound, max_iter)
-                assert np.array([x[k], y[k], r[k]]).tobytes() == np.array(want).tobytes()
+                a, b, want = _sharpen_reference(lam, tuple(pt), resid_bound, max_iter)
+                got = np.array([x[k, 0], x[k, 1], r[k]])
+                assert got.tobytes() == np.array([a, b, abs(want)]).tobytes()
 
 
 # The per-cell marching loop that sample_singular_set ran before _march,
@@ -823,6 +898,8 @@ def _marching_cases(rng):
         "saddle 10 center-": _saddle_map(0.03, 0.05, -1.0),
         # on the 16x16 grid the center of the saddle cell is a root
         "saddle 5 center 0": _saddle_map(0.0625, 0.05, 1.0),
+        # |lambda| <= 4e-320, so the sharpening bound underflows to zero
+        "underflow": PlaneMapGerm(parse_map("(1e-160*u, 1e-160*(v^3+u*v))")),
     }
 
 
@@ -859,20 +936,20 @@ def test_march_matches_per_cell_loop(rng, box):
         curves = sample_singular_set(germ, box, tol)
         want = []
         if want_segments:
-            pts = np.array(list(crossings.values()))
-            scale = float(np.max(np.abs(vals)))
-            sx, sy, r = _sharpen(
-                lam, pts[:, 0], pts[:, 1], tol.newton_residual * scale, tol.newton_max_iter
-            )
+            bound = tol.newton_residual * float(np.max(np.abs(vals)))
+            sharp = {
+                key: _sharpen_reference(lam, pt, bound, tol.newton_max_iter)
+                for key, pt in crossings.items()
+            }
             want = _link_curves_reference(
                 want_segments,
-                dict(zip(crossings, zip(sx.tolist(), sy.tolist()))),
-                dict(zip(crossings, np.abs(r).tolist())),
+                {key: (x, y) for key, (x, y, _) in sharp.items()},
+                {key: abs(r) for key, (_, _, r) in sharp.items()},
             )
         assert [_curve_bits(c) for c in curves] == [_curve_bits(c) for c in want], name
         if name == "zero nodes":
             assert (vals == 0.0).any()
-        if name in ("beaks", "burgers-lips 1.1", "zero nodes"):
+        if name in ("beaks", "burgers-lips 1.1", "zero nodes", "underflow"):
             assert curves, name
     if box.grid == (16, 16):
         assert saddles_seen == {(5, True), (5, False), (10, True), (10, False)}

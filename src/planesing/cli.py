@@ -18,7 +18,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .conslaw import (
@@ -62,23 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, assembled from flags."""
-
-    command: str
-    builtin: str | None = None
-    map_expr: str | None = None
-    curve_expr: str | None = None
-    input_path: str | None = None
-    at: str | None = None
-    time: str | None = None
-    box: BoxDomain = field(default_factory=lambda: BoxDomain((-1.0, -1.0), (1.0, 1.0)))
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
-    output_dir: Path = field(default_factory=lambda: Path("."))
-    formats: tuple[str, ...] = ("json", "csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,34 +149,34 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"input file is not valid JSON: {exc}") from exc
 
 
-def _germ_from_config(cfg: RunConfig) -> PlaneMapGerm:
+def _germ_from_args(args: argparse.Namespace) -> PlaneMapGerm:
     """Build the germ a classify/trace invocation refers to."""
-    sources = [s for s in (cfg.builtin, cfg.map_expr, cfg.input_path) if s]
+    sources = [s for s in (args.builtin, args.map_expr, args.input) if s]
     if len(sources) != 1:
         raise ParseError("provide exactly one of --builtin, --map, or an input file")
-    if cfg.builtin == "ruling":
-        if not cfg.curve_expr:
+    if args.builtin == "ruling":
+        if not args.curve_expr:
             raise ParseError("the ruling builtin needs --curve 'a(t),b(t)'")
-        t0 = parse_reals(cfg.at, 1)[0] if cfg.at else 0.0
+        t0 = parse_reals(args.at, 1)[0] if args.at else 0.0
         try:
-            return ruling_map(parse_curve(cfg.curve_expr), t0)
+            return ruling_map(parse_curve(args.curve_expr), t0)
         except NotRegularCurve as exc:
             raise ParseError(str(exc)) from exc
-    if cfg.builtin:
+    if args.builtin:
         from .germs import builtin_germ
 
         try:
-            germ = builtin_germ(cfg.builtin)
+            germ = builtin_germ(args.builtin)
         except KeyError as exc:
             raise ParseError(str(exc.args[0])) from exc
-        if cfg.at:
-            germ = germ.rebase(parse_reals(cfg.at, 2))
+        if args.at:
+            germ = germ.rebase(parse_reals(args.at, 2))
         return germ
-    if cfg.map_expr:
-        components = parse_map(cfg.map_expr)
-        base = parse_reals(cfg.at, 2) if cfg.at else (0.0, 0.0)
+    if args.map_expr:
+        components = parse_map(args.map_expr)
+        base = parse_reals(args.at, 2) if args.at else (0.0, 0.0)
         return PlaneMapGerm(components, base)
-    data = _load_json(cfg.input_path)
+    data = _load_json(args.input)
     try:
         components = data["components"]
     except (KeyError, TypeError) as exc:
@@ -203,8 +185,8 @@ def _germ_from_config(cfg: RunConfig) -> PlaneMapGerm:
         raise ParseError('"components" must be a list of two PolySpecs')
     base = data.get("base_point", [0.0, 0.0])
     base = check_reals(base, 2, f'"base_point" {base!r}')
-    if cfg.at:
-        base = parse_reals(cfg.at, 2)
+    if args.at:
+        base = parse_reals(args.at, 2)
     try:
         return PlaneMapGerm((components[0], components[1]), base)
     except InvalidSpec as exc:
@@ -215,38 +197,38 @@ def _class_exit(report) -> int:
     return EXIT_OK if report.is_definite else EXIT_INDEFINITE
 
 
-def run_classify(cfg: RunConfig) -> int:
-    germ = _germ_from_config(cfg)
-    report = classify(germ, cfg.tolerances)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    if "json" in cfg.formats:
-        dump_json(report.to_dict(), cfg.output_dir / "report.json")
+def run_classify(args: argparse.Namespace) -> int:
+    germ = _germ_from_args(args)
+    report = classify(germ, args.tolerances)
+    args.output_dir.mkdir(parents=True, exist_ok=True)
+    if "json" in args.formats:
+        dump_json(report.to_dict(), args.output_dir / "report.json")
     p = report.base_point
     print(f"class={report.singularity_class} at ({p[0]:g}, {p[1]:g})")
     return _class_exit(report)
 
 
-def run_trace(cfg: RunConfig) -> int:
-    germ = _germ_from_config(cfg)
-    curves = sample_singular_set(germ, cfg.box, cfg.tolerances)
+def run_trace(args: argparse.Namespace) -> int:
+    germ = _germ_from_args(args)
+    curves = sample_singular_set(germ, args.box, args.tolerances)
     images = critical_value_image(germ, curves)
-    specials = find_special_points(germ, cfg.box, cfg.tolerances)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in cfg.formats:
-        write_curves_csv(cfg.output_dir / "singular_set.csv", curves)
-        write_curves_csv(cfg.output_dir / "critical_values.csv", curves, images)
-    if "json" in cfg.formats:
+    specials = find_special_points(germ, args.box, args.tolerances)
+    args.output_dir.mkdir(parents=True, exist_ok=True)
+    if "csv" in args.formats:
+        write_curves_csv(args.output_dir / "singular_set.csv", curves)
+        write_curves_csv(args.output_dir / "critical_values.csv", curves, images)
+    if "json" in args.formats:
         dump_json(
             {
                 "curves": [c.to_dict() for c in curves],
                 "special_points": [sp.to_dict() for sp in specials],
             },
-            cfg.output_dir / "special_points.json",
+            args.output_dir / "special_points.json",
         )
-    if "svg" in cfg.formats:
-        write_svg(cfg.output_dir / "singular_set.svg", curves, specials, cfg.box,
+    if "svg" in args.formats:
+        write_svg(args.output_dir / "singular_set.svg", curves, specials, args.box,
                   label="singular set")
-        write_svg(cfg.output_dir / "critical_values.svg", images, (), None,
+        write_svg(args.output_dir / "critical_values.svg", images, (), None,
                   label="critical values")
     kinds = ", ".join(f"{sp.kind}:{sp.report.singularity_class}" for sp in specials)
     print(
@@ -256,43 +238,43 @@ def run_trace(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _problem_from_config(cfg: RunConfig) -> ConsLawProblem:
-    sources = [s for s in (cfg.builtin, cfg.input_path) if s]
+def _problem_from_args(args: argparse.Namespace) -> ConsLawProblem:
+    sources = [s for s in (args.builtin, args.input) if s]
     if len(sources) != 1:
         raise ParseError("provide exactly one of --builtin or a problem JSON file")
-    if cfg.builtin:
+    if args.builtin:
         try:
-            return builtin_problem(cfg.builtin)
+            return builtin_problem(args.builtin)
         except KeyError as exc:
             raise ParseError(str(exc.args[0])) from exc
-    data = _load_json(cfg.input_path)
+    data = _load_json(args.input)
     try:
         return ConsLawProblem.from_dict(data)
     except InvalidSpec as exc:
         raise ParseError(str(exc)) from exc
 
 
-def run_conslaw(cfg: RunConfig) -> int:
-    prob = _problem_from_config(cfg)
+def run_conslaw(args: argparse.Namespace) -> int:
+    prob = _problem_from_args(args)
 
     # the output directory is made after the search, so exit 64 leaves none behind
-    if cfg.at is not None:
-        u = parse_reals(cfg.at, 2)
+    if args.at is not None:
+        u = parse_reals(args.at, 2)
         t = None
-        if cfg.time is not None:
-            times = parse_reals(cfg.time)
+        if args.time is not None:
+            times = parse_reals(args.time)
             if len(times) != 1:
                 raise ParseError("forced-point mode takes a single --time value")
             t = times[0]
         try:
-            record = singularity_at(prob, u, t, cfg.tolerances)
+            record = singularity_at(prob, u, t, args.tolerances)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             print("no singularity at the requested point")
             return EXIT_NO_SINGULARITY
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        if "json" in cfg.formats:
-            dump_json(record.to_dict(), cfg.output_dir / "point_analysis.json")
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+        if "json" in args.formats:
+            dump_json(record.to_dict(), args.output_dir / "point_analysis.json")
         print(
             f"class={record.report.singularity_class} at "
             f"({record.u_star[0]:g}, {record.u_star[1]:g}) t={record.t_star:g}"
@@ -301,11 +283,11 @@ def run_conslaw(cfg: RunConfig) -> int:
 
     # the frame times are checked before anything is written: the list
     # before the search, and that it straddles t* right after it
-    times = None if cfg.time is None else parse_reals(cfg.time)
+    times = None if args.time is None else parse_reals(args.time)
     try:
-        result = first_singularity(prob, cfg.box, cfg.tolerances)
+        result = first_singularity(prob, args.box, args.tolerances)
     except SolverFailed as exc:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        args.output_dir.mkdir(parents=True, exist_ok=True)
         dump_json(
             {
                 "error": "SolverFailed",
@@ -313,7 +295,7 @@ def run_conslaw(cfg: RunConfig) -> int:
                 "best_point": list(exc.best_point) if exc.best_point else None,
                 "best_time": exc.best_time,
             },
-            cfg.output_dir / "solver_failure.json",
+            args.output_dir / "solver_failure.json",
         )
         print(f"solver failure: {exc}", file=sys.stderr)
         if exc.best_point is not None:
@@ -327,23 +309,23 @@ def run_conslaw(cfg: RunConfig) -> int:
     if result is not None and times is not None:
         try:
             frames = lips_birth_frames(
-                prob, result.u_star, result.t_star, times, cfg.box, cfg.tolerances
+                prob, result.u_star, result.t_star, times, args.box, args.tolerances
             )
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    args.output_dir.mkdir(parents=True, exist_ok=True)
 
     if result is None:
-        if "json" in cfg.formats:
+        if "json" in args.formats:
             dump_json(
-                {"result": "NoSingularity", "box": {"lo": list(cfg.box.lo), "hi": list(cfg.box.hi)}},
-                cfg.output_dir / "first_singularity.json",
+                {"result": "NoSingularity", "box": {"lo": list(args.box.lo), "hi": list(args.box.hi)}},
+                args.output_dir / "first_singularity.json",
             )
         print("no singularity: characteristic trace is non-negative over the box")
         return EXIT_NO_SINGULARITY
 
-    if "json" in cfg.formats:
-        dump_json(result.to_dict(), cfg.output_dir / "first_singularity.json")
+    if "json" in args.formats:
+        dump_json(result.to_dict(), args.output_dir / "first_singularity.json")
     print(
         f"class={result.report.singularity_class} at "
         f"({result.u_star[0]:g}, {result.u_star[1]:g}) t*={result.t_star:g} "
@@ -354,20 +336,20 @@ def run_conslaw(cfg: RunConfig) -> int:
         manifest = []
         for k, frame in enumerate(frames):
             entry: dict = {"index": k, "t": frame.time}
-            if "csv" in cfg.formats:
+            if "csv" in args.formats:
                 name = f"frame_{k}.csv"
-                write_curves_csv(cfg.output_dir / name, frame.curves, frame.image_curves)
+                write_curves_csv(args.output_dir / name, frame.curves, frame.image_curves)
                 entry["csv"] = name
-            if "svg" in cfg.formats:
+            if "svg" in args.formats:
                 name = f"frame_{k}.svg"
-                write_svg(cfg.output_dir / name, frame.curves, (), cfg.box,
+                write_svg(args.output_dir / name, frame.curves, (), args.box,
                           label=f"t={frame.time:g}")
                 entry["svg"] = name
             entry["curves"] = len(frame.curves)
             manifest.append(entry)
-        if "json" in cfg.formats:
+        if "json" in args.formats:
             dump_json({"t_star": result.t_star, "frames": manifest},
-                      cfg.output_dir / "frames.json")
+                      args.output_dir / "frames.json")
 
     return _class_exit(result.report)
 
@@ -396,30 +378,22 @@ def _merge_negative_values(argv):
     return out
 
 
+_PARSER = build_parser()
+_COMMANDS = {"classify": run_classify, "trace": run_trace, "conslaw": run_conslaw}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args = _PARSER.parse_args(_merge_negative_values(list(argv)))
     try:
-        cfg = RunConfig(
-            command=args.command,
-            builtin=args.builtin,
-            map_expr=getattr(args, "map_expr", None),
-            curve_expr=getattr(args, "curve_expr", None),
-            input_path=args.input,
-            at=getattr(args, "at", None),
-            time=getattr(args, "time", None),
-            box=_box(args) if hasattr(args, "box") else BoxDomain((-1, -1), (1, 1)),
-            tolerances=_tolerances(args),
-            output_dir=Path(args.out),
-            formats=_formats(args),
-        )
-        if cfg.command == "classify":
-            return run_classify(cfg)
-        if cfg.command == "trace":
-            return run_trace(cfg)
-        return run_conslaw(cfg)
+        # run_* read the parsed flags, with these converted and checked once
+        if hasattr(args, "box"):
+            args.box = _box(args)
+        args.tolerances = _tolerances(args)
+        args.output_dir = Path(args.out)
+        args.formats = _formats(args)
+        return _COMMANDS[args.command](args)
     except (ParseError, InvalidSpec) as exc:
         print(f"planesing: {exc}", file=sys.stderr)
         return EXIT_USAGE

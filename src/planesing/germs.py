@@ -26,8 +26,9 @@ can be re-derived from the report alone.
 Maps are given by exact polynomial components, so every jet here is an
 exact truncation; the tolerance policy exists for inputs that arrive
 through rounded arithmetic (conjugation, Newton-located base points).
-A germ derives its Jacobian rows once, and uses_first_row is the rule
-for which row null_field builds the null field from.
+A germ derives its Jacobian polynomials once and evaluates them at its
+base point once; rank_df and the row rule of null_field both read that
+matrix.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "discriminant",
     "rank_df",
     "null_field",
-    "uses_first_row",
     "eta_derivatives",
     "classify",
     "conjugate_by_diffeos",
@@ -132,21 +132,19 @@ NONZERO = "nonzero"
 UNCERTAIN = "uncertain"
 
 
-def _decide(value: float, scale: float, zero_rel: float) -> tuple[str, float]:
+def _decide(value: float, scale: float, zero_rel: float) -> dict:
     """Three-way zero test of ``value`` against ``zero_rel * scale``.
 
-    Returns (decision, normalized magnitude).  A zero scale means the
-    quantity is identically zero at the working order, so the value is
-    zero by construction.
+    Returns the margin record: the value, its normalized magnitude and
+    the decision.  A zero scale means the quantity is identically zero
+    at the working order, so the value is zero by construction.
     """
     if scale <= 0.0:
-        return ZERO, 0.0
-    m = abs(value) / scale
-    if m <= zero_rel:
-        return ZERO, m
-    if m >= 10.0 * zero_rel:
-        return NONZERO, m
-    return UNCERTAIN, m
+        decision, m = ZERO, 0.0
+    else:
+        m = abs(value) / scale
+        decision = ZERO if m <= zero_rel else NONZERO if m >= 10.0 * zero_rel else UNCERTAIN
+    return {"value": value, "normalized": m, "decision": decision}
 
 
 class PlaneMapGerm:
@@ -156,10 +154,11 @@ class PlaneMapGerm:
     marks where jets are taken.  Target constants are irrelevant to
     every derived quantity (they drop out of the Jacobian), so germs
     are not translated in the target.  The Jacobian and discriminant
-    polynomials are derived once, on first use, and kept.
+    polynomials are derived once, on first use, and kept, and so is the
+    Jacobian matrix at the base point.
     """
 
-    __slots__ = ("components", "base_point", "_lam_poly", "_jacobian")
+    __slots__ = ("components", "base_point", "_lam_poly", "_jacobian", "_jacobian_at_base")
 
     def __init__(self, components, base_point=(0.0, 0.0)):
         comp1, comp2 = components
@@ -173,6 +172,7 @@ class PlaneMapGerm:
         self.base_point = (float(base_point[0]), float(base_point[1]))
         self._lam_poly = None
         self._jacobian = None
+        self._jacobian_at_base = None
 
     @classmethod
     def from_jets(cls, jet1: Jet2, jet2: Jet2) -> "PlaneMapGerm":
@@ -183,6 +183,7 @@ class PlaneMapGerm:
         return cls(tuple(Poly2._of(j.coeffs).shift((-p[0], -p[1])) for j in (jet1, jet2)), p)
 
     def rebase(self, new_base) -> "PlaneMapGerm":
+        # the polynomials carry over; the matrix at the new base is new
         g = PlaneMapGerm(self.components, new_base)
         g._lam_poly, g._jacobian = self._lam_poly, self._jacobian
         return g
@@ -198,8 +199,13 @@ class PlaneMapGerm:
         return self._jacobian
 
     def jacobian_at(self, u=None) -> np.ndarray:
-        u = self.base_point if u is None else u
-        return np.array([[d(u) for d in row] for row in self.jacobian()])
+        """df at u; with no point, df at the base point, evaluated once and kept read-only."""
+        if u is not None:
+            return np.array([[d(u) for d in row] for row in self.jacobian()])
+        if self._jacobian_at_base is None:
+            self._jacobian_at_base = self.jacobian_at(self.base_point)
+            self._jacobian_at_base.flags.writeable = False
+        return self._jacobian_at_base
 
     def component_jets(self, order: int = 4) -> tuple[Jet2, Jet2]:
         return tuple(poly_to_jet(c, self.base_point, order) for c in self.components)
@@ -262,34 +268,22 @@ def rank_df(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     return 2
 
 
-def _row_threshold(f: PlaneMapGerm, tol: ToleranceConfig) -> float:
-    # a Jacobian row whose entries are all this small counts as vanishing
-    return tol.rank_threshold * max(f.derivative_scale(), 1e-300)
-
-
-def uses_first_row(f: PlaneMapGerm, u, tol: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Whether the null field at u is built from the first Jacobian row.
-
-    It is unless max(|P_u1|, |P_u2|) <= rank_threshold * derivative_scale
-    at u.  u is a point, or a pair of coordinate arrays for a boolean array.
-    """
-    (Pu, Pv), _ = f.jacobian()
-    return np.maximum(np.abs(Pu(u)), np.abs(Pv(u))) > _row_threshold(f, tol)
-
-
 def null_field(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> NullField:
     """Canonical null direction field of a corank-one germ.
 
-    Prefers the first-row construction; falls back to the second row
-    when grad P vanishes at the base point.  Raises CorankTwoError if
-    both rows vanish there (the Jacobian is zero and no single row
+    Built from the first Jacobian row, or from the second when the first
+    vanishes at the base point: a row vanishes when its largest entry
+    is at most rank_threshold * derivative_scale.  Raises CorankTwoError
+    if both rows vanish there (the Jacobian is zero and no single row
     determines a kernel direction).
     """
     (Pu, Pv), (Qu, Qv) = f.jacobian()
     p = f.base_point
-    if uses_first_row(f, p, tol):
+    row_max = np.abs(f.jacobian_at()).max(axis=1)
+    threshold = tol.rank_threshold * max(f.derivative_scale(), 1e-300)
+    if row_max[0] > threshold:
         polys, provenance = (Pv, -Pu), "first-row"
-    elif max(abs(Qu(p)), abs(Qv(p))) > _row_threshold(f, tol):
+    elif row_max[1] > threshold:
         polys, provenance = (-Qv, Qu), "second-row"
     else:
         raise CorankTwoError(f"Jacobian vanishes at {p}; null direction undefined")
@@ -297,25 +291,20 @@ def null_field(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Nu
     return NullField(eta=jets, provenance=provenance)
 
 
-def _directional_jet(g: Jet2, field: tuple[Jet2, Jet2]) -> Jet2:
-    """Jet of the derivative of g along the field: eta1 g_u1 + eta2 g_u2."""
-    m = g.order - 1
-    return field[0].truncate(m) * g.partial(1) + field[1].truncate(m) * g.partial(2)
-
-
 def _eta_derivative_jets(lam: Jet2, eta: tuple[Jet2, Jet2]) -> list[Jet2]:
     """Jets of the first three iterated eta-derivatives of lambda.
 
-    Starting from an order-n jet of lambda, the k-th iterate is an
-    order n-k jet; its value at the base point is exact whenever the
-    inputs are exact truncations, because forming the value of an
-    iterated first-order derivative only consumes coefficients the
-    truncations retained.
+    Each derivative along the field is eta1 g_u1 + eta2 g_u2.  Starting
+    from an order-n jet of lambda, the k-th iterate is an order n-k jet;
+    its value at the base point is exact whenever the inputs are exact
+    truncations, because forming the value of an iterated first-order
+    derivative only consumes coefficients the truncations retained.
     """
     out = []
     g = lam
     for _ in range(3):
-        g = _directional_jet(g, eta)
+        m = g.order - 1
+        g = eta[0].truncate(m) * g.partial(1) + eta[1].truncate(m) * g.partial(2)
         out.append(g)
     return out
 
@@ -384,9 +373,61 @@ class ClassificationReport:
         }
 
 
-def _margin(value: float, scale: float, zero_rel: float) -> tuple[str, dict]:
-    decision, m = _decide(value, scale, zero_rel)
-    return decision, {"value": value, "normalized": m, "decision": decision}
+#: what the note of an Unrecognized report calls each tested quantity
+_QUANTITY_NAMES = {
+    "lambda": "discriminant value",
+    "d_lambda": "d lambda",
+    "det_hess_lambda": "det Hess lambda",
+    "eta_lambda": "eta lambda",
+    "eta2_lambda": "eta^2 lambda",
+    "eta3_lambda": "eta^3 lambda",
+}
+
+
+class _Undecided(Exception):
+    """The verdict needs a quantity whose margin decision is uncertain."""
+
+
+def _verdict(rank: int, margins: dict, det_hess: float) -> tuple[str, str]:
+    """(class, note) from the criteria table, read in the paper's order.
+
+    Raises _Undecided, with the quantity's name, at the first quantity
+    the walk needs but the tolerance could not decide.
+    """
+
+    def nonzero(name: str) -> bool:
+        decision = margins[name]["decision"]
+        if decision == UNCERTAIN:
+            raise _Undecided(name)
+        return decision == NONZERO
+
+    if rank == 2:
+        return IMMERSION, "Jacobian has full rank at the base point"
+    if rank == 0:
+        return CORANK_TWO, "Jacobian vanishes at the base point; outside corank-one scope"
+    if nonzero("lambda"):
+        # Numerically rank-deficient Jacobian but a solidly nonzero
+        # determinant: the point is regular at the working tolerance.
+        return IMMERSION, "discriminant is nonzero at the base point"
+    if nonzero("eta_lambda"):
+        return FOLD, ""
+    if nonzero("d_lambda"):
+        # Non-degenerate singular point with a tangent null direction.
+        if nonzero("eta2_lambda"):
+            return CUSP, ""
+        if nonzero("eta3_lambda"):
+            return SWALLOWTAIL, ""
+        return DEGENERATE, (
+            "null-direction derivatives of the discriminant vanish through order three"
+        )
+    # Degenerate singular point: the discriminant has a critical point.
+    if not nonzero("det_hess_lambda"):
+        return DEGENERATE, "discriminant Hessian is singular at a critical point"
+    if det_hess > 0.0:
+        return LIPS, ""
+    if nonzero("eta2_lambda"):
+        return BEAKS, ""
+    return DEGENERATE, "indefinite discriminant Hessian but eta^2 lambda vanishes"
 
 
 def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ClassificationReport:
@@ -410,7 +451,6 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     h11, h12, h22 = lam1.partial(1), lam1.partial(2), lam2.partial(2)
     det_hess_jet = h11 * h22 - h12 * h12
 
-    lam0 = lam.value
     d_lam = (lam.deriv(1, 0), lam.deriv(0, 1))
     hess = (
         (lam.deriv(2, 0), lam.deriv(1, 1)),
@@ -419,10 +459,11 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     det_hess = det_hess_jet.value
 
     zr = tol.zero_rel
-    margins: dict[str, dict] = {}
-    dec_lam, margins["lambda"] = _margin(lam0, scale_lam, zr)
-    dec_dlam, margins["d_lambda"] = _margin(max(abs(d_lam[0]), abs(d_lam[1])), scale_lam, zr)
-    dec_hess, margins["det_hess_lambda"] = _margin(det_hess, det_hess_jet.max_abs_coeff(), zr)
+    margins = {
+        "lambda": _decide(lam.value, scale_lam, zr),
+        "d_lambda": _decide(max(abs(d_lam[0]), abs(d_lam[1])), scale_lam, zr),
+        "det_hess_lambda": _decide(det_hess, det_hess_jet.max_abs_coeff(), zr),
+    }
 
     report = ClassificationReport(
         singularity_class=UNRECOGNIZED,
@@ -436,90 +477,26 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
         tolerances=tol.as_dict(),
     )
 
-    if rank == 2:
-        report.singularity_class = IMMERSION
-        report.note = "Jacobian has full rank at the base point"
-        return report
-    if rank == 0:
-        report.singularity_class = CORANK_TWO
-        report.note = "Jacobian vanishes at the base point; outside corank-one scope"
-        return report
+    if rank == 1 and margins["lambda"]["decision"] == ZERO:
+        # a corank-one singular point: the walk reads the null field
+        nf = null_field(f, tol)
+        jets = _eta_derivative_jets(lam_deep, nf.eta)
+        report.eta_at_p = nf.values_at_base()
+        report.eta_provenance = nf.provenance
+        report.eta_lambda, report.eta2_lambda, report.eta3_lambda = (j.value for j in jets)
+        # Each iterated derivative is judged against the coefficient scale
+        # of its own jet.  The tested value is that jet's constant term, so
+        # this asks whether the value stands out from the local behavior of
+        # the same quantity; products of input scales overshoot badly after
+        # coordinate changes and would drown genuinely nonzero invariants.
+        for name, jet in zip(("eta_lambda", "eta2_lambda", "eta3_lambda"), jets):
+            margins[name] = _decide(jet.value, jet.max_abs_coeff(), zr)
 
-    if dec_lam == NONZERO:
-        # Numerically rank-deficient Jacobian but a solidly nonzero
-        # determinant: the point is regular at the working tolerance.
-        report.singularity_class = IMMERSION
-        report.note = "discriminant is nonzero at the base point"
-        return report
-    if dec_lam == UNCERTAIN:
-        report.note = "discriminant value sits between the zero and nonzero thresholds"
-        return report
-
-    nf = null_field(f, tol)
-    d1, d2, d3 = _eta_derivative_jets(lam_deep, nf.eta)
-    report.eta_at_p = nf.values_at_base()
-    report.eta_provenance = nf.provenance
-    report.eta_lambda = d1.value
-    report.eta2_lambda = d2.value
-    report.eta3_lambda = d3.value
-
-    # Each iterated derivative is judged against the coefficient scale
-    # of its own jet.  The tested value is that jet's constant term, so
-    # this asks whether the value stands out from the local behavior of
-    # the same quantity; products of input scales overshoot badly after
-    # coordinate changes and would drown genuinely nonzero invariants.
-    dec_e1, margins["eta_lambda"] = _margin(d1.value, d1.max_abs_coeff(), zr)
-    dec_e2, margins["eta2_lambda"] = _margin(d2.value, d2.max_abs_coeff(), zr)
-    dec_e3, margins["eta3_lambda"] = _margin(d3.value, d3.max_abs_coeff(), zr)
-
-    if dec_e1 == NONZERO:
-        report.singularity_class = FOLD
-        return report
-    if dec_e1 == UNCERTAIN:
-        report.note = "eta lambda sits between the zero and nonzero thresholds"
-        return report
-
-    if dec_dlam == NONZERO:
-        # Non-degenerate singular point with a tangent null direction.
-        if dec_e2 == NONZERO:
-            report.singularity_class = CUSP
-            return report
-        if dec_e2 == UNCERTAIN:
-            report.note = "eta^2 lambda sits between the zero and nonzero thresholds"
-            return report
-        if dec_e3 == NONZERO:
-            report.singularity_class = SWALLOWTAIL
-            return report
-        if dec_e3 == UNCERTAIN:
-            report.note = "eta^3 lambda sits between the zero and nonzero thresholds"
-            return report
-        report.singularity_class = DEGENERATE
-        report.note = "null-direction derivatives of the discriminant vanish through order three"
-        return report
-
-    if dec_dlam == UNCERTAIN:
-        report.note = "d lambda sits between the zero and nonzero thresholds"
-        return report
-
-    # Degenerate singular point: the discriminant has a critical point.
-    if dec_hess == NONZERO and det_hess > 0.0:
-        report.singularity_class = LIPS
-        return report
-    if dec_hess == NONZERO and det_hess < 0.0:
-        if dec_e2 == NONZERO:
-            report.singularity_class = BEAKS
-            return report
-        if dec_e2 == UNCERTAIN:
-            report.note = "eta^2 lambda sits between the zero and nonzero thresholds"
-            return report
-        report.singularity_class = DEGENERATE
-        report.note = "indefinite discriminant Hessian but eta^2 lambda vanishes"
-        return report
-    if dec_hess == ZERO:
-        report.singularity_class = DEGENERATE
-        report.note = "discriminant Hessian is singular at a critical point"
-        return report
-    report.note = "det Hess lambda sits between the zero and nonzero thresholds"
+    try:
+        report.singularity_class, report.note = _verdict(rank, margins, det_hess)
+    except _Undecided as stop:
+        name = _QUANTITY_NAMES[stop.args[0]]
+        report.note = f"{name} sits between the zero and nonzero thresholds"
     return report
 
 
@@ -556,10 +533,8 @@ def conjugate_by_diffeos(
         if abs(np.linalg.det(L)) <= 1e-8 * max(1.0, np.max(np.abs(L)) ** 2):
             raise NotADiffeomorphism(f"{name} map has a singular linear part")
 
-    mid = [
-        compose_map(poly_to_jet(comp, p, order), *s_jets) - const
-        for comp, const in zip(f.components, f.value_at())
-    ]
+    mid = [compose_map(poly_to_jet(comp, p, order), *s_jets) for comp in f.components]
+    mid = [m - m.value for m in mid]
     return PlaneMapGerm.from_jets(*(compose_map(t, *mid) for t in t_jets))
 
 

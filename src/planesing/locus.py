@@ -26,7 +26,7 @@ and Jacobian entries are evaluated in one stacked Horner pass
 singular root of the cusp system per step, it tries a doubled step.
 Converged runs are sorted and reduced to distinct roots by one array
 helper (_distinct), and each located point is classified by re-basing
-the germ there.
+the germ there; a point classified Immersion or Fold is not reported.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ import numpy as np
 
 from .germs import (
     DEFAULT_TOLERANCES,
+    FOLD,
+    IMMERSION,
     ClassificationReport,
     PlaneMapGerm,
     ToleranceConfig,
@@ -543,7 +545,8 @@ def find_special_points(
     and cusp runs stop once they reach one.  Results are deduplicated
     and sorted by location; each survivor keeps the residual max |F_i|
     of the run that ends at its location and is classified by re-basing
-    the germ.  A box where lambda is zero at every node reports no point.
+    the germ, and one that classify calls Immersion or Fold is dropped.
+    A box where lambda is zero at every node reports no point.
     """
     grid = _discriminant_on_grid(f, box)
     if grid is None:
@@ -578,7 +581,9 @@ def find_special_points(
         ("CuspCandidate", cusp[apart], cusp_resid[apart]),
     ):
         for (a, b), r in zip(x.tolist(), rnorm.tolist()):
-            out.append(SpecialPoint((a, b), kind, r, classify(f.rebase((a, b)), tol)))
+            report = classify(f.rebase((a, b)), tol)
+            if report.singularity_class not in (IMMERSION, FOLD):
+                out.append(SpecialPoint((a, b), kind, r, report))
     out.sort(key=lambda sp: (sp.location[0], sp.location[1], sp.kind))
     return out
 

@@ -6,6 +6,7 @@ import pytest
 from planesing.germs import (
     BEAKS,
     BUILTIN_GERMS,
+    CORANK_TWO,
     CUSP,
     DEGENERATE,
     FOLD,
@@ -13,6 +14,7 @@ from planesing.germs import (
     LIPS,
     SWALLOWTAIL,
     UNRECOGNIZED,
+    ClassificationReport,
     CorankTwoError,
     NotADiffeomorphism,
     PlaneMapGerm,
@@ -24,9 +26,9 @@ from planesing.germs import (
     eta_derivatives,
     null_field,
     rank_df,
-    uses_first_row,
 )
 from planesing.jets import Jet2, poly_to_jet
+from planesing.parsing import parse_map
 from planesing.poly import Poly2
 
 CATALOG = {
@@ -339,6 +341,132 @@ def test_gray_zone_reports_unrecognized():
     assert report.note
 
 
+@pytest.mark.parametrize(
+    "expr,zero_rel,expected,note",
+    [
+        ("(u, 1e-9*v)", 1e-7, IMMERSION, "discriminant is nonzero at the base point"),
+        (
+            "(u, 0.5*u*v^2)",
+            1e-7,
+            DEGENERATE,
+            "indefinite discriminant Hessian but eta^2 lambda vanishes",
+        ),
+        (
+            "(u, 1e-8*v + v^2)",
+            1e-9,
+            UNRECOGNIZED,
+            "discriminant value sits between the zero and nonzero thresholds",
+        ),
+    ],
+)
+def test_rare_verdicts_carry_their_notes(expr, zero_rel, expected, note):
+    report = classify(PlaneMapGerm(parse_map(expr)), ToleranceConfig(zero_rel=zero_rel))
+    assert (report.singularity_class, report.note) == (expected, note)
+
+
+def _classify_reference(f, tol):
+    # the if/else tree that classify's walk replaced, step for step
+    def margin(value, scale):
+        if scale <= 0.0:
+            decision, m = "zero", 0.0
+        else:
+            m = abs(value) / scale
+            if m <= tol.zero_rel:
+                decision = "zero"
+            elif m >= 10.0 * tol.zero_rel:
+                decision = "nonzero"
+            else:
+                decision = "uncertain"
+        return decision, {"value": value, "normalized": m, "decision": decision}
+
+    rank = rank_df(f, tol)
+    lam_deep = poly_to_jet(f.discriminant_poly(), f.base_point, 6)
+    lam = lam_deep.truncate(3)
+    lam1, lam2 = lam_deep.partial(1), lam_deep.partial(2)
+    h11, h12, h22 = lam1.partial(1), lam1.partial(2), lam2.partial(2)
+    det_hess_jet = h11 * h22 - h12 * h12
+    d_lam = (lam.deriv(1, 0), lam.deriv(0, 1))
+    hess = ((lam.deriv(2, 0), lam.deriv(1, 1)), (lam.deriv(1, 1), lam.deriv(0, 2)))
+    det_hess = det_hess_jet.value
+    margins = {}
+    dec_lam, margins["lambda"] = margin(lam.value, lam.max_abs_coeff())
+    dec_dlam, margins["d_lambda"] = margin(max(abs(d_lam[0]), abs(d_lam[1])), lam.max_abs_coeff())
+    dec_hess, margins["det_hess_lambda"] = margin(det_hess, det_hess_jet.max_abs_coeff())
+    report = ClassificationReport(
+        UNRECOGNIZED, f.base_point, rank, lam, d_lam, hess, det_hess,
+        margins=margins, tolerances=tol.as_dict(),
+    )
+
+    def verdict(cls, note=""):
+        report.singularity_class, report.note = cls, note
+        return report
+
+    def between(name):
+        return verdict(UNRECOGNIZED, f"{name} sits between the zero and nonzero thresholds")
+
+    if rank == 2:
+        return verdict(IMMERSION, "Jacobian has full rank at the base point")
+    if rank == 0:
+        return verdict(CORANK_TWO, "Jacobian vanishes at the base point; outside corank-one scope")
+    if dec_lam == "nonzero":
+        return verdict(IMMERSION, "discriminant is nonzero at the base point")
+    if dec_lam == "uncertain":
+        return between("discriminant value")
+    nf = null_field(f, tol)
+    jets, g = [], lam_deep
+    for _ in range(3):
+        m = g.order - 1
+        g = nf.eta[0].truncate(m) * g.partial(1) + nf.eta[1].truncate(m) * g.partial(2)
+        jets.append(g)
+    d1, d2, d3 = jets
+    report.eta_at_p = nf.values_at_base()
+    report.eta_provenance = nf.provenance
+    report.eta_lambda, report.eta2_lambda, report.eta3_lambda = d1.value, d2.value, d3.value
+    dec_e1, margins["eta_lambda"] = margin(d1.value, d1.max_abs_coeff())
+    dec_e2, margins["eta2_lambda"] = margin(d2.value, d2.max_abs_coeff())
+    dec_e3, margins["eta3_lambda"] = margin(d3.value, d3.max_abs_coeff())
+    if dec_e1 == "nonzero":
+        return verdict(FOLD)
+    if dec_e1 == "uncertain":
+        return between("eta lambda")
+    if dec_dlam == "nonzero":
+        if dec_e2 == "nonzero":
+            return verdict(CUSP)
+        if dec_e2 == "uncertain":
+            return between("eta^2 lambda")
+        if dec_e3 == "nonzero":
+            return verdict(SWALLOWTAIL)
+        if dec_e3 == "uncertain":
+            return between("eta^3 lambda")
+        return verdict(
+            DEGENERATE, "null-direction derivatives of the discriminant vanish through order three"
+        )
+    if dec_dlam == "uncertain":
+        return between("d lambda")
+    if dec_hess == "nonzero" and det_hess > 0.0:
+        return verdict(LIPS)
+    if dec_hess == "nonzero" and det_hess < 0.0:
+        if dec_e2 == "nonzero":
+            return verdict(BEAKS)
+        if dec_e2 == "uncertain":
+            return between("eta^2 lambda")
+        return verdict(DEGENERATE, "indefinite discriminant Hessian but eta^2 lambda vanishes")
+    if dec_hess == "zero":
+        return verdict(DEGENERATE, "discriminant Hessian is singular at a critical point")
+    return between("det Hess lambda")
+
+
+@pytest.mark.parametrize("zero_rel", [1e-7, 1e-3, 1e-2, 1e-10, 1e-13, 0.05])
+def test_walk_matches_the_reference_tree(zero_rel):
+    tol = ToleranceConfig(zero_rel=zero_rel)
+    germs = [builtin_germ(name) for name in CATALOG]
+    germs += list(_conjugated_germs(np.random.default_rng(2455), 20))
+    germs += [g.rebase(pt) for g in germs[:6] for pt in ((0.25, 0.0), (0.0, 0.5), (1e-9, 0.0))]
+    germs += [PlaneMapGerm(parse_map(m)) for m in ("(u^2, v^2)", "(u, 0.5*u*v^2)", "(u, 1e-9*v)")]
+    for g in germs:
+        assert classify(g, tol).to_dict() == _classify_reference(g, tol).to_dict()
+
+
 # Reference ports of the dict-based forms that the table reads replaced;
 # the new code must give the same bits.
 
@@ -420,7 +548,7 @@ def _first_row_reference(f, u, tol):
     return max(abs(P.partial(1)(u)), abs(P.partial(2)(u))) > thresh
 
 
-def test_row_rule_on_arrays_matches_its_point_values(rng):
+def test_row_rule_at_points_matches_its_reference(rng):
     u, v = Poly2.variable(1), Poly2.variable(2)
     germs = [
         PlaneMapGerm((u * u + v * v, v)),  # first row vanishes at the origin only
@@ -433,15 +561,27 @@ def test_row_rule_on_arrays_matches_its_point_values(rng):
     xs = np.concatenate([[0.0, 0.0, 0.5, -0.25, 1e-12], rng.uniform(-1.0, 1.0, 40)])
     ys = np.concatenate([[0.0, 1e-300, 0.0, 0.0, 0.0], rng.uniform(-1.0, 1.0, 40)])
     for g in germs:
-        on_array = uses_first_row(g, (xs, ys), tol)
-        assert on_array.shape == xs.shape
-        for k, pt in enumerate(zip(xs, ys)):
-            assert on_array[k] == uses_first_row(g, pt, tol) == _first_row_reference(g, pt, tol)
-    assert not uses_first_row(germs[0], (0.0, 0.0))
-    assert not uses_first_row(germs[1], (0.7, 0.0))
-    assert uses_first_row(germs[1], (0.0, 0.7))
-    for g in germs[:2]:
-        assert null_field(g).provenance == "second-row"
+        for pt in zip(xs, ys):
+            want = "first-row" if _first_row_reference(g, pt, tol) else "second-row"
+            assert null_field(g.rebase(pt), tol).provenance == want
+    assert null_field(germs[0]).provenance == "second-row"
+    assert null_field(germs[1].rebase((0.7, 0.0))).provenance == "second-row"
+    assert null_field(germs[1].rebase((0.0, 0.7))).provenance == "first-row"
+
+
+def test_jacobian_at_base_is_evaluated_once_and_kept_read_only():
+    g = builtin_germ("cusp").rebase((0.5, -0.25))
+    J = g.jacobian_at()
+    assert g.jacobian_at() is J
+    assert not J.flags.writeable
+    assert J.tobytes() == g.jacobian_at(g.base_point).tobytes()
+    # a new base point needs a new matrix
+    h = g.rebase((0.0, 0.0))
+    assert h.jacobian_at() is not J
+    assert h.jacobian_at().tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    # an explicit point is evaluated afresh, into a writable array
+    K = g.jacobian_at((0.5, -0.25))
+    assert K is not J and K.flags.writeable
 
 
 def test_eta_derivatives_match_an_exact_sympy_oracle():

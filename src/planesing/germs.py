@@ -26,9 +26,10 @@ can be re-derived from the report alone.
 Maps are given by exact polynomial components, so every jet here is an
 exact truncation; the tolerance policy exists for inputs that arrive
 through rounded arithmetic (conjugation, Newton-located base points).
-A germ derives its Jacobian polynomials once and evaluates them at its
-base point once; rank_df and the row rule of null_field both read that
-matrix.
+A germ recentres its two components at its base point once, to order
+7, and keeps the four order-6 jets of df.  Every local quantity comes
+from them: rank_df and the row rule of null_field read their values,
+eta is one row of them, and lambda is their determinant.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet2, compose_map, poly_to_jet
-from .poly import InvalidSpec, Poly2, poly_from_spec
+from .jets import Jet2, compose_map, det2x2, poly_to_jet
+from .poly import Poly2, poly_from_spec
 
 __all__ = [
     "ToleranceConfig",
@@ -154,11 +155,11 @@ class PlaneMapGerm:
     marks where jets are taken.  Target constants are irrelevant to
     every derived quantity (they drop out of the Jacobian), so germs
     are not translated in the target.  The Jacobian and discriminant
-    polynomials are derived once, on first use, and kept, and so is the
-    Jacobian matrix at the base point.
+    polynomials are derived once, on first use, and kept, and so are
+    the jets of the Jacobian at the base point.
     """
 
-    __slots__ = ("components", "base_point", "_lam_poly", "_jacobian", "_jacobian_at_base")
+    __slots__ = ("components", "base_point", "_lam_poly", "_jacobian", "_jacobian_jets")
 
     def __init__(self, components, base_point=(0.0, 0.0)):
         comp1, comp2 = components
@@ -172,7 +173,7 @@ class PlaneMapGerm:
         self.base_point = (float(base_point[0]), float(base_point[1]))
         self._lam_poly = None
         self._jacobian = None
-        self._jacobian_at_base = None
+        self._jacobian_jets = None
 
     @classmethod
     def from_jets(cls, jet1: Jet2, jet2: Jet2) -> "PlaneMapGerm":
@@ -183,10 +184,7 @@ class PlaneMapGerm:
         return cls(tuple(Poly2._of(j.coeffs).shift((-p[0], -p[1])) for j in (jet1, jet2)), p)
 
     def rebase(self, new_base) -> "PlaneMapGerm":
-        # the polynomials carry over; the matrix at the new base is new
-        g = PlaneMapGerm(self.components, new_base)
-        g._lam_poly, g._jacobian = self._lam_poly, self._jacobian
-        return g
+        return PlaneMapGerm(self.components, new_base)
 
     def value_at(self, u=None):
         u = self.base_point if u is None else u
@@ -198,17 +196,15 @@ class PlaneMapGerm:
             self._jacobian = tuple((c.partial(1), c.partial(2)) for c in self.components)
         return self._jacobian
 
-    def jacobian_at(self, u=None) -> np.ndarray:
-        """df at u; with no point, df at the base point, evaluated once and kept read-only."""
-        if u is not None:
-            return np.array([[d(u) for d in row] for row in self.jacobian()])
-        if self._jacobian_at_base is None:
-            self._jacobian_at_base = self.jacobian_at(self.base_point)
-            self._jacobian_at_base.flags.writeable = False
-        return self._jacobian_at_base
+    def jacobian_jets(self) -> tuple[tuple[Jet2, Jet2], tuple[Jet2, Jet2]]:
+        """((P_u1, P_u2), (Q_u1, Q_u2)) as order-6 jets at the base point (cached).
 
-    def component_jets(self, order: int = 4) -> tuple[Jet2, Jet2]:
-        return tuple(poly_to_jet(c, self.base_point, order) for c in self.components)
+        Each component is recentred once, to order 7; InvalidSpec if that overflows.
+        """
+        if self._jacobian_jets is None:
+            jets = (poly_to_jet(c, self.base_point, 7) for c in self.components)
+            self._jacobian_jets = tuple((j.partial(1), j.partial(2)) for j in jets)
+        return self._jacobian_jets
 
     def discriminant_poly(self) -> Poly2:
         """Jacobian determinant as an exact global polynomial (cached)."""
@@ -248,17 +244,20 @@ class NullField:
         return (self.eta[0].value, self.eta[1].value)
 
 
+def _lambda_jet(f: PlaneMapGerm) -> Jet2:
+    """Order-6 jet of the Jacobian determinant, from the germ's Jacobian jets."""
+    (Pu, Pv), (Qu, Qv) = f.jacobian_jets()
+    return det2x2(Pu, Pv, Qu, Qv)
+
+
 def discriminant(f: PlaneMapGerm) -> Jet2:
     """Order-3 jet of the Jacobian determinant at the germ's base point."""
-    return poly_to_jet(f.discriminant_poly(), f.base_point, 3)
+    return _lambda_jet(f).truncate(3)
 
 
 def rank_df(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Numerical rank of df at the base point via singular values (InvalidSpec on overflow)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        J = f.jacobian_at()
-    if not np.isfinite(J).all():
-        raise InvalidSpec(f"the Jacobian overflows at {f.base_point}")
+    """Numerical rank of df, from the singular values of the Jacobian jets' values."""
+    J = np.array([[d.value for d in row] for row in f.jacobian_jets()])
     s = np.linalg.svd(J, compute_uv=False)
     scale = f.derivative_scale()
     if s[0] <= tol.rank_threshold * max(scale, 0.0) or s[0] == 0.0:
@@ -269,26 +268,25 @@ def rank_df(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
 
 
 def null_field(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> NullField:
-    """Canonical null direction field of a corank-one germ.
+    """Canonical null direction field of a germ whose df does not vanish.
 
-    Built from the first Jacobian row, or from the second when the first
-    vanishes at the base point: a row vanishes when its largest entry
-    is at most rank_threshold * derivative_scale.  Raises CorankTwoError
-    if both rows vanish there (the Jacobian is zero and no single row
-    determines a kernel direction).
+    Built from the first Jacobian row while that row's largest entry at
+    the base point is above rank_threshold * derivative_scale, and
+    otherwise from the row with the larger entry (the first on a tie).
+    Raises CorankTwoError exactly where rank_df is 0, so the two tests
+    share one bound and classify, which asks only at rank 1, never
+    meets it.
     """
-    (Pu, Pv), (Qu, Qv) = f.jacobian()
-    p = f.base_point
-    row_max = np.abs(f.jacobian_at()).max(axis=1)
+    if rank_df(f, tol) == 0:
+        raise CorankTwoError(f"Jacobian vanishes at {f.base_point}; null direction undefined")
+    (Pu, Pv), (Qu, Qv) = rows = f.jacobian_jets()
+    row_max = [max(abs(a.value), abs(b.value)) for a, b in rows]
     threshold = tol.rank_threshold * max(f.derivative_scale(), 1e-300)
-    if row_max[0] > threshold:
-        polys, provenance = (Pv, -Pu), "first-row"
-    elif row_max[1] > threshold:
-        polys, provenance = (-Qv, Qu), "second-row"
+    if row_max[0] > threshold or row_max[0] >= row_max[1]:
+        eta, provenance = (Pv, -Pu), "first-row"
     else:
-        raise CorankTwoError(f"Jacobian vanishes at {p}; null direction undefined")
-    jets = (poly_to_jet(polys[0], p, 5), poly_to_jet(polys[1], p, 5))
-    return NullField(eta=jets, provenance=provenance)
+        eta, provenance = (-Qv, Qu), "second-row"
+    return NullField(eta=(eta[0].truncate(5), eta[1].truncate(5)), provenance=provenance)
 
 
 def _eta_derivative_jets(lam: Jet2, eta: tuple[Jet2, Jet2]) -> list[Jet2]:
@@ -443,7 +441,7 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     # A deeper jet of the same discriminant feeds the derived
     # quantities, so each of them still carries a populated jet of its
     # own whose coefficient scale is the right yardstick for its value.
-    lam_deep = poly_to_jet(f.discriminant_poly(), f.base_point, 6)
+    lam_deep = _lambda_jet(f)
     lam = lam_deep.truncate(3)
     scale_lam = lam.max_abs_coeff()
 

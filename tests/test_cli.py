@@ -44,6 +44,18 @@ def test_classify_inline_map_degenerate_exits_2(tmp_path):
     assert report["class"] == "Degenerate"
 
 
+def test_classify_rank_one_jacobian_with_small_rows_exits_2(tmp_path):
+    # every Jacobian entry is below the row bound, but df has rank 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "planesing.cli", "classify", "--map",
+         "(6e-9*u+6e-9*v+u^2, 6e-9*u+6e-9*v+v^2)", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "class=Degenerate at (0, 0)\n", "")
+    assert json.loads((tmp_path / "report.json").read_text())["class"] == "Degenerate"
+
+
 def test_classify_json_input(tmp_path):
     spec = {
         "components": [

@@ -145,7 +145,7 @@ def test_df_eta_is_discriminant_column(name):
     nf = null_field(g)
     eta = (nf.eta[0].truncate(3), nf.eta[1].truncate(3))
     lam = discriminant(g)
-    jac = g.component_jets(order=4)
+    jac = [poly_to_jet(c, g.base_point, 4) for c in g.components]
     rows = [
         jac[0].partial(1) * eta[0] + jac[0].partial(2) * eta[1],
         jac[1].partial(1) * eta[0] + jac[1].partial(2) * eta[1],
@@ -380,7 +380,7 @@ def _classify_reference(f, tol):
         return decision, {"value": value, "normalized": m, "decision": decision}
 
     rank = rank_df(f, tol)
-    lam_deep = poly_to_jet(f.discriminant_poly(), f.base_point, 6)
+    lam_deep = _pair_lambda(f)
     lam = lam_deep.truncate(3)
     lam1, lam2 = lam_deep.partial(1), lam_deep.partial(2)
     h11, h12, h22 = lam1.partial(1), lam1.partial(2), lam2.partial(2)
@@ -524,7 +524,8 @@ def test_from_jets_matches_dict_rebuild(rng):
             j1, j2 = _random_jet(rng, order, base), _random_jet(rng, order, base)
             _same_germ(PlaneMapGerm.from_jets(j1, j2), _from_jets_reference(j1, j2))
     for g in _conjugated_germs(rng, 5):
-        jets = g.rebase(tuple(rng.uniform(-0.5, 0.5, 2))).component_jets(order=4)
+        base = tuple(rng.uniform(-0.5, 0.5, 2))
+        jets = [poly_to_jet(c, base, 4) for c in g.components]
         _same_germ(PlaneMapGerm.from_jets(*jets), _from_jets_reference(*jets))
 
 
@@ -569,19 +570,94 @@ def test_row_rule_at_points_matches_its_reference(rng):
     assert null_field(germs[1].rebase((0.0, 0.7))).provenance == "first-row"
 
 
-def test_jacobian_at_base_is_evaluated_once_and_kept_read_only():
+def test_jacobian_jets_are_built_once_per_germ(rng, monkeypatch):
     g = builtin_germ("cusp").rebase((0.5, -0.25))
-    J = g.jacobian_at()
-    assert g.jacobian_at() is J
-    assert not J.flags.writeable
-    assert J.tobytes() == g.jacobian_at(g.base_point).tobytes()
-    # a new base point needs a new matrix
+    jets = g.jacobian_jets()
+    assert g.jacobian_jets() is jets
+    assert {(d.order, d.base_point) for row in jets for d in row} == {(6, g.base_point)}
+    # a new base point needs new jets
     h = g.rebase((0.0, 0.0))
-    assert h.jacobian_at() is not J
-    assert h.jacobian_at().tolist() == [[1.0, 0.0], [0.0, 0.0]]
-    # an explicit point is evaluated afresh, into a writable array
-    K = g.jacobian_at((0.5, -0.25))
-    assert K is not J and K.flags.writeable
+    assert h.jacobian_jets() is not jets
+    assert [[d.value for d in row] for row in h.jacobian_jets()] == [[1.0, 0.0], [0.0, 0.0]]
+    # the values are df at the base point, to rounding
+    germs = [g] + [c.rebase(tuple(rng.uniform(-1.0, 1.0, 2))) for c in _conjugated_germs(rng, 5)]
+    for f in germs:
+        got = [[d.value for d in row] for row in f.jacobian_jets()]
+        want = [[d(f.base_point) for d in row] for row in f.jacobian()]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14 * f.derivative_scale())
+    # and they are all that rank_df, null_field and classify read
+    def global_polynomial(self):
+        raise AssertionError("a global polynomial was built")
+
+    monkeypatch.setattr(PlaneMapGerm, "jacobian", global_polynomial)
+    monkeypatch.setattr(PlaneMapGerm, "discriminant_poly", global_polynomial)
+    for f in germs + [builtin_germ(name) for name in CATALOG]:
+        if classify(f).rank == 1:
+            null_field(f)
+
+
+def _pair_lambda(f):
+    (Pu, Pv), (Qu, Qv) = f.jacobian_jets()
+    return Pu * Qv - Pv * Qu
+
+
+def _lambda_oracle(f):
+    # the route classify took before the Jacobian jets: the global
+    # discriminant polynomial, recentred to order 6
+    return poly_to_jet(f.discriminant_poly(), f.base_point, 6)
+
+
+def test_lambda_jet_matches_the_global_discriminant_bit_for_bit():
+    for name in CATALOG:
+        for pt in ((0.0, 0.0), (0.5, -0.25), (-0.75, 0.125), (0.0625, 1.5)):
+            f = builtin_germ(name).rebase(pt)
+            got = classify(f).lambda_jet
+            want = _lambda_oracle(f)
+            assert got.coeffs.tobytes() == want.truncate(3).coeffs.tobytes(), (name, pt)
+            assert _pair_lambda(f).coeffs.tobytes() == want.coeffs.tobytes(), (name, pt)
+
+
+def test_lambda_jet_matches_the_global_discriminant_on_conjugates(rng):
+    for g in _conjugated_germs(rng, 50):
+        f = g.rebase(tuple(rng.uniform(-0.5, 0.5, 2)))
+        want = _lambda_oracle(f)
+        err = np.abs(_pair_lambda(f).coeffs - want.coeffs).max()
+        assert err <= 1e-13 * want.max_abs_coeff()
+
+
+#: Jacobian [[6e-9, 6e-9], [6e-9, 6e-9]]: its singular value 1.2e-8 is
+#: above rank_threshold = 1e-8 while every entry is below it
+SMALL_ROWS = "(6e-9*u+6e-9*v+u^2, 6e-9*u+6e-9*v+v^2)"
+
+
+def test_small_rows_of_a_rank_one_jacobian_give_a_report():
+    report = classify(PlaneMapGerm(parse_map(SMALL_ROWS)))
+    assert report.rank == 1
+    assert report.eta_provenance == "first-row"
+    assert (report.singularity_class, report.note) == (
+        DEGENERATE,
+        "indefinite discriminant Hessian but eta^2 lambda vanishes",
+    )
+
+
+@pytest.mark.parametrize(
+    "expr,rank,provenance",
+    [
+        ("(u^2, v^2)", 0, None),
+        (SMALL_ROWS.replace("6e-9", "2.4e-9"), 0, None),
+        # neither row clears the row bound: the larger row, the first on a tie
+        (SMALL_ROWS, 1, "first-row"),
+        ("(2e-9*u+2e-9*v+u^2, 9e-9*u+9e-9*v+v^2)", 1, "second-row"),
+    ],
+)
+def test_null_field_raises_exactly_where_rank_df_is_zero(expr, rank, provenance):
+    g = PlaneMapGerm(parse_map(expr))
+    assert rank_df(g) == rank
+    if rank == 0:
+        with pytest.raises(CorankTwoError):
+            null_field(g)
+    else:
+        assert null_field(g).provenance == provenance
 
 
 def test_eta_derivatives_match_an_exact_sympy_oracle():

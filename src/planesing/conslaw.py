@@ -116,10 +116,6 @@ class ConsLawProblem:
             phi = poly_from_spec(data["phi"])
         except KeyError as exc:
             raise InvalidSpec(f"problem needs keys f1, f2, phi; missing {exc}") from exc
-        if not isinstance(f1, Poly1) or not isinstance(f2, Poly1):
-            raise InvalidSpec("f1 and f2 must have vars=1")
-        if not isinstance(phi, Poly2):
-            raise InvalidSpec("phi must have vars=2")
         return cls(f1, f2, phi)
 
     def to_dict(self) -> dict:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import Jet2, compose_map, det2x2, poly_to_jet
-from .poly import Poly2, poly_from_spec
+from .poly import InvalidSpec, Poly2, poly_from_spec
 
 __all__ = [
     "ToleranceConfig",
@@ -199,11 +199,15 @@ class PlaneMapGerm:
     def jacobian_jets(self) -> tuple[tuple[Jet2, Jet2], tuple[Jet2, Jet2]]:
         """((P_u1, P_u2), (Q_u1, Q_u2)) as order-6 jets at the base point (cached).
 
-        Each component is recentred once, to order 7; InvalidSpec if that overflows.
+        Each component is recentred once, to order 7; InvalidSpec, naming
+        the base point, if that overflows.
         """
         if self._jacobian_jets is None:
-            jets = (poly_to_jet(c, self.base_point, 7) for c in self.components)
-            self._jacobian_jets = tuple((j.partial(1), j.partial(2)) for j in jets)
+            try:
+                jets = [poly_to_jet(c, self.base_point, 7) for c in self.components]
+                self._jacobian_jets = tuple((j.partial(1), j.partial(2)) for j in jets)
+            except InvalidSpec as exc:
+                raise InvalidSpec(f"the Jacobian overflows at {self.base_point}") from exc
         return self._jacobian_jets
 
     def discriminant_poly(self) -> Poly2:
@@ -498,28 +502,27 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     return report
 
 
-def conjugate_by_diffeos(
-    f: PlaneMapGerm,
-    source,
-    target,
-    order: int = 4,
-) -> PlaneMapGerm:
-    """The germ target o f o source, truncated at the given jet order.
+#: Jet order of conjugate_by_diffeos.  Order 4 retains everything the
+#: recognition tree reads, since every tested quantity lives in the
+#: 3-jet of the discriminant.
+CONJUGATE_ORDER = 4
+
+
+def conjugate_by_diffeos(f: PlaneMapGerm, source, target) -> PlaneMapGerm:
+    """The germ target o f o source, truncated at jet order CONJUGATE_ORDER.
 
     source is a polynomial map fixing the germ's base point; target is
     one fixing the origin of the translated target plane (the germ's
     value is subtracted before target applies, so classification data
     is unaffected).  Both must have invertible linear parts at their
-    base points.  Order 4 retains everything the recognition tree
-    reads, since every tested quantity lives in the 3-jet of the
-    discriminant.
+    base points.
     """
     p = f.base_point
     s1, s2 = (c if isinstance(c, Poly2) else poly_from_spec(c) for c in source)
     t1, t2 = (c if isinstance(c, Poly2) else poly_from_spec(c) for c in target)
 
-    s_jets = (poly_to_jet(s1, p, order), poly_to_jet(s2, p, order))
-    t_jets = (poly_to_jet(t1, (0.0, 0.0), order), poly_to_jet(t2, (0.0, 0.0), order))
+    s_jets = tuple(poly_to_jet(s, p, CONJUGATE_ORDER) for s in (s1, s2))
+    t_jets = tuple(poly_to_jet(t, (0.0, 0.0), CONJUGATE_ORDER) for t in (t1, t2))
     sv = (s_jets[0].value, s_jets[1].value)
     if math.hypot(sv[0] - p[0], sv[1] - p[1]) > 1e-9 * (1.0 + math.hypot(*p)):
         raise NotADiffeomorphism(f"source map sends base point {p} to {sv}")
@@ -531,7 +534,7 @@ def conjugate_by_diffeos(
         if abs(np.linalg.det(L)) <= 1e-8 * max(1.0, np.max(np.abs(L)) ** 2):
             raise NotADiffeomorphism(f"{name} map has a singular linear part")
 
-    mid = [compose_map(poly_to_jet(comp, p, order), *s_jets) for comp in f.components]
+    mid = [compose_map(poly_to_jet(c, p, CONJUGATE_ORDER), *s_jets) for c in f.components]
     mid = [m - m.value for m in mid]
     return PlaneMapGerm.from_jets(*(compose_map(t, *mid) for t in t_jets))
 

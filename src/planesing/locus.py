@@ -238,15 +238,16 @@ def newton_batch(
     the Jacobian.  Each run iterates on its own: a step that raises the
     residual norm max |F_i| is halved up to eight times, and with three
     equations first tried doubled where it halves the last full step.
-    A run stops, converged if the residual is at most newton_residual,
-    when no step length helps or the step is not finite, or on a small
-    step.  It stops unconverged when it leaves the box by slack 0.5,
-    comes within DEDUP_RADIUS of a point in absorb, or, with three
-    equations, when a step lowers a residual above newton_residual by
-    less than 10%, as on the way to a singular root.  With one equation
-    a run stops, converged, as soon as its residual is at most
-    newton_residual, so a seed already within it does not move.  Runs
-    never interact, so each result is the one the run gets alone.
+    A run stops when no step length helps or the step is not finite, on
+    a small step, after newton_max_iter steps, or, with one equation, as
+    soon as its residual is at most newton_residual, so a seed already
+    within it does not move.  It is stopped short when it leaves the box
+    by slack 0.5, comes within DEDUP_RADIUS of a point in absorb, or,
+    with three equations, when a step lowers a residual above
+    newton_residual by less than 10%, as on the way to a singular root.
+    A run is converged when it was not stopped short and its residual
+    is at most newton_residual.  Runs never interact, so each result is
+    the one the run gets alone.
     Returns (x, residual_norm, converged), shaped (n, 2), (n,) and (n,).
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
@@ -256,14 +257,12 @@ def newton_batch(
     u1, u2 = seeds[:, 0].copy(), seeds[:, 1].copy()
     f = values(u1, u2)
     rnorm = np.abs(f).max(axis=0)
-    converged = np.zeros(len(seeds), dtype=bool)
+    stopped = np.zeros(len(seeds), dtype=bool)
     active = np.arange(len(seeds))
     last = np.full((2, len(seeds)), np.nan)
     for _ in range(tol.newton_max_iter):
         if len(F) == 1:
-            within = rnorm[active] <= tol.newton_residual
-            converged[active[within]] = True
-            active = active[~within]
+            active = active[rnorm[active] > tol.newton_residual]
         if not active.size:
             break
         a1, a2, ra = u1[active], u2[active], rnorm[active]
@@ -301,8 +300,6 @@ def newton_batch(
         # a run without an accepted step is at a local minimum of |F|,
         # perhaps at round-off, or met a singular Jacobian
         moved = t > 0.0
-        stalled = active[~moved]
-        converged[stalled] = rnorm[stalled] <= tol.newton_residual
         index, s1, s2, t, ra = active[moved], s1[moved], s2[moved], t[moved], ra[moved]
         x1, x2 = u1[index], u2[index]
         stop = ~box.contains((x1, x2), slack=0.5)
@@ -315,16 +312,14 @@ def newton_batch(
         if len(F) == 3:
             stop |= ~small_resid & (rnorm[index] > 0.9 * ra)
         small_step = np.maximum(np.abs(s1), np.abs(s2)) <= 1e3 * STEP_TOL
-        done = ~stop & (small | (small_resid & small_step))
-        converged[index[done]] = small_resid[done]
-        live = ~(stop | done)
+        stopped[index[stop]] = True
+        live = ~(stop | small | (small_resid & small_step))
         active = index[live]
         if len(F) == 3:
             # each live run's last full step, NaN after any other step
             full = t[live] == 1.0
             last = np.where(full, s1[live], np.nan), np.where(full, s2[live], np.nan)
-    else:
-        converged[active] = rnorm[active] <= tol.newton_residual
+    converged = ~stopped & (rnorm <= tol.newton_residual)
     return np.stack([u1, u2], axis=-1), rnorm, converged
 
 
@@ -540,12 +535,15 @@ def find_special_points(
     kept when it also lies on the singular set.  On the set, the two
     Jacobian rows give parallel null fields, so a point where one row
     vanishes solves the cusp system only if the other row's eta lambda
-    vanishes too.  Roots of the first system take priority when the two
-    families overlap, since a degenerate point also solves the second,
-    and cusp runs stop once they reach one.  Results are deduplicated
-    and sorted by location; each survivor keeps the residual max |F_i|
-    of the run that ends at its location and is classified by re-basing
-    the germ, and one that classify calls Immersion or Fold is dropped.
+    vanishes too.  Cusp runs stop once they reach a degenerate point,
+    since a degenerate point also solves the second system.  The
+    distinct roots of each system, sorted by location, are reduced by
+    one _distinct pass over the degenerate roots followed by the cusp
+    roots, so a degenerate root wins where the two families overlap.
+    Each survivor keeps the residual max |F_i| of the run that ends at
+    its location and is classified by re-basing the germ, and one that
+    classify calls Immersion or Fold is dropped; the rest come back
+    sorted by location.
     A box where lambda is zero at every node reports no point.
     """
     grid = _discriminant_on_grid(f, box)
@@ -573,17 +571,15 @@ def find_special_points(
     )
     cusp, cusp_resid = roots(cusp_system, absorb=degenerate)
     # a degenerate point also solves the cusp system; it is reported once
-    d = cusp[:, None, :] - degenerate[None, :, :]
-    apart = (d[..., 0] ** 2 + d[..., 1] ** 2 > DEDUP_RADIUS**2).all(axis=1)
+    x = np.concatenate([degenerate, cusp])
+    rnorm = np.concatenate([degenerate_resid, cusp_resid])
     out: list[SpecialPoint] = []
-    for kind, x, rnorm in (
-        ("DegenerateCandidate", degenerate, degenerate_resid),
-        ("CuspCandidate", cusp[apart], cusp_resid[apart]),
-    ):
-        for (a, b), r in zip(x.tolist(), rnorm.tolist()):
-            report = classify(f.rebase((a, b)), tol)
-            if report.singularity_class not in (IMMERSION, FOLD):
-                out.append(SpecialPoint((a, b), kind, r, report))
+    for k in _distinct(x).tolist():
+        (a, b), r = x[k].tolist(), rnorm[k].item()
+        report = classify(f.rebase((a, b)), tol)
+        if report.singularity_class not in (IMMERSION, FOLD):
+            kind = "DegenerateCandidate" if k < len(degenerate) else "CuspCandidate"
+            out.append(SpecialPoint((a, b), kind, r, report))
     out.sort(key=lambda sp: (sp.location[0], sp.location[1], sp.kind))
     return out
 

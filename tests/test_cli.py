@@ -281,6 +281,12 @@ def test_invalid_json_input_exits_64(tmp_path, capsys):
     }
     bad.write_text(json.dumps(prob))
     assert run(["conslaw", str(bad)]) == 64
+    # a flux component in two variables
+    prob["f1"] = {"vars": 2, "terms": [{"c": 0.5, "e": [2, 0]}]}
+    bad.write_text(json.dumps(prob))
+    capsys.readouterr()
+    assert run(["conslaw", str(bad)]) == 64
+    assert capsys.readouterr().err == "planesing: flux components must be one-variable polynomials\n"
 
 
 def test_bad_box_exits_64(tmp_path, capsys):
@@ -301,7 +307,7 @@ def test_bad_box_exits_64(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_non_finite_point_or_time_exits_64(tmp_path):
+def test_non_finite_point_or_time_exits_64(tmp_path, capsys):
     out = tmp_path / "not-made"
     for args in (
         ["classify", "--map", "(u, v^3+u^2*v)", "--at", "inf,0"],
@@ -313,8 +319,11 @@ def test_non_finite_point_or_time_exits_64(tmp_path):
         # finite, but the Jacobian overflows there
         ["classify", "--map", "(u, v^3+u^2*v)", "--at", "1e308,0"],
     ):
+        capsys.readouterr()
         assert run([*args, "--out", str(out)]) == 64
         assert not out.exists()
+    # the overflow names the base point
+    assert capsys.readouterr().err == "planesing: the Jacobian overflows at (1e+308, 0.0)\n"
 
 
 def test_bad_map_file_base_point_exits_64(tmp_path):

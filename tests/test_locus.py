@@ -381,6 +381,21 @@ def test_fold_has_no_special_points():
     assert find_special_points(PlaneMapGerm(parse_map("(u^2+v^2, v)")), BOX) == []
 
 
+def test_constant_discriminant_classifies_no_point(monkeypatch):
+    # lambda = 1: every grad lambda run converges at its seed, and only
+    # the on-set filter keeps those 1024 roots from being classified
+    calls = []
+
+    def counting_classify(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(locus, "classify", counting_classify)
+    germ = PlaneMapGerm(parse_map("(u+v^2, v)"))
+    assert find_special_points(germ, BoxDomain((-1.0, -1.0), (1.0, 1.0), (32, 32))) == []
+    assert len(calls) == 0
+
+
 SCALED_FORMS = {
     "fold": None,
     "cusp": CUSP,

@@ -27,9 +27,10 @@ Maps are given by exact polynomial components, so every jet here is an
 exact truncation; the tolerance policy exists for inputs that arrive
 through rounded arithmetic (conjugation, Newton-located base points).
 A germ recentres its two components at its base point once, to order
-7, and keeps the four order-6 jets of df.  Every local quantity comes
-from them: rank_df and the row rule of null_field read their values,
-eta is one row of them, and lambda is their determinant.
+7, and keeps the four order-6 jets of df and the derivative scale.
+Every local quantity comes from them: rank_df and the row rule of
+null_field read their values, eta is one row of them, and lambda is
+their determinant.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet2, compose_map, det2x2, poly_to_jet
+from .jets import Jet2, _compose_each, det2x2, poly_to_jet
 from .poly import InvalidSpec, Poly2, poly_from_spec
 
 __all__ = [
@@ -159,7 +160,14 @@ class PlaneMapGerm:
     the jets of the Jacobian at the base point.
     """
 
-    __slots__ = ("components", "base_point", "_lam_poly", "_jacobian", "_jacobian_jets")
+    __slots__ = (
+        "components",
+        "base_point",
+        "_lam_poly",
+        "_jacobian",
+        "_jacobian_jets",
+        "_derivative_scale",
+    )
 
     def __init__(self, components, base_point=(0.0, 0.0)):
         comp1, comp2 = components
@@ -174,6 +182,7 @@ class PlaneMapGerm:
         self._lam_poly = None
         self._jacobian = None
         self._jacobian_jets = None
+        self._derivative_scale = None
 
     @classmethod
     def from_jets(cls, jet1: Jet2, jet2: Jet2) -> "PlaneMapGerm":
@@ -199,8 +208,9 @@ class PlaneMapGerm:
     def jacobian_jets(self) -> tuple[tuple[Jet2, Jet2], tuple[Jet2, Jet2]]:
         """((P_u1, P_u2), (Q_u1, Q_u2)) as order-6 jets at the base point (cached).
 
-        Each component is recentred once, to order 7; InvalidSpec, naming
-        the base point, if that overflows.
+        Each component is recentred once, to order 7, which also gives
+        derivative_scale; InvalidSpec, naming the base point, if that
+        overflows.
         """
         if self._jacobian_jets is None:
             try:
@@ -208,6 +218,9 @@ class PlaneMapGerm:
                 self._jacobian_jets = tuple((j.partial(1), j.partial(2)) for j in jets)
             except InvalidSpec as exc:
                 raise InvalidSpec(f"the Jacobian overflows at {self.base_point}") from exc
+            self._derivative_scale = max(
+                float(np.abs(j.coeffs).ravel()[1:].max(initial=0.0)) for j in jets
+            )
         return self._jacobian_jets
 
     def discriminant_poly(self) -> Poly2:
@@ -218,8 +231,10 @@ class PlaneMapGerm:
         return self._lam_poly
 
     def derivative_scale(self) -> float:
-        """Magnitude scale of df: largest non-constant Taylor coefficient."""
-        return max(float(np.abs(c.table).ravel()[1:].max(initial=0.0)) for c in self.components)
+        """Magnitude scale of df: the largest non-constant Taylor coefficient
+        of either component at the base point, through order 7 (cached)."""
+        self.jacobian_jets()
+        return self._derivative_scale
 
     def __repr__(self):
         return f"PlaneMapGerm({self.components[0]!r}, {self.components[1]!r}, base={self.base_point!r})"
@@ -531,23 +546,23 @@ def conjugate_by_diffeos(f: PlaneMapGerm, source, target) -> PlaneMapGerm:
         raise NotADiffeomorphism(f"target map sends the origin to {tv}")
     for name, jets in (("source", s_jets), ("target", t_jets)):
         L = np.array([[j.deriv(1, 0), j.deriv(0, 1)] for j in jets])
-        if abs(np.linalg.det(L)) <= 1e-8 * max(1.0, np.max(np.abs(L)) ** 2):
+        if abs(np.linalg.det(L)) <= 1e-8 * np.max(np.abs(L)) ** 2:
             raise NotADiffeomorphism(f"{name} map has a singular linear part")
 
-    mid = [compose_map(poly_to_jet(c, p, CONJUGATE_ORDER), *s_jets) for c in f.components]
+    mid = _compose_each([poly_to_jet(c, p, CONJUGATE_ORDER) for c in f.components], *s_jets)
     mid = [m - m.value for m in mid]
-    return PlaneMapGerm.from_jets(*(compose_map(t, *mid) for t in t_jets))
+    return PlaneMapGerm.from_jets(*_compose_each(t_jets, *mid))
 
 
-#: The normal forms of the recognized classes, as functions of the
-#: coordinates u and v; builtin_germ builds only the one it is asked for.
+#: The normal forms of the recognized classes, as {(i, j): c} dicts of
+#: their components in the coordinates u and v.
 _NORMAL_FORMS = {
-    "immersion": lambda u, v: (u, v),
-    "fold": lambda u, v: (u, v * v),
-    "cusp": lambda u, v: (u, v * v * v + u * v),
-    "lips": lambda u, v: (u, v * v * v + u * u * v),
-    "beaks": lambda u, v: (u, v * v * v - u * u * v),
-    "swallowtail": lambda u, v: (u, u * v + v * v * v * v),
+    "immersion": ({(1, 0): 1.0}, {(0, 1): 1.0}),
+    "fold": ({(1, 0): 1.0}, {(0, 2): 1.0}),
+    "cusp": ({(1, 0): 1.0}, {(0, 3): 1.0, (1, 1): 1.0}),
+    "lips": ({(1, 0): 1.0}, {(0, 3): 1.0, (2, 1): 1.0}),
+    "beaks": ({(1, 0): 1.0}, {(0, 3): 1.0, (2, 1): -1.0}),
+    "swallowtail": ({(1, 0): 1.0}, {(1, 1): 1.0, (0, 4): 1.0}),
 }
 
 BUILTIN_GERMS = tuple(_NORMAL_FORMS)
@@ -561,4 +576,4 @@ def builtin_germ(name: str) -> PlaneMapGerm:
         raise KeyError(
             f"unknown builtin germ {name!r}; choose from {sorted(_NORMAL_FORMS)}"
         ) from None
-    return PlaneMapGerm(form(Poly2.variable(1), Poly2.variable(2)), (0.0, 0.0))
+    return PlaneMapGerm((Poly2(form[0]), Poly2(form[1])), (0.0, 0.0))

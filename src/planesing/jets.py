@@ -13,13 +13,17 @@ coefficient table ``c`` represents ``sum c[i, j] * (u1 - p1)**i *
 derivative at the base point is ``c[i, j] * i! * j!``.  A `Jet2` table
 is a `Poly2` table cut to that triangle: its product is the same
 ``convolve2`` cut back to the triangle, and its partial derivative the
-same scaled slice.  `compose_map` runs on raw tables, padding each
-power of an inner jet once, and wraps only its result in a `Jet2`.
+same scaled slice.  An operation wraps the table it has just computed
+in its result instead of copying it.  `compose_map` runs on raw
+tables, padding each power of an inner jet once, and wraps only its
+result in a `Jet2`; several outer jets composed with the same inner
+pair share those powers and cross terms.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -140,6 +144,21 @@ class Jet2:
         self.coeffs = table
 
     @classmethod
+    def _of(cls, base_point: tuple[float, float], table: np.ndarray, order: int) -> "Jet2":
+        """Wrap a freshly computed (order+1)-square table, which the jet then owns.
+
+        The table must hold +0.0 beyond the order; only its finiteness
+        is checked.
+        """
+        _finite_or_raise(table)
+        table.setflags(write=False)
+        jet = cls.__new__(cls)
+        jet.base_point = base_point
+        jet.order = order
+        jet.coeffs = table
+        return jet
+
+    @classmethod
     def constant(cls, value: float, base_point, order: int) -> "Jet2":
         t = np.zeros((order + 1, order + 1))
         t[0, 0] = value
@@ -165,12 +184,14 @@ class Jet2:
             out = c[:-1, 1:] * k
         else:
             raise ValueError("axis must be 1 or 2")
-        return Jet2(self.base_point, out, self.order - 1)
+        # an entry beyond order - 1 comes from one beyond the order: +0.0 times k
+        return Jet2._of(self.base_point, out, self.order - 1)
 
     def truncate(self, order: int) -> "Jet2":
         if order > self.order:
             raise JetOrderExhausted(f"cannot extend order {self.order} to {order}")
-        return Jet2(self.base_point, self.coeffs[: order + 1, : order + 1], order)
+        cut = _zero_beyond(self.coeffs[: order + 1, : order + 1].copy(), order)
+        return Jet2._of(self.base_point, cut, order)
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -179,12 +200,13 @@ class Jet2:
             return NotImplemented
         base = _common_base2(self, other)
         n = _common_order2(self, other)
-        return Jet2(base, self.coeffs + other.coeffs, n)
+        return Jet2._of(base, self.coeffs + other.coeffs, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.base_point, -self.coeffs, self.order)
+        # -(+0.0) is -0.0, so the entries beyond the order are reset
+        return Jet2._of(self.base_point, _zero_beyond(-self.coeffs, self.order), self.order)
 
     def __sub__(self, other):
         if not isinstance(other, (int, float, Jet2)):
@@ -196,12 +218,14 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Jet2(self.base_point, self.coeffs * other, self.order)
+            # a negative factor turns +0.0 to -0.0 beyond the order
+            scaled = _zero_beyond(self.coeffs * other, self.order)
+            return Jet2._of(self.base_point, scaled, self.order)
         if not isinstance(other, Jet2):
             return NotImplemented
         base = _common_base2(self, other)
         n = _common_order2(self, other)
-        return Jet2(base, _order_part(convolve2(self.coeffs, other.coeffs), n), n)
+        return Jet2._of(base, _order_part(convolve2(self.coeffs, other.coeffs), n), n)
 
     __rmul__ = __mul__
 
@@ -220,14 +244,18 @@ def det2x2(a11: Jet2, a12: Jet2, a21: Jet2, a22: Jet2) -> Jet2:
     return a11 * a22 - a12 * a21
 
 
+def _zero_beyond(t: np.ndarray, n: int) -> np.ndarray:
+    """The (n+1)-square table t, its entries beyond order n set to +0.0 in place."""
+    t[outside_order(n)] = 0.0
+    return t
+
+
 def _order_part(product: np.ndarray, n: int) -> np.ndarray:
     """Order-n table of a product of two order-n tables, full or flat.
 
     A view of the leading (n+1) x (n+1) block, zeroed beyond order n.
     """
-    t = product.reshape(2 * n + 1, 2 * n + 1)[: n + 1, : n + 1]
-    t[outside_order(n)] = 0.0
-    return t
+    return _zero_beyond(product.reshape(2 * n + 1, 2 * n + 1)[: n + 1, : n + 1], n)
 
 
 def _check_base(value: float, base: float) -> None:
@@ -263,10 +291,22 @@ def compose_map(outer: Jet2, inner1: Jet2, inner2: Jet2) -> Jet2:
     The sum of outer.coeffs[i, j] x^i y^j, with x and y the inner jets
     less their values at the common order n, formed on raw tables.
     """
+    return _compose_each([outer], inner1, inner2)[0]
+
+
+def _compose_each(outers: Sequence[Jet2], inner1: Jet2, inner2: Jet2) -> list[Jet2]:
+    """compose_map of every outer jet with the same inner pair.
+
+    The powers x^k and y^k are formed once, and each cross term x^i y^j
+    once if some outer coefficient needs it; they serve every outer.
+    Each outer's sum adds its terms in (i, j) order, so every result
+    holds the bits a composition of that outer alone gives.
+    """
     base = _common_base2(inner1, inner2)
-    for comp, ob in ((inner1, outer.base_point[0]), (inner2, outer.base_point[1])):
-        _check_base(comp.value, ob)
-    n = min(outer.order, inner1.order, inner2.order)
+    for outer in outers:
+        for comp, ob in ((inner1, outer.base_point[0]), (inner2, outer.base_point[1])):
+            _check_base(comp.value, ob)
+    n = min(inner1.order, inner2.order, *(outer.order for outer in outers))
     w = 2 * n + 1
     # padded[0, k] holds x^k and padded[1, k] y^k, each row padded once to
     # width w; flat[b, k] is the same table as convolve2 flattens it
@@ -274,25 +314,28 @@ def compose_map(outer: Jet2, inner1: Jet2, inner2: Jet2) -> Jet2:
     padded[:, 0, 0, 0] = 1.0
     tables = padded[..., : n + 1]
     flat = padded.reshape(2, n + 1, -1)[..., : n * w + n + 1]
-    if n:  # an entry beyond order n never reaches one within it; Jet2 zeroes it
+    if n:  # an entry beyond order n never reaches one within it, and is zeroed last
         tables[:, 1] = [c.coeffs[: n + 1, : n + 1] for c in (inner1, inner2)]
         tables[:, 1, 0, 0] = 0.0
     for k in range(2, n + 1):
         for b in range(2):
             tables[b, k] = _order_part(np.convolve(flat[b, k - 1], flat[b, 1]), n)
     _finite_or_raise(padded)
-    result = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            c = outer.coeffs[i, j]
-            # the sum starts at 0.0, so it never holds -0.0 and adding a zero
-            # of either sign leaves it as it is: the product of 1 and a power
-            # is that power up to the signs of its zeros
-            if c != 0.0 and i and j:
-                result += _order_part(np.convolve(flat[0, i], flat[1, j]), n) * c
-            elif c != 0.0:
-                result += (tables[0, i] if i else tables[1, j]) * c
-    return Jet2(base, result, n)
+    coeffs = np.array([outer.coeffs[: n + 1, : n + 1] for outer in outers])
+    results = np.zeros(coeffs.shape)
+    # the (i, j) within order n where some outer coefficient is nonzero, in
+    # (i, j) order
+    for i, j in zip(*np.nonzero(coeffs.any(axis=0) & ~outside_order(n))):
+        if i and j:
+            term = _order_part(np.convolve(flat[0, i], flat[1, j]), n)
+        else:
+            term = tables[0, i] if i else tables[1, j]
+        # each sum starts at 0.0, so it never holds -0.0, and adding a zero
+        # of either sign leaves it as it is: the product of 1 and a power is
+        # that power up to the signs of its zeros, and an outer whose
+        # coefficient is zero adds only zeros
+        results += term * coeffs[:, i, j, None, None]
+    return [Jet2._of(base, _zero_beyond(result, n), n) for result in results]
 
 
 def poly_to_jet(p: Poly1 | Poly2, base_point, order: int):
@@ -307,4 +350,5 @@ def poly_to_jet(p: Poly1 | Poly2, base_point, order: int):
         return Jet1(float(base_point), p.recentered_coeffs(float(base_point), order), order)
     if not hasattr(base_point, "__len__") or len(base_point) != 2:
         raise InvalidSpec("two-variable polynomial needs a two-component base point")
-    return Jet2(base_point, p.recentered_coeffs(base_point, order), order)
+    base = (float(base_point[0]), float(base_point[1]))
+    return Jet2._of(base, p.recentered_coeffs(base, order), order)

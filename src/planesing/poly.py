@@ -303,14 +303,15 @@ class Poly2:
     def _set_table(self, table: np.ndarray) -> None:
         if not np.isfinite(table).all():
             raise InvalidSpec("non-finite coefficient")
-        nonzero = table != 0.0
-        rows = np.flatnonzero(nonzero.any(axis=1))
-        if rows.size:
-            cols = np.flatnonzero(nonzero.any(axis=0))
-            if (rows[-1] + 1, cols[-1] + 1) != table.shape:
+        # most tables come out trimmed already: a nonzero last row and column
+        if not (table.size and table[-1].any() and table[:, -1].any()):
+            nonzero = table != 0.0
+            rows = np.flatnonzero(nonzero.any(axis=1))
+            if rows.size:
+                cols = np.flatnonzero(nonzero.any(axis=0))
                 table = table[: rows[-1] + 1, : cols[-1] + 1].copy()
-        else:
-            table = np.zeros((1, 1))
+            else:
+                table = np.zeros((1, 1))
         table.setflags(write=False)
         self.table = table
 
@@ -410,7 +411,13 @@ class Poly2:
 
     def _shifted_table(self, base) -> np.ndarray:
         t = self.table
-        b1, b2 = _binomial(float(base[0]), t.shape[0]), _binomial(float(base[1]), t.shape[1])
+        d1, d2 = float(base[0]), float(base[1])
+        if d1 == 0.0 and d2 == 0.0:
+            # the binomial matrices are the identity, and a product of
+            # them sums each entry with zeros from +0.0: the entry itself,
+            # with -0.0 turned to +0.0
+            return t + 0.0
+        b1, b2 = _binomial(d1, t.shape[0]), _binomial(d2, t.shape[1])
         with _overflow_raises_later():
             return b1 @ t @ b2.T
 

@@ -27,9 +27,10 @@ from planesing.germs import (
     null_field,
     rank_df,
 )
-from planesing.jets import Jet2, poly_to_jet
+from planesing.jets import Jet2, compose_map, poly_to_jet
 from planesing.parsing import parse_map
-from planesing.poly import Poly2
+from planesing.poly import Poly2, _binomial
+from planesing.serialize import canonical_json
 
 CATALOG = {
     "immersion": IMMERSION,
@@ -287,6 +288,50 @@ def test_random_conjugation_suite(rng):
             assert classify(h).singularity_class == expected, name
 
 
+def _binomial_shifted_table(self, base):
+    """Poly2's shift as the two binomial products, even for a zero shift."""
+    t = self.table
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _binomial(float(base[0]), t.shape[0]) @ t @ _binomial(float(base[1]), t.shape[1]).T
+
+
+def _conjugate_reference(f, source, target):
+    """conjugate_by_diffeos with one compose_map call per component."""
+    p, order = f.base_point, 4
+    s_jets = [poly_to_jet(s, p, order) for s in source]
+    t_jets = [poly_to_jet(t, (0.0, 0.0), order) for t in target]
+    mid = [compose_map(poly_to_jet(c, p, order), *s_jets) for c in f.components]
+    mid = [m - m.value for m in mid]
+    return PlaneMapGerm.from_jets(*(compose_map(t, *mid) for t in t_jets))
+
+
+def _conjugation_bytes(germs, conjugate):
+    out = []
+    for f, source, target in germs:
+        g = conjugate(f, source, target)
+        out.append([(c.table.shape, c.table.tobytes()) for c in g.components])
+        out += [canonical_json(classify(g, ToleranceConfig(zero_rel=zr)).to_dict())
+                for zr in (1e-7, 1e-3)]
+    return out
+
+
+def test_conjugation_matches_the_per_component_reference_bytes(rng, monkeypatch):
+    p = (0.375, -0.625)
+    cases = []
+    for _ in range(10):
+        source, target = random_origin_diffeo(rng), random_origin_diffeo(rng)
+        # the same changes moved to p: u -> p + s(u - p)
+        moved = tuple(s.shift((-p[0], -p[1])) + c for s, c in zip(source, p))
+        for name in CATALOG:
+            form = builtin_germ(name)
+            cases.append((form, source, target))
+            at_p = tuple(c.shift((-p[0], -p[1])) for c in form.components)
+            cases.append((PlaneMapGerm(at_p, p), moved, target))
+    got = _conjugation_bytes(cases, conjugate_by_diffeos)
+    monkeypatch.setattr(Poly2, "_shifted_table", _binomial_shifted_table)
+    assert got == _conjugation_bytes(cases, _conjugate_reference)
+
+
 def test_degenerate_linear_part_rejected():
     bad = (
         Poly2({(1, 0): 1.0, (0, 1): 1.0}),
@@ -295,6 +340,17 @@ def test_degenerate_linear_part_rejected():
     ident = (Poly2.variable(1), Poly2.variable(2))
     with pytest.raises(NotADiffeomorphism):
         conjugate_by_diffeos(builtin_germ("fold"), bad, ident)
+    with pytest.raises(NotADiffeomorphism):
+        conjugate_by_diffeos(builtin_germ("fold"), ident, tuple(c * 1e-5 for c in bad))
+
+
+def test_small_invertible_linear_parts_are_diffeomorphisms():
+    # the singular-linear-part test is relative to the size of the part
+    small = (Poly2({(1, 0): 1e-5}), Poly2({(0, 1): 1e-5}))
+    ident = (Poly2.variable(1), Poly2.variable(2))
+    for source, target in ((small, ident), (ident, small), (small, small)):
+        h = conjugate_by_diffeos(builtin_germ("cusp"), source, target)
+        assert classify(h).singularity_class == CUSP
 
 
 def test_source_diffeo_must_fix_base_point():
@@ -317,6 +373,17 @@ def test_classification_is_translation_invariant():
     report = classify(g)
     assert report.singularity_class == FOLD
     assert report.base_point == pytest.approx((1.3, 0.0))
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6, 1e8])
+def test_translated_fold_is_a_fold(shift):
+    # df is measured at the base point, where the fold's Jacobian is
+    # [[1, 0], [0, 0]], not by the global coefficients, which grow with
+    # the translation
+    g = PlaneMapGerm(parse_map(f"(u - {shift!r}, (v - {shift!r})^2)"), (shift, shift))
+    assert g.derivative_scale() == 1.0
+    report = classify(g)
+    assert (report.singularity_class, report.rank) == (FOLD, 1)
 
 
 def test_tolerance_validation():
@@ -488,11 +555,12 @@ def _from_jets_reference(jet1, jet2):
 
 
 def _derivative_scale_reference(f):
+    # the Taylor coefficients at the base point through order 7, read one by one
     s = 0.0
     for comp in f.components:
-        for (i, j), c in comp.coeffs.items():
+        for (i, j), c in np.ndenumerate(comp.recentered_coeffs(f.base_point, 7)):
             if i + j >= 1:
-                s = max(s, abs(c))
+                s = max(s, abs(float(c)))
     return s
 
 

@@ -319,6 +319,24 @@ def test_partial_matches_row_loop_bit_for_bit(rng):
                 assert got.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
+def test_operation_results_hold_normal_tables(rng):
+    # an operation wraps the table it computed: square, read-only, owned,
+    # and +0.0 beyond the order, as the constructor would leave it
+    for order in range(0, 6):
+        for _ in range(10):
+            a = _random_jet(rng, order)
+            b = Jet2(a.base_point, _random_jet(rng, order).coeffs, order)
+            results = [-a, a + b, a - b, a * b, a * -2.5, a + 1.5, 1.5 - a]
+            results += [a.truncate(k) for k in range(order + 1)]
+            if order:
+                results += [a.partial(1), a.partial(2)]
+            for r in results:
+                assert r.coeffs.shape == (r.order + 1, r.order + 1)
+                assert r.coeffs.tobytes() == Jet2(r.base_point, r.coeffs, r.order).coeffs.tobytes()
+                assert not r.coeffs.flags.writeable
+                assert not any(np.shares_memory(r.coeffs, o.coeffs) for o in (a, b))
+
+
 def _compose_map_reference(outer, inner1, inner2):
     """compose_map as the per-term Jet2 arithmetic it was before it ran on tables."""
     base = inner1.base_point

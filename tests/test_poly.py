@@ -258,6 +258,62 @@ def test_poly2_overflowing_operations_raise_invalid_spec():
             op()
 
 
+def _trim_reference(table: np.ndarray) -> np.ndarray:
+    """The trim of every table, before trimmed tables were kept as they are."""
+    if not np.isfinite(table).all():
+        raise InvalidSpec("non-finite coefficient")
+    nonzero = table != 0.0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    if not rows.size:
+        return np.zeros((1, 1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    return table[: rows[-1] + 1, : cols[-1] + 1].copy()
+
+
+def test_trimming_matches_the_mask_reference(rng):
+    tables = [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((3, 4)), np.full((2, 2), -0.0)]
+    for _ in range(300):
+        t = rng.uniform(-2.0, 2.0, tuple(rng.integers(1, 7, 2)))
+        t[rng.random(t.shape) < 0.3] = 0.0
+        t[rng.random(t.shape) < 0.2] = -0.0
+        if rng.random() < 0.4:
+            t[-1] = 0.0 if rng.random() < 0.5 else -0.0
+        if rng.random() < 0.4:
+            t[:, -1] = -0.0
+        tables.append(t)
+    for t in tables:
+        got, want = Poly2._of(t.copy()).table, _trim_reference(t)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    for bad in (math.nan, math.inf, -math.inf):
+        for where in ((0, 0), (-1, -1), (1, 0)):
+            t = np.ones((3, 3))
+            t[where] = bad
+            with pytest.raises(InvalidSpec):
+                Poly2._of(t)
+
+
+def test_zero_shift_matches_the_binomial_product_bit_for_bit(rng):
+    for _ in range(100):
+        t = rng.uniform(-2.0, 2.0, tuple(rng.integers(1, 9, 2)))
+        t[rng.random(t.shape) < 0.3] = 0.0
+        t[rng.random(t.shape) < 0.3] = -0.0
+        t[-1, 0] = t[0, -1] = 1.0
+        p = Poly2._of(t)
+        for base in ((0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)):
+            want = poly._binomial(base[0], t.shape[0]) @ t @ poly._binomial(base[1], t.shape[1]).T
+            got = p.shift(base).table
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            order = int(rng.integers(0, 9))
+            full = np.zeros((order + 9, order + 9))
+            full[: t.shape[0], : t.shape[1]] = want
+            cut = np.where(np.add.outer(range(order + 1), range(order + 1)) <= order,
+                           full[: order + 1, : order + 1], 0.0)
+            assert p.recentered_coeffs(base, order).tobytes() == cut.tobytes()
+
+
 def test_spec_round_trip():
     spec = {"vars": 2, "terms": [{"c": 3.0, "e": [0, 2]}, {"c": -1.0, "e": [1, 0]}]}
     p = poly_from_spec(spec)

@@ -268,6 +268,8 @@ def run_conslaw(args: argparse.Namespace) -> int:
             t = times[0]
         try:
             record = singularity_at(prob, u, t, args.tolerances)
+        except InvalidSpec:
+            raise
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             print("no singularity at the requested point")

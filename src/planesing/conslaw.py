@@ -40,7 +40,7 @@ from .germs import (
 )
 from .jets import compose_univariate, poly_to_jet
 from .locus import BoxDomain, _distinct, critical_value_image, newton_batch, sample_singular_set
-from .poly import InvalidSpec, Poly1, Poly2, poly_from_spec, poly_to_spec
+from .poly import InvalidSpec, Poly1, Poly2, _overflow_raises_later, poly_from_spec, poly_to_spec
 
 __all__ = [
     "ConsLawProblem",
@@ -211,8 +211,12 @@ def singular_time_field(
 
     1 + t trace C(u) = 0 has a positive solution only for negative
     trace; None means no finite positive singular time at this point.
+    InvalidSpec if the shape operator overflows at u.
     """
-    op = shape_operator(prob, u)
+    with _overflow_raises_later():
+        op = shape_operator(prob, u)
+    if not np.isfinite([*op.entries[0], *op.entries[1], op.trace]).all():
+        raise InvalidSpec(f"the shape operator overflows at {u}")
     scale = max(abs(e) for row in op.entries for e in row)
     if op.trace >= -tol.zero_rel * max(scale, 1e-300):
         return None
@@ -454,11 +458,14 @@ def first_singularity(
 
 
 def _analyze_point(prob, point, t, tol, co_minimizers) -> FirstSingularity:
-    xi = xi_closed_form(prob, point)
-    tau_val = prob.trace_poly(point)
     _, _, t11, t12, t22 = prob.trace_partials
-    h11, h12, h22 = t11(point), t12(point), t22(point)
+    with _overflow_raises_later():
+        xi = xi_closed_form(prob, point)
+        tau_val = prob.trace_poly(point)
+        h11, h12, h22 = t11(point), t12(point), t22(point)
     hess_scale = max(abs(h11), abs(h12), abs(h22))
+    if not np.isfinite([*xi, tau_val, h11, h12, h22, hess_scale * hess_scale]).all():
+        raise InvalidSpec(f"the singular-time field overflows at {point}")
     xi3_solid = abs(xi[2]) >= 10.0 * tol.zero_rel * max(hess_scale**2, 1e-300)
     germ = characteristic_map(prob, t, point)
     report = classify(germ, tol)

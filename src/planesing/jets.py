@@ -27,7 +27,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .poly import InvalidSpec, Poly1, Poly2, convolve2, outside_order
+from .poly import InvalidSpec, Poly1, Poly2, _overflow_raises_later, convolve2, outside_order
 
 __all__ = [
     "Jet1",
@@ -178,12 +178,13 @@ class Jet2:
         if self.order == 0:
             raise JetOrderExhausted("cannot differentiate an order-0 jet")
         c, k = self.coeffs, np.arange(1, self.order + 1)
-        if axis == 1:
-            out = c[1:, :-1] * k[:, None]
-        elif axis == 2:
-            out = c[:-1, 1:] * k
-        else:
-            raise ValueError("axis must be 1 or 2")
+        with _overflow_raises_later():
+            if axis == 1:
+                out = c[1:, :-1] * k[:, None]
+            elif axis == 2:
+                out = c[:-1, 1:] * k
+            else:
+                raise ValueError("axis must be 1 or 2")
         # an entry beyond order - 1 comes from one beyond the order: +0.0 times k
         return Jet2._of(self.base_point, out, self.order - 1)
 

@@ -613,7 +613,7 @@ def ruling_map(curve, t0: float = 0.0) -> PlaneMapGerm:
     a'b'' - a''b', so the sweep is singular exactly along the curve
     itself (w = 0) and degenerates further where the curve has an
     inflection.  The germ is taken at (t0, 0), which must be a regular
-    curve point.
+    curve point; a velocity that overflows there raises InvalidSpec.
     """
     a, b = curve
     if not isinstance(a, Poly1):
@@ -624,16 +624,13 @@ def ruling_map(curve, t0: float = 0.0) -> PlaneMapGerm:
         raise TypeError("ruling curve components must be one-variable polynomials")
     da, db = a.derivative(), b.derivative()
     speed = math.hypot(da(t0), db(t0))
+    if not math.isfinite(speed):
+        raise InvalidSpec(f"curve velocity overflows at t0={t0}")
     coeff_scale = max(a.max_abs_coeff(), b.max_abs_coeff(), 1.0)
     if speed <= 1e-9 * coeff_scale:
         raise NotRegularCurve(f"curve velocity vanishes at t0={t0}")
 
-    t = Poly2.variable(1)
     w = Poly2.variable(2)
-
-    def lift(p: Poly1) -> Poly2:
-        return Poly2({(k, 0): c for k, c in p.coeffs.items()})
-
-    comp1 = lift(a) + w * lift(da)
-    comp2 = lift(b) + w * lift(db)
+    comp1 = a.poly2 + w * da.poly2
+    comp2 = b.poly2 + w * db.poly2
     return PlaneMapGerm((comp1, comp2), (float(t0), 0.0))

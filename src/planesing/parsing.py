@@ -4,7 +4,9 @@ Accepts sums of signed monomial terms with explicit or juxtaposed
 multiplication and integer powers, e.g. ``(u, v^3+u^3 v)`` for a plane
 map or ``t,t^3`` for a curve.  Plane maps use variables u, v; curves
 use t.  An expression may not pass degree MAX_INPUT_DEGREE, and no
-exponent or product beyond it is built.  The output is exact
+exponent or product beyond it is built; its parentheses may not nest
+deeper than MAX_NESTING.  A curve is parsed with Poly2 arithmetic in
+u1 and each component wrapped as a Poly1.  The output is exact
 Poly1/Poly2 values ready for germ construction.
 """
 
@@ -20,6 +22,12 @@ __all__ = ["ParseError", "parse_map", "parse_curve", "parse_reals", "check_reals
 
 class ParseError(ValueError):
     """The expression does not conform to the inline grammar."""
+
+
+#: Deepest parenthesis nesting of one expression.  The recursive descent
+#: takes three calls a level, so the cap keeps it well inside Python's
+#: recursion limit; the expressions in use nest a few levels at most.
+MAX_NESTING = 100
 
 
 def _product(a, b):
@@ -186,6 +194,11 @@ def _parse_one(text: str, variables, one):
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
+    depth = 0
+    for tok in tokens:
+        depth += (tok == ("op", "(")) - (tok == ("op", ")"))
+        if depth > MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than the cap {MAX_NESTING}")
     parser = _Parser(tokens, variables, one)
     result = parser.parse_expr()
     if not parser.finished():
@@ -208,9 +221,9 @@ def parse_curve(text: str) -> tuple[Poly1, Poly1]:
     parts = _split_top_level(text)
     if len(parts) != 2:
         raise ParseError(f"a curve needs exactly 2 components, got {len(parts)}")
-    variables = {"t": Poly1.identity()}
-    one = Poly1.constant(1.0)
-    return tuple(_parse_one(p, variables, one) for p in parts)
+    variables = {"t": Poly2.variable(1)}
+    one = Poly2.constant(1.0)
+    return tuple(Poly1._of(_parse_one(p, variables, one)) for p in parts)
 
 
 def parse_reals(text: str, count: int | None = None) -> tuple[float, ...]:

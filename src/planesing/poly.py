@@ -1,14 +1,14 @@
 """Exact polynomials in one or two variables.
 
-A Poly1 keeps its coefficients sparsely, keyed by exponent.  A Poly2
-keeps one dense coefficient table, and its products, shifts and
-derivatives are array operations on that table; convolve2 and
+A Poly2 keeps one dense coefficient table, and its products, shifts
+and derivatives are array operations on that table; convolve2 and
 outside_order are the table kernel that the jets share, and HornerStack
-evaluates several tables at the same points in one pass.  Arithmetic is
-exact up to float rounding; no coefficient thresholding happens here.
-This layer backs the jet machinery and every place the rest of the
-package needs a globally valid expression rather than a truncated local
-one.
+evaluates several tables at the same points in one pass.  A Poly1 is a
+one-column Poly2, the polynomial in u1 alone, so the same kernel serves
+both arities.  Arithmetic is exact up to float rounding; no coefficient
+thresholding happens here.  This layer backs the jet machinery and
+every place the rest of the package needs a globally valid expression
+rather than a truncated local one.
 """
 
 from __future__ import annotations
@@ -171,21 +171,23 @@ def _binomial(d: float, n: int) -> np.ndarray:
 
 
 class Poly1:
-    """Polynomial in one variable, stored as {exponent: coefficient}."""
+    """Polynomial in one variable, held as a one-column Poly2.
 
-    __slots__ = ("coeffs",)
+    Entry (k, 0) of ``poly2.table`` multiplies y**k, so derivatives,
+    recentring and composition run on the Poly2 table kernel.
+    """
+
+    __slots__ = ("poly2",)
 
     def __init__(self, coeffs: Mapping[int, float] | None = None):
-        clean: dict[int, float] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                k = int(k)
-                if k < 0:
-                    raise InvalidSpec(f"negative exponent {k}")
-                c = _check_coeff(c)
-                if c != 0.0:
-                    clean[k] = clean.get(k, 0.0) + c
-        self.coeffs = {k: c for k, c in clean.items() if c != 0.0}
+        self.poly2 = Poly2({(k, 0): c for k, c in (coeffs or {}).items()})
+
+    @classmethod
+    def _of(cls, poly2: "Poly2") -> "Poly1":
+        """Wrap a Poly2 in u1 alone."""
+        p = cls.__new__(cls)
+        p.poly2 = poly2
+        return p
 
     @classmethod
     def identity(cls) -> "Poly1":
@@ -195,75 +197,44 @@ class Poly1:
     def constant(cls, c: float) -> "Poly1":
         return cls({0: c})
 
+    @property
+    def coeffs(self) -> dict[int, float]:
+        """The nonzero coefficients as a new {k: c} dict, in ascending k."""
+        return {k: c for k, c in enumerate(self.poly2.table[:, 0].tolist()) if c}
+
     def degree(self) -> int:
-        return max(self.coeffs, default=0)
+        return self.poly2.degree()
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.poly2.is_zero()
 
     def derivative(self, m: int = 1) -> "Poly1":
-        p = self
+        p = self.poly2
         for _ in range(m):
-            p = Poly1({k - 1: c * k for k, c in p.coeffs.items() if k >= 1})
-        return p
+            p = p.partial(1)
+        return Poly1._of(p)
 
     def __call__(self, y: float) -> float:
-        return float(sum(c * y**k for k, c in self.coeffs.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = Poly1.constant(other)
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return Poly1(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly1({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly1) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Poly1({k: c * other for k, c in self.coeffs.items()})
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        out: dict[int, float] = {}
-        for ka, ca in self.coeffs.items():
-            for kb, cb in other.coeffs.items():
-                k = ka + kb
-                out[k] = out.get(k, 0.0) + ca * cb
-        return Poly1(out)
-
-    __rmul__ = __mul__
+        """Value at y, the power sum over the nonzero terms in ascending k."""
+        try:
+            return float(sum(c * y**k for k, c in self.coeffs.items()))
+        except OverflowError:
+            raise InvalidSpec(f"the polynomial overflows at {y!r}") from None
 
     def compose2(self, inner: "Poly2") -> "Poly2":
         """Exact substitution self(inner(u1, u2)) via Horner's scheme."""
-        n = self.degree()
-        dense = [self.coeffs.get(k, 0.0) for k in range(n + 1)]
-        out = Poly2.constant(dense[n])
-        for k in range(n - 1, -1, -1):
-            out = out * inner + Poly2.constant(dense[k])
+        *low, top = self.poly2.table[:, 0].tolist()
+        out = Poly2.constant(top)
+        for c in reversed(low):
+            out = out * inner + Poly2.constant(c)
         return out
 
-    def recentered_coeffs(self, base: float, order: int) -> list[float]:
+    def recentered_coeffs(self, base: float, order: int) -> np.ndarray:
         """Taylor coefficients at ``base``, truncated at ``order``."""
-        out = [0.0] * (order + 1)
-        for k, c in self.coeffs.items():
-            for a in range(min(k, order) + 1):
-                out[a] += c * math.comb(k, a) * base ** (k - a)
-        return out
+        return self.poly2.recentered_coeffs((base, 0.0), order)[:, 0]
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return self.poly2.max_abs_coeff()
 
     def __repr__(self):
         return f"Poly1({self.coeffs!r})"

@@ -326,6 +326,52 @@ def test_non_finite_point_or_time_exits_64(tmp_path, capsys):
     assert capsys.readouterr().err == "planesing: the Jacobian overflows at (1e+308, 0.0)\n"
 
 
+def test_overflow_at_a_finite_point_or_time_exits_64_without_a_traceback(tmp_path):
+    # overflows in a Poly1 value, a ruling velocity, a Jacobian and a shape
+    # operator; each is one "planesing:" line, with no numpy warning
+    prob = tmp_path / "P.json"
+    prob.write_text(json.dumps({
+        "f1": {"vars": 1, "terms": [{"c": 1.0, "e": [6]}]},
+        "f2": {"vars": 1, "terms": []},
+        "phi": {"vars": 2, "terms": [{"c": 1e300, "e": [1, 0]}]},
+    }))
+    # the square of its Hessian scale overflows, with every value finite
+    hess = tmp_path / "H.json"
+    hess.write_text(json.dumps({
+        "f1": {"vars": 1, "terms": [{"c": 0.5, "e": [2]}]},
+        "f2": {"vars": 1, "terms": []},
+        "phi": {"vars": 2, "terms": [{"c": 1e155, "e": [3, 0]}, {"c": -1.0, "e": [1, 0]}]},
+    }))
+    out = tmp_path / "not-made"
+    for args in (
+        ["classify", "--builtin", "ruling", "--curve", "t,t^3", "--at", "1e200"],
+        ["trace", "--builtin", "ruling", "--curve", "t,t^3", "--at", "1e200"],
+        ["classify", "--builtin", "ruling", "--curve", "t,1e300*t^2", "--at", "1e10"],
+        ["conslaw", str(prob), "--at", "1,0"],
+        ["conslaw", "--builtin", "burgers-lips", "--at", "0,0", "--time", "1e308"],
+        ["conslaw", "--builtin", "burgers-lips", "--at", "1e200,0"],
+        ["conslaw", "--builtin", "burgers-lips", "--at", "1e200,0", "--time", "1"],
+        ["conslaw", "--builtin", "burgers-lips", "--at", "1e100,0", "--time", "1"],
+        ["conslaw", str(hess), "--at", "0,0"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "planesing.cli", *args, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (64, ""), (args, proc.stderr)
+        assert proc.stderr.startswith("planesing: ") and proc.stderr.count("\n") == 1, args
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", [400, 10000])
+def test_deeply_nested_expressions_exit_64(capsys, levels):
+    nested = {name: "(" * levels + name + ")" * levels for name in "ut"}
+    assert run(["classify", "--map", f"{nested['u']}, v"]) == 64
+    assert run(["classify", "--builtin", "ruling", "--curve", f"{nested['t']}, t^3"]) == 64
+    assert capsys.readouterr().err.count("nest deeper than the cap") == 2
+
+
 def test_bad_map_file_base_point_exits_64(tmp_path):
     components = [
         {"vars": 2, "terms": [{"c": 1.0, "e": [1, 0]}]},

@@ -499,6 +499,15 @@ def test_ruling_map_rejects_stationary_curve():
         ruling_map((Poly1({2: 1.0}), Poly1({3: 1.0})), 0.0)
 
 
+def test_ruling_map_rejects_an_overflowing_velocity():
+    # the power overflows in 3 t^2 at 1e200; the product 2e300 * 1e10
+    # overflows to inf without an exception
+    for curve, t0 in (((Poly1({1: 1.0}), Poly1({3: 1.0})), 1e200),
+                      ((Poly1({1: 1.0}), Poly1({2: 1e300})), 1e10)):
+        with pytest.raises(InvalidSpec):
+            ruling_map(curve, t0)
+
+
 def test_ruling_map_null_direction():
     from planesing.germs import null_field
 

@@ -1,6 +1,6 @@
 import pytest
 
-from planesing.parsing import ParseError, check_reals, parse_curve, parse_map, parse_reals
+from planesing.parsing import MAX_NESTING, ParseError, check_reals, parse_curve, parse_map, parse_reals
 from planesing.poly import MAX_INPUT_DEGREE
 
 
@@ -100,3 +100,13 @@ def test_parse_reals():
     for bad in ([1.0], ["a", 0], [True, 0], [None, 0], [float("nan"), 0], [10**400, 0]):
         with pytest.raises(ParseError):
             check_reals(bad, 2, "p")
+
+
+def test_nesting_up_to_the_cap_parses():
+    deep = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    a, _ = parse_curve(f"{deep}, t")
+    assert a.coeffs == {1: 1.0}
+    P, _ = parse_map(f"({deep.replace('t', 'u')}^2, v)")
+    assert P.coeffs == {(2, 0): 1.0}
+    with pytest.raises(ParseError, match="nest deeper"):
+        parse_map(f"(({deep.replace('t', 'u')}), v)")

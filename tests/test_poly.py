@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from planesing import poly
+from planesing.parsing import parse_curve
 from planesing.poly import (
     MAX_INPUT_DEGREE,
     HornerStack,
@@ -87,15 +88,6 @@ def test_poly1_derivative():
     assert p.derivative(4).is_zero()
 
 
-def test_poly1_arith():
-    p = Poly1({1: 1.0})
-    q = Poly1({0: 1.0, 1: -1.0})
-    assert (p + q).coeffs == {0: 1.0}
-    assert (p * q).coeffs == {1: 1.0, 2: -1.0}
-    assert (-p).coeffs == {1: -1.0}
-    assert (p - p).is_zero()
-
-
 def test_poly1_recentering_is_binomial():
     p = Poly1({2: 1.0})  # y^2 at base 1 -> 1 + 2w + w^2
     assert p.recentered_coeffs(1.0, 3) == pytest.approx([1.0, 2.0, 1.0, 0.0])
@@ -106,6 +98,192 @@ def test_poly1_compose2():
     inner = Poly2({(1, 0): 1.0, (0, 1): 1.0})
     out = outer.compose2(inner)
     assert out.coeffs == {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
+
+
+class DictPoly1:
+    """Reference: Poly1 as it was before it became a one-column Poly2,
+    its coefficients in a {k: c} dict with dict loops for arithmetic."""
+
+    def __init__(self, coeffs=None):
+        clean: dict[int, float] = {}
+        for k, c in (coeffs or {}).items():
+            if c != 0.0:
+                clean[int(k)] = clean.get(int(k), 0.0) + float(c)
+        self.coeffs = {k: c for k, c in clean.items() if c != 0.0}
+
+    def derivative(self, m: int = 1) -> "DictPoly1":
+        p = self
+        for _ in range(m):
+            p = DictPoly1({k - 1: c * k for k, c in p.coeffs.items() if k >= 1})
+        return p
+
+    def __call__(self, y: float) -> float:
+        return float(sum(c * y**k for k, c in self.coeffs.items()))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0.0) + c
+        return DictPoly1(out)
+
+    def __mul__(self, other):
+        if isinstance(other, float):
+            return DictPoly1({k: c * other for k, c in self.coeffs.items()})
+        out: dict[int, float] = {}
+        for ka, ca in self.coeffs.items():
+            for kb, cb in other.coeffs.items():
+                out[ka + kb] = out.get(ka + kb, 0.0) + ca * cb
+        return DictPoly1(out)
+
+    def compose2(self, inner: Poly2) -> Poly2:
+        n = max(self.coeffs, default=0)
+        dense = [self.coeffs.get(k, 0.0) for k in range(n + 1)]
+        out = Poly2.constant(dense[n])
+        for k in range(n - 1, -1, -1):
+            out = out * inner + Poly2.constant(dense[k])
+        return out
+
+    def recentered_coeffs(self, base: float, order: int) -> list[float]:
+        out = [0.0] * (order + 1)
+        for k, c in self.coeffs.items():
+            for a in range(min(k, order) + 1):
+                out[a] += c * math.comb(k, a) * base ** (k - a)
+        return out
+
+
+def random_poly1_coeffs(rng, max_degree: int = MAX_INPUT_DEGREE) -> dict:
+    """Ascending {k: c} with random gaps; sometimes empty."""
+    n = int(rng.integers(0, max_degree + 1))
+    keep = rng.random(n + 1) < 0.7
+    return {k: float(rng.uniform(-2.0, 2.0)) for k in range(n + 1) if keep[k]}
+
+
+def test_poly1_matches_the_dict_reference_bit_for_bit(rng):
+    inner = Poly2({(1, 0): 0.7, (0, 1): -1.3, (1, 1): 0.4, (0, 0): 0.2})
+    for _ in range(300):
+        c = random_poly1_coeffs(rng)
+        p, ref = Poly1(c), DictPoly1(c)
+        assert p.coeffs == ref.coeffs
+        assert p.degree() == max(ref.coeffs, default=0)
+        assert p.is_zero() == (not ref.coeffs)
+        assert p.max_abs_coeff() == max(map(abs, ref.coeffs.values()), default=0.0)
+        for y in (0.0, -0.0, 1.0, -1.0, *rng.uniform(-3.0, 3.0, 4)):
+            assert np.float64(p(y)).tobytes() == np.float64(ref(y)).tobytes()
+        for m in range(5):
+            assert p.derivative(m).coeffs == ref.derivative(m).coeffs
+            y = float(rng.uniform(-2.0, 2.0))
+            assert np.float64(p.derivative(m)(y)).tobytes() == np.float64(ref.derivative(m)(y)).tobytes()
+        if p.degree() <= 8:
+            assert p.compose2(inner).table.tobytes() == ref.compose2(inner).table.tobytes()
+
+
+def test_poly1_recentering_matches_the_dict_reference(rng):
+    for _ in range(200):
+        c = random_poly1_coeffs(rng)
+        p, ref, mag = Poly1(c), DictPoly1(c), DictPoly1({k: abs(v) for k, v in c.items()})
+        for base in (0.0, float(rng.uniform(-1.5, 1.5))):
+            for order in (0, 3, 7):
+                got = np.asarray(p.recentered_coeffs(base, order))
+                want = np.array(ref.recentered_coeffs(base, order))
+                bound = np.array(mag.recentered_coeffs(abs(base), order))
+                assert got.shape == (order + 1,)
+                assert np.all(np.abs(got - want) <= REF_REL_TOL * bound)
+                if base == 0.0:
+                    assert got.tobytes() == want.tobytes()
+
+
+class _PastCap(Exception):
+    pass
+
+
+def _random_curve_expr(rng, depth: int):
+    """A random curve expression, its value in DictPoly1 arithmetic formed
+    step by step in the order the parser forms it, and the same steps
+    taken on absolute values: the bound on each coefficient's terms."""
+    one = (DictPoly1({0: 1.0}),) * 2
+
+    def scale(x, s):
+        return x[0] * s, x[1] * abs(s)
+
+    def product(a, b):
+        if max(a[0].coeffs, default=0) + max(b[0].coeffs, default=0) > MAX_INPUT_DEGREE:
+            raise _PastCap
+        return a[0] * b[0], a[1] * b[1]
+
+    def factor(d):
+        r = rng.random()
+        if d > 0 and r < 0.3:
+            text, value = expr(d - 1)
+            text = f"({text})"
+        elif r < 0.65:
+            text, value = "t", (DictPoly1({1: 1.0}),) * 2
+        else:
+            c = float(rng.uniform(0.0, 3.0))
+            text, value = repr(c), scale(one, c)
+        if rng.random() < 0.3:
+            power = int(rng.integers(0, 4))
+            out = scale(one, 1.0)
+            for _ in range(power):
+                out = product(out, value)
+            text, value = f"{text}^{power}", out
+        return text, value
+
+    def term(d):
+        text, value = factor(d)
+        for _ in range(int(rng.integers(0, 3))):
+            ftext, fvalue = factor(d)
+            text, value = f"{text}*{ftext}", product(value, fvalue)
+        return text, value
+
+    def expr(d):
+        sign = float(rng.choice([-1.0, 1.0]))
+        text, value = term(d)
+        text, value = ("-" if sign < 0 else "") + text, scale(value, sign)
+        for _ in range(int(rng.integers(0, 3))):
+            op = str(rng.choice(["+", "-"]))
+            ttext, tvalue = term(d)
+            tvalue = scale(tvalue, -1.0 if op == "-" else 1.0)
+            text, value = f"{text}{op}{ttext}", (value[0] + tvalue[0], value[1] + tvalue[1])
+        return text, value
+
+    return expr(depth)
+
+
+def test_parse_curve_matches_the_reference_products(rng):
+    checked = 0
+    while checked < 300:
+        try:
+            (ta, (ra, ma)), (tb, (rb, mb)) = _random_curve_expr(rng, 2), _random_curve_expr(rng, 2)
+        except _PastCap:
+            continue
+        for got, ref, mag in zip(parse_curve(f"{ta}, {tb}"), (ra, rb), (ma, mb)):
+            assert set(got.coeffs) <= set(mag.coeffs)
+            for k, bound in mag.coeffs.items():
+                err = abs(got.coeffs.get(k, 0.0) - ref.coeffs.get(k, 0.0))
+                assert err <= REF_REL_TOL * bound, (ta, tb, k)
+        checked += 1
+
+
+def test_poly1_value_does_not_depend_on_the_term_order(rng):
+    for _ in range(200):
+        c = random_poly1_coeffs(rng)
+        y = float(rng.uniform(-3.0, 3.0))
+        want = np.float64(Poly1(c)(y)).tobytes()
+        for _ in range(3):
+            keys = list(rng.permutation(list(c)))
+            shuffled = {int(k): c[k] for k in keys}
+            assert np.float64(Poly1(shuffled)(y)).tobytes() == want
+            spec = {"vars": 1, "terms": [{"c": c[k], "e": [int(k)]} for k in keys]}
+            assert np.float64(poly_from_spec(spec)(y)).tobytes() == want
+
+
+def test_poly1_overflow_raises_invalid_spec():
+    p = Poly1({3: 1.0, 1: 2.0})
+    with pytest.raises(InvalidSpec):
+        p(1e200)
+    with pytest.raises(InvalidSpec):
+        p.compose2(Poly2({(1, 0): 1e200}))
+    assert p(1e100) == 1e300 + 2e100
 
 
 def test_poly2_partials_and_eval():

@@ -27,7 +27,8 @@ Maps are given by exact polynomial components, so every jet here is an
 exact truncation; the tolerance policy exists for inputs that arrive
 through rounded arithmetic (conjugation, Newton-located base points).
 A germ recentres its two components at its base point once, to order
-7, and keeps the four order-6 jets of df and the derivative scale.
+7, and keeps the four order-6 jets of df and each component's
+derivative scale.
 Every local quantity comes from them: rank_df and the row rule of
 null_field read their values, eta is one row of them, and lambda is
 their determinant.
@@ -166,7 +167,7 @@ class PlaneMapGerm:
         "_lam_poly",
         "_jacobian",
         "_jacobian_jets",
-        "_derivative_scale",
+        "_component_scales",
     )
 
     def __init__(self, components, base_point=(0.0, 0.0)):
@@ -182,7 +183,7 @@ class PlaneMapGerm:
         self._lam_poly = None
         self._jacobian = None
         self._jacobian_jets = None
-        self._derivative_scale = None
+        self._component_scales = None
 
     @classmethod
     def from_jets(cls, jet1: Jet2, jet2: Jet2) -> "PlaneMapGerm":
@@ -209,7 +210,7 @@ class PlaneMapGerm:
         """((P_u1, P_u2), (Q_u1, Q_u2)) as order-6 jets at the base point (cached).
 
         Each component is recentred once, to order 7, which also gives
-        derivative_scale; InvalidSpec, naming the base point, if that
+        component_scales; InvalidSpec, naming the base point, if that
         overflows.
         """
         if self._jacobian_jets is None:
@@ -218,7 +219,7 @@ class PlaneMapGerm:
                 self._jacobian_jets = tuple((j.partial(1), j.partial(2)) for j in jets)
             except InvalidSpec as exc:
                 raise InvalidSpec(f"the Jacobian overflows at {self.base_point}") from exc
-            self._derivative_scale = max(
+            self._component_scales = tuple(
                 float(np.abs(j.coeffs).ravel()[1:].max(initial=0.0)) for j in jets
             )
         return self._jacobian_jets
@@ -230,11 +231,16 @@ class PlaneMapGerm:
             self._lam_poly = Pu * Qv - Pv * Qu
         return self._lam_poly
 
-    def derivative_scale(self) -> float:
-        """Magnitude scale of df: the largest non-constant Taylor coefficient
-        of either component at the base point, through order 7 (cached)."""
+    def component_scales(self) -> tuple[float, float]:
+        """Magnitude scale of each row of df: the largest non-constant
+        Taylor coefficient of P, and of Q, at the base point, through
+        order 7 (cached)."""
         self.jacobian_jets()
-        return self._derivative_scale
+        return self._component_scales
+
+    def derivative_scale(self) -> float:
+        """Magnitude scale of df: the larger of the two component scales."""
+        return max(self.component_scales())
 
     def __repr__(self):
         return f"PlaneMapGerm({self.components[0]!r}, {self.components[1]!r}, base={self.base_point!r})"
@@ -275,11 +281,21 @@ def discriminant(f: PlaneMapGerm) -> Jet2:
 
 
 def rank_df(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Numerical rank of df, from the singular values of the Jacobian jets' values."""
+    """Numerical rank of df, from the singular values of the Jacobian jets' values.
+
+    Each row of the Jacobian is divided by its own component's scale
+    (a row whose scale is 0 is zero, and stays so), so scaling P or Q
+    by a nonzero factor leaves the rank as it is.  The rank is 0 when
+    the largest singular value of the scaled matrix is at most
+    rank_threshold, and 1 when the smaller one is at most
+    rank_threshold times the larger.
+    """
     J = np.array([[d.value for d in row] for row in f.jacobian_jets()])
+    for row, scale in zip(J, f.component_scales()):
+        if scale > 0.0:
+            row /= scale
     s = np.linalg.svd(J, compute_uv=False)
-    scale = f.derivative_scale()
-    if s[0] <= tol.rank_threshold * max(scale, 0.0) or s[0] == 0.0:
+    if s[0] <= tol.rank_threshold:
         return 0
     if s[1] <= tol.rank_threshold * s[0]:
         return 1

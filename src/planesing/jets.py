@@ -18,6 +18,11 @@ in its result instead of copying it.  `compose_map` runs on raw
 tables, padding each power of an inner jet once, and wraps only its
 result in a `Jet2`; several outer jets composed with the same inner
 pair share those powers and cross terms.
+
+`Jet2` is the only jet class.  A jet of one variable is a `Jet2` in u1
+alone, zero off column 0, just as a `Poly1` is a one-column `Poly2`:
+`poly_to_jet` of a `Poly1` at y0 is the jet of its `Poly2` at (y0, 0),
+and `compose_univariate` reads the outer coefficients from column 0.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import numpy as np
 from .poly import InvalidSpec, Poly1, Poly2, _overflow_raises_later, convolve2, outside_order
 
 __all__ = [
-    "Jet1",
     "Jet2",
     "InvalidJetCombination",
     "JetOrderExhausted",
@@ -62,43 +66,6 @@ class CompositionBasePointMismatch(ValueError):
 def _finite_or_raise(arr):
     if not np.isfinite(arr).all():
         raise InvalidSpec("jet coefficients must be finite")
-
-
-class Jet1:
-    """Taylor polynomial of one variable: coeffs[k] multiplies (y - base)**k."""
-
-    __slots__ = ("base_point", "order", "coeffs")
-
-    def __init__(self, base_point: float, coeffs, order: int | None = None):
-        c = np.asarray(coeffs, dtype=float).copy()
-        if c.ndim != 1:
-            raise InvalidSpec("Jet1 coefficients must be one-dimensional")
-        if order is None:
-            order = len(c) - 1
-        if order < 0:
-            raise InvalidSpec("jet order must be non-negative")
-        if len(c) != order + 1:
-            full = np.zeros(order + 1)
-            full[: min(len(c), order + 1)] = c[: order + 1]
-            c = full
-        _finite_or_raise(c)
-        c.setflags(write=False)
-        self.base_point = float(base_point)
-        self.order = int(order)
-        self.coeffs = c
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-    def deriv(self, k: int) -> float:
-        """k-th derivative value at the base point."""
-        if k > self.order:
-            raise JetOrderExhausted(f"order {self.order} jet has no k={k} derivative")
-        return float(self.coeffs[k] * math.factorial(k))
-
-    def __repr__(self):
-        return f"Jet1(base={self.base_point!r}, order={self.order}, coeffs={self.coeffs.tolist()!r})"
 
 
 def _common_base2(a: "Jet2", b: "Jet2") -> tuple[float, float]:
@@ -264,25 +231,31 @@ def _check_base(value: float, base: float) -> None:
         raise CompositionBasePointMismatch(f"inner value {value} is not at outer base {base}")
 
 
-def compose_univariate(outer: Jet1, inner: Jet2) -> Jet2:
+def compose_univariate(outer: Jet2, inner: Jet2) -> Jet2:
     """Jet of outer(inner(u1, u2)) at the inner jet's base point.
 
-    The inner jet's value must land on the outer jet's base point
-    (within BASE_MATCH_TOL), since the outer expansion is only valid
-    there.  The outer jet must carry at least as many orders as the
-    inner one, because the composite needs outer derivatives up to the
-    inner order.
+    The outer jet is univariate: a jet in u1 alone, as poly_to_jet
+    gives for a Poly1, whose column 0 holds the coefficients of the
+    powers of (y - outer.base_point[0]); InvalidJetCombination if any
+    other entry is nonzero.  The inner jet's value must land on that
+    base (within BASE_MATCH_TOL), since the outer expansion is only
+    valid there.  The outer jet must carry at least as many orders as
+    the inner one, because the composite needs outer derivatives up to
+    the inner order.
     """
-    _check_base(inner.value, outer.base_point)
+    if outer.coeffs[:, 1:].any():
+        raise InvalidJetCombination("the outer jet of compose_univariate must not depend on u2")
+    _check_base(inner.value, outer.base_point[0])
     n = inner.order
     if outer.order < n:
         raise JetOrderExhausted(
             f"outer jet order {outer.order} < inner jet order {n}"
         )
+    c = outer.coeffs[:, 0].tolist()
     delta = inner - inner.value  # vanishes at the base point
-    result = Jet2.constant(float(outer.coeffs[n]), inner.base_point, n)
+    result = Jet2.constant(c[n], inner.base_point, n)
     for k in range(n - 1, -1, -1):
-        result = result * delta + float(outer.coeffs[k])
+        result = result * delta + c[k]
     return result
 
 
@@ -339,16 +312,18 @@ def _compose_each(outers: Sequence[Jet2], inner1: Jet2, inner2: Jet2) -> list[Je
     return [Jet2._of(base, _zero_beyond(result, n), n) for result in results]
 
 
-def poly_to_jet(p: Poly1 | Poly2, base_point, order: int):
+def poly_to_jet(p: Poly1 | Poly2, base_point, order: int) -> Jet2:
     """Jet of a polynomial at ``base_point`` (exact Taylor re-centering).
 
     The arity is taken from the polynomial and must match the base
-    point: a scalar base for one variable, a pair for two.
+    point: a scalar base for one variable, a pair for two.  A Poly1 is
+    a one-column Poly2, so its jet is the jet of that Poly2 at
+    (base_point, 0), a jet in u1 alone.
     """
     if isinstance(p, Poly1):
         if hasattr(base_point, "__len__") and not isinstance(base_point, str):
             raise InvalidSpec("one-variable polynomial needs a scalar base point")
-        return Jet1(float(base_point), p.recentered_coeffs(float(base_point), order), order)
+        p, base_point = p.poly2, (base_point, 0.0)
     if not hasattr(base_point, "__len__") or len(base_point) != 2:
         raise InvalidSpec("two-variable polynomial needs a two-component base point")
     base = (float(base_point[0]), float(base_point[1]))

@@ -175,6 +175,12 @@ class SpecialPoint:
         }
 
 
+def _midpoint(a, b):
+    """(a + b) / 2 without overflow: halving is exact, so away from
+    subnormal halves this is that value bit for bit."""
+    return a / 2.0 + b / 2.0
+
+
 def _solve2(a11, a12, a21, a22, b1, b2):
     """Solve the 2x2 systems [[a11, a12], [a21, a22]] (x1, x2) = (b1, b2).
 
@@ -217,8 +223,10 @@ def _newton_step(J, f):
     def dot(x, y):
         return x[0] * y[0] + (x[1] * y[1] + x[2] * y[2])
 
-    ab = dot(a, b)
-    return _solve2(dot(a, a), ab, ab, dot(b, b), -dot(a, f), -dot(b, f))
+    # an overflowing product gives a non-finite step, which _solve2 rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        aa, ab, bb, af, bf = dot(a, a), dot(a, b), dot(b, b), dot(a, f), dot(b, f)
+    return _solve2(aa, ab, ab, bb, -af, -bf)
 
 
 def newton_batch(
@@ -425,7 +433,7 @@ def _march(lam: Poly2, xs: np.ndarray, ys: np.ndarray, vals: np.ndarray):
     code = code[ci, cj]
     saddle = (code == 5) | (code == 10)
     si, sj = ci[saddle], cj[saddle]
-    code[saddle] |= 16 * (lam(((xs[si] + xs[si + 1]) / 2.0, (ys[sj] + ys[sj + 1]) / 2.0)) >= 0.0)
+    code[saddle] |= 16 * (lam((_midpoint(xs[si], xs[si + 1]), _midpoint(ys[sj], ys[sj + 1]))) >= 0.0)
 
     # every sign-changing edge is crossed by a segment, and no other.
     # The edge from node (i, j) along u1 has the key 2 (i w + j), the one
@@ -552,7 +560,7 @@ def find_special_points(
     lam, _, scale = grid
     xs, ys = box.axes()
     lam_zero_bound = max(tol.zero_rel * scale, tol.newton_residual)
-    centers = np.meshgrid((xs[:-1] + xs[1:]) / 2.0, (ys[:-1] + ys[1:]) / 2.0, indexing="ij")
+    centers = np.meshgrid(_midpoint(xs[:-1], xs[1:]), _midpoint(ys[:-1], ys[1:]), indexing="ij")
     seeds = np.stack(centers, axis=-1).reshape(-1, 2)
     gradient_system, cusp_system = _special_point_systems(f)
 

@@ -174,7 +174,8 @@ class Poly1:
     """Polynomial in one variable, held as a one-column Poly2.
 
     Entry (k, 0) of ``poly2.table`` multiplies y**k, so derivatives,
-    recentring and composition run on the Poly2 table kernel.
+    composition and jets (poly_to_jet recentres the Poly2) run on the
+    Poly2 table kernel.
     """
 
     __slots__ = ("poly2",)
@@ -228,10 +229,6 @@ class Poly1:
         for c in reversed(low):
             out = out * inner + Poly2.constant(c)
         return out
-
-    def recentered_coeffs(self, base: float, order: int) -> np.ndarray:
-        """Taylor coefficients at ``base``, truncated at ``order``."""
-        return self.poly2.recentered_coeffs((base, 0.0), order)[:, 0]
 
     def max_abs_coeff(self) -> float:
         return self.poly2.max_abs_coeff()

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -143,6 +144,26 @@ def test_trace_swallowtail_cusp_candidate(tmp_path):
     kinds = [sp["kind"] for sp in data["special_points"]]
     assert kinds == ["CuspCandidate"]
     assert data["special_points"][0]["report"]["class"] == "Swallowtail"
+
+
+@pytest.mark.parametrize(
+    "args,line",
+    [
+        # cell centres of a box near the float limit, and Gauss-Newton
+        # normal equations whose products overflow
+        (["trace", "--map", "(u, v^2)", "--box=1e308,-1,1.7e308,1", "--grid", "4,4"],
+         "curves=1 special_points=0"),
+        (["trace", "--map", "(u, 1e300*v^2)", "--grid", "8,8"], "curves=1 special_points=0"),
+        # a cusp with one target coordinate scaled
+        (["classify", "--map", "(u, 1e8*(v^3+u*v))"], "class=Cusp at (0, 0)"),
+        (["classify", "--map", "(1e-9*u, v^3+u*v)"], "class=Cusp at (0, 0)"),
+    ],
+)
+def test_valid_inputs_raise_no_warning(tmp_path, capsys, args, line):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*args, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr() == (line + "\n", "")
 
 
 @pytest.mark.parametrize("spec", ["(u+v, u+v)", "(0, 0)"])

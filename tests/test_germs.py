@@ -107,6 +107,11 @@ def test_rank_examples():
         (Poly2({(2, 0): 1.0}), Poly2({(0, 2): 1.0})), (0.0, 0.0)
     )
     assert rank_df(squares) == 0
+    # a unit row next to a 1e8 row is not a zero row: each row is
+    # measured against its own component
+    for expr in ("(u, 1e8*(v^3+u*v))", "(1e-9*u, v^3+u*v)"):
+        assert rank_df(PlaneMapGerm(parse_map(expr))) == 1
+    assert rank_df(PlaneMapGerm(parse_map("(u, 1e-9*v)"))) == 2
 
 
 def test_null_field_on_lips_and_beaks():
@@ -411,7 +416,9 @@ def test_gray_zone_reports_unrecognized():
 @pytest.mark.parametrize(
     "expr,zero_rel,expected,note",
     [
-        ("(u, 1e-9*v)", 1e-7, IMMERSION, "discriminant is nonzero at the base point"),
+        # each row of df is measured against its own component's scale
+        ("(u, 1e-9*v)", 1e-7, IMMERSION, "Jacobian has full rank at the base point"),
+        ("(u, 1e-9*v + u^2)", 1e-7, IMMERSION, "discriminant is nonzero at the base point"),
         (
             "(u, 0.5*u*v^2)",
             1e-7,
@@ -429,6 +436,16 @@ def test_gray_zone_reports_unrecognized():
 def test_rare_verdicts_carry_their_notes(expr, zero_rel, expected, note):
     report = classify(PlaneMapGerm(parse_map(expr)), ToleranceConfig(zero_rel=zero_rel))
     assert (report.singularity_class, report.note) == (expected, note)
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_GERMS))
+def test_scaling_one_component_keeps_the_class(name):
+    P, Q = builtin_germ(name).components
+    want = classify(builtin_germ(name)).singularity_class
+    for e in (6, 8, 9, 12, 40):
+        for k in (10.0**e, 10.0**-e):
+            for f in (PlaneMapGerm((P * k, Q)), PlaneMapGerm((P, Q * k))):
+                assert classify(f).singularity_class == want, (e, k, f)
 
 
 def _classify_reference(f, tol):

@@ -1,5 +1,7 @@
 """Frozen examples and numeric invariants of the truncated-jet layer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from planesing.jets import (
     BASE_MATCH_TOL,
     CompositionBasePointMismatch,
     InvalidJetCombination,
-    Jet1,
     Jet2,
     JetOrderExhausted,
     compose_map,
@@ -15,6 +16,7 @@ from planesing.jets import (
     det2x2,
     poly_to_jet,
 )
+from planesing.conslaw import ConsLawProblem, xi_autodiff
 from planesing.germs import BUILTIN_GERMS, builtin_germ
 from planesing.poly import InvalidSpec, Poly1, Poly2
 
@@ -246,9 +248,9 @@ def test_jets_are_immutable():
     jet = Jet2.constant(1.0, ORIGIN, 2)
     with pytest.raises(ValueError):
         jet.coeffs[0, 0] = 2.0
-    j1 = Jet1(0.0, [1.0, 2.0])
+    j1 = poly_to_jet(Poly1({1: 2.0, 0: 1.0}), 0.0, 1)
     with pytest.raises(ValueError):
-        j1.coeffs[0] = 0.0
+        j1.coeffs[0, 0] = 0.0
 
 
 def test_mixed_base_points_rejected():
@@ -270,12 +272,12 @@ def test_mixed_orders_rejected():
 def test_jet1_deriv_values():
     p = Poly1({3: 1.0, 1: 2.0})
     jet = poly_to_jet(p, 2.0, 6)
-    assert jet.deriv(0) == pytest.approx(p(2.0))
-    assert jet.deriv(1) == pytest.approx(3 * 4.0 + 2.0)
-    assert jet.deriv(2) == pytest.approx(12.0)
-    assert jet.deriv(3) == pytest.approx(6.0)
+    assert jet.deriv(0, 0) == pytest.approx(p(2.0))
+    assert jet.deriv(1, 0) == pytest.approx(3 * 4.0 + 2.0)
+    assert jet.deriv(2, 0) == pytest.approx(12.0)
+    assert jet.deriv(3, 0) == pytest.approx(6.0)
     with pytest.raises(JetOrderExhausted):
-        jet.deriv(7)
+        jet.deriv(7, 0)
 
 
 def test_compose_map_linear_shear():
@@ -436,3 +438,132 @@ def test_compose_map_cuts_an_overflow_beyond_the_order():
     outer = poly_to_jet(Poly2({(2, 0): 1.0, (2, 1): 3.0, (0, 1): 1.0}), ORIGIN, 4)
     with np.errstate(over="ignore"):
         _assert_same_bits(compose_map(outer, *inner), _compose_map_reference(outer, *inner))
+
+
+class Jet1Reference:
+    """Reference: the one-variable jet class a Poly1's jet was before it
+    became a Jet2 in u1 alone; coeffs[k] multiplies (y - base)**k."""
+
+    def __init__(self, base_point, coeffs, order=None):
+        c = np.asarray(coeffs, dtype=float).copy()
+        if order is None:
+            order = len(c) - 1
+        if len(c) != order + 1:
+            full = np.zeros(order + 1)
+            full[: min(len(c), order + 1)] = c[: order + 1]
+            c = full
+        if not np.isfinite(c).all():
+            raise InvalidSpec("jet coefficients must be finite")
+        self.base_point = float(base_point)
+        self.order = int(order)
+        self.coeffs = c
+
+    @classmethod
+    def of_poly1(cls, p, base, order):
+        # poly_to_jet of a Poly1 as it was: the recentred column of its Poly2
+        base = float(base)
+        return cls(base, p.poly2.recentered_coeffs((base, 0.0), order)[:, 0], order)
+
+    @property
+    def value(self):
+        return float(self.coeffs[0])
+
+    def deriv(self, k):
+        if k > self.order:
+            raise JetOrderExhausted(f"order {self.order} jet has no k={k} derivative")
+        return float(self.coeffs[k] * math.factorial(k))
+
+
+def _compose_univariate_reference(outer, inner):
+    """compose_univariate of a Jet1Reference outer, as it was."""
+    if abs(inner.value - outer.base_point) > BASE_MATCH_TOL * (1.0 + abs(outer.base_point)):
+        raise CompositionBasePointMismatch("inner value is not at outer base")
+    n = inner.order
+    if outer.order < n:
+        raise JetOrderExhausted(f"outer jet order {outer.order} < inner jet order {n}")
+    delta = inner - inner.value
+    result = Jet2.constant(float(outer.coeffs[n]), inner.base_point, n)
+    for k in range(n - 1, -1, -1):
+        result = result * delta + float(outer.coeffs[k])
+    return result
+
+
+def _xi_autodiff_reference(prob, u):
+    """xi_autodiff on Jet1Reference flux jets, as it was."""
+    phi4 = poly_to_jet(prob.phi, u, 4)
+    phi3 = phi4.truncate(3)
+    y0 = phi4.value
+    a = _compose_univariate_reference(Jet1Reference.of_poly1(prob.f1.derivative(2), y0, 3), phi3)
+    b = _compose_univariate_reference(Jet1Reference.of_poly1(prob.f2.derivative(2), y0, 3), phi3)
+    tau = a * phi4.partial(1) + b * phi4.partial(2)
+    t11, t12, t22 = tau.deriv(2, 0), tau.deriv(1, 1), tau.deriv(0, 2)
+    return (-tau.deriv(1, 0), -tau.deriv(0, 1), t11 * t22 - t12 * t12)
+
+
+def _random_poly1(rng, max_degree=8):
+    n = int(rng.integers(0, max_degree + 1))
+    keep = rng.random(n + 1) < 0.7
+    return Poly1({k: float(rng.uniform(-2.0, 2.0)) for k in range(n + 1) if keep[k]})
+
+
+def test_poly1_jet_is_the_old_jet1_in_column_zero(rng):
+    for _ in range(300):
+        p = _random_poly1(rng)
+        base = float(rng.choice([0.0, -0.0, rng.uniform(-1.5, 1.5)]))
+        order = int(rng.integers(0, 8))
+        jet, ref = poly_to_jet(p, base, order), Jet1Reference.of_poly1(p, base, order)
+        assert jet.base_point == (base, 0.0) and jet.order == ref.order
+        assert jet.coeffs[:, 0].tobytes() == ref.coeffs.tobytes()
+        # every other entry is +0.0
+        assert jet.coeffs[:, 1:].tobytes() == np.zeros((order + 1, order)).tobytes()
+        for k in range(order + 1):
+            assert np.float64(jet.deriv(k, 0)).tobytes() == np.float64(ref.deriv(k)).tobytes()
+
+
+def test_compose_univariate_matches_the_jet1_reference_bit_for_bit(rng):
+    for _ in range(300):
+        p = _random_poly1(rng)
+        n = int(rng.integers(0, 6))
+        if rng.random() < 0.5:
+            inner = _random_jet(rng, n)  # with -0.0 entries
+        else:
+            inner_poly = Poly2(
+                {(i, j): rng.uniform(-1.0, 1.0) for i in range(4) for j in range(4 - i)}
+            )
+            inner = poly_to_jet(inner_poly, tuple(rng.uniform(-1.0, 1.0, 2)), n)
+        m = n + int(rng.integers(0, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = _compose_univariate_reference(
+                    Jet1Reference.of_poly1(p, inner.value, m), inner
+                )
+            except InvalidSpec:
+                with pytest.raises(InvalidSpec):
+                    compose_univariate(poly_to_jet(p, inner.value, m), inner)
+                continue
+            got = compose_univariate(poly_to_jet(p, inner.value, m), inner)
+        _assert_same_bits(got, want)
+
+
+def test_xi_autodiff_matches_the_jet1_reference_bit_for_bit(rng):
+    for _ in range(60):
+        prob = ConsLawProblem(
+            Poly1({k: rng.uniform(-1, 1) for k in range(6)}),
+            Poly1({k: rng.uniform(-1, 1) for k in range(6)}),
+            Poly2({(i, j): rng.uniform(-1, 1) for i in range(5) for j in range(5 - i)}),
+        )
+        for _ in range(5):
+            u = tuple(rng.uniform(-0.9, 0.9, 2))
+            got, want = xi_autodiff(prob, u), _xi_autodiff_reference(prob, u)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_compose_univariate_rejects_an_outer_jet_in_u2():
+    inner = poly_to_jet(Poly2({(1, 0): 1.0, (0, 1): 1.0}), ORIGIN, 3)
+    for outer_poly in (Poly2({(1, 0): 1.0, (1, 1): 1.0}), Poly2({(0, 1): 1.0})):
+        outer = poly_to_jet(outer_poly, ORIGIN, 3)
+        with pytest.raises(InvalidJetCombination):
+            compose_univariate(outer, inner)
+    # an outer in u1 alone composes, wherever it came from
+    out = compose_univariate(poly_to_jet(Poly2({(2, 0): 1.0}), ORIGIN, 3), inner)
+    assert out.coeffs[1, 1] == 2.0

@@ -428,6 +428,34 @@ def test_scaled_down_forms_report_only_their_own_point(k, name):
     assert got == ([] if expected is None else [expected])
 
 
+#: (name, component, exponent) whose point the search misses when that
+#: component alone is scaled by 10**exponent: the precision and scale
+#: misses of the cusp system at swallowtail points (ROADMAP item 2)
+_SCALED_COMPONENT_MISSES = {("swallowtail", 0, -12), ("swallowtail", 0, -9), ("swallowtail", 1, -12)}
+
+
+@pytest.mark.parametrize("name", [*SCALED_FORMS, "immersion"])
+def test_scaling_one_component_reports_only_its_own_point(name):
+    P, Q = builtin_germ(name).components
+    box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (12, 12))
+    expected = SCALED_FORMS.get(name)
+    for e in (-12, -9, -6, 6, 8, 9):
+        for component in (0, 1):
+            if (name, component, e) in _SCALED_COMPONENT_MISSES:
+                continue
+            comps = [P, Q]
+            comps[component] = comps[component] * 10.0**e
+            got = [sp.report.singularity_class for sp in find_special_points(PlaneMapGerm(comps), box)]
+            assert got == ([] if expected is None else [expected]), (component, e)
+
+
+@pytest.mark.xfail(strict=True, reason="absolute newton_residual at this scale (ROADMAP item 2)")
+def test_cusp_with_a_1e10_target_coordinate_is_found():
+    f = PlaneMapGerm(parse_map("(u, 1e10*(v^3+u*v))"))
+    box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (12, 12))
+    assert [sp.report.singularity_class for sp in find_special_points(f, box)] == [CUSP]
+
+
 def test_cusp_image_is_cuspidal_curve():
     g = builtin_germ("cusp")
     curves = sample_singular_set(g, BOX)

@@ -27,11 +27,11 @@ Maps are given by exact polynomial components, so every jet here is an
 exact truncation; the tolerance policy exists for inputs that arrive
 through rounded arithmetic (conjugation, Newton-located base points).
 A germ recentres its two components at its base point once, to order
-7, and keeps the four order-6 jets of df and each component's
-derivative scale.
-Every local quantity comes from them: rank_df and the row rule of
-null_field read their values, eta is one row of them, and lambda is
-their determinant.
+7, and keeps the four order-6 jets of df and each component's scale.
+Every local quantity comes from them: rank_df and the row choice of
+null_field read one matrix, their values with each row divided by its
+component's scale; eta is one row of the jets, and lambda is their
+determinant.
 """
 
 from __future__ import annotations
@@ -238,10 +238,6 @@ class PlaneMapGerm:
         self.jacobian_jets()
         return self._component_scales
 
-    def derivative_scale(self) -> float:
-        """Magnitude scale of df: the larger of the two component scales."""
-        return max(self.component_scales())
-
     def __repr__(self):
         return f"PlaneMapGerm({self.components[0]!r}, {self.components[1]!r}, base={self.base_point!r})"
 
@@ -258,8 +254,9 @@ class NullField:
         second-row  eta = (-Q_u2,  Q_u1),  df(eta) = (-lambda, 0)
 
     so eta is a genuine null direction exactly on the singular set and
-    extends it smoothly off the set.  Which row is usable depends on
-    which gradient survives at p; provenance records the choice.
+    extends it smoothly off the set.  Either nonzero row spans the same
+    kernel at p, so the class does not depend on the choice; null_field
+    takes the better conditioned row, and provenance records which.
     """
 
     eta: tuple[Jet2, Jet2]
@@ -280,21 +277,26 @@ def discriminant(f: PlaneMapGerm) -> Jet2:
     return _lambda_jet(f).truncate(3)
 
 
-def rank_df(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Numerical rank of df, from the singular values of the Jacobian jets' values.
+def _scaled_jacobian(f: PlaneMapGerm) -> np.ndarray:
+    """df at the base point, each row divided by its component's scale.
 
-    Each row of the Jacobian is divided by its own component's scale
-    (a row whose scale is 0 is zero, and stays so), so scaling P or Q
-    by a nonzero factor leaves the rank as it is.  The rank is 0 when
-    the largest singular value of the scaled matrix is at most
-    rank_threshold, and 1 when the smaller one is at most
-    rank_threshold times the larger.
+    A row whose scale is 0 is zero, and stays so.  Scaling P or Q leaves
+    the matrix as it is, to rounding, and no entry exceeds 1 in
+    magnitude, since the first-order Taylor coefficients are part of
+    each scale.
     """
     J = np.array([[d.value for d in row] for row in f.jacobian_jets()])
     for row, scale in zip(J, f.component_scales()):
         if scale > 0.0:
             row /= scale
-    s = np.linalg.svd(J, compute_uv=False)
+    return J
+
+
+def rank_df(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
+    """Numerical rank of df: 0 when the largest singular value of the
+    scaled Jacobian is at most rank_threshold, 1 when the smaller one is
+    at most rank_threshold times the larger, and 2 otherwise."""
+    s = np.linalg.svd(_scaled_jacobian(f), compute_uv=False)
     if s[0] <= tol.rank_threshold:
         return 0
     if s[1] <= tol.rank_threshold * s[0]:
@@ -305,19 +307,16 @@ def rank_df(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
 def null_field(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> NullField:
     """Canonical null direction field of a germ whose df does not vanish.
 
-    Built from the first Jacobian row while that row's largest entry at
-    the base point is above rank_threshold * derivative_scale, and
-    otherwise from the row with the larger entry (the first on a tie).
-    Raises CorankTwoError exactly where rank_df is 0, so the two tests
-    share one bound and classify, which asks only at rank 1, never
-    meets it.
+    Built from the row of the scaled Jacobian (the matrix rank_df reads)
+    whose largest entry is larger, the first row on a tie.  Raises
+    CorankTwoError exactly where rank_df is 0, so the two tests share
+    one bound and classify, which asks only at rank 1, never meets it.
     """
     if rank_df(f, tol) == 0:
         raise CorankTwoError(f"Jacobian vanishes at {f.base_point}; null direction undefined")
-    (Pu, Pv), (Qu, Qv) = rows = f.jacobian_jets()
-    row_max = [max(abs(a.value), abs(b.value)) for a, b in rows]
-    threshold = tol.rank_threshold * max(f.derivative_scale(), 1e-300)
-    if row_max[0] > threshold or row_max[0] >= row_max[1]:
+    (Pu, Pv), (Qu, Qv) = f.jacobian_jets()
+    row_max = np.abs(_scaled_jacobian(f)).max(axis=1)
+    if row_max[0] >= row_max[1]:
         eta, provenance = (Pv, -Pu), "first-row"
     else:
         eta, provenance = (-Qv, Qu), "second-row"

@@ -46,7 +46,7 @@ def test_classify_inline_map_degenerate_exits_2(tmp_path):
 
 
 def test_classify_rank_one_jacobian_with_small_rows_exits_2(tmp_path):
-    # every Jacobian entry is below the row bound, but df has rank 1
+    # every Jacobian entry is below rank_threshold, but df has rank 1
     proc = subprocess.run(
         [sys.executable, "-m", "planesing.cli", "classify", "--map",
          "(6e-9*u+6e-9*v+u^2, 6e-9*u+6e-9*v+v^2)", "--out", str(tmp_path)],

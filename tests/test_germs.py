@@ -31,6 +31,7 @@ from planesing.jets import Jet2, compose_map, poly_to_jet
 from planesing.parsing import parse_map
 from planesing.poly import Poly2, _binomial
 from planesing.serialize import canonical_json
+from test_locus import _pool_conjugate
 
 CATALOG = {
     "immersion": IMMERSION,
@@ -386,7 +387,7 @@ def test_translated_fold_is_a_fold(shift):
     # [[1, 0], [0, 0]], not by the global coefficients, which grow with
     # the translation
     g = PlaneMapGerm(parse_map(f"(u - {shift!r}, (v - {shift!r})^2)"), (shift, shift))
-    assert g.derivative_scale() == 1.0
+    assert max(g.component_scales()) == 1.0
     report = classify(g)
     assert (report.singularity_class, report.rank) == (FOLD, 1)
 
@@ -625,13 +626,19 @@ def test_table_reads_match_dict_reads(rng):
     germs += [builtin_germ(name) for name in CATALOG]
     germs.append(PlaneMapGerm((Poly2.constant(2.0), Poly2())))
     for g in germs:
-        assert g.derivative_scale() == _derivative_scale_reference(g)
+        assert max(g.component_scales()) == _derivative_scale_reference(g)
 
 
-def _first_row_reference(f, u, tol):
-    P, _ = f.components
-    thresh = tol.rank_threshold * max(_derivative_scale_reference(f), 1e-300)
-    return max(abs(P.partial(1)(u)), abs(P.partial(2)(u))) > thresh
+def _first_row_reference(f, u):
+    # each row of df at u over its own component's scale, read from the
+    # Taylor coefficients one by one; the larger row, the first on a tie
+    row_max = []
+    for comp in f.components:
+        c = comp.recentered_coeffs(u, 7)
+        scale = max(abs(float(c[i, j])) for (i, j) in np.ndindex(c.shape) if i + j >= 1)
+        row = max(abs(float(c[1, 0])), abs(float(c[0, 1])))
+        row_max.append(row / scale if scale > 0.0 else row)
+    return row_max[0] >= row_max[1]
 
 
 def test_row_rule_at_points_matches_its_reference(rng):
@@ -643,13 +650,12 @@ def test_row_rule_at_points_matches_its_reference(rng):
     ]
     germs += [builtin_germ(name) for name in CATALOG]
     germs += list(_conjugated_germs(rng, 3))
-    tol = ToleranceConfig()
     xs = np.concatenate([[0.0, 0.0, 0.5, -0.25, 1e-12], rng.uniform(-1.0, 1.0, 40)])
     ys = np.concatenate([[0.0, 1e-300, 0.0, 0.0, 0.0], rng.uniform(-1.0, 1.0, 40)])
     for g in germs:
         for pt in zip(xs, ys):
-            want = "first-row" if _first_row_reference(g, pt, tol) else "second-row"
-            assert null_field(g.rebase(pt), tol).provenance == want
+            want = "first-row" if _first_row_reference(g, pt) else "second-row"
+            assert null_field(g.rebase(pt)).provenance == want
     assert null_field(germs[0]).provenance == "second-row"
     assert null_field(germs[1].rebase((0.7, 0.0))).provenance == "second-row"
     assert null_field(germs[1].rebase((0.0, 0.7))).provenance == "first-row"
@@ -669,7 +675,7 @@ def test_jacobian_jets_are_built_once_per_germ(rng, monkeypatch):
     for f in germs:
         got = [[d.value for d in row] for row in f.jacobian_jets()]
         want = [[d(f.base_point) for d in row] for row in f.jacobian()]
-        assert np.allclose(got, want, rtol=0.0, atol=1e-14 * f.derivative_scale())
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14 * max(f.component_scales()))
     # and they are all that rank_df, null_field and classify read
     def global_polynomial(self):
         raise AssertionError("a global polynomial was built")
@@ -730,7 +736,7 @@ def test_small_rows_of_a_rank_one_jacobian_give_a_report():
     [
         ("(u^2, v^2)", 0, None),
         (SMALL_ROWS.replace("6e-9", "2.4e-9"), 0, None),
-        # neither row clears the row bound: the larger row, the first on a tie
+        # every entry is below rank_threshold: the larger scaled row, the first on a tie
         (SMALL_ROWS, 1, "first-row"),
         ("(2e-9*u+2e-9*v+u^2, 9e-9*u+9e-9*v+v^2)", 1, "second-row"),
     ],
@@ -743,6 +749,53 @@ def test_null_field_raises_exactly_where_rank_df_is_zero(expr, rank, provenance)
             null_field(g)
     else:
         assert null_field(g).provenance == provenance
+
+
+#: Pool entries (POOL_EXCLUDED in bench/workloads.py) on which a null
+#: field built from a poorly conditioned first row misclassified at
+#: least one conjugated normal form: a row rule that kept the first row
+#: whenever its largest entry cleared rank_threshold times the larger
+#: component scale.
+FIRST_ROW_RULE_MISSES = (
+    1, 186, 242, 254, 593, 628, 761, 1497,
+    2116, 2125, 2131, 2298, 2365, 2686, 2713, 2794,
+    2845, 2901, 2926, 3080, 3113, 3242, 3628,
+)
+
+
+def _scale_component(g, component, factor):
+    comps = list(g.components)
+    comps[component] = comps[component] * factor
+    return PlaneMapGerm(tuple(comps), g.base_point)
+
+
+def _assert_own_class(g, name):
+    report = classify(g)
+    assert report.singularity_class == CATALOG[name]
+    if name == "swallowtail":
+        assert report.margins["eta3_lambda"]["normalized"] >= 1e-4
+
+
+@pytest.mark.parametrize("entry", FIRST_ROW_RULE_MISSES)
+def test_pool_conjugates_keep_their_class(entry):
+    for name in CATALOG:
+        _assert_own_class(_pool_conjugate(name, entry), name)
+
+
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("k", [3, -3, 6, -6, 9, -9, 12, -12])
+def test_scaling_one_component_keeps_the_pool_swallowtail(component, k):
+    # scaling P or Q leaves the scaled Jacobian, so the row choice, as it is
+    g = _pool_conjugate("swallowtail", 1)
+    _assert_own_class(_scale_component(g, component, 10.0**k), "swallowtail")
+
+
+def test_pool_conjugates_with_one_component_scaled_keep_their_class():
+    for entry in range(24):
+        for name in CATALOG:
+            g = _pool_conjugate(name, entry)
+            for component in (0, 1):
+                _assert_own_class(_scale_component(g, component, 1e9), name)
 
 
 def test_eta_derivatives_match_an_exact_sympy_oracle():

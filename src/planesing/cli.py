@@ -210,7 +210,7 @@ def run_classify(args: argparse.Namespace) -> int:
 
 def run_trace(args: argparse.Namespace) -> int:
     germ = _germ_from_args(args)
-    curves = sample_singular_set(germ, args.box, args.tolerances)
+    curves = sample_singular_set(germ, args.box)
     images = critical_value_image(germ, curves)
     specials = find_special_points(germ, args.box, args.tolerances)
     args.output_dir.mkdir(parents=True, exist_ok=True)
@@ -310,9 +310,7 @@ def run_conslaw(args: argparse.Namespace) -> int:
     frames = None
     if result is not None and times is not None:
         try:
-            frames = lips_birth_frames(
-                prob, result.u_star, result.t_star, times, args.box, args.tolerances
-            )
+            frames = lips_birth_frames(prob, result.u_star, result.t_star, times, args.box)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
     args.output_dir.mkdir(parents=True, exist_ok=True)

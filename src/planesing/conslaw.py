@@ -184,9 +184,6 @@ class ShapeOperator:
     entries: tuple[tuple[float, float], tuple[float, float]]
     trace: float
 
-    def to_dict(self) -> dict:
-        return {"entries": [list(r) for r in self.entries], "trace": self.trace}
-
 
 def characteristic_map(prob: ConsLawProblem, t: float, base=(0.0, 0.0)) -> PlaneMapGerm:
     """The time-t characteristic map as a polynomial germ at ``base``."""
@@ -379,13 +376,6 @@ class Frame:
     curves: list
     image_curves: list
 
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "curves": [c.to_dict() for c in self.curves],
-            "image_curves": [c.to_dict() for c in self.image_curves],
-        }
-
 
 def first_singularity(
     prob: ConsLawProblem,
@@ -426,7 +416,7 @@ def first_singularity(
     idx = np.concatenate([top[neg[top[:, 0], top[:, 1]]], local])
     seeds = np.stack([xs[idx[:, 0]], ys[idx[:, 1]]], axis=1)
 
-    x, _, ok = newton_batch(((t1, t2), ((t11, t12), (t12, t22))), seeds, tol, box)
+    x, _, ok = newton_batch(((t1, t2), ((t11, t12), (t12, t22))), seeds, box)
     x = x[ok & box.contains(x.T)]
     tv = tau(x.T)
     x, tv = x[tv < 0.0], tv[tv < 0.0]
@@ -504,19 +494,15 @@ def singularity_at(
 
 
 def lips_birth_frames(
-    prob: ConsLawProblem,
-    u_star,
-    t_star: float,
-    times,
-    box: BoxDomain,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+    prob: ConsLawProblem, u_star, t_star: float, times, box: BoxDomain
 ) -> list[Frame]:
     """Singular sets of the frozen-time maps before and after t_star.
 
     times must straddle t_star (at least one strictly below and one
     strictly above), since the point of the exercise is watching the
     singular curve be born around u_star.  Each frame carries the
-    traced source-plane curves and their images in the target plane.
+    source-plane curves of sample_singular_set and their images in the
+    target plane; tracing makes no zero test, so no tolerance is taken.
     """
     times = [float(t) for t in times]
     if not times or min(times) >= t_star or max(times) <= t_star:
@@ -525,7 +511,7 @@ def lips_birth_frames(
     frames = []
     for t in times:
         germ = characteristic_map(prob, t, base)
-        curves = sample_singular_set(germ, box, tol)
+        curves = sample_singular_set(germ, box)
         frames.append(
             Frame(time=t, curves=curves, image_curves=critical_value_image(germ, curves))
         )

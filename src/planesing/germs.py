@@ -93,38 +93,39 @@ class NotADiffeomorphism(ValueError):
     """A change of coordinates fails its base-point or invertibility check."""
 
 
+#: singular-value ratio below which the Jacobian loses a rank
+RANK_THRESHOLD = 1e-8
+#: absolute residual bound of the Newton loops
+NEWTON_RESIDUAL = 1e-10
+#: iteration cap of the Newton loops
+NEWTON_MAX_ITER = 50
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical policy for every zero test in the package.
+    """The one numerical setting of the zero tests.
 
-    zero_rel:        |value| <= zero_rel * scale counts as zero, and
-                     |value| >= 10 * zero_rel * scale counts as nonzero;
-                     the band between is reported, not decided.
-    rank_threshold:  singular-value ratio below which the Jacobian
-                     loses a rank.
-    newton_residual: absolute nonlinear-solver residual bound.
-    newton_max_iter: iteration cap for all Newton loops.
+    zero_rel:  |value| <= zero_rel * scale counts as zero, and
+               |value| >= 10 * zero_rel * scale counts as nonzero;
+               the band between is reported, not decided.
+
+    as_dict also records the fixed bounds RANK_THRESHOLD,
+    NEWTON_RESIDUAL and NEWTON_MAX_ITER, so a report names every bound
+    that shaped it.
     """
 
     zero_rel: float = 1e-7
-    rank_threshold: float = 1e-8
-    newton_residual: float = 1e-10
-    newton_max_iter: int = 50
 
     def __post_init__(self):
-        if not (self.zero_rel > 0 and self.rank_threshold > 0 and self.newton_residual > 0):
-            raise ValueError("tolerances must be positive")
-        if not (self.zero_rel < 1 and self.rank_threshold < 1):
-            raise ValueError("relative tolerances must be below 1")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
+        if not 0 < self.zero_rel < 1:
+            raise ValueError("zero_rel must lie in (0, 1)")
 
     def as_dict(self) -> dict:
         return {
             "zero_rel": self.zero_rel,
-            "rank_threshold": self.rank_threshold,
-            "newton_residual": self.newton_residual,
-            "newton_max_iter": self.newton_max_iter,
+            "rank_threshold": RANK_THRESHOLD,
+            "newton_residual": NEWTON_RESIDUAL,
+            "newton_max_iter": NEWTON_MAX_ITER,
         }
 
 
@@ -292,19 +293,19 @@ def _scaled_jacobian(f: PlaneMapGerm) -> np.ndarray:
     return J
 
 
-def rank_df(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
+def rank_df(f: PlaneMapGerm) -> int:
     """Numerical rank of df: 0 when the largest singular value of the
-    scaled Jacobian is at most rank_threshold, 1 when the smaller one is
-    at most rank_threshold times the larger, and 2 otherwise."""
+    scaled Jacobian is at most RANK_THRESHOLD, 1 when the smaller one is
+    at most RANK_THRESHOLD times the larger, and 2 otherwise."""
     s = np.linalg.svd(_scaled_jacobian(f), compute_uv=False)
-    if s[0] <= tol.rank_threshold:
+    if s[0] <= RANK_THRESHOLD:
         return 0
-    if s[1] <= tol.rank_threshold * s[0]:
+    if s[1] <= RANK_THRESHOLD * s[0]:
         return 1
     return 2
 
 
-def null_field(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> NullField:
+def null_field(f: PlaneMapGerm) -> NullField:
     """Canonical null direction field of a germ whose df does not vanish.
 
     Built from the row of the scaled Jacobian (the matrix rank_df reads)
@@ -312,7 +313,7 @@ def null_field(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Nu
     CorankTwoError exactly where rank_df is 0, so the two tests share
     one bound and classify, which asks only at rank 1, never meets it.
     """
-    if rank_df(f, tol) == 0:
+    if rank_df(f) == 0:
         raise CorankTwoError(f"Jacobian vanishes at {f.base_point}; null direction undefined")
     (Pu, Pv), (Qu, Qv) = f.jacobian_jets()
     row_max = np.abs(_scaled_jacobian(f)).max(axis=1)
@@ -471,7 +472,7 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     stops the walk with Unrecognized.  All tested quantities and their
     margins are recorded regardless of the verdict.
     """
-    rank = rank_df(f, tol)
+    rank = rank_df(f)
     # A deeper jet of the same discriminant feeds the derived
     # quantities, so each of them still carries a populated jet of its
     # own whose coefficient scale is the right yardstick for its value.
@@ -511,7 +512,7 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
 
     if rank == 1 and margins["lambda"]["decision"] == ZERO:
         # a corank-one singular point: the walk reads the null field
-        nf = null_field(f, tol)
+        nf = null_field(f)
         jets = _eta_derivative_jets(lam_deep, nf.eta)
         report.eta_at_p = nf.values_at_base()
         report.eta_provenance = nf.provenance

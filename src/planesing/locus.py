@@ -32,7 +32,7 @@ the germ there; a point classified Immersion or Fold is not reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from .germs import (
     DEFAULT_TOLERANCES,
     FOLD,
     IMMERSION,
+    NEWTON_MAX_ITER,
+    NEWTON_RESIDUAL,
     ClassificationReport,
     PlaneMapGerm,
     ToleranceConfig,
@@ -232,8 +234,8 @@ def _newton_step(J, f):
 def newton_batch(
     system,
     seeds,
-    tol: ToleranceConfig,
     box: BoxDomain,
+    residual: float = NEWTON_RESIDUAL,
     absorb=(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped (Gauss-)Newton iteration of one system from many seeds.
@@ -246,16 +248,16 @@ def newton_batch(
     the Jacobian.  Each run iterates on its own: a step that raises the
     residual norm max |F_i| is halved up to eight times, and with three
     equations first tried doubled where it halves the last full step.
-    A run stops when no step length helps or the step is not finite, on
-    a small step, after newton_max_iter steps, or, with one equation, as
-    soon as its residual is at most newton_residual, so a seed already
-    within it does not move.  It is stopped short when it leaves the box
-    by slack 0.5, comes within DEDUP_RADIUS of a point in absorb, or,
-    with three equations, when a step lowers a residual above
-    newton_residual by less than 10%, as on the way to a singular root.
-    A run is converged when it was not stopped short and its residual
-    is at most newton_residual.  Runs never interact, so each result is
-    the one the run gets alone.
+    residual bounds that norm.  A run stops when no step length helps or
+    the step is not finite, on a small step, after NEWTON_MAX_ITER
+    steps, or, with one equation, as soon as its residual is within the
+    bound, so a seed already within it does not move.  It is stopped
+    short when it leaves the box by slack 0.5, comes within DEDUP_RADIUS
+    of a point in absorb, or, with three equations, when a step lowers a
+    residual above the bound by less than 10%, as on the way to a
+    singular root.  A run is converged when it was not stopped short and
+    its residual is within the bound.  Runs never interact, so each
+    result is the one the run gets alone.
     Returns (x, residual_norm, converged), shaped (n, 2), (n,) and (n,).
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
@@ -268,9 +270,9 @@ def newton_batch(
     stopped = np.zeros(len(seeds), dtype=bool)
     active = np.arange(len(seeds))
     last = np.full((2, len(seeds)), np.nan)
-    for _ in range(tol.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if len(F) == 1:
-            active = active[rnorm[active] > tol.newton_residual]
+            active = active[rnorm[active] > residual]
         if not active.size:
             break
         a1, a2, ra = u1[active], u2[active], rnorm[active]
@@ -316,7 +318,7 @@ def newton_batch(
         )
         for p1, p2 in absorb:
             stop |= (x1 - p1) ** 2 + (x2 - p2) ** 2 <= DEDUP_RADIUS**2
-        small_resid = rnorm[index] <= tol.newton_residual
+        small_resid = rnorm[index] <= residual
         if len(F) == 3:
             stop |= ~small_resid & (rnorm[index] > 0.9 * ra)
         small_step = np.maximum(np.abs(s1), np.abs(s2)) <= 1e3 * STEP_TOL
@@ -327,7 +329,7 @@ def newton_batch(
             # each live run's last full step, NaN after any other step
             full = t[live] == 1.0
             last = np.where(full, s1[live], np.nan), np.where(full, s2[live], np.nan)
-    converged = ~stopped & (rnorm <= tol.newton_residual)
+    converged = ~stopped & (rnorm <= residual)
     return np.stack([u1, u2], axis=-1), rnorm, converged
 
 
@@ -382,20 +384,19 @@ def _discriminant_on_grid(f: PlaneMapGerm, box: BoxDomain):
     return None if scale == 0.0 else (lam, vals, scale)
 
 
-def sample_singular_set(
-    f: PlaneMapGerm,
-    box: BoxDomain,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> list[CurveSample]:
+def sample_singular_set(f: PlaneMapGerm, box: BoxDomain) -> list[CurveSample]:
     """Polyline approximations of the singular set inside the box.
 
     Node values exactly equal to zero are nudged to the positive side
     for sign bookkeeping, which keeps crossings on the correct edges
-    without moving them (interpolation still lands on the node).
-    Curves come back ordered deterministically, with grid edges ordered
-    by their first node (i, j), the edge along u1 first: open chains
-    first, each from its smaller end edge, then loops, each from its
-    smallest edge toward the neighbour whose cell comes first row-major.
+    without moving them (interpolation still lands on the node).  Each
+    crossing then moves onto lambda = 0 by minimum-norm Newton steps
+    until |lambda| is at most NEWTON_RESIDUAL times the largest |lambda|
+    on the grid.  Curves come back ordered deterministically, with grid
+    edges ordered by their first node (i, j), the edge along u1 first:
+    open chains first, each from its smaller end edge, then loops, each
+    from its smallest edge toward the neighbour whose cell comes first
+    row-major.
     """
     grid = _discriminant_on_grid(f, box)
     if grid is None:
@@ -404,12 +405,8 @@ def sample_singular_set(
     segments, x, y = _march(lam, *box.axes(), vals)
     if not len(segments):
         return []
-    # each crossing moves onto lambda = 0 by minimum-norm Newton steps
-    # until |lambda| <= newton_residual * scale, a bound kept positive
-    # where the product underflows
-    sharp = replace(tol, newton_residual=max(tol.newton_residual * scale, math.ulp(0.0)))
     system = ((lam,), ((lam.partial(1), lam.partial(2)),))
-    u, r, _ = newton_batch(system, np.stack([x, y], axis=1), sharp, box)
+    u, r, _ = newton_batch(system, np.stack([x, y], axis=1), box, NEWTON_RESIDUAL * scale)
     x, y, r = u[:, 0].tolist(), u[:, 1].tolist(), r.tolist()
     chains = _link_curves(segments, len(x))
     curves = [_build_curve(chain, closed, x, y, r) for chain, closed in chains]
@@ -559,14 +556,14 @@ def find_special_points(
         return []
     lam, _, scale = grid
     xs, ys = box.axes()
-    lam_zero_bound = max(tol.zero_rel * scale, tol.newton_residual)
+    lam_zero_bound = max(tol.zero_rel * scale, NEWTON_RESIDUAL)
     centers = np.meshgrid(_midpoint(xs[:-1], xs[1:]), _midpoint(ys[:-1], ys[1:]), indexing="ij")
     seeds = np.stack(centers, axis=-1).reshape(-1, 2)
     gradient_system, cusp_system = _special_point_systems(f)
 
     def roots(system, keep=lambda u: True, absorb=()):
         # the distinct converged roots in the box, sorted by location
-        x, rnorm, ok = newton_batch(system, seeds, tol, box, absorb=absorb)
+        x, rnorm, ok = newton_batch(system, seeds, box, absorb=absorb)
         ok &= box.contains(x.T)
         ok[ok] = keep(x[ok].T)
         x, rnorm = x[ok], rnorm[ok]

@@ -95,18 +95,12 @@ _CURVE_COLOR = "#1f6fb4"
 _POINT_COLORS = {"DegenerateCandidate": "#c23b22", "CuspCandidate": "#e08a1e"}
 
 
-def _world_bounds(curves, points, box):
+def _world_bounds(curves, box):
+    """The box's corners, or without a box the curves' extent padded by 5%."""
     if box is not None:
         return box.lo[0], box.lo[1], box.hi[0], box.hi[1]
-    xs: list[float] = []
-    ys: list[float] = []
-    for c in curves:
-        for v in c.vertices:
-            xs.append(v[0])
-            ys.append(v[1])
-    for p in points:
-        xs.append(p[0])
-        ys.append(p[1])
+    xs = [v[0] for c in curves for v in c.vertices]
+    ys = [v[1] for c in curves for v in c.vertices]
     if not xs:
         return -1.0, -1.0, 1.0, 1.0
     lo1, hi1 = min(xs), max(xs)
@@ -120,9 +114,10 @@ def write_svg(path, curves, special_points=(), box=None, label="") -> None:
     """Presentational SVG: curves as polylines, special points as markers.
 
     Everything is scaled into a fixed 800x800 viewport with light axes;
-    no contract on pixel values beyond determinism.
+    without a box the view fits the curves alone.  No contract on pixel
+    values beyond determinism.
     """
-    lo1, lo2, hi1, hi2 = _world_bounds(curves, [sp.location for sp in special_points], box)
+    lo1, lo2, hi1, hi2 = _world_bounds(curves, box)
     span1 = hi1 - lo1
     span2 = hi2 - lo2
     inner = _SVG_SIZE - 2 * _MARGIN

@@ -46,7 +46,7 @@ def test_classify_inline_map_degenerate_exits_2(tmp_path):
 
 
 def test_classify_rank_one_jacobian_with_small_rows_exits_2(tmp_path):
-    # every Jacobian entry is below rank_threshold, but df has rank 1
+    # every Jacobian entry is below RANK_THRESHOLD, but df has rank 1
     proc = subprocess.run(
         [sys.executable, "-m", "planesing.cli", "classify", "--map",
          "(6e-9*u+6e-9*v+u^2, 6e-9*u+6e-9*v+v^2)", "--out", str(tmp_path)],
@@ -98,8 +98,38 @@ def test_classify_rejects_unknown_builtin(capsys):
     assert run(["classify", "--builtin", "doughnut"]) == 64
 
 
-def test_classify_rejects_bad_tolerance(capsys):
-    assert run(["classify", "--builtin", "fold", "--tol-zero", "5"]) == 64
+def test_classify_rejects_bad_tolerance(tmp_path, capsys):
+    out = tmp_path / "not-made"
+    for tol_zero in ("5", "0", "1", "nan"):
+        args = ["classify", "--builtin", "fold", "--tol-zero", tol_zero, "--out", str(out)]
+        assert run(args) == 64, tol_zero
+        err = capsys.readouterr().err
+        assert err.startswith("planesing: ") and err.count("\n") == 1, tol_zero
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tol_zero,line,code",
+    [
+        (None, "class=Unrecognized at (0, 0)", 2),
+        ("1e-8", "class=Fold at (0, 0)", 0),
+        ("1e-6", "class=Degenerate at (0, 0)", 2),
+    ],
+)
+def test_tol_zero_decides_a_small_fold_term(tmp_path, capsys, tol_zero, line, code):
+    # eta lambda normalizes to 1.7e-7: zero at 1e-6, nonzero at 1e-8,
+    # and in the uncertain band at the default 1e-7
+    args = ["classify", "--map", "(u, 5e-7*v^2+v^3)", "--out", str(tmp_path)]
+    assert run(args + ([] if tol_zero is None else ["--tol-zero", tol_zero])) == code
+    assert capsys.readouterr().out == line + "\n"
+    text = (tmp_path / "report.json").read_text()
+    assert json.loads(text)["tolerances_used"] == {
+        "zero_rel": 1e-7 if tol_zero is None else float(tol_zero),
+        "rank_threshold": 1e-8,
+        "newton_residual": 1e-10,
+        "newton_max_iter": 50,
+    }
+    assert '"rank_threshold": 1e-08,' in text and '"newton_max_iter": 50\n' in text
 
 
 def test_classify_rejects_unknown_format(capsys):
@@ -198,6 +228,20 @@ def test_conslaw_search_and_frames(tmp_path):
     assert frames["frames"][1]["curves"] == 1
     assert (tmp_path / "frame_0.csv").exists()
     assert (tmp_path / "frame_1.csv").exists()
+
+
+def test_conslaw_frames_as_svg(tmp_path, capsys):
+    code = run(
+        ["conslaw", "--builtin", "burgers-lips", "--time", "0.9,1.1",
+         "--format", "json,svg", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    frames = json.loads((tmp_path / "frames.json").read_text())["frames"]
+    assert [f.get("svg") for f in frames] == ["frame_0.svg", "frame_1.svg"]
+    assert not any("csv" in f for f in frames)
+    for f in frames:
+        assert (tmp_path / f["svg"]).read_text().startswith("<svg ")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_conslaw_problem_json(tmp_path):

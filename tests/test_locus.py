@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +19,10 @@ from planesing.germs import (
     DEFAULT_TOLERANCES,
     FOLD,
     LIPS,
+    NEWTON_MAX_ITER,
+    NEWTON_RESIDUAL,
     SWALLOWTAIL,
     PlaneMapGerm,
-    ToleranceConfig,
     builtin_germ,
     classify,
     conjugate_by_diffeos,
@@ -162,7 +162,7 @@ def test_swallowtail_special_point():
     # lambda, which leaves every cusp-system run's bits unchanged
     seeds = np.stack(np.meshgrid(*BOX.axes(), indexing="ij"), axis=-1)
     runs = [
-        newton_batch(_special_point_systems(g)[1], seeds, DEFAULT_TOLERANCES, BOX)
+        newton_batch(_special_point_systems(g)[1], seeds, BOX)
         for g in (builtin_germ("swallowtail"), swapped)
     ]
     assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
@@ -225,7 +225,7 @@ def test_cusp_runs_at_singular_roots_stop_early(name, monkeypatch):
     centres = np.meshgrid((xs[:-1] + xs[1:]) / 2.0, (ys[:-1] + ys[1:]) / 2.0, indexing="ij")
     cusp_system = _special_point_systems(germ)[1]
     runs = [
-        _newton_reference(cusp_system, seed, DEFAULT_TOLERANCES, _GRID12, absorb)
+        _newton_reference(cusp_system, seed, _GRID12, absorb)
         for seed in np.stack(centres, axis=-1).reshape(-1, 2)
     ]
     assert max(it for *_, it in runs) <= 16
@@ -330,14 +330,14 @@ def _special_points_reference(f, box, tol=DEFAULT_TOLERANCES):
     # residual), sorted
     lam = f.discriminant_poly()
     scale = float(np.max(np.abs(box.grid_values(lam, "discriminant"))))
-    lam_zero_bound = max(tol.zero_rel * scale, tol.newton_residual)
+    lam_zero_bound = max(tol.zero_rel * scale, NEWTON_RESIDUAL)
     xs, ys = box.axes()
     centers = np.meshgrid((xs[:-1] + xs[1:]) / 2.0, (ys[:-1] + ys[1:]) / 2.0, indexing="ij")
     seeds = np.stack(centers, axis=-1).reshape(-1, 2)
     gradient_system, cusp_system = _special_point_systems(f)
 
     def roots(system, keep=lambda u: True, absorb=()):
-        x, rnorm, ok = newton_batch(system, seeds, tol, box, absorb)
+        x, rnorm, ok = newton_batch(system, seeds, box, absorb=absorb)
         ok &= box.contains(x.T)
         ok[ok] = keep(x[ok].T)
         return {(float(a), float(b)): float(r) for (a, b), r in zip(x[ok], rnorm[ok])}
@@ -411,8 +411,10 @@ SCALED_FORMS = {
         (k, name)
         if (k, name) != (1e-9, "swallowtail")
         # the search misses the swallowtail point itself at this scale,
-        # where its residual bounds are absolute (ROADMAP item 7)
-        else pytest.param(k, name, marks=pytest.mark.xfail(strict=True, reason="recall miss"))
+        # where its residual bounds are absolute (ROADMAP item 2)
+        else pytest.param(
+            k, name, marks=pytest.mark.xfail(strict=True, reason="recall miss (ROADMAP item 2)")
+        )
         for k in (1e-3, 1e-6, 1e-9)
         for name in SCALED_FORMS
     ],
@@ -449,7 +451,7 @@ def test_scaling_one_component_reports_only_its_own_point(name):
             assert got == ([] if expected is None else [expected]), (component, e)
 
 
-@pytest.mark.xfail(strict=True, reason="absolute newton_residual at this scale (ROADMAP item 2)")
+@pytest.mark.xfail(strict=True, reason="absolute NEWTON_RESIDUAL at this scale (ROADMAP item 2)")
 def test_cusp_with_a_1e10_target_coordinate_is_found():
     f = PlaneMapGerm(parse_map("(u, 1e10*(v^3+u*v))"))
     box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (12, 12))
@@ -566,7 +568,7 @@ def _quadratic_system():
 def test_newton_batch_seed_outcomes():
     system = _quadratic_system()
     seeds = [(1.5, 0.5), (-1.5, -0.2), (0.0, 0.7), (0.1, 0.0), (2.0, 0.0)]
-    x, rnorm, ok = newton_batch(system, seeds, DEFAULT_TOLERANCES, BOX)
+    x, rnorm, ok = newton_batch(system, seeds, BOX)
     assert ok.tolist() == [True, True, False, False, True]
     assert x[0].tolist() == [2.0, 0.0] and x[1].tolist() == [-2.0, 0.0]
     # singular Jacobian: the seed stops where it started
@@ -578,7 +580,7 @@ def test_newton_batch_seed_outcomes():
     # F = (u^3 - 1, v) from u = 0.05: only the eighth step length, 1/128,
     # lowers the residual, and the seed goes on to converge
     system = _poly_system(Poly2({(3, 0): 1.0, (0, 0): -1.0}), Poly2.variable(2))
-    x, _, ok = newton_batch(system, [(0.05, 0.0)], DEFAULT_TOLERANCES, BOX)
+    x, _, ok = newton_batch(system, [(0.05, 0.0)], BOX)
     assert ok.tolist() == [True] and x[0].tolist() == [1.0, 0.0]
 
 
@@ -589,9 +591,9 @@ def test_newton_batch_seeds_are_independent():
     systems = [system, _poly_system(F2, Poly2({(3, 0): 1.0, (1, 1): 0.5, (0, 0): -1.0}))]
     seeds = [(1.5, 0.5), (0.0, 0.7), (-1.5, -0.2), (0.1, 0.0), (2.0, 0.0), (0.9, -0.3)]
     for system in systems:
-        batch = newton_batch(system, seeds, DEFAULT_TOLERANCES, BOX)
+        batch = newton_batch(system, seeds, BOX)
         for k, seed in enumerate(seeds):
-            alone = newton_batch(system, [seed], DEFAULT_TOLERANCES, BOX)
+            alone = newton_batch(system, [seed], BOX)
             for got, want in zip(batch, alone):
                 assert got[k].tobytes() == want[0].tobytes()
 
@@ -641,7 +643,7 @@ def _halves(step, last):
     return dot >= 0.0 and dot * dot >= 0.9801 * sn * ln and 0.16 * ln <= sn <= 0.36 * ln
 
 
-def _newton_reference(system, x0, tol, box, absorb=()):
+def _newton_reference(system, x0, box, absorb=(), max_iter=NEWTON_MAX_ITER):
     # the scalar loop that newton_batch runs on every run at once;
     # returns (x, residual norm, converged, iterations started)
     F, J = system
@@ -649,10 +651,10 @@ def _newton_reference(system, x0, tol, box, absorb=()):
     f = [p(x) for p in F]
     rnorm = _max_abs(*f)
     last = None  # the last accepted full step
-    for it in range(1, tol.newton_max_iter + 1):
+    for it in range(1, max_iter + 1):
         step = _step_reference([[p(x) for p in row] for row in J], f)
         if step is None:
-            return x, rnorm, rnorm <= tol.newton_residual, it
+            return x, rnorm, rnorm <= NEWTON_RESIDUAL, it
         (s1, s2), t = step, 1.0
         if len(F) == 3 and _halves(step, last):
             t = 2.0
@@ -664,18 +666,18 @@ def _newton_reference(system, x0, tol, box, absorb=()):
                 break
             t *= 0.5
         else:
-            return x, rnorm, rnorm <= tol.newton_residual, it
+            return x, rnorm, rnorm <= NEWTON_RESIDUAL, it
         x, f, rnorm, before = cand, g, cnorm, rnorm
         if not box.contains(x, slack=0.5) or any(_close(x, p) for p in absorb):
             return x, rnorm, False, it
-        if len(F) == 3 and rnorm > tol.newton_residual and rnorm > 0.9 * before:
+        if len(F) == 3 and rnorm > NEWTON_RESIDUAL and rnorm > 0.9 * before:
             return x, rnorm, False, it
         last = step if t == 1.0 else None
         if _max_abs(t * s1, t * s2) <= STEP_TOL * (1.0 + _max_abs(*x)):
-            return x, rnorm, rnorm <= tol.newton_residual, it
-        if rnorm <= tol.newton_residual and _max_abs(s1, s2) <= 1e3 * STEP_TOL:
+            return x, rnorm, rnorm <= NEWTON_RESIDUAL, it
+        if rnorm <= NEWTON_RESIDUAL and _max_abs(s1, s2) <= 1e3 * STEP_TOL:
             return x, rnorm, True, it
-    return x, rnorm, rnorm <= tol.newton_residual, tol.newton_max_iter
+    return x, rnorm, rnorm <= NEWTON_RESIDUAL, max_iter
 
 
 def _run_bytes(x, rnorm, ok):
@@ -691,8 +693,8 @@ _NEWTON_MAPS = {
 
 
 @pytest.mark.parametrize("name", list(_NEWTON_MAPS))
-@pytest.mark.parametrize("tol", [DEFAULT_TOLERANCES, ToleranceConfig(newton_max_iter=20)])
-def test_newton_batch_matches_scalar_loop(name, tol, monkeypatch):
+@pytest.mark.parametrize("max_iter", [NEWTON_MAX_ITER, 20], ids=["tol0", "tol1"])
+def test_newton_batch_matches_scalar_loop(name, max_iter, monkeypatch):
     # grad lambda = 0, the first-row (lambda, eta lambda) = 0 of a normal
     # form (u, Q), whose null field is (0, -1), and the row-free cusp
     # system, alone and absorbed at the origin; their seeds converge,
@@ -708,16 +710,17 @@ def test_newton_batch_matches_scalar_loop(name, tol, monkeypatch):
     }
     box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (8, 8))
     seeds = np.stack(np.meshgrid(*box.axes(), indexing="ij"), axis=-1).reshape(-1, 2) * 1.3
+    monkeypatch.setattr(locus, "NEWTON_MAX_ITER", max_iter)
     stopped = {}
     for label, (system, absorb) in systems.items():
-        batch = newton_batch(system, seeds, tol, box, absorb)
+        batch = newton_batch(system, seeds, box, absorb=absorb)
         # evaluation in blocks of a few points, which split the live runs
         with monkeypatch.context() as m:
             m.setattr(poly, "_EVAL_BLOCK", 24)
-            blocked = newton_batch(system, seeds, tol, box, absorb)
+            blocked = newton_batch(system, seeds, box, absorb=absorb)
         assert [a.tobytes() for a in blocked] == [a.tobytes() for a in batch]
         for k, seed in enumerate(seeds):
-            x, rnorm, ok, iterations = _newton_reference(system, seed, tol, box, absorb)
+            x, rnorm, ok, iterations = _newton_reference(system, seed, box, absorb, max_iter)
             stopped.setdefault(label, set()).add((iterations, ok))
             assert _run_bytes(*(a[k] for a in batch)) == _run_bytes(x, rnorm, ok)
     # runs converge and fail, at different iterations; only the first-row
@@ -729,7 +732,7 @@ def test_newton_batch_matches_scalar_loop(name, tol, monkeypatch):
     iterations = {it for it, _ in outcomes}
     assert len(iterations) >= 2
     slow = name != "cusp"
-    assert (tol.newton_max_iter in iterations) == (slow and tol.newton_max_iter == 20)
+    assert (max_iter in iterations) == (slow and max_iter == 20)
     assert max(it for it, _ in stopped["cusp"] | stopped["absorbed"]) <= 12
 
 
@@ -759,11 +762,10 @@ def _sharpen_reference(lam, pt, resid_bound, max_iter):
     return float(x), float(y), float(r)
 
 
-def _sharpen(lam, pts, resid_bound, max_iter, box):
+def _sharpen(lam, pts, resid_bound, box):
     # the one-equation newton_batch call of sample_singular_set
-    tol = replace(DEFAULT_TOLERANCES, newton_residual=resid_bound, newton_max_iter=max_iter)
     system = ((lam,), ((lam.partial(1), lam.partial(2)),))
-    return newton_batch(system, pts, tol, box)
+    return newton_batch(system, pts, box, resid_bound)
 
 
 def _first_shock_discriminant(rng):
@@ -785,7 +787,7 @@ def _first_shock_map(rng):
 
 
 @pytest.mark.parametrize("name", ["lips", "beaks", "burgers-lips", "first-shock"])
-def test_sharpen_matches_scalar_loop(rng, name):
+def test_sharpen_matches_scalar_loop(rng, name, monkeypatch):
     if name in ("lips", "beaks"):
         lams = [builtin_germ(name).discriminant_poly()]
     elif name == "burgers-lips":
@@ -807,10 +809,11 @@ def test_sharpen_matches_scalar_loop(rng, name):
                     if k < len(xs) and m < len(ys) and (vals[i, j] >= 0.0) != (vals[k, m] >= 0.0):
                         ends = (xs[i], ys[j]), (xs[k], ys[m])
                         pts.append(_edge_crossing_reference(*ends, vals[i, j], vals[k, m]))
-        resid_bound = DEFAULT_TOLERANCES.newton_residual * float(np.max(np.abs(vals)))
+        resid_bound = NEWTON_RESIDUAL * float(np.max(np.abs(vals)))
         pts = np.array(pts)
-        for max_iter in (DEFAULT_TOLERANCES.newton_max_iter, 2):
-            x, r, _ = _sharpen(lam, pts, resid_bound, max_iter, box)
+        for max_iter in (NEWTON_MAX_ITER, 2):
+            monkeypatch.setattr(locus, "NEWTON_MAX_ITER", max_iter)
+            x, r, _ = _sharpen(lam, pts, resid_bound, box)
             for k, pt in enumerate(pts):
                 a, b, want = _sharpen_reference(lam, tuple(pt), resid_bound, max_iter)
                 got = np.array([x[k, 0], x[k, 1], r[k]])
@@ -1002,7 +1005,6 @@ def _curve_bits(c):
 )
 def test_march_matches_per_cell_loop(rng, box):
     xs, ys = box.axes()
-    tol = DEFAULT_TOLERANCES
     saddles_seen = set()
     for name, germ in _marching_cases(rng).items():
         lam = germ.discriminant_poly()
@@ -1017,12 +1019,12 @@ def test_march_matches_per_cell_loop(rng, box):
         for key, pt in zip(keys, zip(x, y)):
             assert np.array(pt).tobytes() == np.array(crossings[key]).tobytes(), (name, key)
 
-        curves = sample_singular_set(germ, box, tol)
+        curves = sample_singular_set(germ, box)
         want = []
         if want_segments:
-            bound = tol.newton_residual * float(np.max(np.abs(vals)))
+            bound = NEWTON_RESIDUAL * float(np.max(np.abs(vals)))
             sharp = {
-                key: _sharpen_reference(lam, pt, bound, tol.newton_max_iter)
+                key: _sharpen_reference(lam, pt, bound, NEWTON_MAX_ITER)
                 for key, pt in crossings.items()
             }
             want = _link_curves_reference(

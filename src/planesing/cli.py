@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 from .conslaw import (
-    BUILTIN_PROBLEMS,
     ConsLawProblem,
     SolverFailed,
     builtin_problem,
@@ -29,22 +28,16 @@ from .conslaw import (
     lips_birth_frames,
     singularity_at,
 )
-from .germs import (
-    BUILTIN_GERMS,
-    PlaneMapGerm,
-    ToleranceConfig,
-    classify,
-)
-from .jets import InvalidSpec
+from .germs import PlaneMapGerm, ToleranceConfig, builtin_germ, classify
 from .locus import (
     BoxDomain,
-    NotRegularCurve,
     critical_value_image,
     find_special_points,
     ruling_map,
     sample_singular_set,
 )
 from .parsing import ParseError, check_reals, parse_curve, parse_map, parse_reals
+from .poly import InvalidSpec, poly_from_spec
 from .serialize import dump_json, write_curves_csv, write_svg
 
 EXIT_OK = 0
@@ -110,12 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(args) -> ToleranceConfig:
-    if getattr(args, "tol_zero", None) is None:
+    if args.tol_zero is None:
         return ToleranceConfig()
-    tz = float(args.tol_zero)
-    if not (0.0 < tz < 1.0):
-        raise ParseError(f"--tol-zero must be in (0, 1), got {tz}")
-    return ToleranceConfig(zero_rel=tz)
+    return ToleranceConfig(zero_rel=args.tol_zero)
 
 
 def _formats(args) -> tuple[str, ...]:
@@ -133,20 +123,33 @@ def _box(args) -> BoxDomain:
     n1, n2 = parse_reals(args.grid, 2)
     if n1 != int(n1) or n2 != int(n2):
         raise ParseError("--grid expects integers")
-    try:
-        return BoxDomain((lo1, lo2), (hi1, hi2), (int(n1), int(n2)))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return BoxDomain((lo1, lo2), (hi1, hi2), (int(n1), int(n2)))
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"input file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"cannot read input file: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and bytes that are not UTF-8
         raise ParseError(f"input file is not valid JSON: {exc}") from exc
+
+
+def _map_from_file(path: str) -> PlaneMapGerm:
+    data = _load_json(path)
+    try:
+        components = data["components"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError('map JSON needs a "components" key with two PolySpecs') from exc
+    if not isinstance(components, list) or len(components) != 2:
+        raise ParseError('"components" must be a list of two PolySpecs')
+    base = data.get("base_point", [0.0, 0.0])
+    base = check_reals(base, 2, f'"base_point" {base!r}')
+    return PlaneMapGerm(tuple(map(poly_from_spec, components)), base)
 
 
 def _germ_from_args(args: argparse.Namespace) -> PlaneMapGerm:
@@ -158,39 +161,17 @@ def _germ_from_args(args: argparse.Namespace) -> PlaneMapGerm:
         if not args.curve_expr:
             raise ParseError("the ruling builtin needs --curve 'a(t),b(t)'")
         t0 = parse_reals(args.at, 1)[0] if args.at else 0.0
-        try:
-            return ruling_map(parse_curve(args.curve_expr), t0)
-        except NotRegularCurve as exc:
-            raise ParseError(str(exc)) from exc
+        return ruling_map(parse_curve(args.curve_expr), t0)
     if args.builtin:
-        from .germs import builtin_germ
-
         try:
             germ = builtin_germ(args.builtin)
         except KeyError as exc:
             raise ParseError(str(exc.args[0])) from exc
-        if args.at:
-            germ = germ.rebase(parse_reals(args.at, 2))
-        return germ
-    if args.map_expr:
-        components = parse_map(args.map_expr)
-        base = parse_reals(args.at, 2) if args.at else (0.0, 0.0)
-        return PlaneMapGerm(components, base)
-    data = _load_json(args.input)
-    try:
-        components = data["components"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError('map JSON needs a "components" key with two PolySpecs') from exc
-    if not isinstance(components, list) or len(components) != 2:
-        raise ParseError('"components" must be a list of two PolySpecs')
-    base = data.get("base_point", [0.0, 0.0])
-    base = check_reals(base, 2, f'"base_point" {base!r}')
-    if args.at:
-        base = parse_reals(args.at, 2)
-    try:
-        return PlaneMapGerm((components[0], components[1]), base)
-    except InvalidSpec as exc:
-        raise ParseError(str(exc)) from exc
+    elif args.map_expr:
+        germ = PlaneMapGerm(parse_map(args.map_expr))
+    else:
+        germ = _map_from_file(args.input)
+    return germ.rebase(parse_reals(args.at, 2)) if args.at else germ
 
 
 def _class_exit(report) -> int:
@@ -247,11 +228,7 @@ def _problem_from_args(args: argparse.Namespace) -> ConsLawProblem:
             return builtin_problem(args.builtin)
         except KeyError as exc:
             raise ParseError(str(exc.args[0])) from exc
-    data = _load_json(args.input)
-    try:
-        return ConsLawProblem.from_dict(data)
-    except InvalidSpec as exc:
-        raise ParseError(str(exc)) from exc
+    return ConsLawProblem.from_dict(_load_json(args.input))
 
 
 def run_conslaw(args: argparse.Namespace) -> int:
@@ -309,10 +286,7 @@ def run_conslaw(args: argparse.Namespace) -> int:
         return EXIT_SOLVER
     frames = None
     if result is not None and times is not None:
-        try:
-            frames = lips_birth_frames(prob, result.u_star, result.t_star, times, args.box)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        frames = lips_birth_frames(prob, result.u_star, result.t_star, times, args.box)
     args.output_dir.mkdir(parents=True, exist_ok=True)
 
     if result is None:
@@ -394,7 +368,7 @@ def main(argv=None) -> int:
         args.output_dir = Path(args.out)
         args.formats = _formats(args)
         return _COMMANDS[args.command](args)
-    except (ParseError, InvalidSpec) as exc:
+    except InvalidSpec as exc:
         print(f"planesing: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

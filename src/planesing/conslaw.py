@@ -110,6 +110,8 @@ class ConsLawProblem:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ConsLawProblem":
+        if not isinstance(data, Mapping):
+            raise InvalidSpec(f"problem must be a JSON object, got {type(data).__name__}")
         try:
             f1 = poly_from_spec(data["f1"])
             f2 = poly_from_spec(data["f2"])
@@ -499,14 +501,15 @@ def lips_birth_frames(
     """Singular sets of the frozen-time maps before and after t_star.
 
     times must straddle t_star (at least one strictly below and one
-    strictly above), since the point of the exercise is watching the
-    singular curve be born around u_star.  Each frame carries the
-    source-plane curves of sample_singular_set and their images in the
-    target plane; tracing makes no zero test, so no tolerance is taken.
+    strictly above, else InvalidSpec), since the point of the exercise
+    is watching the singular curve be born around u_star.  Each frame
+    carries the source-plane curves of sample_singular_set and their
+    images in the target plane; tracing makes no zero test, so no
+    tolerance is taken.
     """
     times = [float(t) for t in times]
     if not times or min(times) >= t_star or max(times) <= t_star:
-        raise ValueError("frame times must straddle the singular time")
+        raise InvalidSpec("frame times must straddle the singular time")
     base = (float(u_star[0]), float(u_star[1]))
     frames = []
     for t in times:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import Jet2, _compose_each, det2x2, poly_to_jet
-from .poly import InvalidSpec, Poly2, poly_from_spec
+from .poly import InvalidSpec, Poly2
 
 __all__ = [
     "ToleranceConfig",
@@ -109,16 +109,16 @@ class ToleranceConfig:
                |value| >= 10 * zero_rel * scale counts as nonzero;
                the band between is reported, not decided.
 
-    as_dict also records the fixed bounds RANK_THRESHOLD,
-    NEWTON_RESIDUAL and NEWTON_MAX_ITER, so a report names every bound
-    that shaped it.
+    A zero_rel outside (0, 1) raises InvalidSpec.  as_dict also records
+    the fixed bounds RANK_THRESHOLD, NEWTON_RESIDUAL and NEWTON_MAX_ITER,
+    so a report names every bound that shaped it.
     """
 
     zero_rel: float = 1e-7
 
     def __post_init__(self):
         if not 0 < self.zero_rel < 1:
-            raise ValueError("zero_rel must lie in (0, 1)")
+            raise InvalidSpec(f"zero_rel must lie in (0, 1), got {self.zero_rel}")
 
     def as_dict(self) -> dict:
         return {
@@ -151,15 +151,27 @@ def _decide(value: float, scale: float, zero_rel: float) -> dict:
     return {"value": value, "normalized": m, "decision": decision}
 
 
+def _poly2_pair(pair, what: str) -> tuple[Poly2, Poly2]:
+    """pair as a tuple of two Poly2s; InvalidSpec if it is anything else."""
+    try:
+        a, b = pair
+    except (TypeError, ValueError):  # not a pair
+        a = b = None
+    if not isinstance(a, Poly2) or not isinstance(b, Poly2):
+        raise InvalidSpec(f"{what} needs two two-variable polynomials")
+    return a, b
+
+
 class PlaneMapGerm:
     """A polynomial map of the plane, studied as a germ at a base point.
 
-    Components are exact two-variable polynomials; the base point just
-    marks where jets are taken.  Target constants are irrelevant to
-    every derived quantity (they drop out of the Jacobian), so germs
-    are not translated in the target.  The Jacobian and discriminant
-    polynomials are derived once, on first use, and kept, and so are
-    the jets of the Jacobian at the base point.
+    Components are exact two-variable polynomials (Poly2); anything else,
+    a JSON spec included, raises InvalidSpec, and poly_from_spec turns a
+    spec into one.  The base point just marks where jets are taken.
+    Target constants are irrelevant to every derived quantity (they drop
+    out of the Jacobian), so germs are not translated in the target.
+    The Jacobian and discriminant polynomials are derived once, on first
+    use, and kept, and so are the jets of the Jacobian at the base point.
     """
 
     __slots__ = (
@@ -172,14 +184,7 @@ class PlaneMapGerm:
     )
 
     def __init__(self, components, base_point=(0.0, 0.0)):
-        comp1, comp2 = components
-        if not isinstance(comp1, Poly2):
-            comp1 = poly_from_spec(comp1)
-        if not isinstance(comp2, Poly2):
-            comp2 = poly_from_spec(comp2)
-        if not isinstance(comp1, Poly2) or not isinstance(comp2, Poly2):
-            raise TypeError("germ components must be two-variable polynomials")
-        self.components = (comp1, comp2)
+        self.components = _poly2_pair(components, "germ")
         self.base_point = (float(base_point[0]), float(base_point[1]))
         self._lam_poly = None
         self._jacobian = None
@@ -542,18 +547,17 @@ CONJUGATE_ORDER = 4
 def conjugate_by_diffeos(f: PlaneMapGerm, source, target) -> PlaneMapGerm:
     """The germ target o f o source, truncated at jet order CONJUGATE_ORDER.
 
-    source is a polynomial map fixing the germ's base point; target is
+    source is a pair of Poly2s fixing the germ's base point; target is
     one fixing the origin of the translated target plane (the germ's
     value is subtracted before target applies, so classification data
     is unaffected).  Both must have invertible linear parts at their
-    base points.
+    base points.  A component that is not a Poly2 raises InvalidSpec.
     """
     p = f.base_point
-    s1, s2 = (c if isinstance(c, Poly2) else poly_from_spec(c) for c in source)
-    t1, t2 = (c if isinstance(c, Poly2) else poly_from_spec(c) for c in target)
-
-    s_jets = tuple(poly_to_jet(s, p, CONJUGATE_ORDER) for s in (s1, s2))
-    t_jets = tuple(poly_to_jet(t, (0.0, 0.0), CONJUGATE_ORDER) for t in (t1, t2))
+    s_jets = tuple(poly_to_jet(s, p, CONJUGATE_ORDER) for s in _poly2_pair(source, "source"))
+    t_jets = tuple(
+        poly_to_jet(t, (0.0, 0.0), CONJUGATE_ORDER) for t in _poly2_pair(target, "target")
+    )
     sv = (s_jets[0].value, s_jets[1].value)
     if math.hypot(sv[0] - p[0], sv[1] - p[1]) > 1e-9 * (1.0 + math.hypot(*p)):
         raise NotADiffeomorphism(f"source map sends base point {p} to {sv}")

@@ -47,7 +47,7 @@ from .germs import (
     ToleranceConfig,
     classify,
 )
-from .poly import HornerStack, InvalidSpec, Poly1, Poly2, poly_from_spec
+from .poly import HornerStack, InvalidSpec, Poly1, Poly2
 
 __all__ = [
     "BoxDomain",
@@ -74,8 +74,12 @@ STEP_TOL = 1e-12
 MAX_GRID = 512
 
 
-class NotRegularCurve(ValueError):
-    """The generating curve has a vanishing velocity at the base parameter."""
+class NotRegularCurve(InvalidSpec):
+    """The generating curve has a vanishing velocity at the base parameter.
+
+    Bad input like any other InvalidSpec: the ruling germ of such a
+    curve point is not defined.
+    """
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,8 @@ class BoxDomain:
     """Axis-aligned search box with a node grid.
 
     grid counts cells per axis, so axis k carries grid[k] + 1 sample
-    nodes including both endpoints.
+    nodes including both endpoints.  A box that is not finite, has no
+    extent, or whose grid lies outside [2, MAX_GRID] raises InvalidSpec.
     """
 
     lo: tuple[float, float]
@@ -97,13 +102,13 @@ class BoxDomain:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
         if not all(map(math.isfinite, lo + hi + (hi[0] - lo[0], hi[1] - lo[1]))):
-            raise ValueError(f"box corners and extent must be finite, got lo={lo} hi={hi}")
+            raise InvalidSpec(f"box corners and extent must be finite, got lo={lo} hi={hi}")
         if not (lo[0] < hi[0] and lo[1] < hi[1]):
-            raise ValueError(f"box must have positive extent, got lo={lo} hi={hi}")
+            raise InvalidSpec(f"box must have positive extent, got lo={lo} hi={hi}")
         if self.grid[0] < 2 or self.grid[1] < 2:
-            raise ValueError("grid needs at least 2 cells per axis")
+            raise InvalidSpec("grid needs at least 2 cells per axis")
         if self.grid[0] > MAX_GRID or self.grid[1] > MAX_GRID:
-            raise ValueError(f"grid allows at most {MAX_GRID} cells per axis, got {self.grid}")
+            raise InvalidSpec(f"grid allows at most {MAX_GRID} cells per axis, got {self.grid}")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -617,16 +622,17 @@ def ruling_map(curve, t0: float = 0.0) -> PlaneMapGerm:
     discriminant is proportional to w times the curvature numerator
     a'b'' - a''b', so the sweep is singular exactly along the curve
     itself (w = 0) and degenerates further where the curve has an
-    inflection.  The germ is taken at (t0, 0), which must be a regular
-    curve point; a velocity that overflows there raises InvalidSpec.
+    inflection.  curve is a pair of Poly1s; anything else raises
+    InvalidSpec.  The germ is taken at (t0, 0), which must be a regular
+    curve point (else NotRegularCurve); a velocity that overflows there
+    raises InvalidSpec.
     """
-    a, b = curve
-    if not isinstance(a, Poly1):
-        a = poly_from_spec(a)
-    if not isinstance(b, Poly1):
-        b = poly_from_spec(b)
+    try:
+        a, b = curve
+    except (TypeError, ValueError):  # not a pair
+        a = b = None
     if not isinstance(a, Poly1) or not isinstance(b, Poly1):
-        raise TypeError("ruling curve components must be one-variable polynomials")
+        raise InvalidSpec("a ruling curve needs two one-variable polynomials")
     da, db = a.derivative(), b.derivative()
     speed = math.hypot(da(t0), db(t0))
     if not math.isfinite(speed):

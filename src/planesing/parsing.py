@@ -15,13 +15,16 @@ from __future__ import annotations
 import re
 import sys
 
-from .poly import MAX_INPUT_DEGREE, Poly1, Poly2
+from .poly import MAX_INPUT_DEGREE, InvalidSpec, Poly1, Poly2
 
 __all__ = ["ParseError", "parse_map", "parse_curve", "parse_reals", "check_reals"]
 
 
-class ParseError(ValueError):
-    """The expression does not conform to the inline grammar."""
+class ParseError(InvalidSpec):
+    """The expression, number list or input file is malformed.
+
+    A kind of InvalidSpec, the package's one error for bad input.
+    """
 
 
 #: Deepest parenthesis nesting of one expression.  The recursive descent

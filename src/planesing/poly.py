@@ -42,7 +42,13 @@ MAX_INPUT_DEGREE = 16
 
 
 class InvalidSpec(ValueError):
-    """Malformed polynomial spec (bad arity, exponents, or coefficients)."""
+    """Bad input: the package's one error for it.
+
+    A malformed polynomial spec, a constructor given something other
+    than the polynomials it takes, a value out of range, or one that
+    overflows where it is used.  The parsing and curve errors subclass
+    it, and the command line reports it with exit 64.
+    """
 
 
 def _overflow_raises_later():
@@ -429,7 +435,7 @@ def poly_from_spec(spec: Mapping) -> Poly1 | Poly2:
     try:
         nvars = int(spec["vars"])
         terms = spec["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"spec needs 'vars' and 'terms': {exc}") from exc
     if nvars not in (1, 2):
         raise InvalidSpec(f"vars must be 1 or 2, got {nvars}")
@@ -440,10 +446,10 @@ def poly_from_spec(spec: Mapping) -> Poly1 | Poly2:
         try:
             c = _check_coeff(t["c"])
             e = t["e"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidSpec(f"bad term {t!r}") from exc
         except InvalidSpec:
             raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # "abc", 10**400
+            raise InvalidSpec(f"bad term {t!r}") from exc
         if isinstance(e, (int, float)):
             e = [e]
         e = list(e)

@@ -451,6 +451,88 @@ def test_bad_map_file_base_point_exits_64(tmp_path):
             assert not out.exists()
 
 
+_U = {"vars": 2, "terms": [{"c": 1.0, "e": [1, 0]}]}
+_CUSP_Q = {"vars": 2, "terms": [{"c": 1.0, "e": [0, 3]}, {"c": 1.0, "e": [1, 1]}]}
+
+
+def _json(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+# (case, command line, bytes of the input file); FILE in a command line
+# names the input file, or the test's own directory when there are no bytes
+FILE = "{file}"
+MALFORMED_INPUT = [
+    ("map-in-one-variable-classify", ["classify", FILE],
+     _json({"components": [{"vars": 1, "terms": [{"c": 1.0, "e": [1]}]}, _CUSP_Q]})),
+    ("map-in-one-variable-trace", ["trace", FILE, "--grid", "8,8"],
+     _json({"components": [_U, {"vars": 1, "terms": [{"c": 1.0, "e": [2]}]}]})),
+    ("problem-is-a-list", ["conslaw", FILE], b"[1]"),
+    ("problem-is-a-string", ["conslaw", FILE], b'"str"'),
+    ("directory-classify", ["classify", FILE], None),
+    ("directory-conslaw", ["conslaw", FILE], None),
+    ("not-utf8-classify", ["classify", FILE], b'\xff\xfe{"components": []}'),
+    ("not-utf8-conslaw", ["conslaw", FILE], b"\xff\xfe{}"),
+    ("nested-past-the-recursion-limit", ["classify", FILE], b"[" * 200000),
+    ("nested-base-point", ["classify", FILE],
+     _json({"components": [_U, _CUSP_Q]})[:-1] + b', "base_point": ' + b"[" * 200000 + b"}"),
+    ("map-without-components", ["classify", FILE], _json({"base_point": [0.0, 0.0]})),
+    ("components-not-a-list", ["classify", FILE], _json({"components": {"P": _U}})),
+    ("components-of-one-item", ["trace", FILE], _json({"components": [_U]})),
+    ("vars-overflows", ["classify", FILE],
+     b'{"components": [{"vars": 1e400, "terms": []}, ' + _json(_CUSP_Q) + b"]}"),
+    ("coefficient-overflows", ["conslaw", FILE],
+     b'{"f1": {"vars": 1, "terms": [{"c": 1' + b"0" * 400 + b', "e": [2]}]}, '
+     b'"f2": {"vars": 1, "terms": []}, "phi": ' + _json(_U) + b"}"),
+    ("coefficient-not-a-number", ["classify", FILE],
+     _json({"components": [{"vars": 2, "terms": [{"c": "abc", "e": [1, 0]}]}, _CUSP_Q]})),
+    ("empty-format", ["classify", "--builtin", "fold", "--format", ","], None),
+    ("ruling-without-curve", ["classify", "--builtin", "ruling"], None),
+    ("stationary-curve", ["classify", "--builtin", "ruling", "--curve", "t^2,t^3"], None),
+    ("problem-from-two-sources", ["conslaw", "--builtin", "burgers-lips", FILE],
+     _json({"f1": {"vars": 1, "terms": [{"c": 0.5, "e": [2]}]}, "f2": {"vars": 1, "terms": []},
+            "phi": _U})),
+    ("unknown-builtin-problem", ["conslaw", "--builtin", "doughnut"], None),
+    ("forced-point-with-two-times", ["conslaw", "--builtin", "burgers-lips",
+                                     "--at", "0,0", "--time", "1,2"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "args,content", [pytest.param(a, c, id=case) for case, a, c in MALFORMED_INPUT]
+)
+def test_malformed_input_exits_64_with_one_line(tmp_path, capsys, args, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+    out = tmp_path / "not-made"
+    args = [str(path) if a == FILE else a for a in args]
+    assert run([*args, "--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("planesing: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_builtin_at_another_point(tmp_path, capsys):
+    assert run(["classify", "--builtin", "cusp", "--at", "0.3,0.1", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "class=Immersion at (0.3, 0.1)\n"
+
+
+def test_map_file_at_another_point_matches_the_inline_map(tmp_path, capsys):
+    src = tmp_path / "cusp.json"
+    src.write_text(json.dumps({"components": [_U, _CUSP_Q], "base_point": [0.5, 0.5]}))
+    lines = []
+    for name, source in (("file", [str(src)]), ("inline", ["--map", "(u, v^3+u*v)"])):
+        assert run(["classify", *source, "--at", "-0.75,0.5", "--out", str(tmp_path / name)]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] == "class=Fold at (-0.75, 0.5)\n"
+    report = (tmp_path / "file" / "report.json").read_bytes()
+    assert report == (tmp_path / "inline" / "report.json").read_bytes()
+
+
 def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "planesing.cli", "classify", "--builtin", "fold",

@@ -18,7 +18,7 @@ from planesing.conslaw import (
 )
 from planesing.germs import BEAKS, IMMERSION, LIPS, classify, discriminant, rank_df
 from planesing.locus import BoxDomain
-from planesing.poly import Poly1, Poly2
+from planesing.poly import InvalidSpec, Poly1, Poly2
 
 BURGERS_F1 = Poly1({2: 0.5})
 ZERO_FLUX = Poly1({})
@@ -255,8 +255,15 @@ def test_birth_frames_straddle():
 
 def test_birth_frames_require_straddling_times():
     prob = model_problem()
-    with pytest.raises(ValueError):
-        lips_birth_frames(prob, (0.0, 0.0), 1.0, [1.1, 1.2], SMALL_BOX)
+    for times in ([1.1, 1.2], [0.5, 0.9]):
+        with pytest.raises(InvalidSpec, match="straddle"):
+            lips_birth_frames(prob, (0.0, 0.0), 1.0, times, SMALL_BOX)
+
+
+@pytest.mark.parametrize("data", [[1], "str", 3, None])
+def test_problem_from_a_document_that_is_not_an_object(data):
+    with pytest.raises(InvalidSpec, match="problem must be a JSON object, got"):
+        ConsLawProblem.from_dict(data)
 
 
 def test_problem_spec_round_trip():

@@ -29,7 +29,7 @@ from planesing.germs import (
 )
 from planesing.jets import Jet2, compose_map, poly_to_jet
 from planesing.parsing import parse_map
-from planesing.poly import Poly2, _binomial
+from planesing.poly import InvalidSpec, Poly1, Poly2, _binomial, poly_to_spec
 from planesing.serialize import canonical_json
 from test_locus import _pool_conjugate
 
@@ -393,10 +393,29 @@ def test_translated_fold_is_a_fold(shift):
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(zero_rel=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(zero_rel=2.0)
+    # InvalidSpec, a ValueError, naming the value
+    assert issubclass(InvalidSpec, ValueError)
+    for zero_rel in (0.0, 1.0, 2.0, float("nan")):
+        with pytest.raises(InvalidSpec, match=rf"zero_rel must lie in \(0, 1\), got {zero_rel}"):
+            ToleranceConfig(zero_rel=zero_rel)
+
+
+def test_germ_constructors_take_polynomials_only():
+    u, v = Poly2.variable(1), Poly2.variable(2)
+    ident = (u, v)
+    fold = builtin_germ("fold")
+    # a spec, a one-variable polynomial, a missing one, and a wrong count
+    for bad in (poly_to_spec(u), Poly1({1: 1.0}), None):
+        with pytest.raises(InvalidSpec, match="germ needs two two-variable polynomials"):
+            PlaneMapGerm((u, bad))
+        with pytest.raises(InvalidSpec, match="source needs two two-variable polynomials"):
+            conjugate_by_diffeos(fold, (bad, v), ident)
+        with pytest.raises(InvalidSpec, match="target needs two two-variable polynomials"):
+            conjugate_by_diffeos(fold, ident, (u, bad))
+    with pytest.raises(InvalidSpec):
+        PlaneMapGerm((u,))
+    with pytest.raises(InvalidSpec):
+        conjugate_by_diffeos(fold, ident, (u, v, u))
 
 
 def test_gray_zone_reports_unrecognized():

@@ -45,17 +45,18 @@ from planesing.locus import (
     sample_singular_set,
 )
 from planesing.parsing import parse_map
-from planesing.poly import InvalidSpec, Poly1, Poly2
+from planesing.poly import InvalidSpec, Poly1, Poly2, poly_to_spec
 
 BOX = BoxDomain((-1.0, -1.0), (1.0, 1.0))
 
 
 def test_box_validation():
-    with pytest.raises(ValueError):
+    # InvalidSpec is a ValueError
+    with pytest.raises(InvalidSpec):
         BoxDomain((0.0, 0.0), (0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         BoxDomain((0.0, 0.0), (1.0, 1.0), (1, 8))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         BoxDomain((0.0, 0.0), (1.0, 1.0), (MAX_GRID + 1, 8))
     for lo, hi in (
         ((-math.inf, -1.0), (1.0, 1.0)),
@@ -63,7 +64,7 @@ def test_box_validation():
         ((math.nan, -1.0), (1.0, 1.0)),
         ((-1e308, -1.0), (1e308, 1.0)),  # finite corners, infinite extent
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             BoxDomain(lo, hi)
 
 
@@ -525,8 +526,18 @@ def test_ruling_family_flat_point_criterion(a):
 
 
 def test_ruling_map_rejects_stationary_curve():
+    assert issubclass(NotRegularCurve, InvalidSpec) and issubclass(NotRegularCurve, ValueError)
     with pytest.raises(NotRegularCurve):
         ruling_map((Poly1({2: 1.0}), Poly1({3: 1.0})), 0.0)
+
+
+def test_ruling_map_takes_one_variable_polynomials_only():
+    t = Poly1({1: 1.0})
+    for bad in (poly_to_spec(t), Poly2.variable(1), None):
+        with pytest.raises(InvalidSpec, match="ruling curve needs two one-variable"):
+            ruling_map((t, bad), 0.0)
+    with pytest.raises(InvalidSpec):
+        ruling_map((t,), 0.0)
 
 
 def test_ruling_map_rejects_an_overflowing_velocity():

@@ -1,7 +1,7 @@
 import pytest
 
 from planesing.parsing import MAX_NESTING, ParseError, check_reals, parse_curve, parse_map, parse_reals
-from planesing.poly import MAX_INPUT_DEGREE
+from planesing.poly import MAX_INPUT_DEGREE, InvalidSpec
 
 
 def test_parse_map_lips_form():
@@ -110,3 +110,9 @@ def test_nesting_up_to_the_cap_parses():
     assert P.coeffs == {(2, 0): 1.0}
     with pytest.raises(ParseError, match="nest deeper"):
         parse_map(f"(({deep.replace('t', 'u')}), v)")
+
+
+def test_parse_errors_are_invalid_spec():
+    assert issubclass(ParseError, InvalidSpec) and issubclass(ParseError, ValueError)
+    with pytest.raises(InvalidSpec):
+        parse_reals("1,x")

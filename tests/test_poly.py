@@ -521,6 +521,10 @@ def test_spec_duplicate_terms_sum():
         {"vars": 1, "terms": [{"c": 1.0, "e": [MAX_INPUT_DEGREE + 1]}]},
         {"vars": 2, "terms": [{"c": 1.0, "e": [MAX_INPUT_DEGREE, 1]}]},
         "not a mapping",
+        # what a JSON file can hold that float() and int() reject
+        {"vars": math.inf, "terms": []},
+        {"vars": 1, "terms": [{"c": 10**400, "e": [1]}]},
+        {"vars": 1, "terms": [{"c": "abc", "e": [1]}]},
     ],
 )
 def test_spec_rejects_malformed(bad):

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import Jet2, _compose_each, det2x2, poly_to_jet
-from .poly import InvalidSpec, Poly2
+from .poly import InvalidSpec, Poly2, is_number
 
 __all__ = [
     "ToleranceConfig",
@@ -117,8 +117,9 @@ class ToleranceConfig:
     zero_rel: float = 1e-7
 
     def __post_init__(self):
-        if not 0 < self.zero_rel < 1:
-            raise InvalidSpec(f"zero_rel must lie in (0, 1), got {self.zero_rel}")
+        if not (is_number(self.zero_rel) and 0 < self.zero_rel < 1):
+            raise InvalidSpec(f"zero_rel must lie in (0, 1), got {self.zero_rel!r}")
+        object.__setattr__(self, "zero_rel", float(self.zero_rel))
 
     def as_dict(self) -> dict:
         return {

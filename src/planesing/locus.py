@@ -47,7 +47,7 @@ from .germs import (
     ToleranceConfig,
     classify,
 )
-from .poly import HornerStack, InvalidSpec, Poly1, Poly2
+from .poly import HornerStack, InvalidSpec, Poly1, Poly2, is_number
 
 __all__ = [
     "BoxDomain",
@@ -96,12 +96,15 @@ class BoxDomain:
     grid: tuple[int, int] = (64, 64)
 
     def __post_init__(self):
-        lo = (float(self.lo[0]), float(self.lo[1]))
-        hi = (float(self.hi[0]), float(self.hi[1]))
+        lo, hi = (self.lo[0], self.lo[1]), (self.hi[0], self.hi[1])
+        grid = (self.grid[0], self.grid[1])
+        if not (all(map(is_number, lo + hi)) and all(is_number(n, count=True) for n in grid)):
+            raise InvalidSpec(f"box needs finite numbers and an integer grid, got {self}")
+        lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
-        if not all(map(math.isfinite, lo + hi + (hi[0] - lo[0], hi[1] - lo[1]))):
+        object.__setattr__(self, "grid", tuple(map(int, grid)))
+        if not (math.isfinite(hi[0] - lo[0]) and math.isfinite(hi[1] - lo[1])):
             raise InvalidSpec(f"box corners and extent must be finite, got lo={lo} hi={hi}")
         if not (lo[0] < hi[0] and lo[1] < hi[1]):
             raise InvalidSpec(f"box must have positive extent, got lo={lo} hi={hi}")

@@ -3,19 +3,21 @@
 Accepts sums of signed monomial terms with explicit or juxtaposed
 multiplication and integer powers, e.g. ``(u, v^3+u^3 v)`` for a plane
 map or ``t,t^3`` for a curve.  Plane maps use variables u, v; curves
-use t.  An expression may not pass degree MAX_INPUT_DEGREE, and no
-exponent or product beyond it is built; its parentheses may not nest
-deeper than MAX_NESTING.  A curve is parsed with Poly2 arithmetic in
-u1 and each component wrapped as a Poly1.  The output is exact
+use t.  The text is tokenized once; one depth pass over the tokens
+checks the parentheses, drops one pair that wraps the whole text and
+cuts the rest at its top-level commas, and a recursive descent parses
+each token slice.  An expression may not pass degree MAX_INPUT_DEGREE,
+and no exponent or product beyond it is built; its parentheses may not
+nest deeper than MAX_NESTING.  A curve is parsed with Poly2 arithmetic
+in u1 and each component wrapped as a Poly1.  The output is exact
 Poly1/Poly2 values ready for germ construction.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 
-from .poly import MAX_INPUT_DEGREE, InvalidSpec, Poly1, Poly2
+from .poly import MAX_INPUT_DEGREE, InvalidSpec, Poly1, Poly2, is_number
 
 __all__ = ["ParseError", "parse_map", "parse_curve", "parse_reals", "check_reals"]
 
@@ -58,13 +60,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             if text[pos:].strip() == "":
                 break
             raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
+        val = m.group(m.lastgroup)
+        tokens.append((m.lastgroup, "^" if val == "**" else val))
         pos = m.end()
     return tokens
 
@@ -158,75 +155,63 @@ class _Parser:
         return self.pos >= len(self.tokens)
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas outside parentheses, stripping one outer pair."""
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        depth = 0
-        wraps = True
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(s) - 1:
-                    wraps = False
-                    break
-        if wraps:
-            s = s[1:-1]
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
+def _components(text: str) -> list[list[tuple[str, str]]]:
+    """The token slices of the comma-separated components of text.
+
+    The text is tokenized once, and one depth pass over the tokens
+    checks that the parentheses balance, drops one pair that wraps the
+    whole text, caps the nesting inside that pair at MAX_NESTING and
+    cuts at the commas outside every other pair.
+    """
+    tokens = _tokenize(text)
+    depth = deepest = 0
+    first_close = None
+    commas: tuple[list[int], list[int]] = ([], [])  # at depth 0 and at depth 1
+    for k, tok in enumerate(tokens):
+        if tok == ("op", "("):
             depth += 1
-        elif ch == ")":
+            deepest = max(deepest, depth)
+        elif tok == ("op", ")"):
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced parentheses")
-        elif ch == "," and depth == 0:
-            parts.append(s[start:i])
-            start = i + 1
+            if depth == 0 and first_close is None:
+                first_close = k
+        elif tok == ("op", ",") and depth < 2:
+            commas[depth].append(k)
     if depth != 0:
         raise ParseError("unbalanced parentheses")
-    parts.append(s[start:])
-    return parts
+    wrapped = int(tokens[:1] == [("op", "(")] and first_close == len(tokens) - 1)
+    if deepest - wrapped > MAX_NESTING:
+        raise ParseError(f"parentheses nest deeper than the cap {MAX_NESTING}")
+    cuts = [wrapped - 1, *commas[wrapped], len(tokens) - wrapped]
+    return [tokens[a + 1 : b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _parse_one(text: str, variables, one):
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty expression")
-    depth = 0
-    for tok in tokens:
-        depth += (tok == ("op", "(")) - (tok == ("op", ")"))
-        if depth > MAX_NESTING:
-            raise ParseError(f"parentheses nest deeper than the cap {MAX_NESTING}")
-    parser = _Parser(tokens, variables, one)
-    result = parser.parse_expr()
-    if not parser.finished():
-        raise ParseError(f"trailing input after expression: {text!r}")
-    return result
+def _parse_pair(text: str, what: str, variables: dict) -> tuple[Poly2, Poly2]:
+    parts = _components(text)
+    if len(parts) != 2:
+        raise ParseError(f"{what} needs exactly 2 components, got {len(parts)}")
+    one = Poly2.constant(1.0)
+    out = []
+    for tokens in parts:
+        if not tokens:
+            raise ParseError("empty expression")
+        parser = _Parser(tokens, variables, one)
+        out.append(parser.parse_expr())
+        if not parser.finished():
+            raise ParseError(f"unexpected token {parser.peek()[1]!r} after the expression")
+    return tuple(out)
 
 
 def parse_map(text: str) -> tuple[Poly2, Poly2]:
     """Parse '(P(u,v), Q(u,v))' into a pair of two-variable polynomials."""
-    parts = _split_top_level(text)
-    if len(parts) != 2:
-        raise ParseError(f"a plane map needs exactly 2 components, got {len(parts)}")
-    variables = {"u": Poly2.variable(1), "v": Poly2.variable(2)}
-    one = Poly2.constant(1.0)
-    return tuple(_parse_one(p, variables, one) for p in parts)
+    return _parse_pair(text, "a plane map", {"u": Poly2.variable(1), "v": Poly2.variable(2)})
 
 
 def parse_curve(text: str) -> tuple[Poly1, Poly1]:
     """Parse 'a(t), b(t)' into a pair of one-variable polynomials."""
-    parts = _split_top_level(text)
-    if len(parts) != 2:
-        raise ParseError(f"a curve needs exactly 2 components, got {len(parts)}")
-    variables = {"t": Poly2.variable(1)}
-    one = Poly2.constant(1.0)
-    return tuple(Poly1._of(_parse_one(p, variables, one)) for p in parts)
+    return tuple(map(Poly1._of, _parse_pair(text, "a curve", {"t": Poly2.variable(1)})))
 
 
 def parse_reals(text: str, count: int | None = None) -> tuple[float, ...]:
@@ -239,10 +224,8 @@ def parse_reals(text: str, count: int | None = None) -> tuple[float, ...]:
 
 
 def check_reals(values, count: int | None, source: str) -> tuple[float, ...]:
-    """The list or tuple values as floats if it holds count finite numbers (bools are not)."""
-    if not isinstance(values, (list, tuple)) or not all(type(v) in (int, float) for v in values):
-        raise ParseError(f"expected numbers, got {source}")
-    if not all(abs(v) <= sys.float_info.max for v in values):
+    """The list or tuple values as floats if it holds count reals, as is_number judges them."""
+    if not isinstance(values, (list, tuple)) or not all(map(is_number, values)):
         raise ParseError(f"expected finite numbers, got {source}")
     if count is not None and len(values) != count:
         raise ParseError(f"expected {count} numbers, got {len(values)} in {source}")

@@ -14,8 +14,10 @@ rather than a truncated local one.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -26,6 +28,7 @@ __all__ = [
     "Poly1",
     "Poly2",
     "convolve2",
+    "is_number",
     "outside_order",
     "poly_from_spec",
     "poly_to_spec",
@@ -58,11 +61,27 @@ def _overflow_raises_later():
     return np.errstate(over="ignore", invalid="ignore")
 
 
+def is_number(x, count: bool = False) -> bool:
+    """Whether x is an input number: a real, or with count a count.
+
+    A real is a finite numbers.Real and a count a numbers.Integral;
+    NumPy scalars are both, while a bool is neither, and neither is a
+    string, None or 2.0 as a count.  Every number that enters from
+    outside is judged here.
+    """
+    kind = type(x)
+    if kind is bool:
+        return False
+    # an exact int or float skips the slower abstract-class checks
+    if kind is int or (kind is not float and isinstance(x, numbers.Integral)):
+        return count or abs(x) <= sys.float_info.max
+    return not count and (kind is float or isinstance(x, numbers.Real)) and math.isfinite(x)
+
+
 def _check_coeff(c) -> float:
-    c = float(c)
-    if not math.isfinite(c):
-        raise InvalidSpec(f"non-finite coefficient {c!r}")
-    return c
+    if not is_number(c):
+        raise InvalidSpec(f"coefficient must be a finite number, got {c!r}")
+    return float(c)
 
 
 def _flat(t: np.ndarray, width: int) -> np.ndarray:
@@ -256,10 +275,10 @@ class Poly2:
     def __init__(self, coeffs: Mapping[tuple, float] | None = None):
         terms = []
         for e, c in (coeffs or {}).items():
-            i, j = int(e[0]), int(e[1])
-            if i < 0 or j < 0:
-                raise InvalidSpec(f"negative exponent {(i, j)}")
-            terms.append((i, j, _check_coeff(c)))
+            if not (isinstance(e, tuple) and len(e) == 2
+                    and all(is_number(k, count=True) and k >= 0 for k in e)):
+                raise InvalidSpec(f"an exponent key must be two non-negative integers, got {e!r}")
+            terms.append((int(e[0]), int(e[1]), _check_coeff(c)))
         rows = max((i for i, _, _ in terms), default=0) + 1
         cols = max((j for _, j, _ in terms), default=0) + 1
         table = np.zeros((rows, cols))
@@ -425,45 +444,33 @@ class Poly2:
 def poly_from_spec(spec: Mapping) -> Poly1 | Poly2:
     """Build a polynomial from its JSON form.
 
-    The spec is ``{"vars": 1 or 2, "terms": [{"c": coeff, "e": exponents}]}``
-    with ``e`` a one- or two-element list matching ``vars``, whose sum is
-    at most MAX_INPUT_DEGREE.  Duplicate exponent tuples are summed.
-    Raises InvalidSpec on anything else.
+    The spec is ``{"vars": 1 or 2, "terms": [{"c": coeff, "e": exponents}]}``.
+    ``terms`` is a list of objects; ``c`` is a finite number and ``e`` a
+    list of ``vars`` non-negative integers whose sum is at most
+    MAX_INPUT_DEGREE, both judged by is_number, so a bool or a string is
+    no number and 2.0 no exponent.  Types are checked before anything is
+    converted, and duplicate exponent tuples are summed.  Raises
+    InvalidSpec on anything else.
     """
     if not isinstance(spec, Mapping):
         raise InvalidSpec(f"spec must be a mapping, got {type(spec).__name__}")
-    try:
-        nvars = int(spec["vars"])
-        terms = spec["terms"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"spec needs 'vars' and 'terms': {exc}") from exc
-    if nvars not in (1, 2):
-        raise InvalidSpec(f"vars must be 1 or 2, got {nvars}")
-    if not isinstance(terms, Iterable) or isinstance(terms, (str, bytes)):
+    nvars, terms = spec.get("vars"), spec.get("terms")
+    if not is_number(nvars, count=True) or nvars not in (1, 2):
+        raise InvalidSpec(f"vars must be 1 or 2, got {nvars!r}")
+    if not isinstance(terms, list):
         raise InvalidSpec("terms must be a list of {'c':…,'e':…} entries")
     acc: dict = {}
     for t in terms:
-        try:
-            c = _check_coeff(t["c"])
-            e = t["e"]
-        except InvalidSpec:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # "abc", 10**400
-            raise InvalidSpec(f"bad term {t!r}") from exc
-        if isinstance(e, (int, float)):
-            e = [e]
-        e = list(e)
-        if len(e) != nvars:
-            raise InvalidSpec(f"exponent arity {len(e)} does not match vars={nvars}")
-        try:
-            bad = any(int(x) != x or int(x) < 0 for x in e)
-        except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
-            bad = True
-        if bad:
-            raise InvalidSpec(f"exponents must be non-negative integers, got {e}")
-        if sum(int(x) for x in e) > MAX_INPUT_DEGREE:
+        if not isinstance(t, Mapping):
+            raise InvalidSpec(f"a term must be an object, got {t!r}")
+        c, e = _check_coeff(t.get("c")), t.get("e")
+        if not isinstance(e, list) or len(e) != nvars:
+            raise InvalidSpec(f"e must be a list of {nvars} exponents, got {e!r}")
+        if not all(is_number(x, count=True) and x >= 0 for x in e):
+            raise InvalidSpec(f"exponents must be non-negative integers, got {e!r}")
+        if sum(e) > MAX_INPUT_DEGREE:
             raise InvalidSpec(f"term degree of {e} exceeds the cap {MAX_INPUT_DEGREE}")
-        key = int(e[0]) if nvars == 1 else (int(e[0]), int(e[1]))
+        key = e[0] if nvars == 1 else tuple(e)
         acc[key] = acc.get(key, 0.0) + c
     return Poly1(acc) if nvars == 1 else Poly2(acc)
 

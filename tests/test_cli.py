@@ -486,6 +486,14 @@ MALFORMED_INPUT = [
      b'"f2": {"vars": 1, "terms": []}, "phi": ' + _json(_U) + b"}"),
     ("coefficient-not-a-number", ["classify", FILE],
      _json({"components": [{"vars": 2, "terms": [{"c": "abc", "e": [1, 0]}]}, _CUSP_Q]})),
+    # a bool, a string or a fractional count is no input number
+    ("vars-fractional", ["classify", FILE],
+     _json({"components": [{"vars": 2.7, "terms": [{"c": 1.0, "e": [1, 0]}]}, _CUSP_Q]})),
+    ("coefficient-a-string", ["classify", FILE],
+     _json({"components": [{"vars": 2, "terms": [{"c": "1e5", "e": [1, 0]}]}, _CUSP_Q]})),
+    ("exponent-a-bool", ["conslaw", FILE],
+     _json({"f1": {"vars": 1, "terms": [{"c": 0.5, "e": [True]}]}, "f2": {"vars": 1, "terms": []},
+            "phi": _U})),
     ("empty-format", ["classify", "--builtin", "fold", "--format", ","], None),
     ("ruling-without-curve", ["classify", "--builtin", "ruling"], None),
     ("stationary-curve", ["classify", "--builtin", "ruling", "--curve", "t^2,t^3"], None),

@@ -398,6 +398,13 @@ def test_tolerance_validation():
     for zero_rel in (0.0, 1.0, 2.0, float("nan")):
         with pytest.raises(InvalidSpec, match=rf"zero_rel must lie in \(0, 1\), got {zero_rel}"):
             ToleranceConfig(zero_rel=zero_rel)
+    # a string or a bool is no number, and nothing converts it
+    for zero_rel in ("0.5", True, None):
+        with pytest.raises(InvalidSpec, match=rf"zero_rel must lie in \(0, 1\), got {zero_rel!r}"):
+            ToleranceConfig(zero_rel=zero_rel)
+    # a NumPy scalar is a number like any other
+    zero_rel = ToleranceConfig(zero_rel=np.float32(0.5)).zero_rel
+    assert type(zero_rel) is float and zero_rel == 0.5
 
 
 def test_germ_constructors_take_polynomials_only():

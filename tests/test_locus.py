@@ -66,6 +66,20 @@ def test_box_validation():
     ):
         with pytest.raises(InvalidSpec):
             BoxDomain(lo, hi)
+    # strings, bools and a fractional grid are no input numbers
+    for args in (
+        (("a", 0), (1, 1)),
+        ((True, 0), (1, 1)),
+        ((0, 0), (1, None)),
+        ((0, 0), (1, 1), (64.7, 64)),
+        ((0, 0), (1, 1), (64.0, 64)),
+        ((0, 0), (1, 1), ("8", 8)),
+    ):
+        with pytest.raises(InvalidSpec, match="box needs finite numbers and an integer grid"):
+            BoxDomain(*args)
+    box = BoxDomain((np.float32(-1), np.int64(0)), (np.float64(1), 2), (np.int32(8), 8))
+    assert (box.lo, box.hi, box.grid) == ((-1.0, 0.0), (1.0, 2.0), (8, 8))
+    assert all(type(x) is float for x in box.lo + box.hi) and all(type(n) is int for n in box.grid)
 
 
 def test_overflowing_grid_values_raise_invalid_spec():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from planesing.parsing import MAX_NESTING, ParseError, check_reals, parse_curve, parse_map, parse_reals
@@ -116,3 +118,67 @@ def test_parse_errors_are_invalid_spec():
     assert issubclass(ParseError, InvalidSpec) and issubclass(ParseError, ValueError)
     with pytest.raises(InvalidSpec):
         parse_reals("1,x")
+
+
+def _component_text(rng, depth=0) -> str:
+    """A random valid component in u and v of degree at most 8: signed
+    terms of numbers, variables and parenthesised sums, with explicit,
+    juxtaposed and power products and uneven whitespace."""
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        factors = []
+        for _ in range(int(rng.integers(1, 3))):
+            k = rng.random()
+            if k < 0.3:
+                f = str(rng.choice(["2", "0.5", "1e-3", ".25", "3.", "7"]))
+            elif k < 0.8 or depth >= 2:
+                f = str(rng.choice(["u", "v"]))
+            else:
+                f = "(" + _component_text(rng, depth + 1) + ")"
+            if rng.random() < 0.3:
+                f += str(rng.choice(["^", "**", " ^ "])) + str(rng.integers(0, 3))
+            factors.append(f)
+        # a space keeps two juxtaposed numbers apart
+        terms.append(str(rng.choice(["*", " * ", " "])).join(factors))
+    signs = [str(rng.choice(["", "-", "+ "]))]
+    signs += [str(rng.choice([" + ", "-", " - "])) for _ in terms[1:]]
+    return "".join(s + t for s, t in zip(signs, terms))
+
+
+def test_components_read_alike_in_every_enclosure(rng):
+    # a component reads the same bits with or without the wrapping pair,
+    # and whatever the other component is
+    for _ in range(300):
+        p, q = _component_text(rng), _component_text(rng)
+        wrapped, bare = parse_map(f"({p}, {q})"), parse_map(f"{p}, {q}")
+        alone = parse_map(f"({p}, v)")[0], parse_map(f"(u, {q})")[1]
+        for k in (0, 1):
+            want = wrapped[k].table
+            for got in (bare[k].table, alone[k].table):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (p, q)
+
+
+def test_juxtaposed_groups_are_one_component():
+    P, Q = parse_map("(u)(v), v")
+    assert P.coeffs == {(1, 1): 1.0}
+    assert Q.coeffs == {(0, 1): 1.0}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("((u, v))", "needs exactly 2 components, got 1"),
+        ("(u,v)^2", "needs exactly 2 components, got 1"),
+        ("(u, v))", "unbalanced parentheses"),
+        (")(u, v", "unbalanced parentheses"),
+    ],
+)
+def test_only_one_wrapping_pair_is_dropped(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_map(text)
+
+
+def test_a_long_sum_parses_without_recursion():
+    P, Q = parse_map("+".join(["u"] * 10000) + ", v")
+    assert P.coeffs == {(1, 0): 10000.0}
+    assert Q.coeffs == {(0, 1): 1.0}

@@ -287,6 +287,28 @@ def test_poly1_overflow_raises_invalid_spec():
     assert p(1e100) == 1e300 + 2e100
 
 
+def test_poly2_constructor_takes_integer_exponents_and_finite_coefficients():
+    for coeffs in (
+        {(2.5, 0): 1.0},
+        {(2.0, 0): 1.0},
+        {(True, 0): 1.0},
+        {("1", 0): 1.0},
+        {(-1, 0): 1.0},
+        {(1, 0, 5): 1.0},
+        {(1,): 1.0},
+        {1: 1.0},
+        {(1, 0): "1"},
+        {(1, 0): True},
+        {(1, 0): math.inf},
+        {(1, 0): 10**400},
+    ):
+        with pytest.raises(InvalidSpec):
+            Poly2(coeffs)
+    # NumPy scalars are numbers like any other
+    p = Poly2({(np.int64(2), np.int32(1)): np.float64(0.5), (1, 0): np.float32(2.0)})
+    assert p.table.tobytes() == Poly2({(2, 1): 0.5, (1, 0): 2.0}).table.tobytes()
+
+
 def test_poly2_partials_and_eval():
     p = Poly2({(2, 1): 1.0, (0, 3): -2.0})
     assert p((2.0, -1.0)) == pytest.approx(-4.0 + 2.0)
@@ -525,6 +547,19 @@ def test_spec_duplicate_terms_sum():
         {"vars": math.inf, "terms": []},
         {"vars": 1, "terms": [{"c": 10**400, "e": [1]}]},
         {"vars": 1, "terms": [{"c": "abc", "e": [1]}]},
+        # bools, strings and fractional counts are no input numbers
+        {"vars": True, "terms": []},
+        {"vars": 2.7, "terms": []},
+        {"vars": "2", "terms": []},
+        {"vars": 2.0, "terms": []},
+        {"vars": 1, "terms": [{"c": "1e5", "e": [1]}]},
+        {"vars": 1, "terms": [{"c": True, "e": [1]}]},
+        {"vars": 2, "terms": [{"c": 1.0, "e": [True, 0]}]},
+        {"vars": 2, "terms": [{"c": 1.0, "e": [2.0, 0]}]},
+        {"vars": 1, "terms": [{"c": 1.0, "e": 2}]},
+        # a term that is not an object, and terms given as an object
+        {"vars": 1, "terms": [[1.0, [2]]]},
+        {"vars": 1, "terms": {"c": 1.0, "e": [2]}},
     ],
 )
 def test_spec_rejects_malformed(bad):

@@ -37,7 +37,7 @@ from .locus import (
     sample_singular_set,
 )
 from .parsing import ParseError, check_reals, parse_curve, parse_map, parse_reals
-from .poly import InvalidSpec, poly_from_spec
+from .poly import InvalidSpec, poly_from_spec, quote
 from .serialize import dump_json, write_curves_csv, write_svg
 
 EXIT_OK = 0
@@ -148,7 +148,7 @@ def _map_from_file(path: str) -> PlaneMapGerm:
     if not isinstance(components, list) or len(components) != 2:
         raise ParseError('"components" must be a list of two PolySpecs')
     base = data.get("base_point", [0.0, 0.0])
-    base = check_reals(base, 2, f'"base_point" {base!r}')
+    base = check_reals(base, 2, f'"base_point" {quote(base)}')
     return PlaneMapGerm(tuple(map(poly_from_spec, components)), base)
 
 

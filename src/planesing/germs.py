@@ -27,17 +27,18 @@ Maps are given by exact polynomial components, so every jet here is an
 exact truncation; the tolerance policy exists for inputs that arrive
 through rounded arithmetic (conjugation, Newton-located base points).
 A germ recentres its two components at its base point once, to order
-7, and keeps the four order-6 jets of df and each component's scale.
-Every local quantity comes from them: rank_df and the row choice of
-null_field read one matrix, their values with each row divided by its
-component's scale; eta is one row of the jets, and lambda is their
-determinant.
+7, and keeps one record of df there: its four order-6 jets, each
+component's scale, their values with each row divided by that scale,
+and the rank of that matrix.  Every local quantity comes from it:
+rank_df is its rank, null_field's row choice reads its matrix, eta is
+one row of the jets, and lambda is their determinant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,7 +173,7 @@ class PlaneMapGerm:
     Target constants are irrelevant to every derived quantity (they drop
     out of the Jacobian), so germs are not translated in the target.
     The Jacobian and discriminant polynomials are derived once, on first
-    use, and kept, and so are the jets of the Jacobian at the base point.
+    use, and kept, and so is the record of df at the base point.
     """
 
     __slots__ = (
@@ -180,8 +181,7 @@ class PlaneMapGerm:
         "base_point",
         "_lam_poly",
         "_jacobian",
-        "_jacobian_jets",
-        "_component_scales",
+        "_local",
     )
 
     def __init__(self, components, base_point=(0.0, 0.0)):
@@ -189,8 +189,7 @@ class PlaneMapGerm:
         self.base_point = (float(base_point[0]), float(base_point[1]))
         self._lam_poly = None
         self._jacobian = None
-        self._jacobian_jets = None
-        self._component_scales = None
+        self._local = None
 
     @classmethod
     def from_jets(cls, jet1: Jet2, jet2: Jet2) -> "PlaneMapGerm":
@@ -213,23 +212,27 @@ class PlaneMapGerm:
             self._jacobian = tuple((c.partial(1), c.partial(2)) for c in self.components)
         return self._jacobian
 
-    def jacobian_jets(self) -> tuple[tuple[Jet2, Jet2], tuple[Jet2, Jet2]]:
-        """((P_u1, P_u2), (Q_u1, Q_u2)) as order-6 jets at the base point (cached).
-
-        Each component is recentred once, to order 7, which also gives
-        component_scales; InvalidSpec, naming the base point, if that
-        overflows.
-        """
-        if self._jacobian_jets is None:
+    def _local_jacobian(self) -> "_LocalJacobian":
+        """The record of df at the base point, built on first use from the
+        components recentred to order 7; InvalidSpec if that overflows."""
+        if self._local is None:
             try:
                 jets = [poly_to_jet(c, self.base_point, 7) for c in self.components]
-                self._jacobian_jets = tuple((j.partial(1), j.partial(2)) for j in jets)
+                pairs = tuple((j.partial(1), j.partial(2)) for j in jets)
             except InvalidSpec as exc:
                 raise InvalidSpec(f"the Jacobian overflows at {self.base_point}") from exc
-            self._component_scales = tuple(
-                float(np.abs(j.coeffs).ravel()[1:].max(initial=0.0)) for j in jets
-            )
-        return self._jacobian_jets
+            scales = tuple(float(np.abs(j.coeffs).ravel()[1:].max(initial=0.0)) for j in jets)
+            # a row whose scale is 0 is zero, and stays so
+            scaled = np.array([[d.value / (s or 1.0) for d in r] for r, s in zip(pairs, scales)])
+            scaled.setflags(write=False)
+            sv = np.linalg.svd(scaled, compute_uv=False)
+            rank = 0 if sv[0] <= RANK_THRESHOLD else 1 if sv[1] <= RANK_THRESHOLD * sv[0] else 2
+            self._local = _LocalJacobian(pairs, scales, scaled, rank)
+        return self._local
+
+    def jacobian_jets(self) -> tuple[tuple[Jet2, Jet2], tuple[Jet2, Jet2]]:
+        """((P_u1, P_u2), (Q_u1, Q_u2)) as order-6 jets at the base point (cached)."""
+        return self._local_jacobian().jets
 
     def discriminant_poly(self) -> Poly2:
         """Jacobian determinant as an exact global polynomial (cached)."""
@@ -242,11 +245,21 @@ class PlaneMapGerm:
         """Magnitude scale of each row of df: the largest non-constant
         Taylor coefficient of P, and of Q, at the base point, through
         order 7 (cached)."""
-        self.jacobian_jets()
-        return self._component_scales
+        return self._local_jacobian().scales
 
     def __repr__(self):
         return f"PlaneMapGerm({self.components[0]!r}, {self.components[1]!r}, base={self.base_point!r})"
+
+
+class _LocalJacobian(NamedTuple):
+    """df at a germ's base point: the order-6 jets ((P_u1, P_u2), (Q_u1, Q_u2)),
+    each component's scale, the jets' values with each row divided by its
+    scale (which scaling P or Q alone leaves as they are), and their rank."""
+
+    jets: tuple[tuple[Jet2, Jet2], tuple[Jet2, Jet2]]
+    scales: tuple[float, float]
+    scaled: np.ndarray
+    rank: int
 
 
 @dataclass(frozen=True)
@@ -284,31 +297,12 @@ def discriminant(f: PlaneMapGerm) -> Jet2:
     return _lambda_jet(f).truncate(3)
 
 
-def _scaled_jacobian(f: PlaneMapGerm) -> np.ndarray:
-    """df at the base point, each row divided by its component's scale.
-
-    A row whose scale is 0 is zero, and stays so.  Scaling P or Q leaves
-    the matrix as it is, to rounding, and no entry exceeds 1 in
-    magnitude, since the first-order Taylor coefficients are part of
-    each scale.
-    """
-    J = np.array([[d.value for d in row] for row in f.jacobian_jets()])
-    for row, scale in zip(J, f.component_scales()):
-        if scale > 0.0:
-            row /= scale
-    return J
-
-
 def rank_df(f: PlaneMapGerm) -> int:
     """Numerical rank of df: 0 when the largest singular value of the
     scaled Jacobian is at most RANK_THRESHOLD, 1 when the smaller one is
-    at most RANK_THRESHOLD times the larger, and 2 otherwise."""
-    s = np.linalg.svd(_scaled_jacobian(f), compute_uv=False)
-    if s[0] <= RANK_THRESHOLD:
-        return 0
-    if s[1] <= RANK_THRESHOLD * s[0]:
-        return 1
-    return 2
+    at most RANK_THRESHOLD times the larger, and 2 otherwise; the germ
+    decides it once."""
+    return f._local_jacobian().rank
 
 
 def null_field(f: PlaneMapGerm) -> NullField:
@@ -319,10 +313,11 @@ def null_field(f: PlaneMapGerm) -> NullField:
     CorankTwoError exactly where rank_df is 0, so the two tests share
     one bound and classify, which asks only at rank 1, never meets it.
     """
-    if rank_df(f) == 0:
+    local = f._local_jacobian()
+    if local.rank == 0:
         raise CorankTwoError(f"Jacobian vanishes at {f.base_point}; null direction undefined")
-    (Pu, Pv), (Qu, Qv) = f.jacobian_jets()
-    row_max = np.abs(_scaled_jacobian(f)).max(axis=1)
+    (Pu, Pv), (Qu, Qv) = local.jets
+    row_max = np.abs(local.scaled).max(axis=1)
     if row_max[0] >= row_max[1]:
         eta, provenance = (Pv, -Pu), "first-row"
     else:

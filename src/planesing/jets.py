@@ -12,17 +12,17 @@ coefficient table ``c`` represents ``sum c[i, j] * (u1 - p1)**i *
 (u2 - p2)**j`` over ``i + j <= order``, so the (i, j)-th partial
 derivative at the base point is ``c[i, j] * i! * j!``.  A `Jet2` table
 is a `Poly2` table cut to that triangle: its product is the same
-``convolve2`` cut back to the triangle, and its partial derivative the
-same scaled slice.  An operation wraps the table it has just computed
-in its result instead of copying it.  `compose_map` runs on raw
-tables, padding each power of an inner jet once, and wraps only its
-result in a `Jet2`; several outer jets composed with the same inner
-pair share those powers and cross terms.
+``convolve2`` cut back to the triangle, its partial derivative the
+same scaled slice; a new table cut to an order is `order_cut`'s.  An
+operation wraps the table it has just computed in its result instead
+of copying it.  One kernel composes jets: it forms on raw tables only
+the powers of the inner jets that some outer coefficient reads, and
+outer jets composed with the same inner pair share them.
 
 `Jet2` is the only jet class.  A jet of one variable is a `Jet2` in u1
 alone, zero off column 0, just as a `Poly1` is a one-column `Poly2`:
 `poly_to_jet` of a `Poly1` at y0 is the jet of its `Poly2` at (y0, 0),
-and `compose_univariate` reads the outer coefficients from column 0.
+and `compose_univariate` is `compose_map` with a constant second inner.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .poly import InvalidSpec, Poly1, Poly2, _overflow_raises_later, convolve2, outside_order
+from .poly import InvalidSpec, Poly1, Poly2, _overflow_raises_later, convolve2, order_cut, outside_order
 
 __all__ = [
     "Jet2",
@@ -99,16 +99,8 @@ class Jet2:
             order = c.shape[0] - 1
         if order < 0:
             raise InvalidSpec("jet order must be non-negative")
-        n = order + 1
-        table = np.zeros((n, n))
-        m = min(n, c.shape[0])
-        table[:m, :m] = c[:m, :m]
-        table[outside_order(order)] = 0.0
-        _finite_or_raise(table)
-        table.setflags(write=False)
-        self.base_point = (float(base_point[0]), float(base_point[1]))
-        self.order = int(order)
-        self.coeffs = table
+        base = (float(base_point[0]), float(base_point[1]))
+        self._own(base, order_cut(c, order), int(order))
 
     @classmethod
     def _of(cls, base_point: tuple[float, float], table: np.ndarray, order: int) -> "Jet2":
@@ -117,19 +109,18 @@ class Jet2:
         The table must hold +0.0 beyond the order; only its finiteness
         is checked.
         """
+        jet = cls.__new__(cls)
+        jet._own(base_point, table, order)
+        return jet
+
+    def _own(self, base_point: tuple[float, float], table: np.ndarray, order: int) -> None:
         _finite_or_raise(table)
         table.setflags(write=False)
-        jet = cls.__new__(cls)
-        jet.base_point = base_point
-        jet.order = order
-        jet.coeffs = table
-        return jet
+        self.base_point, self.order, self.coeffs = base_point, order, table
 
     @classmethod
     def constant(cls, value: float, base_point, order: int) -> "Jet2":
-        t = np.zeros((order + 1, order + 1))
-        t[0, 0] = value
-        return cls(base_point, t, order)
+        return cls(base_point, [[value]], order)
 
     @property
     def value(self) -> float:
@@ -158,8 +149,7 @@ class Jet2:
     def truncate(self, order: int) -> "Jet2":
         if order > self.order:
             raise JetOrderExhausted(f"cannot extend order {self.order} to {order}")
-        cut = _zero_beyond(self.coeffs[: order + 1, : order + 1].copy(), order)
-        return Jet2._of(self.base_point, cut, order)
+        return Jet2._of(self.base_point, order_cut(self.coeffs, order), order)
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -239,24 +229,17 @@ def compose_univariate(outer: Jet2, inner: Jet2) -> Jet2:
     powers of (y - outer.base_point[0]); InvalidJetCombination if any
     other entry is nonzero.  The inner jet's value must land on that
     base (within BASE_MATCH_TOL), since the outer expansion is only
-    valid there.  The outer jet must carry at least as many orders as
-    the inner one, because the composite needs outer derivatives up to
-    the inner order.
+    valid there.  The outer jet must carry at least the inner order,
+    which the composite needs.  It is compose_map's composite with u2
+    held at the outer's u2 base, which forms no power of that constant.
     """
     if outer.coeffs[:, 1:].any():
         raise InvalidJetCombination("the outer jet of compose_univariate must not depend on u2")
     _check_base(inner.value, outer.base_point[0])
-    n = inner.order
-    if outer.order < n:
-        raise JetOrderExhausted(
-            f"outer jet order {outer.order} < inner jet order {n}"
-        )
-    c = outer.coeffs[:, 0].tolist()
-    delta = inner - inner.value  # vanishes at the base point
-    result = Jet2.constant(c[n], inner.base_point, n)
-    for k in range(n - 1, -1, -1):
-        result = result * delta + c[k]
-    return result
+    if outer.order < inner.order:
+        raise JetOrderExhausted(f"outer jet order {outer.order} < inner jet order {inner.order}")
+    held = Jet2.constant(outer.base_point[1], inner.base_point, inner.order)
+    return _compose_each([outer], inner, held)[0]
 
 
 def compose_map(outer: Jet2, inner1: Jet2, inner2: Jet2) -> Jet2:
@@ -271,16 +254,22 @@ def compose_map(outer: Jet2, inner1: Jet2, inner2: Jet2) -> Jet2:
 def _compose_each(outers: Sequence[Jet2], inner1: Jet2, inner2: Jet2) -> list[Jet2]:
     """compose_map of every outer jet with the same inner pair.
 
-    The powers x^k and y^k are formed once, and each cross term x^i y^j
-    once if some outer coefficient needs it; they serve every outer.
-    Each outer's sum adds its terms in (i, j) order, so every result
-    holds the bits a composition of that outer alone gives.
+    Only what some nonzero outer coefficient within order n reads is
+    formed, once for every outer: x^k up to the largest such i, y^k up
+    to the largest such j, and each cross term x^i y^j.  Each outer's
+    sum adds its terms in (i, j) order, so every result holds the bits
+    a composition of that outer alone gives.
     """
     base = _common_base2(inner1, inner2)
     for outer in outers:
         for comp, ob in ((inner1, outer.base_point[0]), (inner2, outer.base_point[1])):
             _check_base(comp.value, ob)
     n = min(inner1.order, inner2.order, *(outer.order for outer in outers))
+    coeffs = np.array([outer.coeffs[: n + 1, : n + 1] for outer in outers])
+    # the (i, j) within order n where some outer coefficient is nonzero, in
+    # (i, j) order, and the highest power of x and of y among them
+    read = list(zip(*np.nonzero(coeffs.any(axis=0) & ~outside_order(n))))
+    tops = [max((ij[b] for ij in read), default=0) for b in range(2)]
     w = 2 * n + 1
     # padded[0, k] holds x^k and padded[1, k] y^k, each row padded once to
     # width w; flat[b, k] is the same table as convolve2 flattens it
@@ -291,15 +280,12 @@ def _compose_each(outers: Sequence[Jet2], inner1: Jet2, inner2: Jet2) -> list[Je
     if n:  # an entry beyond order n never reaches one within it, and is zeroed last
         tables[:, 1] = [c.coeffs[: n + 1, : n + 1] for c in (inner1, inner2)]
         tables[:, 1, 0, 0] = 0.0
-    for k in range(2, n + 1):
-        for b in range(2):
+    for b, top in enumerate(tops):
+        for k in range(2, top + 1):
             tables[b, k] = _order_part(np.convolve(flat[b, k - 1], flat[b, 1]), n)
     _finite_or_raise(padded)
-    coeffs = np.array([outer.coeffs[: n + 1, : n + 1] for outer in outers])
     results = np.zeros(coeffs.shape)
-    # the (i, j) within order n where some outer coefficient is nonzero, in
-    # (i, j) order
-    for i, j in zip(*np.nonzero(coeffs.any(axis=0) & ~outside_order(n))):
+    for i, j in read:
         if i and j:
             term = _order_part(np.convolve(flat[0, i], flat[1, j]), n)
         else:

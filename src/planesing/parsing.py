@@ -57,8 +57,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()  # the spaces the token pattern skips
+            if not rest:
                 break
+            pos = len(text) - len(rest)
             raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
         val = m.group(m.lastgroup)
         tokens.append((m.lastgroup, "^" if val == "**" else val))

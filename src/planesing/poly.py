@@ -1,18 +1,19 @@
 """Exact polynomials in one or two variables.
 
 A Poly2 keeps one dense coefficient table, and its products, shifts
-and derivatives are array operations on that table; convolve2 and
-outside_order are the table kernel that the jets share, and HornerStack
-evaluates several tables at the same points in one pass.  A Poly1 is a
-one-column Poly2, the polynomial in u1 alone, so the same kernel serves
-both arities.  Arithmetic is exact up to float rounding; no coefficient
-thresholding happens here.  This layer backs the jet machinery and
-every place the rest of the package needs a globally valid expression
-rather than a truncated local one.
+and derivatives are array operations on that table; convolve2,
+outside_order and order_cut are the table kernel that the jets share,
+and HornerStack evaluates several tables at the same points in one
+pass.  A Poly1 is a one-column Poly2, the polynomial in u1 alone, so
+the same kernel serves both arities.  Arithmetic is exact up to float
+rounding; no coefficient thresholding happens here.  This layer backs
+the jet machinery and every place the rest of the package needs a
+globally valid expression rather than a truncated local one.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import sys
@@ -29,9 +30,11 @@ __all__ = [
     "Poly2",
     "convolve2",
     "is_number",
+    "order_cut",
     "outside_order",
     "poly_from_spec",
     "poly_to_spec",
+    "quote",
 ]
 
 #: Largest degree of one input term (the sum of its exponents) in a
@@ -78,9 +81,18 @@ def is_number(x, count: bool = False) -> bool:
     return not count and (kind is float or isinstance(x, numbers.Real)) and math.isfinite(x)
 
 
+def quote(x) -> str:
+    """x as an error message quotes it: JSON as JSON, else by its repr, cut to 60 characters."""
+    try:
+        text = json.dumps(x)
+    except (TypeError, ValueError):  # no JSON value
+        text = repr(x)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _check_coeff(c) -> float:
     if not is_number(c):
-        raise InvalidSpec(f"coefficient must be a finite number, got {c!r}")
+        raise InvalidSpec(f"coefficient must be a finite number, got {quote(c)}")
     return float(c)
 
 
@@ -172,6 +184,15 @@ def outside_order(order: int) -> np.ndarray:
     mask = np.add.outer(k, k) > order
     mask.setflags(write=False)
     return mask
+
+
+def order_cut(t: np.ndarray, order: int) -> np.ndarray:
+    """A new (order+1)-square table: t's entries within total order, +0.0 elsewhere."""
+    out = np.zeros((order + 1, order + 1))
+    m1, m2 = min(order + 1, t.shape[0]), min(order + 1, t.shape[1])
+    out[:m1, :m2] = t[:m1, :m2]
+    out[outside_order(order)] = 0.0
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -427,12 +448,7 @@ class Poly2:
         The whole shifted table is computed before truncating, so every
         order gives the same bits for the coefficients it keeps.
         """
-        full = self._shifted_table(base)
-        out = np.zeros((order + 1, order + 1))
-        m1, m2 = min(order + 1, full.shape[0]), min(order + 1, full.shape[1])
-        out[:m1, :m2] = full[:m1, :m2]
-        out[outside_order(order)] = 0.0
-        return out
+        return order_cut(self._shifted_table(base), order)
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.table)))
@@ -456,20 +472,20 @@ def poly_from_spec(spec: Mapping) -> Poly1 | Poly2:
         raise InvalidSpec(f"spec must be a mapping, got {type(spec).__name__}")
     nvars, terms = spec.get("vars"), spec.get("terms")
     if not is_number(nvars, count=True) or nvars not in (1, 2):
-        raise InvalidSpec(f"vars must be 1 or 2, got {nvars!r}")
+        raise InvalidSpec(f"vars must be 1 or 2, got {quote(nvars)}")
     if not isinstance(terms, list):
         raise InvalidSpec("terms must be a list of {'c':…,'e':…} entries")
     acc: dict = {}
     for t in terms:
         if not isinstance(t, Mapping):
-            raise InvalidSpec(f"a term must be an object, got {t!r}")
+            raise InvalidSpec(f"a term must be an object, got {quote(t)}")
         c, e = _check_coeff(t.get("c")), t.get("e")
         if not isinstance(e, list) or len(e) != nvars:
-            raise InvalidSpec(f"e must be a list of {nvars} exponents, got {e!r}")
+            raise InvalidSpec(f"e must be a list of {nvars} exponents, got {quote(e)}")
         if not all(is_number(x, count=True) and x >= 0 for x in e):
-            raise InvalidSpec(f"exponents must be non-negative integers, got {e!r}")
+            raise InvalidSpec(f"exponents must be non-negative integers, got {quote(e)}")
         if sum(e) > MAX_INPUT_DEGREE:
-            raise InvalidSpec(f"term degree of {e} exceeds the cap {MAX_INPUT_DEGREE}")
+            raise InvalidSpec(f"term degree of {quote(e)} exceeds the cap {MAX_INPUT_DEGREE}")
         key = e[0] if nvars == 1 else tuple(e)
         acc[key] = acc.get(key, 0.0) + c
     return Poly1(acc) if nvars == 1 else Poly2(acc)

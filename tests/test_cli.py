@@ -484,6 +484,9 @@ MALFORMED_INPUT = [
     ("coefficient-overflows", ["conslaw", FILE],
      b'{"f1": {"vars": 1, "terms": [{"c": 1' + b"0" * 400 + b', "e": [2]}]}, '
      b'"f2": {"vars": 1, "terms": []}, "phi": ' + _json(_U) + b"}"),
+    ("coefficient-of-401-digits", ["classify", FILE],
+     b'{"components": [{"vars": 2, "terms": [{"c": 1' + b"0" * 400 + b', "e": [1, 0]}]}, '
+     + _json(_CUSP_Q) + b"]}"),
     ("coefficient-not-a-number", ["classify", FILE],
      _json({"components": [{"vars": 2, "terms": [{"c": "abc", "e": [1, 0]}]}, _CUSP_Q]})),
     # a bool, a string or a fractional count is no input number
@@ -521,6 +524,8 @@ def test_malformed_input_exits_64_with_one_line(tmp_path, capsys, args, content)
     assert captured.out == ""
     assert captured.err.startswith("planesing: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    # a quoted input value is cut short, so one line stays readable
+    assert len(captured.err) <= 160 + len(str(path))
     assert not out.exists()
 
 

@@ -711,6 +711,22 @@ def test_jacobian_jets_are_built_once_per_germ(rng, monkeypatch):
             null_field(f)
 
 
+def test_classify_rank_df_and_null_field_share_one_svd(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    g = builtin_germ("cusp")
+    assert classify(g).singularity_class == CUSP
+    assert rank_df(g) == 1
+    assert null_field(g).provenance == "first-row"
+    assert len(calls) == 1
+
+
 def _pair_lambda(f):
     (Pu, Pv), (Qu, Qv) = f.jacobian_jets()
     return Pu * Qv - Pv * Qu

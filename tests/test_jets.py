@@ -17,7 +17,7 @@ from planesing.jets import (
     poly_to_jet,
 )
 from planesing.conslaw import ConsLawProblem, xi_autodiff
-from planesing.germs import BUILTIN_GERMS, builtin_germ
+from planesing.germs import BUILTIN_GERMS, builtin_germ, conjugate_by_diffeos
 from planesing.poly import InvalidSpec, Poly1, Poly2
 
 ORIGIN = (0.0, 0.0)
@@ -440,6 +440,43 @@ def test_compose_map_cuts_an_overflow_beyond_the_order():
         _assert_same_bits(compose_map(outer, *inner), _compose_map_reference(outer, *inner))
 
 
+def test_compose_map_never_forms_a_power_no_coefficient_reads():
+    # x = 1e200 u1 + u2 overflows in x^2, but the outer x + y reads only
+    # x and y, so the composite is finite
+    inner = (
+        poly_to_jet(Poly2({(1, 0): 1e200, (0, 1): 1.0}), ORIGIN, 4),
+        poly_to_jet(Poly2({(1, 0): 1.0, (0, 1): 1.0}), ORIGIN, 4),
+    )
+    outer = poly_to_jet(Poly2({(1, 0): 1.0, (0, 1): 1.0}), ORIGIN, 4)
+    got = compose_map(outer, *inner)
+    want = np.zeros((5, 5))
+    want[1, 0], want[0, 1] = 1e200, 2.0
+    assert got.coeffs.tobytes() == want.tobytes()
+
+
+def test_a_conjugation_forms_only_the_powers_its_outers_read(monkeypatch):
+    # the cusp (u, v^3 + u v) through a source and a target change of
+    # degree 3, at order 4.  The source step reads x^1 and y^3 at most, so
+    # it forms y^2, y^3 and the cross term x y; the target step reads x^2
+    # and y^3 at most, so it forms x^2, y^2, y^3 and the cross terms x y
+    # and x y^2.  Every power up to the order would add x^2, x^3 and x^4
+    # to the first step, and x^3, x^4 and y^4 to the second.
+    change = [
+        Poly2({(1, 0): 1.0, (0, 1): 0.5, (2, 0): 0.25, (1, 2): -0.5}),
+        Poly2({(1, 0): -0.25, (0, 1): 1.0, (0, 3): 0.5, (1, 1): 0.25}),
+    ]
+    calls = []
+    convolve = np.convolve
+
+    def counted(a, b):
+        calls.append(None)
+        return convolve(a, b)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    conjugate_by_diffeos(builtin_germ("cusp"), change, change)
+    assert len(calls) == 3 + 5
+
+
 class Jet1Reference:
     """Reference: the one-variable jet class a Poly1's jet was before it
     became a Jet2 in u1 alone; coeffs[k] multiplies (y - base)**k."""
@@ -474,27 +511,20 @@ class Jet1Reference:
         return float(self.coeffs[k] * math.factorial(k))
 
 
-def _compose_univariate_reference(outer, inner):
-    """compose_univariate of a Jet1Reference outer, as it was."""
-    if abs(inner.value - outer.base_point) > BASE_MATCH_TOL * (1.0 + abs(outer.base_point)):
-        raise CompositionBasePointMismatch("inner value is not at outer base")
-    n = inner.order
-    if outer.order < n:
-        raise JetOrderExhausted(f"outer jet order {outer.order} < inner jet order {n}")
-    delta = inner - inner.value
-    result = Jet2.constant(float(outer.coeffs[n]), inner.base_point, n)
-    for k in range(n - 1, -1, -1):
-        result = result * delta + float(outer.coeffs[k])
-    return result
+def _zero_like(jet):
+    """The zero jet at jet's base point and order: the second inner with
+    which compose_map composes as compose_univariate."""
+    return Jet2.constant(0.0, jet.base_point, jet.order)
 
 
 def _xi_autodiff_reference(prob, u):
-    """xi_autodiff on Jet1Reference flux jets, as it was."""
+    """xi_autodiff with its compositions taken by the per-term reference."""
     phi4 = poly_to_jet(prob.phi, u, 4)
     phi3 = phi4.truncate(3)
     y0 = phi4.value
-    a = _compose_univariate_reference(Jet1Reference.of_poly1(prob.f1.derivative(2), y0, 3), phi3)
-    b = _compose_univariate_reference(Jet1Reference.of_poly1(prob.f2.derivative(2), y0, 3), phi3)
+    zero = _zero_like(phi3)
+    a = _compose_map_reference(poly_to_jet(prob.f1.derivative(2), y0, 3), phi3, zero)
+    b = _compose_map_reference(poly_to_jet(prob.f2.derivative(2), y0, 3), phi3, zero)
     tau = a * phi4.partial(1) + b * phi4.partial(2)
     t11, t12, t22 = tau.deriv(2, 0), tau.deriv(1, 1), tau.deriv(0, 2)
     return (-tau.deriv(1, 0), -tau.deriv(0, 1), t11 * t22 - t12 * t12)
@@ -520,7 +550,7 @@ def test_poly1_jet_is_the_old_jet1_in_column_zero(rng):
             assert np.float64(jet.deriv(k, 0)).tobytes() == np.float64(ref.deriv(k)).tobytes()
 
 
-def test_compose_univariate_matches_the_jet1_reference_bit_for_bit(rng):
+def test_compose_univariate_matches_the_per_term_reference_bit_for_bit(rng):
     for _ in range(300):
         p = _random_poly1(rng)
         n = int(rng.integers(0, 6))
@@ -534,8 +564,8 @@ def test_compose_univariate_matches_the_jet1_reference_bit_for_bit(rng):
         m = n + int(rng.integers(0, 3))
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                want = _compose_univariate_reference(
-                    Jet1Reference.of_poly1(p, inner.value, m), inner
+                want = _compose_map_reference(
+                    poly_to_jet(p, inner.value, m), inner, _zero_like(inner)
                 )
             except InvalidSpec:
                 with pytest.raises(InvalidSpec):
@@ -545,7 +575,7 @@ def test_compose_univariate_matches_the_jet1_reference_bit_for_bit(rng):
         _assert_same_bits(got, want)
 
 
-def test_xi_autodiff_matches_the_jet1_reference_bit_for_bit(rng):
+def test_xi_autodiff_matches_the_per_term_reference_bit_for_bit(rng):
     for _ in range(60):
         prob = ConsLawProblem(
             Poly1({k: rng.uniform(-1, 1) for k in range(6)}),

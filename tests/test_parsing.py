@@ -178,6 +178,20 @@ def test_only_one_wrapping_pair_is_dropped(text, message):
         parse_map(text)
 
 
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_curve, "t, @", "unexpected character '@' at position 3"),
+        (parse_curve, "t,@", "unexpected character '@' at position 2"),
+        (parse_map, "(u, v \t\n$ 2)", "unexpected character '$' at position 8"),
+        (parse_map, "@(u, v)", "unexpected character '@' at position 0"),
+    ],
+)
+def test_an_unexpected_character_is_reported_where_it_stands(parse, text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(text)
+
+
 def test_a_long_sum_parses_without_recursion():
     P, Q = parse_map("+".join(["u"] * 10000) + ", v")
     assert P.coeffs == {(1, 0): 10000.0}

@@ -14,6 +14,7 @@ from planesing.poly import (
     Poly2,
     poly_from_spec,
     poly_to_spec,
+    quote,
 )
 
 #: Bound on |dense - sparse| relative to the sum of the absolute values
@@ -565,3 +566,30 @@ def test_spec_duplicate_terms_sum():
 def test_spec_rejects_malformed(bad):
     with pytest.raises(InvalidSpec):
         poly_from_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ({"vars": True, "terms": []}, "vars must be 1 or 2, got true"),
+        ({"vars": None, "terms": []}, "vars must be 1 or 2, got null"),
+        ({"vars": 2, "terms": [{"c": 1.0, "e": [True, 0]}]},
+         "exponents must be non-negative integers, got [true, 0]"),
+        ({"vars": 1, "terms": [{"c": "1e5", "e": [1]}]},
+         'coefficient must be a finite number, got "1e5"'),
+        ({"vars": 1, "terms": [{"c": 10**400, "e": [1]}]},
+         "coefficient must be a finite number, got " + "1" + "0" * 56 + "..."),
+        ({"vars": 1, "terms": [[None] * 40]},
+         "a term must be an object, got [" + "null, " * 9 + "nu..."),
+    ],
+)
+def test_spec_errors_quote_the_value_as_short_json(bad, message):
+    with pytest.raises(InvalidSpec) as info:
+        poly_from_spec(bad)
+    assert str(info.value) == message
+
+
+def test_quote_falls_back_to_the_repr_of_what_json_cannot_write():
+    assert quote(Poly2) == repr(Poly2)
+    assert quote(math.inf) == "Infinity"
+    assert len(quote({(1, 0): "x" * 100})) == 60

@@ -1,4 +1,5 @@
-"""Property-based checks of the Poly2 table kernel and the jets built on it.
+"""Property-based checks of the Poly2 table kernel, the jets built on it,
+and the classification that reads them.
 
 Each tolerance is fixed from float64 rounding: a computed coefficient
 is a sum of at most a few hundred rounded terms, so it lies within
@@ -9,6 +10,8 @@ also carry an absolute error of at most a few 2**-1074, which ABS_TOL
 covers.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planesing.germs import (
+    BEAKS,
+    CUSP,
+    FOLD,
+    IMMERSION,
+    LIPS,
+    SWALLOWTAIL,
+    builtin_germ,
+    classify,
+    conjugate_by_diffeos,
+)
 from planesing.jets import compose_map, poly_to_jet
 from planesing.poly import Poly2
 
@@ -93,3 +107,40 @@ def test_compose_map_is_the_jet_of_the_composition(g, p, q, base, order):
     far = (abs(base[0]), abs(base[1]))
     bound = poly_to_jet(composed(magnitude(g), magnitude(p), magnitude(q)), far, order).coeffs
     assert np.all(np.abs(got - want) <= REL_TOL * bound + ABS_TOL)
+
+
+#: the class of each builtin normal form
+NORMAL_FORM_CLASSES = {
+    "immersion": IMMERSION,
+    "fold": FOLD,
+    "cusp": CUSP,
+    "lips": LIPS,
+    "beaks": BEAKS,
+    "swallowtail": SWALLOWTAIL,
+}
+
+
+@st.composite
+def coordinate_changes(draw):
+    """A polynomial map of the plane fixing the origin: a rotation times
+    diag(s1, s2), s in [0.5, 2], plus terms of degree 2 and 3."""
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    s1, s2 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    linear = np.array(
+        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    ) @ np.diag([s1, s2])
+    higher = [(i, d - i) for d in (2, 3) for i in range(d + 1)]
+    components = []
+    for row in linear:
+        terms = {(1, 0): float(row[0]), (0, 1): float(row[1])}
+        for e in higher:
+            terms[e] = draw(st.floats(-0.5, 0.5))
+        components.append(Poly2(terms))
+    return tuple(components)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(NORMAL_FORM_CLASSES)), coordinate_changes(), coordinate_changes())
+def test_a_conjugated_normal_form_classifies_as_its_own_class(name, source, target):
+    germ = conjugate_by_diffeos(builtin_germ(name), source, target)
+    assert classify(germ).singularity_class == NORMAL_FORM_CLASSES[name]

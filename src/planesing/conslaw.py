@@ -14,7 +14,9 @@ discriminant of g_t collapses to
 
     lambda_{g_t}(u) = det(I + t C(u)) = 1 + t trace C(u)
 
-exactly, because det C vanishes identically.  A point u first goes
+exactly, because det C vanishes identically.  characteristic_map
+hands its germ this closed form, with trace C the divergence of the
+velocity polynomials its components hold.  A point u first goes
 singular at t(u) = -1 / trace C(u) (only where the trace is negative),
 so the earliest singularity in a region minimizes t(u), i.e. extremizes
 the trace.  The gradient and Hessian determinant of 1/t drive both the
@@ -64,9 +66,9 @@ __all__ = [
 TIME_TIE_REL = 1e-9
 
 #: Largest degree of a characteristic velocity f_i'(phi), bounded by
-#: deg f_i' * deg phi.  The characteristic map's discriminant has about
-#: twice this degree, and every frame traces it on the grid; the
-#: problems in use stay at degree 16.
+#: deg f_i' * deg phi.  The characteristic map's discriminant 1 + t
+#: trace C has one degree less, and every frame traces it on the grid;
+#: the problems in use stay at degree 16.
 MAX_VELOCITY_DEGREE = 64
 
 
@@ -163,9 +165,10 @@ class ConsLawProblem:
 
     @cached_property
     def trace_poly(self) -> Poly2:
-        """trace C as an exact polynomial: f1''(phi) phi_1 + f2''(phi) phi_2."""
-        d, flux = self.phi_partials, self.flux_derivs
-        return flux["a2"].compose2(self.phi) * d["p1"] + flux["b2"].compose2(self.phi) * d["p2"]
+        """trace C as an exact polynomial: the divergence of velocity_polys,
+        which equals f1''(phi) phi_1 + f2''(phi) phi_2."""
+        v1, v2 = self.velocity_polys
+        return v1.partial(1) + v2.partial(2)
 
     @cached_property
     def trace_partials(self) -> tuple[Poly2, ...]:
@@ -188,11 +191,20 @@ class ShapeOperator:
 
 
 def characteristic_map(prob: ConsLawProblem, t: float, base=(0.0, 0.0)) -> PlaneMapGerm:
-    """The time-t characteristic map as a polynomial germ at ``base``."""
+    """The time-t characteristic map as a polynomial germ at ``base``.
+
+    Its discriminant is given in closed form, 1 + t trace C, since the
+    velocity Jacobian C has rank one; InvalidSpec if that overflows.
+    """
     t = float(t)
     u1, u2 = Poly2.variable(1), Poly2.variable(2)
     v1, v2 = prob.velocity_polys
-    return PlaneMapGerm((u1 + t * v1, u2 + t * v2), base)
+    components = (u1 + t * v1, u2 + t * v2)
+    try:
+        lam = 1.0 + t * prob.trace_poly
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"the discriminant 1 + t trace C overflows at t = {t!r}") from exc
+    return PlaneMapGerm(components, base, lam)
 
 
 def shape_operator(prob: ConsLawProblem, u) -> ShapeOperator:
@@ -413,8 +425,7 @@ def first_singularity(
     # The order decides which of two roots closer than 1e-6 is kept.
     flat_order = np.argsort(tg, axis=None)
     top = np.array(np.unravel_index(flat_order[:16], tg.shape)).T
-    window_min = np.lib.stride_tricks.sliding_window_view(tg, (3, 3)).min(axis=(2, 3))
-    local = np.argwhere(neg[1:-1, 1:-1] & (tg[1:-1, 1:-1] <= window_min)) + 1
+    local = np.argwhere(neg[1:-1, 1:-1] & (tg[1:-1, 1:-1] <= _window_min(tg))) + 1
     idx = np.concatenate([top[neg[top[:, 0], top[:, 1]]], local])
     seeds = np.stack([xs[idx[:, 0]], ys[idx[:, 1]]], axis=1)
 
@@ -447,6 +458,16 @@ def first_singularity(
     co_minimizers = [r[1] for r in ties[1:]]
 
     return _analyze_point(prob, point, t_star, tol, co_minimizers)
+
+
+def _window_min(a: np.ndarray) -> np.ndarray:
+    """Minimum of each 3 x 3 window of a, for the interior nodes."""
+    m, n = a.shape
+    out = a[1:-1, 1:-1].copy()
+    for i in range(3):
+        for j in range(3):
+            np.minimum(out, a[i : m - 2 + i, j : n - 2 + j], out=out)
+    return out
 
 
 def _analyze_point(prob, point, t, tol, co_minimizers) -> FirstSingularity:

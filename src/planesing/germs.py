@@ -173,7 +173,10 @@ class PlaneMapGerm:
     Target constants are irrelevant to every derived quantity (they drop
     out of the Jacobian), so germs are not translated in the target.
     The Jacobian and discriminant polynomials are derived once, on first
-    use, and kept, and so is the record of df at the base point.
+    use, and kept, and so is the record of df at the base point.  A
+    caller that knows the discriminant in closed form passes it as
+    ``discriminant``; it must be a Poly2 equal to the Jacobian
+    determinant, and it is kept in place of P_u1 Q_u2 - P_u2 Q_u1.
     """
 
     __slots__ = (
@@ -184,10 +187,12 @@ class PlaneMapGerm:
         "_local",
     )
 
-    def __init__(self, components, base_point=(0.0, 0.0)):
+    def __init__(self, components, base_point=(0.0, 0.0), discriminant=None):
         self.components = _poly2_pair(components, "germ")
         self.base_point = (float(base_point[0]), float(base_point[1]))
-        self._lam_poly = None
+        if discriminant is not None and not isinstance(discriminant, Poly2):
+            raise InvalidSpec("a germ's discriminant must be a two-variable polynomial")
+        self._lam_poly = discriminant
         self._jacobian = None
         self._local = None
 
@@ -200,7 +205,7 @@ class PlaneMapGerm:
         return cls(tuple(Poly2._of(j.coeffs).shift((-p[0], -p[1])) for j in (jet1, jet2)), p)
 
     def rebase(self, new_base) -> "PlaneMapGerm":
-        return PlaneMapGerm(self.components, new_base)
+        return PlaneMapGerm(self.components, new_base, self._lam_poly)
 
     def value_at(self, u=None):
         u = self.base_point if u is None else u
@@ -235,7 +240,8 @@ class PlaneMapGerm:
         return self._local_jacobian().jets
 
     def discriminant_poly(self) -> Poly2:
-        """Jacobian determinant as an exact global polynomial (cached)."""
+        """Jacobian determinant as an exact global polynomial: the closed
+        form given at construction, else P_u1 Q_u2 - P_u2 Q_u1 (cached)."""
         if self._lam_poly is None:
             (Pu, Pv), (Qu, Qv) = self.jacobian()
             self._lam_poly = Pu * Qv - Pv * Qu

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .poly import MAX_INPUT_DEGREE, InvalidSpec, Poly1, Poly2, is_number
+from .poly import MAX_INPUT_DEGREE, InvalidSpec, Poly1, Poly2, is_number, quote
 
 __all__ = ["ParseError", "parse_map", "parse_curve", "parse_reals", "check_reals"]
 
@@ -221,8 +221,8 @@ def parse_reals(text: str, count: int | None = None) -> tuple[float, ...]:
     try:
         values = [float(p) for p in text.split(",")]
     except ValueError as exc:
-        raise ParseError(f"expected comma-separated numbers, got {text!r}") from exc
-    return check_reals(values, count, repr(text))
+        raise ParseError(f"expected comma-separated numbers, got {quote(text)}") from exc
+    return check_reals(values, count, quote(text))
 
 
 def check_reals(values, count: int | None, source: str) -> tuple[float, ...]:

@@ -429,6 +429,32 @@ def test_overflow_at_a_finite_point_or_time_exits_64_without_a_traceback(tmp_pat
         assert not out.exists()
 
 
+def test_a_long_number_argument_is_quoted_short(tmp_path, capsys):
+    long = "1" + "0" * 400
+    out = tmp_path / "not-made"
+    for args in (
+        ["classify", "--builtin", "cusp", "--at", f"{long},0"],
+        ["classify", "--builtin", "cusp", "--at", f"x{long},0"],
+        ["trace", "--builtin", "cusp", "--grid", f"8,8,{long}"],
+    ):
+        assert run([*args, "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("planesing: expected ") and captured.err.count("\n") == 1
+        assert len(captured.err) <= 160
+        assert not out.exists()
+
+
+def test_a_time_whose_discriminant_overflows_exits_64(tmp_path, capsys):
+    out = tmp_path / "not-made"
+    args = ["conslaw", "--builtin", "burgers-lips", "--at", "0,0", "--time", "1e308"]
+    assert run([*args, "--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "planesing: the discriminant 1 + t trace C overflows at t = 1e+308\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("levels", [400, 10000])
 def test_deeply_nested_expressions_exit_64(capsys, levels):
     nested = {name: "(" * levels + name + ")" * levels for name in "ut"}

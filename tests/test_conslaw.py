@@ -5,6 +5,7 @@ import pytest
 
 from planesing.conslaw import (
     ConsLawProblem,
+    _window_min,
     SolverFailed,
     builtin_problem,
     characteristic_map,
@@ -18,7 +19,7 @@ from planesing.conslaw import (
 )
 from planesing.germs import BEAKS, IMMERSION, LIPS, classify, discriminant, rank_df
 from planesing.locus import BoxDomain
-from planesing.poly import InvalidSpec, Poly1, Poly2
+from planesing.poly import InvalidSpec, Poly1, Poly2, convolve2
 
 BURGERS_F1 = Poly1({2: 0.5})
 ZERO_FLUX = Poly1({})
@@ -101,6 +102,44 @@ def test_discriminant_consistency(rng):
             expected = 1.0 + t * C.trace
             scale = max(1.0, germ.discriminant_poly().max_abs_coeff())
             assert abs(lam.value - expected) <= 1e-10 * scale
+
+
+def _padded(table, shape):
+    return np.pad(table, [(0, n - m) for n, m in zip(shape, table.shape)])
+
+
+def _generic_determinant(germ):
+    (Pu, Pv), (Qu, Qv) = germ.jacobian()
+    return Pu * Qv - Pv * Qu
+
+
+def test_closed_form_discriminant_is_the_generic_determinant(base_seed):
+    # the acceptance-5 corpus: each problem is followed by its ten points
+    rng = np.random.default_rng(np.random.SeedSequence([base_seed, 5]))
+    for _ in range(100):
+        prob = random_problem(rng)
+        u = tuple(rng.uniform(-1.0, 1.0, 2))
+        rng.uniform(-1.0, 1.0, (9, 2))
+        for t in (0.1, 1.0, 10.0):
+            germ = characteristic_map(prob, t, u)
+            lam = germ.discriminant_poly().table
+            assert all(a <= b for a, b in zip(lam.shape, prob.trace_poly.table.shape))
+            (Pu, Pv), (Qu, Qv) = germ.jacobian()
+            # each coefficient of the two products rounds at the sum of the
+            # magnitudes of its terms; the two agree to about 1e-14 of it
+            scale = convolve2(abs(Pu.table), abs(Qv.table)) + convolve2(abs(Pv.table), abs(Qu.table))
+            diff = _padded(lam, scale.shape) - _padded(_generic_determinant(germ).table, scale.shape)
+            assert (np.abs(diff) <= 1e-12 * scale).all()
+
+
+def test_rebase_keeps_the_closed_form_discriminant():
+    prob = model_problem()
+    g = characteristic_map(prob, 1.1, (0.0, 0.0))
+    lam = g.discriminant_poly()
+    assert lam.coeffs == (1.0 + 1.1 * prob.trace_poly).coeffs
+    h = g.rebase((0.25, -0.1))
+    assert h.base_point == (0.25, -0.1)
+    assert h.discriminant_poly() is lam
 
 
 def test_singularity_onset_matches_rank(rng):
@@ -245,12 +284,21 @@ def test_birth_frames_straddle():
     assert before.curves == []
     assert len(after.curves) == 1
     assert after.curves[0].closed
-    # oval of 1 + 1.1*phi_1 = 0: check a vertex satisfies the level set
+    # oval of 1 + 1.1*phi_1 = 0: each vertex lies on the level set of the
+    # generic determinant, not only of the closed form the frames traced
     g = characteristic_map(prob, 1.1, res.u_star)
-    lam = g.discriminant_poly()
+    lam = _generic_determinant(g)
     for v in after.curves[0].vertices:
         assert abs(lam(v)) < 1e-9
     assert len(after.image_curves[0].vertices) == len(after.curves[0].vertices)
+
+
+def test_window_min_matches_the_sliding_window_reference(rng):
+    for shape in ((3, 3), (65, 65), (4, 9), (130, 65)):
+        a = rng.standard_normal(shape)
+        a[rng.random(shape) < 0.2] = -1.0  # ties
+        want = np.lib.stride_tricks.sliding_window_view(a, (3, 3)).min(axis=(2, 3))
+        assert np.array_equal(_window_min(a), want)
 
 
 def test_birth_frames_require_straddling_times():

@@ -25,6 +25,7 @@ from .conslaw import (
     SolverFailed,
     builtin_problem,
     first_singularity,
+    frame_times,
     lips_birth_frames,
     singularity_at,
 )
@@ -261,8 +262,8 @@ def run_conslaw(args: argparse.Namespace) -> int:
         return _class_exit(record.report)
 
     # the frame times are checked before anything is written: the list
-    # before the search, and that it straddles t* right after it
-    times = None if args.time is None else parse_reals(args.time)
+    # and its length before the search, and that it straddles t* right after it
+    times = None if args.time is None else frame_times(parse_reals(args.time))
     try:
         result = first_singularity(prob, args.box, args.tolerances)
     except SolverFailed as exc:

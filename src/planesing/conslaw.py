@@ -42,7 +42,8 @@ from .germs import (
 )
 from .jets import compose_univariate, poly_to_jet
 from .locus import BoxDomain, _distinct, critical_value_image, newton_batch, sample_singular_set
-from .poly import InvalidSpec, Poly1, Poly2, _overflow_raises_later, poly_from_spec, poly_to_spec
+from .poly import HornerStack, InvalidSpec, Poly1, Poly2, _overflow_raises_later
+from .poly import poly_from_spec, poly_to_spec
 
 __all__ = [
     "ConsLawProblem",
@@ -70,6 +71,10 @@ TIME_TIE_REL = 1e-9
 #: trace C has one degree less, and every frame traces it on the grid;
 #: the problems in use stay at degree 16.
 MAX_VELOCITY_DEGREE = 64
+
+#: Most frame times in one call.  Each frame traces the grid anew: about
+#: 0.14 s a frame at velocity degree 64 on the 512 x 512 grid cap (2 vCPUs).
+MAX_FRAMES = 100
 
 
 class SolverFailed(RuntimeError):
@@ -138,43 +143,11 @@ class ConsLawProblem:
         )
 
     @cached_property
-    def phi_partials(self) -> dict[str, Poly2]:
-        """The partials of phi through order three, keyed "p1" ... "p222"."""
-        p1, p2 = self.phi.partial(1), self.phi.partial(2)
-        p11, p12, p22 = p1.partial(1), p1.partial(2), p2.partial(2)
-        return {
-            "p1": p1,
-            "p2": p2,
-            "p11": p11,
-            "p12": p12,
-            "p22": p22,
-            "p111": p11.partial(1),
-            "p112": p11.partial(2),
-            "p122": p12.partial(2),
-            "p222": p22.partial(2),
-        }
-
-    @cached_property
-    def flux_derivs(self) -> dict[str, Poly1]:
-        """Derivatives two to four of f1 and f2, keyed "a2" ... "a4" and "b2" ... "b4"."""
-        return {
-            f"{name}{m}": f.derivative(m)
-            for name, f in (("a", self.f1), ("b", self.f2))
-            for m in (2, 3, 4)
-        }
-
-    @cached_property
     def trace_poly(self) -> Poly2:
         """trace C as an exact polynomial: the divergence of velocity_polys,
         which equals f1''(phi) phi_1 + f2''(phi) phi_2."""
         v1, v2 = self.velocity_polys
         return v1.partial(1) + v2.partial(2)
-
-    @cached_property
-    def trace_partials(self) -> tuple[Poly2, ...]:
-        """The partials of trace_poly through order two: t1, t2, t11, t12, t22."""
-        t1, t2 = self.trace_poly.partial(1), self.trace_poly.partial(2)
-        return t1, t2, t1.partial(1), t1.partial(2), t2.partial(2)
 
 
 @dataclass(frozen=True)
@@ -209,8 +182,8 @@ def characteristic_map(prob: ConsLawProblem, t: float, base=(0.0, 0.0)) -> Plane
 
 def shape_operator(prob: ConsLawProblem, u) -> ShapeOperator:
     y = prob.phi(u)
-    a2, b2 = prob.flux_derivs["a2"](y), prob.flux_derivs["b2"](y)
-    p1, p2 = prob.phi_partials["p1"](u), prob.phi_partials["p2"](u)
+    a2, b2 = prob.f1.derivative(2)(y), prob.f2.derivative(2)(y)
+    p1, p2 = prob.phi.partial(1)(u), prob.phi.partial(2)(u)
     entries = ((a2 * p1, a2 * p2), (b2 * p1, b2 * p2))
     return ShapeOperator(entries=entries, trace=entries[0][0] + entries[1][1])
 
@@ -234,12 +207,21 @@ def singular_time_field(
     return -1.0 / op.trace
 
 
+def _values_at(polys, u) -> list[float]:
+    """The values of several Poly2s at the point u, read in one HornerStack pass."""
+    stack = HornerStack([p.table for p in polys])
+    return stack(np.array([float(u[0])]), np.array([float(u[1])]))[:, 0].tolist()
+
+
 def _phi_data(prob: ConsLawProblem, u):
-    """All profile derivatives through order three and flux values at phi(u)."""
-    y = prob.phi(u)
-    d = {k: p(u) for k, p in prob.phi_partials.items()}
-    flux = {k: f(y) for k, f in prob.flux_derivs.items()}
-    return d, flux
+    """phi's partials (p1, p2, p11, p12, p22, p111, p112, p122, p222) at u,
+    and (a2, a3, a4, b2, b3, b4), derivatives two to four of f1 and f2, at phi(u)."""
+    phi = prob.phi
+    p1, p2 = phi.partial(1), phi.partial(2)
+    p11, p12, p22 = p1.partial(1), p1.partial(2), p2.partial(2)
+    third = (p11.partial(1), p11.partial(2), p12.partial(2), p22.partial(2))
+    y, *d = _values_at((phi, p1, p2, p11, p12, p22, *third), u)
+    return d, [f.derivative(m)(y) for f in (prob.f1, prob.f2) for m in (2, 3, 4)]
 
 
 def xi_closed_form(prob: ConsLawProblem, u) -> tuple[float, float, float]:
@@ -254,11 +236,8 @@ def xi_closed_form(prob: ConsLawProblem, u) -> tuple[float, float, float]:
     route is xi_autodiff.
     """
     d, flux = _phi_data(prob, u)
-    p1, p2 = d["p1"], d["p2"]
-    p11, p12, p22 = d["p11"], d["p12"], d["p22"]
-    p111, p112, p122, p222 = d["p111"], d["p112"], d["p122"], d["p222"]
-    a2, a3, a4 = flux["a2"], flux["a3"], flux["a4"]
-    b2, b3, b4 = flux["b2"], flux["b3"], flux["b4"]
+    p1, p2, p11, p12, p22, p111, p112, p122, p222 = d
+    a2, a3, a4, b2, b3, b4 = flux
 
     trace_u1 = a3 * p1 * p1 + b3 * p1 * p2 + a2 * p11 + b2 * p12
     trace_u2 = a3 * p1 * p2 + b3 * p2 * p2 + a2 * p12 + b2 * p22
@@ -408,7 +387,8 @@ def first_singularity(
     was missed, and reporting it as a first singularity would be wrong.
     """
     tau = prob.trace_poly
-    t1, t2, t11, t12, t22 = prob.trace_partials
+    t1, t2 = tau.partial(1), tau.partial(2)
+    t12 = t1.partial(2)
     xs, ys = box.axes()
     tg = box.grid_values(tau, "characteristic trace")
     neg = tg < 0.0
@@ -429,7 +409,7 @@ def first_singularity(
     idx = np.concatenate([top[neg[top[:, 0], top[:, 1]]], local])
     seeds = np.stack([xs[idx[:, 0]], ys[idx[:, 1]]], axis=1)
 
-    x, _, ok = newton_batch(((t1, t2), ((t11, t12), (t12, t22))), seeds, box)
+    x, _, ok = newton_batch(((t1, t2), ((t1.partial(1), t12), (t12, t2.partial(2)))), seeds, box)
     x = x[ok & box.contains(x.T)]
     tv = tau(x.T)
     x, tv = x[tv < 0.0], tv[tv < 0.0]
@@ -471,11 +451,12 @@ def _window_min(a: np.ndarray) -> np.ndarray:
 
 
 def _analyze_point(prob, point, t, tol, co_minimizers) -> FirstSingularity:
-    _, _, t11, t12, t22 = prob.trace_partials
+    tau = prob.trace_poly
+    t1, t2 = tau.partial(1), tau.partial(2)
+    polys = (tau, t1.partial(1), t1.partial(2), t2.partial(2))
     with _overflow_raises_later():
         xi = xi_closed_form(prob, point)
-        tau_val = prob.trace_poly(point)
-        h11, h12, h22 = t11(point), t12(point), t22(point)
+        tau_val, h11, h12, h22 = _values_at(polys, point)
     hess_scale = max(abs(h11), abs(h12), abs(h22))
     if not np.isfinite([*xi, tau_val, h11, h12, h22, hess_scale * hess_scale]).all():
         raise InvalidSpec(f"the singular-time field overflows at {point}")
@@ -516,19 +497,27 @@ def singularity_at(
     return _analyze_point(prob, u, float(t), tol, [])
 
 
+def frame_times(times) -> list[float]:
+    """times as a list of floats; InvalidSpec if there are more than MAX_FRAMES."""
+    times = [float(t) for t in times]
+    if len(times) > MAX_FRAMES:
+        raise InvalidSpec(f"{len(times)} frame times exceed the cap {MAX_FRAMES}")
+    return times
+
+
 def lips_birth_frames(
     prob: ConsLawProblem, u_star, t_star: float, times, box: BoxDomain
 ) -> list[Frame]:
     """Singular sets of the frozen-time maps before and after t_star.
 
     times must straddle t_star (at least one strictly below and one
-    strictly above, else InvalidSpec), since the point of the exercise
-    is watching the singular curve be born around u_star.  Each frame
-    carries the source-plane curves of sample_singular_set and their
-    images in the target plane; tracing makes no zero test, so no
-    tolerance is taken.
+    strictly above) and number at most MAX_FRAMES, else InvalidSpec,
+    since the point of the exercise is watching the singular curve be
+    born around u_star.  Each frame carries the source-plane curves of
+    sample_singular_set and their images in the target plane; tracing
+    makes no zero test, so no tolerance is taken.
     """
-    times = [float(t) for t in times]
+    times = frame_times(times)
     if not times or min(times) >= t_star or max(times) <= t_star:
         raise InvalidSpec("frame times must straddle the singular time")
     base = (float(u_star[0]), float(u_star[1]))

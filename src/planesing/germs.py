@@ -172,20 +172,15 @@ class PlaneMapGerm:
     spec into one.  The base point just marks where jets are taken.
     Target constants are irrelevant to every derived quantity (they drop
     out of the Jacobian), so germs are not translated in the target.
-    The Jacobian and discriminant polynomials are derived once, on first
-    use, and kept, and so is the record of df at the base point.  A
+    Each component keeps the partials it derives (Poly2.partial), so the
+    Jacobian polynomials are derived once; the germ keeps the
+    discriminant polynomial and the record of df at the base point.  A
     caller that knows the discriminant in closed form passes it as
     ``discriminant``; it must be a Poly2 equal to the Jacobian
     determinant, and it is kept in place of P_u1 Q_u2 - P_u2 Q_u1.
     """
 
-    __slots__ = (
-        "components",
-        "base_point",
-        "_lam_poly",
-        "_jacobian",
-        "_local",
-    )
+    __slots__ = ("components", "base_point", "_lam_poly", "_local")
 
     def __init__(self, components, base_point=(0.0, 0.0), discriminant=None):
         self.components = _poly2_pair(components, "germ")
@@ -193,7 +188,6 @@ class PlaneMapGerm:
         if discriminant is not None and not isinstance(discriminant, Poly2):
             raise InvalidSpec("a germ's discriminant must be a two-variable polynomial")
         self._lam_poly = discriminant
-        self._jacobian = None
         self._local = None
 
     @classmethod
@@ -212,10 +206,8 @@ class PlaneMapGerm:
         return (self.components[0](u), self.components[1](u))
 
     def jacobian(self) -> tuple[tuple[Poly2, Poly2], tuple[Poly2, Poly2]]:
-        """((P_u1, P_u2), (Q_u1, Q_u2)) as exact global polynomials (cached)."""
-        if self._jacobian is None:
-            self._jacobian = tuple((c.partial(1), c.partial(2)) for c in self.components)
-        return self._jacobian
+        """((P_u1, P_u2), (Q_u1, Q_u2)): the partials each component keeps."""
+        return tuple((c.partial(1), c.partial(2)) for c in self.components)
 
     def _local_jacobian(self) -> "_LocalJacobian":
         """The record of df at the base point, built on first use from the

@@ -256,6 +256,7 @@ class Poly1:
         return self.poly2.is_zero()
 
     def derivative(self, m: int = 1) -> "Poly1":
+        """The m-th derivative, down the chain of partials its Poly2 keeps."""
         p = self.poly2
         for _ in range(m):
             p = p.partial(1)
@@ -291,7 +292,7 @@ class Poly2:
     column each hold a nonzero entry (the zero polynomial is [[0.0]]).
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "_partials")
 
     def __init__(self, coeffs: Mapping[tuple, float] | None = None):
         terms = []
@@ -355,12 +356,25 @@ class Poly2:
         return not self.table.any()
 
     def partial(self, axis: int) -> "Poly2":
-        t = self.table
-        if axis == 1:
-            return Poly2._of(t[1:] * np.arange(1, t.shape[0])[:, None])
-        if axis == 2:
-            return Poly2._of(t[:, 1:] * np.arange(1, t.shape[1]))
-        raise ValueError("axis must be 1 or 2")
+        """The partial derivative along u1 (axis 1) or u2 (axis 2).
+
+        It is derived on the first call and kept, so every later call
+        returns the same object; one that overflows raises InvalidSpec
+        and is not kept.
+        """
+        kept = getattr(self, "_partials", None)
+        if kept is None:  # made here, so that building a Poly2 costs no more
+            kept = self._partials = {}
+        if axis not in kept:
+            t = self.table
+            with _overflow_raises_later():
+                if axis == 1:
+                    kept[1] = Poly2._of(t[1:] * np.arange(1, t.shape[0])[:, None])
+                elif axis == 2:
+                    kept[2] = Poly2._of(t[:, 1:] * np.arange(1, t.shape[1]))
+                else:
+                    raise ValueError("axis must be 1 or 2")
+        return kept[axis]
 
     def __call__(self, u):
         """Value at the point u = (u1, u2).

@@ -8,8 +8,9 @@ import warnings
 
 import pytest
 
+from planesing import cli
 from planesing.cli import main
-from planesing.conslaw import MAX_VELOCITY_DEGREE
+from planesing.conslaw import MAX_FRAMES, MAX_VELOCITY_DEGREE
 from planesing.locus import MAX_GRID
 from planesing.poly import MAX_INPUT_DEGREE
 
@@ -318,6 +319,21 @@ def test_conslaw_frames_must_straddle(tmp_path, capsys):
         )
         assert code == 64
         assert not out.exists()
+
+
+def test_conslaw_frame_list_over_the_cap_exits_64_before_the_search(tmp_path, capsys, monkeypatch):
+    searched = []
+    monkeypatch.setattr(cli, "first_singularity", lambda *args: searched.append(args))
+    out = tmp_path / "out"
+    times = ",".join(["0.9"] * MAX_FRAMES + ["1.1"])
+    code = run(["conslaw", "--builtin", "burgers-lips", "--time", times, "--out", str(out)])
+    assert code == 64
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"planesing: {MAX_FRAMES + 1} frame times exceed the cap {MAX_FRAMES}"]
+    assert searched == [] and not out.exists()
+    # a list at the cap reaches the search, stubbed here to find nothing
+    code = run(["conslaw", "--builtin", "burgers-lips", "--time", times[4:], "--out", str(out)])
+    assert code == 3 and len(searched) == 1
 
 
 def test_missing_input_file_exits_64(tmp_path, capsys):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from planesing import conslaw
 from planesing.conslaw import (
+    MAX_FRAMES,
     ConsLawProblem,
     _window_min,
     SolverFailed,
@@ -306,6 +308,19 @@ def test_birth_frames_require_straddling_times():
     for times in ([1.1, 1.2], [0.5, 0.9]):
         with pytest.raises(InvalidSpec, match="straddle"):
             lips_birth_frames(prob, (0.0, 0.0), 1.0, times, SMALL_BOX)
+
+
+def test_birth_frames_refuse_more_times_than_the_cap(monkeypatch):
+    traced = []
+    monkeypatch.setattr(conslaw, "sample_singular_set", lambda germ, box: traced.append(germ) or [])
+    prob = model_problem()
+    times = [0.9] + [1.1] * MAX_FRAMES
+    with pytest.raises(InvalidSpec, match=f"{MAX_FRAMES + 1} frame times exceed the cap"):
+        lips_birth_frames(prob, (0.0, 0.0), 1.0, times, SMALL_BOX)
+    assert traced == []
+    # at the cap every frame is traced
+    assert len(lips_birth_frames(prob, (0.0, 0.0), 1.0, times[:-1], SMALL_BOX)) == MAX_FRAMES
+    assert len(traced) == MAX_FRAMES
 
 
 @pytest.mark.parametrize("data", [[1], "str", 3, None])

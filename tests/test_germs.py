@@ -701,6 +701,14 @@ def test_row_rule_at_points_matches_its_reference(rng):
     assert null_field(germs[1].rebase((0.0, 0.7))).provenance == "first-row"
 
 
+def test_the_jacobian_is_the_partials_its_components_keep():
+    g = builtin_germ("cusp").rebase((0.5, -0.25))
+    for row, c in zip(g.jacobian(), g.components):
+        assert row[0] is c.partial(1) and row[1] is c.partial(2)
+    # a rebased germ shares its components, and so their partials
+    assert g.rebase((0.0, 0.0)).jacobian()[1][0] is g.components[1].partial(1)
+
+
 def test_jacobian_jets_are_built_once_per_germ(rng, monkeypatch):
     g = builtin_germ("cusp").rebase((0.5, -0.25))
     jets = g.jacobian_jets()

@@ -317,6 +317,50 @@ def test_poly2_partials_and_eval():
     assert p.partial(2).coeffs == {(2, 0): 1.0, (0, 2): -6.0}
 
 
+def _count_derived_tables(monkeypatch) -> list:
+    """Record every table Poly2._of wraps from here on."""
+    derived = []
+    of = Poly2._of.__func__
+    monkeypatch.setattr(Poly2, "_of", classmethod(lambda cls, t: derived.append(t) or of(cls, t)))
+    return derived
+
+
+def test_poly2_keeps_each_partial_it_derives(rng):
+    p = Poly2({(i, j): rng.uniform(-1, 1) for i in range(6) for j in range(6 - i)})
+    t = p.table
+    fresh = {1: t[1:] * np.arange(1, t.shape[0])[:, None], 2: t[:, 1:] * np.arange(1, t.shape[1])}
+    for axis in (1, 2):
+        d = p.partial(axis)
+        assert p.partial(axis) is d
+        want = Poly2._of(fresh[axis]).table
+        assert d.table.shape == want.shape and d.table.tobytes() == want.tobytes()
+    # a chain of partials is kept link by link
+    assert p.partial(1).partial(2) is p.partial(1).partial(2)
+
+
+def test_poly1_derivative_walks_the_kept_chain(monkeypatch):
+    f = Poly1({k: 1.0 for k in range(7)})
+    derived = _count_derived_tables(monkeypatch)
+    second = f.derivative(2)
+    assert len(derived) == 2
+    fourth = f.derivative(4)
+    assert len(derived) == 4
+    assert f.derivative(2).poly2 is second.poly2
+    assert fourth.coeffs == {0: 24.0, 1: 120.0, 2: 360.0}
+
+
+def test_an_overflowing_partial_raises_on_every_call_and_keeps_nothing(monkeypatch):
+    p = Poly2({(2, 0): 1.7e308, (0, 3): 1.0})
+    derived = _count_derived_tables(monkeypatch)
+    for calls in (1, 2):
+        with pytest.raises(InvalidSpec):
+            p.partial(1)
+        # each call derives the table anew: none was kept
+        assert len(derived) == calls
+    assert p.partial(2) is p.partial(2)
+    assert len(derived) == 3
+
+
 def test_poly2_eval_grid_matches_pointwise(rng):
     p = Poly2({(i, j): rng.uniform(-1, 1) for i in range(4) for j in range(4 - i)})
     u1 = np.linspace(-1.0, 1.0, 7)

@@ -42,7 +42,7 @@ from .germs import (
 )
 from .jets import compose_univariate, poly_to_jet
 from .locus import BoxDomain, _distinct, critical_value_image, newton_batch, sample_singular_set
-from .poly import HornerStack, InvalidSpec, Poly1, Poly2, _overflow_raises_later
+from .poly import HornerStack, InvalidSpec, Poly1, Poly2, _overflow_raises_later, naming_overflow
 from .poly import poly_from_spec, poly_to_spec
 
 __all__ = [
@@ -137,10 +137,7 @@ class ConsLawProblem:
     @cached_property
     def velocity_polys(self) -> tuple[Poly2, Poly2]:
         """The characteristic velocity (f1'(phi), f2'(phi)) as exact polynomials."""
-        return (
-            self.f1.derivative().compose2(self.phi),
-            self.f2.derivative().compose2(self.phi),
-        )
+        return tuple(f.derivative().compose2(self.phi) for f in (self.f1, self.f2))
 
     @cached_property
     def trace_poly(self) -> Poly2:
@@ -173,10 +170,8 @@ def characteristic_map(prob: ConsLawProblem, t: float, base=(0.0, 0.0)) -> Plane
     u1, u2 = Poly2.variable(1), Poly2.variable(2)
     v1, v2 = prob.velocity_polys
     components = (u1 + t * v1, u2 + t * v2)
-    try:
+    with naming_overflow("the discriminant 1 + t trace C", f"at t = {t!r}"):
         lam = 1.0 + t * prob.trace_poly
-    except InvalidSpec as exc:
-        raise InvalidSpec(f"the discriminant 1 + t trace C overflows at t = {t!r}") from exc
     return PlaneMapGerm(components, base, lam)
 
 
@@ -216,11 +211,8 @@ def _values_at(polys, u) -> list[float]:
 def _phi_data(prob: ConsLawProblem, u):
     """phi's partials (p1, p2, p11, p12, p22, p111, p112, p122, p222) at u,
     and (a2, a3, a4, b2, b3, b4), derivatives two to four of f1 and f2, at phi(u)."""
-    phi = prob.phi
-    p1, p2 = phi.partial(1), phi.partial(2)
-    p11, p12, p22 = p1.partial(1), p1.partial(2), p2.partial(2)
-    third = (p11.partial(1), p11.partial(2), p12.partial(2), p22.partial(2))
-    y, *d = _values_at((phi, p1, p2, p11, p12, p22, *third), u)
+    orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
+    y, *d = _values_at([prob.phi.derivative(order) for order in orders], u)
     return d, [f.derivative(m)(y) for f in (prob.f1, prob.f2) for m in (2, 3, 4)]
 
 
@@ -314,18 +306,11 @@ def xi_autodiff(prob: ConsLawProblem, u) -> tuple[float, float, float]:
     coefficients.  Serves as an independent oracle for the closed form.
     """
     phi4 = poly_to_jet(prob.phi, u, 4)
-    phi3 = phi4.truncate(3)
-    phi_1 = phi4.partial(1)
-    phi_2 = phi4.partial(2)
-    y0 = phi4.value
+    phi3, y0 = phi4.truncate(3), phi4.value
     a = compose_univariate(poly_to_jet(prob.f1.derivative(2), y0, 3), phi3)
     b = compose_univariate(poly_to_jet(prob.f2.derivative(2), y0, 3), phi3)
-    tau = a * phi_1 + b * phi_2
-    t1 = tau.deriv(1, 0)
-    t2 = tau.deriv(0, 1)
-    t11 = tau.deriv(2, 0)
-    t12 = tau.deriv(1, 1)
-    t22 = tau.deriv(0, 2)
+    tau = a * phi4.partial(1) + b * phi4.partial(2)
+    t1, t2, t11, t12, t22 = (tau.deriv(*k) for k in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
     return (-t1, -t2, t11 * t22 - t12 * t12)
 
 
@@ -387,8 +372,6 @@ def first_singularity(
     was missed, and reporting it as a first singularity would be wrong.
     """
     tau = prob.trace_poly
-    t1, t2 = tau.partial(1), tau.partial(2)
-    t12 = t1.partial(2)
     xs, ys = box.axes()
     tg = box.grid_values(tau, "characteristic trace")
     neg = tg < 0.0
@@ -409,7 +392,7 @@ def first_singularity(
     idx = np.concatenate([top[neg[top[:, 0], top[:, 1]]], local])
     seeds = np.stack([xs[idx[:, 0]], ys[idx[:, 1]]], axis=1)
 
-    x, _, ok = newton_batch(((t1, t2), ((t1.partial(1), t12), (t12, t2.partial(2)))), seeds, box)
+    x, _, ok = newton_batch((tau.partial(1), tau.partial(2)), seeds, box)
     x = x[ok & box.contains(x.T)]
     tv = tau(x.T)
     x, tv = x[tv < 0.0], tv[tv < 0.0]
@@ -452,8 +435,7 @@ def _window_min(a: np.ndarray) -> np.ndarray:
 
 def _analyze_point(prob, point, t, tol, co_minimizers) -> FirstSingularity:
     tau = prob.trace_poly
-    t1, t2 = tau.partial(1), tau.partial(2)
-    polys = (tau, t1.partial(1), t1.partial(2), t2.partial(2))
+    polys = [tau.derivative(order) for order in ((0, 0), (2, 0), (1, 1), (0, 2))]
     with _overflow_raises_later():
         xi = xi_closed_form(prob, point)
         tau_val, h11, h12, h22 = _values_at(polys, point)

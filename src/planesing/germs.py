@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .jets import Jet2, _compose_each, det2x2, poly_to_jet
-from .poly import InvalidSpec, Poly2, is_number
+from .poly import InvalidSpec, Poly2, is_number, naming_overflow
 
 __all__ = [
     "ToleranceConfig",
@@ -213,11 +213,9 @@ class PlaneMapGerm:
         """The record of df at the base point, built on first use from the
         components recentred to order 7; InvalidSpec if that overflows."""
         if self._local is None:
-            try:
+            with naming_overflow("the Jacobian", f"at {self.base_point}"):
                 jets = [poly_to_jet(c, self.base_point, 7) for c in self.components]
                 pairs = tuple((j.partial(1), j.partial(2)) for j in jets)
-            except InvalidSpec as exc:
-                raise InvalidSpec(f"the Jacobian overflows at {self.base_point}") from exc
             scales = tuple(float(np.abs(j.coeffs).ravel()[1:].max(initial=0.0)) for j in jets)
             # a row whose scale is 0 is zero, and stays so
             scaled = np.array([[d.value / (s or 1.0) for d in r] for r, s in zip(pairs, scales)])
@@ -285,9 +283,11 @@ class NullField:
 
 
 def _lambda_jet(f: PlaneMapGerm) -> Jet2:
-    """Order-6 jet of the Jacobian determinant, from the germ's Jacobian jets."""
+    """Order-6 jet of the Jacobian determinant, from the germ's Jacobian jets;
+    InvalidSpec if it overflows."""
     (Pu, Pv), (Qu, Qv) = f.jacobian_jets()
-    return det2x2(Pu, Pv, Qu, Qv)
+    with naming_overflow("the discriminant jet", f"at {f.base_point}"):
+        return det2x2(Pu, Pv, Qu, Qv)
 
 
 def discriminant(f: PlaneMapGerm) -> Jet2:
@@ -481,13 +481,11 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
 
     lam1, lam2 = lam_deep.partial(1), lam_deep.partial(2)
     h11, h12, h22 = lam1.partial(1), lam1.partial(2), lam2.partial(2)
-    det_hess_jet = h11 * h22 - h12 * h12
+    with naming_overflow("the det Hess lambda jet", f"at {f.base_point}"):
+        det_hess_jet = h11 * h22 - h12 * h12
 
     d_lam = (lam.deriv(1, 0), lam.deriv(0, 1))
-    hess = (
-        (lam.deriv(2, 0), lam.deriv(1, 1)),
-        (lam.deriv(1, 1), lam.deriv(0, 2)),
-    )
+    hess = ((lam.deriv(2, 0), lam.deriv(1, 1)), (lam.deriv(1, 1), lam.deriv(0, 2)))
     det_hess = det_hess_jet.value
 
     zr = tol.zero_rel
@@ -512,7 +510,8 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     if rank == 1 and margins["lambda"]["decision"] == ZERO:
         # a corank-one singular point: the walk reads the null field
         nf = null_field(f)
-        jets = _eta_derivative_jets(lam_deep, nf.eta)
+        with naming_overflow("the eta^k lambda jet", f"at {f.base_point}"):
+            jets = _eta_derivative_jets(lam_deep, nf.eta)
         report.eta_at_p = nf.values_at_base()
         report.eta_provenance = nf.provenance
         report.eta_lambda, report.eta2_lambda, report.eta3_lambda = (j.value for j in jets)

@@ -19,10 +19,11 @@ the discriminant lying on the set (lips/beaks material) and points
 where the null-direction derivative of the discriminant vanishes on
 the set (cusp/swallowtail material), lambda = eta1 lambda = eta2
 lambda = 0 for the null fields of both Jacobian rows, so no row is
-chosen.  Each system runs from every cell center in one damped
-(Gauss-)Newton loop (newton_batch) on 1-D coordinate arrays; its values
-and Jacobian entries are evaluated in one stacked Horner pass
-(poly.HornerStack).  Where Gauss-Newton only halves its distance to a
+chosen.  Each system, given as its equations alone, runs from every
+cell center in one damped (Gauss-)Newton loop (newton_batch) on 1-D
+coordinate arrays; per step one stacked Horner pass (poly.HornerStack)
+evaluates the equations and another their Jacobian, the partials each
+equation keeps.  Where Gauss-Newton only halves its distance to a
 singular root of the cusp system per step, it tries a doubled step.
 Converged runs are sorted and reduced to distinct roots by one array
 helper (_distinct), and each located point is classified by re-basing
@@ -47,7 +48,7 @@ from .germs import (
     ToleranceConfig,
     classify,
 )
-from .poly import HornerStack, InvalidSpec, Poly1, Poly2, is_number
+from .poly import HornerStack, InvalidSpec, Poly1, Poly2, is_number, naming_overflow
 
 __all__ = [
     "BoxDomain",
@@ -240,7 +241,7 @@ def _newton_step(J, f):
 
 
 def newton_batch(
-    system,
+    equations,
     seeds,
     box: BoxDomain,
     residual: float = NEWTON_RESIDUAL,
@@ -248,8 +249,9 @@ def newton_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped (Gauss-)Newton iteration of one system from many seeds.
 
-    The system is (F, J): one, two or three Poly2 equations and their
-    partials, one pair (F_u1, F_u2) per equation.  One equation takes
+    A system is its equations: one, two or three Poly2s, whose
+    Jacobian rows are their kept partials (p.partial(1), p.partial(2)),
+    so a mixed partial two rows share is one table.  One equation takes
     the minimum-norm step onto its zero set, two the Newton step, three
     the Gauss-Newton step.  All runs share one loop on 1-D coordinate
     arrays, and per step one HornerStack call evaluates the values, one
@@ -265,13 +267,14 @@ def newton_batch(
     residual above the bound by less than 10%, as on the way to a
     singular root.  A run is converged when it was not stopped short and
     its residual is within the bound.  Runs never interact, so each
-    result is the one the run gets alone.
+    result is the one the run gets alone.  InvalidSpec if a Jacobian
+    entry overflows.
     Returns (x, residual_norm, converged), shaped (n, 2), (n,) and (n,).
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
-    F, J = system
-    values = HornerStack([p.table for p in F])
-    jacobian = HornerStack([p.table for row in J for p in row])
+    values = HornerStack([p.table for p in equations])
+    with naming_overflow("the Newton Jacobian", f"on the box {box.lo} to {box.hi}"):
+        jacobian = HornerStack([p.partial(axis).table for p in equations for axis in (1, 2)])
     u1, u2 = seeds[:, 0].copy(), seeds[:, 1].copy()
     f = values(u1, u2)
     rnorm = np.abs(f).max(axis=0)
@@ -279,7 +282,7 @@ def newton_batch(
     active = np.arange(len(seeds))
     last = np.full((2, len(seeds)), np.nan)
     for _ in range(NEWTON_MAX_ITER):
-        if len(F) == 1:
+        if len(equations) == 1:
             active = active[rnorm[active] > residual]
         if not active.size:
             break
@@ -289,7 +292,7 @@ def newton_batch(
         t = np.zeros(len(active))
         pending = np.flatnonzero(solved)
         start = np.ones(len(active))
-        if len(F) == 3:
+        if len(equations) == 3:
             # a step along the last full step (cosine >= 0.99) at half its
             # length (ratio 0.4 to 0.6) creeps toward a singular root:
             # the line search tries twice the step first
@@ -327,13 +330,13 @@ def newton_batch(
         for p1, p2 in absorb:
             stop |= (x1 - p1) ** 2 + (x2 - p2) ** 2 <= DEDUP_RADIUS**2
         small_resid = rnorm[index] <= residual
-        if len(F) == 3:
+        if len(equations) == 3:
             stop |= ~small_resid & (rnorm[index] > 0.9 * ra)
         small_step = np.maximum(np.abs(s1), np.abs(s2)) <= 1e3 * STEP_TOL
         stopped[index[stop]] = True
         live = ~(stop | small | (small_resid & small_step))
         active = index[live]
-        if len(F) == 3:
+        if len(equations) == 3:
             # each live run's last full step, NaN after any other step
             full = t[live] == 1.0
             last = np.where(full, s1[live], np.nan), np.where(full, s2[live], np.nan)
@@ -386,7 +389,8 @@ def _discriminant_on_grid(f: PlaneMapGerm, box: BoxDomain):
     None when lambda is zero at every node: the whole box is singular,
     and neither search reports a curve or a point there.
     """
-    lam = f.discriminant_poly()
+    with naming_overflow("the discriminant", f"on the box {box.lo} to {box.hi}"):
+        lam = f.discriminant_poly()
     vals = box.grid_values(lam, "discriminant")
     scale = float(np.max(np.abs(vals)))
     return None if scale == 0.0 else (lam, vals, scale)
@@ -413,8 +417,7 @@ def sample_singular_set(f: PlaneMapGerm, box: BoxDomain) -> list[CurveSample]:
     segments, x, y = _march(lam, *box.axes(), vals)
     if not len(segments):
         return []
-    system = ((lam,), ((lam.partial(1), lam.partial(2)),))
-    u, r, _ = newton_batch(system, np.stack([x, y], axis=1), box, NEWTON_RESIDUAL * scale)
+    u, r, _ = newton_batch((lam,), np.stack([x, y], axis=1), box, NEWTON_RESIDUAL * scale)
     x, y, r = u[:, 0].tolist(), u[:, 1].tolist(), r.tolist()
     chains = _link_curves(segments, len(x))
     curves = [_build_curve(chain, closed, x, y, r) for chain, closed in chains]
@@ -520,20 +523,16 @@ def _distinct(points) -> np.ndarray:
 
 
 def _special_point_systems(f: PlaneMapGerm) -> tuple:
-    """The two Newton systems of find_special_points, in newton_batch form.
+    """The equations of the two Newton systems of find_special_points.
 
     grad lambda = 0, then the row-free cusp system (lambda, eta1 lambda,
     eta2 lambda) = 0 with eta1 = (P_v, -P_u) and eta2 = (-Q_v, Q_u).
     """
     lam = f.discriminant_poly()
     lam1, lam2 = lam.partial(1), lam.partial(2)
-    lam12 = lam1.partial(2)
     (Pu, Pv), (Qu, Qv) = f.jacobian()
     eta_lams = [e1 * lam1 + e2 * lam2 for e1, e2 in ((Pv, -Pu), (-Qv, Qu))]
-    return (
-        ((lam1, lam2), ((lam1.partial(1), lam12), (lam12, lam2.partial(2)))),
-        ((lam, *eta_lams), ((lam1, lam2), *((g.partial(1), g.partial(2)) for g in eta_lams))),
-    )
+    return (lam1, lam2), (lam, *eta_lams)
 
 
 def find_special_points(
@@ -567,7 +566,8 @@ def find_special_points(
     lam_zero_bound = max(tol.zero_rel * scale, NEWTON_RESIDUAL)
     centers = np.meshgrid(_midpoint(xs[:-1], xs[1:]), _midpoint(ys[:-1], ys[1:]), indexing="ij")
     seeds = np.stack(centers, axis=-1).reshape(-1, 2)
-    gradient_system, cusp_system = _special_point_systems(f)
+    with naming_overflow("eta lambda", f"on the box {box.lo} to {box.hi}"):
+        gradient_system, cusp_system = _special_point_systems(f)
 
     def roots(system, keep=lambda u: True, absorb=()):
         # the distinct converged roots in the box, sorted by location
@@ -579,9 +579,8 @@ def find_special_points(
         kept = order[_distinct(x[order])]
         return x[kept], rnorm[kept]
 
-    degenerate, degenerate_resid = roots(
-        gradient_system, lambda u: np.abs(lam(u)) <= lam_zero_bound
-    )
+    degenerate, degenerate_resid = roots(gradient_system,
+                                         lambda u: np.abs(lam(u)) <= lam_zero_bound)
     cusp, cusp_resid = roots(cusp_system, absorb=degenerate)
     # a degenerate point also solves the cusp system; it is reported once
     x = np.concatenate([degenerate, cusp])

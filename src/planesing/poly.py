@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import Mapping
 
@@ -30,6 +31,7 @@ __all__ = [
     "Poly2",
     "convolve2",
     "is_number",
+    "naming_overflow",
     "order_cut",
     "outside_order",
     "poly_from_spec",
@@ -62,6 +64,16 @@ def _overflow_raises_later():
     # finiteness check of every new table turns into InvalidSpec;
     # numpy's warning would only repeat it
     return np.errstate(over="ignore", invalid="ignore")
+
+
+@contextmanager
+def naming_overflow(quantity: str, where: str):
+    """Re-raise InvalidSpec from inside, an overflow of a derived value, as
+    "<quantity> overflows <where>", which names what overflowed and where."""
+    try:
+        yield
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{quantity} overflows {where}") from exc
 
 
 def is_number(x, count: bool = False) -> bool:
@@ -256,11 +268,8 @@ class Poly1:
         return self.poly2.is_zero()
 
     def derivative(self, m: int = 1) -> "Poly1":
-        """The m-th derivative, down the chain of partials its Poly2 keeps."""
-        p = self.poly2
-        for _ in range(m):
-            p = p.partial(1)
-        return Poly1._of(p)
+        """The m-th derivative: the order (m, 0) its Poly2 keeps."""
+        return Poly1._of(self.poly2.derivative((m, 0)))
 
     def __call__(self, y: float) -> float:
         """Value at y, the power sum over the nonzero terms in ascending k."""
@@ -292,7 +301,7 @@ class Poly2:
     column each hold a nonzero entry (the zero polynomial is [[0.0]]).
     """
 
-    __slots__ = ("table", "_partials")
+    __slots__ = ("table", "_kept", "_order")
 
     def __init__(self, coeffs: Mapping[tuple, float] | None = None):
         terms = []
@@ -356,25 +365,35 @@ class Poly2:
         return not self.table.any()
 
     def partial(self, axis: int) -> "Poly2":
-        """The partial derivative along u1 (axis 1) or u2 (axis 2).
+        """The partial derivative along u1 (axis 1) or u2 (axis 2), kept like
+        every order, so a Newton system is its equations alone: newton_batch
+        reads each Jacobian row as (p.partial(1), p.partial(2))."""
+        if axis not in (1, 2):
+            raise ValueError("axis must be 1 or 2")
+        return self.derivative((2 - axis, axis - 1))
 
-        It is derived on the first call and kept, so every later call
-        returns the same object; one that overflows raises InvalidSpec
-        and is not kept.
+    def derivative(self, order: tuple[int, int]) -> "Poly2":
+        """The partial derivative of order (i, j): i times along u1, j along u2.
+
+        Each order is kept on the polynomial the partials were first taken
+        from, derived there u1 first: (i, 0) from (i - 1, 0), (i, j) from
+        (i, j - 1).  So every route to an order, p.partial(2).partial(1) or
+        p.partial(1).partial(2), gives one object with that chain's bits.
+        An order that overflows is not kept and raises InvalidSpec each call.
         """
-        kept = getattr(self, "_partials", None)
-        if kept is None:  # made here, so that building a Poly2 costs no more
-            kept = self._partials = {}
-        if axis not in kept:
-            t = self.table
+        if min(order) < 0:
+            raise ValueError(f"a derivative order must be non-negative, got {order}")
+        if getattr(self, "_kept", None) is None:  # made here: building a Poly2 costs no more
+            self._kept, self._order = {(0, 0): self}, (0, 0)
+        kept, i, j = self._kept, self._order[0] + order[0], self._order[1] + order[1]
+        if (i, j) not in kept:
+            t = kept[0, 0].derivative((i, j - 1) if j else (i - 1, 0)).table
             with _overflow_raises_later():
-                if axis == 1:
-                    kept[1] = Poly2._of(t[1:] * np.arange(1, t.shape[0])[:, None])
-                elif axis == 2:
-                    kept[2] = Poly2._of(t[:, 1:] * np.arange(1, t.shape[1]))
-                else:
-                    raise ValueError("axis must be 1 or 2")
-        return kept[axis]
+                k = np.arange(1, t.shape[1 if j else 0])
+                t = t[:, 1:] * k if j else t[1:] * k[:, None]
+            p = kept[i, j] = Poly2._of(t)
+            p._kept, p._order = kept, (i, j)
+        return kept[i, j]
 
     def __call__(self, u):
         """Value at the point u = (u1, u2).

@@ -471,6 +471,46 @@ def test_a_time_whose_discriminant_overflows_exits_64(tmp_path, capsys):
     assert not out.exists()
 
 
+def _exits_64_with(args, tmp_path, capsys) -> str:
+    """Run args, which must exit 64 before any output; return the one stderr line."""
+    out = tmp_path / "not-made"
+    assert run([*args, "--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert not out.exists()
+    return captured.err
+
+
+def test_a_discriminant_jet_that_overflows_is_named_not_blamed_on_the_input(tmp_path, capsys):
+    # every input coefficient is finite; lambda = 1e400 (3v^2 + u) is not
+    args = ["classify", "--map", "(1e200*u, 1e200*(v^3+u*v))"]
+    err = _exits_64_with(args, tmp_path, capsys)
+    assert err == "planesing: the discriminant jet overflows at (0.0, 0.0)\n"
+
+
+def test_an_eta_lambda_that_overflows_is_named_not_blamed_on_the_input(tmp_path, capsys):
+    # lambda = 1e300 (3v^2 + u) is finite, eta1 lambda = -1e300 * 6e300 v is not
+    args = ["trace", "--map", "(1e300*u, v^3+u*v)", "--grid", "8,8"]
+    err = _exits_64_with(args, tmp_path, capsys)
+    assert err == "planesing: eta lambda overflows on the box (-1.0, -1.0) to (1.0, 1.0)\n"
+
+
+@pytest.mark.parametrize(
+    "args, quantity",
+    [
+        (["classify", "--map", "(1e80*u, 1e80*(v^3+u^2*v))"], "the det Hess lambda jet"),
+        (["classify", "--map", "(1e160*u, v^3+u*v)"], "the eta^k lambda jet"),
+        (["trace", "--map", "(1e200*u, 1e200*(v^3+u*v))", "--grid", "8,8"], "the discriminant"),
+        (["trace", "--map", "(1e307*u, v^5+u*v)", "--grid", "8,8"], "the Newton Jacobian"),
+    ],
+    ids=["det-hess-jet", "eta-jets", "discriminant", "newton-jacobian"],
+)
+def test_a_derived_quantity_that_overflows_is_named(tmp_path, capsys, args, quantity):
+    where = "at (0.0, 0.0)" if args[0] == "classify" else "on the box (-1.0, -1.0) to (1.0, 1.0)"
+    err = _exits_64_with(args, tmp_path, capsys)
+    assert err == f"planesing: {quantity} overflows {where}\n"
+
+
 @pytest.mark.parametrize("levels", [400, 10000])
 def test_deeply_nested_expressions_exit_64(capsys, levels):
     nested = {name: "(" * levels + name + ")" * levels for name in "ut"}

@@ -267,7 +267,7 @@ def test_newton_residual_is_its_systems_value_at_the_location(name):
     points = find_special_points(germ, _GRID12)
     assert points
     for sp in points:
-        equations, _ = systems[sp.kind]
+        equations = systems[sp.kind]
         assert sp.newton_residual == max(abs(p(sp.location)) for p in equations)
 
 
@@ -581,13 +581,9 @@ def test_box_contains():
     assert box.contains((1.0 + 1e-12, 1.0))
 
 
-def _poly_system(f1, f2):
-    return (f1, f2), ((f1.partial(1), f1.partial(2)), (f2.partial(1), f2.partial(2)))
-
-
 def _quadratic_system():
     # F = (u^2 - 4, v): roots (+-2, 0), Jacobian singular on u = 0
-    return _poly_system(Poly2({(2, 0): 1.0, (0, 0): -4.0}), Poly2.variable(2))
+    return Poly2({(2, 0): 1.0, (0, 0): -4.0}), Poly2.variable(2)
 
 
 def test_newton_batch_seed_outcomes():
@@ -604,7 +600,7 @@ def test_newton_batch_seed_outcomes():
     assert x[4].tolist() == [2.0, 0.0] and rnorm[4] == 0.0
     # F = (u^3 - 1, v) from u = 0.05: only the eighth step length, 1/128,
     # lowers the residual, and the seed goes on to converge
-    system = _poly_system(Poly2({(3, 0): 1.0, (0, 0): -1.0}), Poly2.variable(2))
+    system = Poly2({(3, 0): 1.0, (0, 0): -1.0}), Poly2.variable(2)
     x, _, ok = newton_batch(system, [(0.05, 0.0)], BOX)
     assert ok.tolist() == [True] and x[0].tolist() == [1.0, 0.0]
 
@@ -612,8 +608,8 @@ def test_newton_batch_seed_outcomes():
 def test_newton_batch_seeds_are_independent():
     # F2 = v fills the second slot of one system and the first of the next
     system = _quadratic_system()
-    F2 = system[0][1]
-    systems = [system, _poly_system(F2, Poly2({(3, 0): 1.0, (1, 1): 0.5, (0, 0): -1.0}))]
+    F2 = system[1]
+    systems = [system, (F2, Poly2({(3, 0): 1.0, (1, 1): 0.5, (0, 0): -1.0}))]
     seeds = [(1.5, 0.5), (0.0, 0.7), (-1.5, -0.2), (0.1, 0.0), (2.0, 0.0), (0.9, -0.3)]
     for system in systems:
         batch = newton_batch(system, seeds, BOX)
@@ -621,6 +617,26 @@ def test_newton_batch_seeds_are_independent():
             alone = newton_batch(system, [seed], BOX)
             for got, want in zip(batch, alone):
                 assert got[k].tobytes() == want[0].tobytes()
+
+
+def test_newton_batch_reads_each_jacobian_row_from_the_kept_partials(monkeypatch):
+    # the rows of grad lambda = 0 share lambda_12, which is one kept object,
+    # so the Jacobian stack holds three tables
+    stacks = []
+
+    class Recording(poly.HornerStack):
+        def __init__(self, tables):
+            stacks.append(list(tables))
+            super().__init__(tables)
+
+    monkeypatch.setattr(locus, "HornerStack", Recording)
+    lam = builtin_germ("beaks").discriminant_poly()
+    newton_batch((lam.partial(1), lam.partial(2)), [(0.3, 0.2)], BOX)
+    _, jacobian = stacks
+    assert jacobian[0] is lam.derivative((2, 0)).table
+    assert jacobian[1] is jacobian[2] is lam.derivative((1, 1)).table
+    assert jacobian[3] is lam.derivative((0, 2)).table
+    assert len({id(t) for t in jacobian}) == 3
 
 
 def _max_abs(*values):
@@ -668,10 +684,11 @@ def _halves(step, last):
     return dot >= 0.0 and dot * dot >= 0.9801 * sn * ln and 0.16 * ln <= sn <= 0.36 * ln
 
 
-def _newton_reference(system, x0, box, absorb=(), max_iter=NEWTON_MAX_ITER):
-    # the scalar loop that newton_batch runs on every run at once;
+def _newton_reference(F, x0, box, absorb=(), max_iter=NEWTON_MAX_ITER):
+    # the scalar loop that newton_batch runs on every run at once, on the
+    # equations F and the Jacobian rows of their partials;
     # returns (x, residual norm, converged, iterations started)
-    F, J = system
+    J = [(p.partial(1), p.partial(2)) for p in F]
     x = (float(x0[0]), float(x0[1]))
     f = [p(x) for p in F]
     rnorm = _max_abs(*f)
@@ -729,7 +746,7 @@ def test_newton_batch_matches_scalar_loop(name, max_iter, monkeypatch):
     lam = f.discriminant_poly()
     systems = {
         "gradient": (gradient_system, ()),
-        "first-row": (_poly_system(lam, -lam.partial(2)), ()),
+        "first-row": ((lam, -lam.partial(2)), ()),
         "cusp": (cusp_system, ()),
         "absorbed": (cusp_system, ((0.0, 0.0),)),
     }
@@ -789,8 +806,7 @@ def _sharpen_reference(lam, pt, resid_bound, max_iter):
 
 def _sharpen(lam, pts, resid_bound, box):
     # the one-equation newton_batch call of sample_singular_set
-    system = ((lam,), ((lam.partial(1), lam.partial(2)),))
-    return newton_batch(system, pts, box, resid_bound)
+    return newton_batch((lam,), pts, box, resid_bound)
 
 
 def _first_shock_discriminant(rng):

@@ -361,6 +361,76 @@ def test_an_overflowing_partial_raises_on_every_call_and_keeps_nothing(monkeypat
     assert len(derived) == 3
 
 
+def _u1_first(table, order):
+    """The table of the (i, j) partial: i steps along u1, then j along u2."""
+    t = table
+    for _ in range(order[0]):
+        t = t[1:] * np.arange(1, t.shape[0])[:, None]
+    for _ in range(order[1]):
+        t = t[:, 1:] * np.arange(1, t.shape[1])
+    return Poly2._of(t).table
+
+
+def _routes(i, j):
+    """Every sequence of i steps along u1 and j along u2, as axis tuples."""
+    if not i or not j:
+        return [(1,) * i + (2,) * j]
+    return [(1, *r) for r in _routes(i - 1, j)] + [(2, *r) for r in _routes(i, j - 1)]
+
+
+def test_every_route_to_an_order_is_one_object_with_the_u1_first_bits(rng):
+    # a dense table of degree 9: odd factors such as 3 and 5 round
+    # differently in (c * 3) * 5 and (c * 5) * 3
+    coeffs = {(i, j): rng.uniform(-1, 1) for i in range(10) for j in range(10 - i)}
+    orders = [(i, k - i) for k in range(1, 5) for i in range(k + 1)]
+    table = Poly2(coeffs).table
+    u2_first = {o: Poly2._of(_u1_first(table.T, o[::-1]).T).table for o in orders}
+    assert any(u2_first[o].tobytes() != _u1_first(table, o).tobytes() for o in orders)
+    for order in orders:
+        routes = _routes(*order)
+        # each route taken first, on a fresh polynomial, then all the others
+        for first in range(len(routes)):
+            p = Poly2(coeffs)
+            got = []
+            for route in routes[first:] + routes[:first]:
+                q = p
+                for axis in route:
+                    q = q.partial(axis)
+                got.append(q)
+            got.append(p.derivative(order))
+            half = (order[0] // 2, order[1] // 2)
+            got.append(p.derivative(half).derivative((order[0] - half[0], order[1] - half[1])))
+            assert all(q is got[0] for q in got)
+            want = _u1_first(table, order)
+            assert got[0].table.shape == want.shape
+            assert got[0].table.tobytes() == want.tobytes()
+    p = Poly2(coeffs)
+    assert p.derivative((0, 0)) is p
+    with pytest.raises(ValueError):
+        p.derivative((-1, 1))
+
+
+def test_an_overflowing_order_raises_on_every_route_and_keeps_nothing(monkeypatch):
+    # 8e307 * 2 is finite along either axis, but 8e307 * 2 * 2 is not
+    p = Poly2({(2, 2): 8e307, (0, 0): 1.0})
+    d1, d2 = p.partial(1), p.partial(2)
+    derived = _count_derived_tables(monkeypatch)
+    routes = [lambda: d1.partial(2), lambda: d2.partial(1), lambda: p.derivative((1, 1)),
+              lambda: d2.derivative((1, 0))]
+    for route in routes * 2:
+        with pytest.raises(InvalidSpec):
+            route()
+    # each call derives the (1, 1) table anew and keeps nothing
+    assert len(derived) == 2 * len(routes)
+    assert p.partial(1) is d1 and p.partial(2) is d2
+    # (2, 2) goes by (2, 0), which is finite and kept, and fails at (2, 1)
+    with pytest.raises(InvalidSpec):
+        p.derivative((2, 2))
+    assert len(derived) == 2 * len(routes) + 2
+    assert p.derivative((2, 0)) is d1.partial(1)
+    assert len(derived) == 2 * len(routes) + 2
+
+
 def test_poly2_eval_grid_matches_pointwise(rng):
     p = Poly2({(i, j): rng.uniform(-1, 1) for i in range(4) for j in range(4 - i)})
     u1 = np.linspace(-1.0, 1.0, 7)

@@ -174,21 +174,16 @@ class PlaneMapGerm:
     out of the Jacobian), so germs are not translated in the target.
     Each component keeps the partials it derives (Poly2.partial), so the
     Jacobian polynomials are derived once; the germ keeps the
-    discriminant polynomial and the record of df at the base point.  A
-    caller that knows the discriminant in closed form passes it as
-    ``discriminant``; it must be a Poly2 equal to the Jacobian
-    determinant, and it is kept in place of P_u1 Q_u2 - P_u2 Q_u1.
+    discriminant polynomial P_u1 Q_u2 - P_u2 Q_u1 and the record of df
+    at the base point, each built on first use.
     """
 
     __slots__ = ("components", "base_point", "_lam_poly", "_local")
 
-    def __init__(self, components, base_point=(0.0, 0.0), discriminant=None):
+    def __init__(self, components, base_point=(0.0, 0.0)):
         self.components = _poly2_pair(components, "germ")
         self.base_point = (float(base_point[0]), float(base_point[1]))
-        if discriminant is not None and not isinstance(discriminant, Poly2):
-            raise InvalidSpec("a germ's discriminant must be a two-variable polynomial")
-        self._lam_poly = discriminant
-        self._local = None
+        self._lam_poly = self._local = None
 
     @classmethod
     def from_jets(cls, jet1: Jet2, jet2: Jet2) -> "PlaneMapGerm":
@@ -199,7 +194,7 @@ class PlaneMapGerm:
         return cls(tuple(Poly2._of(j.coeffs).shift((-p[0], -p[1])) for j in (jet1, jet2)), p)
 
     def rebase(self, new_base) -> "PlaneMapGerm":
-        return PlaneMapGerm(self.components, new_base, self._lam_poly)
+        return PlaneMapGerm(self.components, new_base)
 
     def value_at(self, u=None):
         u = self.base_point if u is None else u
@@ -230,8 +225,8 @@ class PlaneMapGerm:
         return self._local_jacobian().jets
 
     def discriminant_poly(self) -> Poly2:
-        """Jacobian determinant as an exact global polynomial: the closed
-        form given at construction, else P_u1 Q_u2 - P_u2 Q_u1 (cached)."""
+        """Jacobian determinant as an exact global polynomial,
+        P_u1 Q_u2 - P_u2 Q_u1 (cached)."""
         if self._lam_poly is None:
             (Pu, Pv), (Qu, Qv) = self.jacobian()
             self._lam_poly = Pu * Qv - Pv * Qu

@@ -384,39 +384,40 @@ def _edge_crossings(x0, y0, x1, y1, v0, v1):
 
 
 def _discriminant_on_grid(f: PlaneMapGerm, box: BoxDomain):
-    """(lambda, its node values, their largest |value|) on the box grid.
-
-    None when lambda is zero at every node: the whole box is singular,
-    and neither search reports a curve or a point there.
-    """
+    """(lambda, its node values on the box grid)."""
     with naming_overflow("the discriminant", f"on the box {box.lo} to {box.hi}"):
         lam = f.discriminant_poly()
-    vals = box.grid_values(lam, "discriminant")
-    scale = float(np.max(np.abs(vals)))
-    return None if scale == 0.0 else (lam, vals, scale)
+    return lam, box.grid_values(lam, "discriminant")
 
 
 def sample_singular_set(f: PlaneMapGerm, box: BoxDomain) -> list[CurveSample]:
     """Polyline approximations of the singular set inside the box.
 
-    Node values exactly equal to zero are nudged to the positive side
-    for sign bookkeeping, which keeps crossings on the correct edges
-    without moving them (interpolation still lands on the node).  Each
-    crossing then moves onto lambda = 0 by minimum-norm Newton steps
-    until |lambda| is at most NEWTON_RESIDUAL times the largest |lambda|
-    on the grid.  Curves come back ordered deterministically, with grid
-    edges ordered by their first node (i, j), the edge along u1 first:
-    open chains first, each from its smaller end edge, then loops, each
-    from its smallest edge toward the neighbour whose cell comes first
-    row-major.
+    This is _zero_set, the march-and-sharpen pass the conservation-law
+    frames share, applied to the germ's discriminant lambda and its node
+    values on the box grid.  Node values exactly equal to zero are
+    nudged to the positive side for sign bookkeeping, which keeps
+    crossings on the correct edges without moving them (interpolation
+    still lands on the node).  Each crossing then moves onto lambda = 0
+    by minimum-norm Newton steps until |lambda| is at most
+    NEWTON_RESIDUAL times the largest |lambda| on the grid.  Curves come
+    back ordered deterministically, with grid edges ordered by their
+    first node (i, j), the edge along u1 first: open chains first, each
+    from its smaller end edge, then loops, each from its smallest edge
+    toward the neighbour whose cell comes first row-major.
     """
-    grid = _discriminant_on_grid(f, box)
-    if grid is None:
-        return []
-    lam, vals, scale = grid
+    return _zero_set(*_discriminant_on_grid(f, box), box)
+
+
+def _zero_set(lam: Poly2, vals: np.ndarray, box: BoxDomain) -> list[CurveSample]:
+    """The curves of lam = 0 in the box, as sample_singular_set describes,
+    marched over vals, the node values of lam on the box grid.  Where lam
+    is zero at every node the whole box is singular, and no curve is
+    reported."""
     segments, x, y = _march(lam, *box.axes(), vals)
     if not len(segments):
         return []
+    scale = float(np.max(np.abs(vals)))
     u, r, _ = newton_batch((lam,), np.stack([x, y], axis=1), box, NEWTON_RESIDUAL * scale)
     x, y, r = u[:, 0].tolist(), u[:, 1].tolist(), r.tolist()
     chains = _link_curves(segments, len(x))
@@ -558,10 +559,10 @@ def find_special_points(
     sorted by location.
     A box where lambda is zero at every node reports no point.
     """
-    grid = _discriminant_on_grid(f, box)
-    if grid is None:
+    lam, vals = _discriminant_on_grid(f, box)
+    scale = float(np.max(np.abs(vals)))
+    if scale == 0.0:
         return []
-    lam, _, scale = grid
     xs, ys = box.axes()
     lam_zero_bound = max(tol.zero_rel * scale, NEWTON_RESIDUAL)
     centers = np.meshgrid(_midpoint(xs[:-1], xs[1:]), _midpoint(ys[:-1], ys[1:]), indexing="ij")

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import sys
+import weakref
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import Mapping
@@ -301,7 +302,7 @@ class Poly2:
     column each hold a nonzero entry (the zero polynomial is [[0.0]]).
     """
 
-    __slots__ = ("table", "_kept", "_order")
+    __slots__ = ("table", "_kept", "_root", "__weakref__")
 
     def __init__(self, coeffs: Mapping[tuple, float] | None = None):
         terms = []
@@ -375,24 +376,33 @@ class Poly2:
     def derivative(self, order: tuple[int, int]) -> "Poly2":
         """The partial derivative of order (i, j): i times along u1, j along u2.
 
-        Each order is kept on the polynomial the partials were first taken
-        from, derived there u1 first: (i, 0) from (i - 1, 0), (i, j) from
-        (i, j - 1).  So every route to an order, p.partial(2).partial(1) or
-        p.partial(1).partial(2), gives one object with that chain's bits.
-        An order that overflows is not kept and raises InvalidSpec each call.
+        Each order is kept on the root, the polynomial the partials were
+        first taken from, derived there u1 first: (i, 0) from (i - 1, 0),
+        (i, j) from (i, j - 1).  So while the root is alive, every route
+        to an order, p.partial(2).partial(1) or p.partial(1).partial(2),
+        gives one object with that chain's bits.  A partial holds its root
+        weakly, so no reference cycle forms and a root and its partials
+        are freed as soon as they are unused; a partial whose root is gone
+        derives on a new root of the same table, which keeps nothing: the
+        same bits, but a new object on each call.  An order that overflows
+        is not kept and raises InvalidSpec each call.
         """
         if min(order) < 0:
             raise ValueError(f"a derivative order must be non-negative, got {order}")
-        if getattr(self, "_kept", None) is None:  # made here: building a Poly2 costs no more
-            self._kept, self._order = {(0, 0): self}, (0, 0)
-        kept, i, j = self._kept, self._order[0] + order[0], self._order[1] + order[1]
+        if not any(order):
+            return self
+        if getattr(self, "_root", None):  # a partial: its root keeps every order
+            ref, table, (a, b) = self._root
+            return (ref() or Poly2._of(table)).derivative((a + order[0], b + order[1]))
+        i, j = order
+        kept = self._kept = getattr(self, "_kept", {})  # made on first use
         if (i, j) not in kept:
-            t = kept[0, 0].derivative((i, j - 1) if j else (i - 1, 0)).table
+            t = self.derivative((i, j - 1) if j else (i - 1, 0)).table
             with _overflow_raises_later():
                 k = np.arange(1, t.shape[1 if j else 0])
                 t = t[:, 1:] * k if j else t[1:] * k[:, None]
             p = kept[i, j] = Poly2._of(t)
-            p._kept, p._order = kept, (i, j)
+            p._root = weakref.ref(self), self.table, (i, j)
         return kept[i, j]
 
     def __call__(self, u):

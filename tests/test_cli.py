@@ -463,11 +463,26 @@ def test_a_long_number_argument_is_quoted_short(tmp_path, capsys):
 
 def test_a_time_whose_discriminant_overflows_exits_64(tmp_path, capsys):
     out = tmp_path / "not-made"
-    args = ["conslaw", "--builtin", "burgers-lips", "--at", "0,0", "--time", "1e308"]
+    args = ["conslaw", "--builtin", "burgers-lips", "--time", "0.5,1e308"]
     assert run([*args, "--out", str(out)]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "planesing: the discriminant 1 + t trace C overflows at t = 1e+308\n"
+    assert not out.exists()
+
+
+def test_a_frame_whose_node_values_overflow_exits_64_without_a_warning(tmp_path, capsys):
+    # 1 + 1e200 trace C has finite coefficients, but its values at the
+    # corners of a box of half-width 1e100 do not
+    out = tmp_path / "not-made"
+    args = ["conslaw", "--builtin", "burgers-lips", "--box=-1e100,-1e100,1e100,1e100",
+            "--grid", "8,8", "--time", "0.5,1e200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*args, "--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "planesing: the discriminant 1 + t trace C overflows at t = 1e+200\n"
     assert not out.exists()
 
 

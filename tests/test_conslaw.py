@@ -19,8 +19,8 @@ from planesing.conslaw import (
     xi_autodiff,
     xi_closed_form,
 )
-from planesing.germs import BEAKS, IMMERSION, LIPS, classify, discriminant, rank_df
-from planesing.locus import BoxDomain
+from planesing.germs import BEAKS, IMMERSION, LIPS, NEWTON_RESIDUAL, classify, discriminant, rank_df
+from planesing.locus import BoxDomain, sample_singular_set
 from planesing.poly import InvalidSpec, Poly1, Poly2, convolve2
 
 BURGERS_F1 = Poly1({2: 0.5})
@@ -123,8 +123,9 @@ def test_closed_form_discriminant_is_the_generic_determinant(base_seed):
         u = tuple(rng.uniform(-1.0, 1.0, 2))
         rng.uniform(-1.0, 1.0, (9, 2))
         for t in (0.1, 1.0, 10.0):
+            # the polynomial every frame traces
+            lam = (1.0 + t * prob.trace_poly).table
             germ = characteristic_map(prob, t, u)
-            lam = germ.discriminant_poly().table
             assert all(a <= b for a, b in zip(lam.shape, prob.trace_poly.table.shape))
             (Pu, Pv), (Qu, Qv) = germ.jacobian()
             # each coefficient of the two products rounds at the sum of the
@@ -132,16 +133,6 @@ def test_closed_form_discriminant_is_the_generic_determinant(base_seed):
             scale = convolve2(abs(Pu.table), abs(Qv.table)) + convolve2(abs(Pv.table), abs(Qu.table))
             diff = _padded(lam, scale.shape) - _padded(_generic_determinant(germ).table, scale.shape)
             assert (np.abs(diff) <= 1e-12 * scale).all()
-
-
-def test_rebase_keeps_the_closed_form_discriminant():
-    prob = model_problem()
-    g = characteristic_map(prob, 1.1, (0.0, 0.0))
-    lam = g.discriminant_poly()
-    assert lam.coeffs == (1.0 + 1.1 * prob.trace_poly).coeffs
-    h = g.rebase((0.25, -0.1))
-    assert h.base_point == (0.25, -0.1)
-    assert h.discriminant_poly() is lam
 
 
 def test_singularity_onset_matches_rank(rng):
@@ -295,6 +286,67 @@ def test_birth_frames_straddle():
     assert len(after.image_curves[0].vertices) == len(after.curves[0].vertices)
 
 
+def test_frames_evaluate_the_trace_on_the_grid_once(monkeypatch):
+    evaluated = []
+    eval_grid = Poly2.eval_grid
+    monkeypatch.setattr(Poly2, "eval_grid", lambda p, xs, ys: evaluated.append(p) or eval_grid(p, xs, ys))
+    prob = model_problem()
+    times = np.linspace(0.9, 1.1, 20).tolist()
+    assert len(lips_birth_frames(prob, (0.0, 0.0), 1.0, times, SMALL_BOX)) == 20
+    assert len(evaluated) == 1 and evaluated[0] is prob.trace_poly
+
+
+def test_a_frame_without_curves_builds_no_characteristic_map(monkeypatch):
+    built = []
+    monkeypatch.setattr(conslaw, "characteristic_map",
+                        lambda prob, t, base: built.append(t) or characteristic_map(prob, t, base))
+    frames = lips_birth_frames(model_problem(), (0.0, 0.0), 1.0, [0.9, 1.1], SMALL_BOX)
+    assert [len(f.curves) for f in frames] == [0, 1]
+    assert built == [1.1]
+
+
+def test_frames_around_singular_times_match_the_generic_determinant(base_seed):
+    # the acceptance-5 corpus: each problem is followed by its ten points.
+    # Frames at 0.9 t and 1.1 t must give the curves, closed flags and vertex
+    # counts of sample_singular_set on the characteristic map, which traces
+    # P_u1 Q_u2 - P_u2 Q_u1.  Around a first shock the vertices agree within
+    # 1e-12.  Around the first of the ten points with a singular time, both
+    # routes stop sharpening a vertex once |lambda| <= NEWTON_RESIDUAL * scale,
+    # so each lies within about NEWTON_RESIDUAL * scale / |grad lambda| of the
+    # curve.
+    rng = np.random.default_rng(np.random.SeedSequence([base_seed, 5]))
+    box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (32, 32))
+    compared = {"first shock": 0, "singular time": 0}
+    for _ in range(100):
+        prob = random_problem(rng)
+        times = [(singular_time_field(prob, tuple(u)), tuple(u)) for u in rng.uniform(-1.0, 1.0, (10, 2))]
+        sources = [("singular time", u, t) for t, u in times if t is not None][:1]
+        try:
+            res = first_singularity(prob, box)
+        except SolverFailed:
+            res = None
+        if res is not None:
+            sources.append(("first shock", res.u_star, res.t_star))
+        for source, base, t_star in sources:
+            for frame in lips_birth_frames(prob, base, t_star, [0.9 * t_star, 1.1 * t_star], box):
+                germ = characteristic_map(prob, frame.time, base)
+                want = sample_singular_set(germ, box)
+                assert [(c.closed, len(c.vertices)) for c in frame.curves] == [
+                    (c.closed, len(c.vertices)) for c in want]
+                for got, ref in zip(frame.curves, want):
+                    v = np.array(got.vertices)
+                    d = v - ref.vertices
+                    if source == "first shock":
+                        assert np.abs(d).max() <= 1e-12
+                    else:
+                        lam = germ.discriminant_poly()
+                        scale = np.abs(box.grid_values(lam, "discriminant")).max()
+                        grad = np.hypot(lam.partial(1)(v.T), lam.partial(2)(v.T))
+                        assert (np.hypot(*d.T) <= 2.0 * NEWTON_RESIDUAL * scale / grad).all()
+                    compared[source] += 1
+    assert compared["first shock"] and compared["singular time"] >= 100
+
+
 def test_window_min_matches_the_sliding_window_reference(rng):
     for shape in ((3, 3), (65, 65), (4, 9), (130, 65)):
         a = rng.standard_normal(shape)
@@ -312,7 +364,7 @@ def test_birth_frames_require_straddling_times():
 
 def test_birth_frames_refuse_more_times_than_the_cap(monkeypatch):
     traced = []
-    monkeypatch.setattr(conslaw, "sample_singular_set", lambda germ, box: traced.append(germ) or [])
+    monkeypatch.setattr(conslaw, "_zero_set", lambda lam, vals, box: traced.append(lam) or [])
     prob = model_problem()
     times = [0.9] + [1.1] * MAX_FRAMES
     with pytest.raises(InvalidSpec, match=f"{MAX_FRAMES + 1} frame times exceed the cap"):

@@ -426,9 +426,9 @@ SCALED_FORMS = {
         (k, name)
         if (k, name) != (1e-9, "swallowtail")
         # the search misses the swallowtail point itself at this scale,
-        # where its residual bounds are absolute (ROADMAP item 2)
+        # where its residual bounds are absolute (ROADMAP item 3)
         else pytest.param(
-            k, name, marks=pytest.mark.xfail(strict=True, reason="recall miss (ROADMAP item 2)")
+            k, name, marks=pytest.mark.xfail(strict=True, reason="recall miss (ROADMAP item 3)")
         )
         for k in (1e-3, 1e-6, 1e-9)
         for name in SCALED_FORMS
@@ -447,7 +447,7 @@ def test_scaled_down_forms_report_only_their_own_point(k, name):
 
 #: (name, component, exponent) whose point the search misses when that
 #: component alone is scaled by 10**exponent: the precision and scale
-#: misses of the cusp system at swallowtail points (ROADMAP item 2)
+#: misses of the cusp system at swallowtail points (ROADMAP item 3)
 _SCALED_COMPONENT_MISSES = {("swallowtail", 0, -12), ("swallowtail", 0, -9), ("swallowtail", 1, -12)}
 
 
@@ -466,7 +466,7 @@ def test_scaling_one_component_reports_only_its_own_point(name):
             assert got == ([] if expected is None else [expected]), (component, e)
 
 
-@pytest.mark.xfail(strict=True, reason="absolute NEWTON_RESIDUAL at this scale (ROADMAP item 2)")
+@pytest.mark.xfail(strict=True, reason="absolute NEWTON_RESIDUAL at this scale (ROADMAP item 3)")
 def test_cusp_with_a_1e10_target_coordinate_is_found():
     f = PlaneMapGerm(parse_map("(u, 1e10*(v^3+u*v))"))
     box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (12, 12))

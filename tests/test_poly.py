@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -408,6 +410,38 @@ def test_every_route_to_an_order_is_one_object_with_the_u1_first_bits(rng):
     assert p.derivative((0, 0)) is p
     with pytest.raises(ValueError):
         p.derivative((-1, 1))
+
+
+def test_a_polynomial_and_its_partials_are_freed_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        p = Poly2({(3, 1): 1.0, (0, 2): 2.0})
+        q = p.partial(1)
+        r = weakref.ref(p.table)
+        del p, q
+        assert r() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_partial_whose_root_is_gone_derives_with_the_u1_first_bits(rng):
+    coeffs = {(i, j): rng.uniform(-1, 1) for i in range(10) for j in range(10 - i)}
+    table = Poly2(coeffs).table
+    for order in [(i, k - i) for k in range(2, 5) for i in range(k)]:
+        p = Poly2(coeffs)
+        q = p.partial(2)
+        del p
+        rest = (order[0], order[1] - 1)
+        got = q.derivative(rest)
+        want = _u1_first(table, order)
+        assert got.table.shape == want.shape and got.table.tobytes() == want.tobytes()
+        # and so does a partial taken from it, whose root is gone too
+        if rest[0]:
+            got = q.partial(1).derivative((rest[0] - 1, rest[1]))
+            assert got.table.tobytes() == want.tobytes()
+        assert q.derivative((0, 0)) is q
 
 
 def test_an_overflowing_order_raises_on_every_route_and_keeps_nothing(monkeypatch):

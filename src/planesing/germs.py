@@ -32,6 +32,14 @@ component's scale, their values with each row divided by that scale,
 and the rank of that matrix.  Every local quantity comes from it:
 rank_df is its rank, null_field's row choice reads its matrix, eta is
 one row of the jets, and lambda is their determinant.
+
+classify and conjugate_by_diffeos run on the raw coefficient tables of
+these jets, with the table kernel of the jets module.  Each quantity
+they name (the discriminant jet, the det Hess lambda jet, each eta^k
+lambda jet, the Jacobian) is checked finite once, and an overflow
+anywhere in its computation is reported under that name; the only Jet2
+classify makes is the lambda jet it reports.  discriminant, null_field
+and eta_derivatives wrap the same table helpers in Jet2s.
 """
 
 from __future__ import annotations
@@ -42,8 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jets import Jet2, _compose_each, det2x2, poly_to_jet
-from .poly import InvalidSpec, Poly2, is_number, naming_overflow
+from .jets import Jet2, JetOrderExhausted, _check_base, _common_base2, _compose, _det, _finite
+from .jets import _partial, _product
+from .poly import InvalidSpec, Poly2, _overflow_raises_later, is_number, naming_overflow, order_cut
 
 __all__ = [
     "ToleranceConfig",
@@ -153,14 +162,21 @@ def _decide(value: float, scale: float, zero_rel: float) -> dict:
     return {"value": value, "normalized": m, "decision": decision}
 
 
-def _poly2_pair(pair, what: str) -> tuple[Poly2, Poly2]:
-    """pair as a tuple of two Poly2s; InvalidSpec if it is anything else."""
+def _taylor(polys, base, order: int) -> np.ndarray:
+    """The Taylor tables of polys at base through order, stacked; InvalidSpec
+    if one is not finite."""
+    return _finite(np.array([q.recentered_coeffs(base, order) for q in polys]))
+
+
+def _poly_pair(pair, what: str, kind: type = Poly2) -> tuple:
+    """pair as a tuple of two polynomials of kind, Poly2 or Poly1;
+    InvalidSpec if it is anything else."""
     try:
         a, b = pair
     except (TypeError, ValueError):  # not a pair
         a = b = None
-    if not isinstance(a, Poly2) or not isinstance(b, Poly2):
-        raise InvalidSpec(f"{what} needs two two-variable polynomials")
+    if not isinstance(a, kind) or not isinstance(b, kind):
+        raise InvalidSpec(f"{what} needs two {'two' if kind is Poly2 else 'one'}-variable polynomials")
     return a, b
 
 
@@ -181,7 +197,7 @@ class PlaneMapGerm:
     __slots__ = ("components", "base_point", "_lam_poly", "_local")
 
     def __init__(self, components, base_point=(0.0, 0.0)):
-        self.components = _poly2_pair(components, "germ")
+        self.components = _poly_pair(components, "germ")
         self.base_point = (float(base_point[0]), float(base_point[1]))
         self._lam_poly = self._local = None
 
@@ -208,16 +224,18 @@ class PlaneMapGerm:
         """The record of df at the base point, built on first use from the
         components recentred to order 7; InvalidSpec if that overflows."""
         if self._local is None:
-            with naming_overflow("the Jacobian", f"at {self.base_point}"):
-                jets = [poly_to_jet(c, self.base_point, 7) for c in self.components]
-                pairs = tuple((j.partial(1), j.partial(2)) for j in jets)
-            scales = tuple(float(np.abs(j.coeffs).ravel()[1:].max(initial=0.0)) for j in jets)
+            with naming_overflow("the Jacobian", f"at {self.base_point}"), _overflow_raises_later():
+                comps = _taylor(self.components, self.base_point, 7)
+                # [component, axis]: the order-6 table of its partial along that axis
+                tables = _finite(np.stack([_partial(comps, 1), _partial(comps, 2)], axis=1))
+            scales = tuple(float(np.abs(c).ravel()[1:].max(initial=0.0)) for c in comps)
             # a row whose scale is 0 is zero, and stays so
-            scaled = np.array([[d.value / (s or 1.0) for d in r] for r, s in zip(pairs, scales)])
+            scaled = tables[:, :, 0, 0] / [[s or 1.0] for s in scales]
             scaled.setflags(write=False)
             sv = np.linalg.svd(scaled, compute_uv=False)
             rank = 0 if sv[0] <= RANK_THRESHOLD else 1 if sv[1] <= RANK_THRESHOLD * sv[0] else 2
-            self._local = _LocalJacobian(pairs, scales, scaled, rank)
+            jets = tuple(tuple(Jet2._of(self.base_point, t, 6) for t in row) for row in tables)
+            self._local = _LocalJacobian(jets, scales, scaled, rank)
         return self._local
 
     def jacobian_jets(self) -> tuple[tuple[Jet2, Jet2], tuple[Jet2, Jet2]]:
@@ -277,17 +295,17 @@ class NullField:
         return (self.eta[0].value, self.eta[1].value)
 
 
-def _lambda_jet(f: PlaneMapGerm) -> Jet2:
-    """Order-6 jet of the Jacobian determinant, from the germ's Jacobian jets;
+def _lambda_table(f: PlaneMapGerm) -> np.ndarray:
+    """Order-6 table of the Jacobian determinant, from the germ's Jacobian jets;
     InvalidSpec if it overflows."""
-    (Pu, Pv), (Qu, Qv) = f.jacobian_jets()
-    with naming_overflow("the discriminant jet", f"at {f.base_point}"):
-        return det2x2(Pu, Pv, Qu, Qv)
+    (Pu, Pv), (Qu, Qv) = ((d.coeffs for d in row) for row in f.jacobian_jets())
+    with naming_overflow("the discriminant jet", f"at {f.base_point}"), _overflow_raises_later():
+        return _finite(_det(Pu, Pv, Qu, Qv, 6))
 
 
 def discriminant(f: PlaneMapGerm) -> Jet2:
     """Order-3 jet of the Jacobian determinant at the germ's base point."""
-    return _lambda_jet(f).truncate(3)
+    return Jet2._of(f.base_point, order_cut(_lambda_table(f), 3), 3)
 
 
 def rank_df(f: PlaneMapGerm) -> int:
@@ -309,30 +327,38 @@ def null_field(f: PlaneMapGerm) -> NullField:
     local = f._local_jacobian()
     if local.rank == 0:
         raise CorankTwoError(f"Jacobian vanishes at {f.base_point}; null direction undefined")
-    (Pu, Pv), (Qu, Qv) = local.jets
+    eta, provenance = _null_row(local)
+    return NullField(eta=tuple(Jet2._of(f.base_point, t, 5) for t in eta), provenance=provenance)
+
+
+def _null_row(local: _LocalJacobian) -> tuple[tuple[np.ndarray, np.ndarray], str]:
+    """Order-5 tables of null_field's eta, and the row it comes from."""
+    (Pu, Pv), (Qu, Qv) = ((d.coeffs for d in row) for row in local.jets)
     row_max = np.abs(local.scaled).max(axis=1)
     if row_max[0] >= row_max[1]:
-        eta, provenance = (Pv, -Pu), "first-row"
-    else:
-        eta, provenance = (-Qv, Qu), "second-row"
-    return NullField(eta=(eta[0].truncate(5), eta[1].truncate(5)), provenance=provenance)
+        return (order_cut(Pv, 5), order_cut(-Pu, 5)), "first-row"
+    return (order_cut(-Qv, 5), order_cut(Qu, 5)), "second-row"
 
 
-def _eta_derivative_jets(lam: Jet2, eta: tuple[Jet2, Jet2]) -> list[Jet2]:
-    """Jets of the first three iterated eta-derivatives of lambda.
+def _eta_chain(lam: np.ndarray, eta) -> list[np.ndarray]:
+    """Tables of the first three iterated eta-derivatives of lambda, from
+    the tables of lambda and of eta's two components; each is checked
+    finite once (InvalidSpec if it is not).
 
     Each derivative along the field is eta1 g_u1 + eta2 g_u2.  Starting
-    from an order-n jet of lambda, the k-th iterate is an order n-k jet;
-    its value at the base point is exact whenever the inputs are exact
-    truncations, because forming the value of an iterated first-order
-    derivative only consumes coefficients the truncations retained.
+    from an order-n table of lambda, the k-th iterate is an order n-k
+    table; its value at the base point is exact whenever the inputs are
+    exact truncations, because forming the value of an iterated
+    first-order derivative only consumes coefficients the truncations
+    retained.
     """
-    out = []
-    g = lam
-    for _ in range(3):
-        m = g.order - 1
-        g = eta[0].truncate(m) * g.partial(1) + eta[1].truncate(m) * g.partial(2)
-        out.append(g)
+    out, g = [], lam
+    with _overflow_raises_later():
+        for m in range(lam.shape[0] - 2, lam.shape[0] - 5, -1):  # each iterate one order lower
+            # eta's tables may already be of order m: they are cut only to a lower one
+            e = [t if t.shape[0] == m + 1 else order_cut(t, m) for t in eta]
+            g = _finite(_product(e[0], _partial(g, 1), m) + _product(e[1], _partial(g, 2), m))
+            out.append(g)
     return out
 
 
@@ -340,10 +366,14 @@ def eta_derivatives(lam: Jet2, eta: tuple[Jet2, Jet2]) -> tuple[float, float, fl
     """Values at the base point of eta lambda, eta^2 lambda, eta^3 lambda.
 
     Requires lam to carry at least three orders (each application of
-    the field costs one).
+    the field costs one), and each eta jet at least one order less.
     """
-    jets = _eta_derivative_jets(lam, eta)
-    return (jets[0].value, jets[1].value, jets[2].value)
+    eta = [e.truncate(lam.order - 1) for e in (eta[0], eta[1])]
+    for e in eta:
+        _common_base2(e, lam)
+    if lam.order < 3:
+        raise JetOrderExhausted("cannot differentiate an order-0 jet")
+    return tuple(float(g[0, 0]) for g in _eta_chain(lam.coeffs, [e.coeffs for e in eta]))
 
 
 @dataclass
@@ -470,24 +500,28 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     # A deeper jet of the same discriminant feeds the derived
     # quantities, so each of them still carries a populated jet of its
     # own whose coefficient scale is the right yardstick for its value.
-    lam_deep = _lambda_jet(f)
-    lam = lam_deep.truncate(3)
+    lam_deep = _lambda_table(f)
+    lam = Jet2._of(f.base_point, order_cut(lam_deep, 3), 3)
     scale_lam = lam.max_abs_coeff()
 
-    lam1, lam2 = lam_deep.partial(1), lam_deep.partial(2)
-    h11, h12, h22 = lam1.partial(1), lam1.partial(2), lam2.partial(2)
-    with naming_overflow("the det Hess lambda jet", f"at {f.base_point}"):
-        det_hess_jet = h11 * h22 - h12 * h12
+    with _overflow_raises_later():
+        # the second partials h11, h12 and h22 of lambda: one that overflows
+        # is not named, as a Jet2 partial's is not, and neither is a first
+        # partial that overflows, which leaves a non-finite entry in one
+        h = [_partial(_partial(lam_deep, i), j) for i, j in ((1, 1), (1, 2), (2, 2))]
+        _finite(np.array(h))
+        with naming_overflow("the det Hess lambda jet", f"at {f.base_point}"):
+            det_hess_table = _finite(_det(h[0], h[1], h[1], h[2], 4))
 
     d_lam = (lam.deriv(1, 0), lam.deriv(0, 1))
     hess = ((lam.deriv(2, 0), lam.deriv(1, 1)), (lam.deriv(1, 1), lam.deriv(0, 2)))
-    det_hess = det_hess_jet.value
+    det_hess = float(det_hess_table[0, 0])
 
     zr = tol.zero_rel
     margins = {
         "lambda": _decide(lam.value, scale_lam, zr),
         "d_lambda": _decide(max(abs(d_lam[0]), abs(d_lam[1])), scale_lam, zr),
-        "det_hess_lambda": _decide(det_hess, det_hess_jet.max_abs_coeff(), zr),
+        "det_hess_lambda": _decide(det_hess, float(np.abs(det_hess_table).max()), zr),
     }
 
     report = ClassificationReport(
@@ -504,19 +538,18 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
 
     if rank == 1 and margins["lambda"]["decision"] == ZERO:
         # a corank-one singular point: the walk reads the null field
-        nf = null_field(f)
+        eta, report.eta_provenance = _null_row(f._local_jacobian())
         with naming_overflow("the eta^k lambda jet", f"at {f.base_point}"):
-            jets = _eta_derivative_jets(lam_deep, nf.eta)
-        report.eta_at_p = nf.values_at_base()
-        report.eta_provenance = nf.provenance
-        report.eta_lambda, report.eta2_lambda, report.eta3_lambda = (j.value for j in jets)
+            chain = _eta_chain(lam_deep, eta)
+        report.eta_at_p = (float(eta[0][0, 0]), float(eta[1][0, 0]))
+        report.eta_lambda, report.eta2_lambda, report.eta3_lambda = (float(g[0, 0]) for g in chain)
         # Each iterated derivative is judged against the coefficient scale
         # of its own jet.  The tested value is that jet's constant term, so
         # this asks whether the value stands out from the local behavior of
         # the same quantity; products of input scales overshoot badly after
         # coordinate changes and would drown genuinely nonzero invariants.
-        for name, jet in zip(("eta_lambda", "eta2_lambda", "eta3_lambda"), jets):
-            margins[name] = _decide(jet.value, jet.max_abs_coeff(), zr)
+        for name, g in zip(("eta_lambda", "eta2_lambda", "eta3_lambda"), chain):
+            margins[name] = _decide(float(g[0, 0]), float(np.abs(g).max()), zr)
 
     try:
         report.singularity_class, report.note = _verdict(rank, margins, det_hess)
@@ -542,24 +575,24 @@ def conjugate_by_diffeos(f: PlaneMapGerm, source, target) -> PlaneMapGerm:
     base points.  A component that is not a Poly2 raises InvalidSpec.
     """
     p = f.base_point
-    s_jets = tuple(poly_to_jet(s, p, CONJUGATE_ORDER) for s in _poly2_pair(source, "source"))
-    t_jets = tuple(
-        poly_to_jet(t, (0.0, 0.0), CONJUGATE_ORDER) for t in _poly2_pair(target, "target")
-    )
-    sv = (s_jets[0].value, s_jets[1].value)
+    s = _taylor(_poly_pair(source, "source"), p, CONJUGATE_ORDER)
+    t = _taylor(_poly_pair(target, "target"), (0.0, 0.0), CONJUGATE_ORDER)
+    sv, tv = (tuple(x[:, 0, 0].tolist()) for x in (s, t))
     if math.hypot(sv[0] - p[0], sv[1] - p[1]) > 1e-9 * (1.0 + math.hypot(*p)):
         raise NotADiffeomorphism(f"source map sends base point {p} to {sv}")
-    tv = (t_jets[0].value, t_jets[1].value)
     if math.hypot(*tv) > 1e-9:
         raise NotADiffeomorphism(f"target map sends the origin to {tv}")
-    for name, jets in (("source", s_jets), ("target", t_jets)):
-        L = np.array([[j.deriv(1, 0), j.deriv(0, 1)] for j in jets])
+    for name, tables in (("source", s), ("target", t)):
+        L = tables[:, (1, 0), (0, 1)]  # row k: the first partials of component k
         if abs(np.linalg.det(L)) <= 1e-8 * np.max(np.abs(L)) ** 2:
             raise NotADiffeomorphism(f"{name} map has a singular linear part")
 
-    mid = _compose_each([poly_to_jet(c, p, CONJUGATE_ORDER) for c in f.components], *s_jets)
-    mid = [m - m.value for m in mid]
-    return PlaneMapGerm.from_jets(*_compose_each(t_jets, *mid))
+    _check_base(sv, p)
+    # _compose drops the constant terms of its inner tables, which
+    # recentres the middle germ at the origin of the target's plane
+    mid = _finite(_compose(_taylor(f.components, p, CONJUGATE_ORDER), s, CONJUGATE_ORDER))
+    out = _finite(_compose(t, mid, CONJUGATE_ORDER))
+    return PlaneMapGerm.from_jets(*(Jet2._of(p, c, CONJUGATE_ORDER) for c in out))
 
 
 #: The normal forms of the recognized classes, as {(i, j): c} dicts of

@@ -4,20 +4,27 @@ A jet stores the Taylor coefficients of a smooth function at a base
 point up to a fixed total order.  Sums, products, and compositions of
 jets silently truncate everything beyond that order, so a chain of jet
 operations computes exactly the derivatives the final order can carry
-and nothing more.  All coefficient arrays are frozen after
-construction; operations return new jets.
+and nothing more.
 
-Coefficients are stored in the monomial basis: a `Jet2` with
-coefficient table ``c`` represents ``sum c[i, j] * (u1 - p1)**i *
-(u2 - p2)**j`` over ``i + j <= order``, so the (i, j)-th partial
-derivative at the base point is ``c[i, j] * i! * j!``.  A `Jet2` table
-is a `Poly2` table cut to that triangle: its product is the same
-``convolve2`` cut back to the triangle, its partial derivative the
-same scaled slice; a new table cut to an order is `order_cut`'s.  An
-operation wraps the table it has just computed in its result instead
-of copying it.  One kernel composes jets: it forms on raw tables only
-the powers of the inner jets that some outer coefficient reads, and
-outer jets composed with the same inner pair share them.
+Coefficients are stored in the monomial basis: a jet table ``c`` of
+order n is (n+1)-square and represents ``sum c[i, j] * (u1 - p1)**i *
+(u2 - p2)**j`` over ``i + j <= n``, +0.0 beyond, so the (i, j)-th
+partial derivative at the base point is ``c[i, j] * i! * j!``.  A jet
+table is a `Poly2` table cut to that triangle, and the kernel here runs
+on raw tables: `_product` is the same ``convolve2`` cut back to the
+order, `_partial` the same scaled slice one order lower, and a
+truncation is `order_cut`.  `_compose` composes a stack of outer
+tables with one pair of inner tables; it forms only the powers of the
+inner tables that some outer coefficient reads, and sums every outer's
+terms in one reduction.  A table-level chain checks finiteness once,
+on the quantity it computes: an overflow inside the chain leaves a
+non-finite entry in that result.
+
+`Jet2` is the public wrapper: a base point, an order and one frozen
+table.  Each operation is a table helper, a finiteness check on the
+new table, and a new jet that owns it; `germs.classify` and
+`germs.conjugate_by_diffeos` call the helpers on tables and make a
+`Jet2` only for what they report.
 
 `Jet2` is the only jet class.  A jet of one variable is a `Jet2` in u1
 alone, zero off column 0, just as a `Poly1` is a one-column `Poly2`:
@@ -28,7 +35,6 @@ and `compose_univariate` is `compose_map` with a constant second inner.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -63,9 +69,11 @@ class CompositionBasePointMismatch(ValueError):
     """Inner jet's value does not sit at the outer jet's base point."""
 
 
-def _finite_or_raise(arr):
-    if not np.isfinite(arr).all():
+def _finite(t: np.ndarray) -> np.ndarray:
+    """t itself once every entry is finite; InvalidSpec otherwise."""
+    if not np.isfinite(t).all():
         raise InvalidSpec("jet coefficients must be finite")
+    return t
 
 
 def _common_base2(a: "Jet2", b: "Jet2") -> tuple[float, float]:
@@ -76,10 +84,13 @@ def _common_base2(a: "Jet2", b: "Jet2") -> tuple[float, float]:
     return a.base_point
 
 
-def _common_order2(a: "Jet2", b: "Jet2") -> int:
+def _common2(a: "Jet2", b: "Jet2") -> tuple[tuple[float, float], int]:
+    """The base point and the order a and b share; InvalidJetCombination,
+    on the base point first, if they differ."""
+    base = _common_base2(a, b)
     if a.order != b.order:
         raise InvalidJetCombination(f"orders differ: {a.order} vs {b.order}")
-    return a.order
+    return base, a.order
 
 
 class Jet2:
@@ -100,23 +111,21 @@ class Jet2:
         if order < 0:
             raise InvalidSpec("jet order must be non-negative")
         base = (float(base_point[0]), float(base_point[1]))
-        self._own(base, order_cut(c, order), int(order))
+        self._own(base, _finite(order_cut(c, order)), int(order))
 
     @classmethod
     def _of(cls, base_point: tuple[float, float], table: np.ndarray, order: int) -> "Jet2":
         """Wrap a freshly computed (order+1)-square table, which the jet then owns.
 
-        The table must hold +0.0 beyond the order; only its finiteness
-        is checked.
+        The table must be finite and hold +0.0 beyond the order: the
+        operation that computed it checks what can overflow.
         """
-        jet = cls.__new__(cls)
-        jet._own(base_point, table, order)
-        return jet
+        return cls.__new__(cls)._own(base_point, table, order)
 
-    def _own(self, base_point: tuple[float, float], table: np.ndarray, order: int) -> None:
-        _finite_or_raise(table)
+    def _own(self, base_point: tuple[float, float], table: np.ndarray, order: int) -> "Jet2":
         table.setflags(write=False)
         self.base_point, self.order, self.coeffs = base_point, order, table
+        return self
 
     @classmethod
     def constant(cls, value: float, base_point, order: int) -> "Jet2":
@@ -135,16 +144,9 @@ class Jet2:
     def partial(self, axis: int) -> "Jet2":
         if self.order == 0:
             raise JetOrderExhausted("cannot differentiate an order-0 jet")
-        c, k = self.coeffs, np.arange(1, self.order + 1)
         with _overflow_raises_later():
-            if axis == 1:
-                out = c[1:, :-1] * k[:, None]
-            elif axis == 2:
-                out = c[:-1, 1:] * k
-            else:
-                raise ValueError("axis must be 1 or 2")
-        # an entry beyond order - 1 comes from one beyond the order: +0.0 times k
-        return Jet2._of(self.base_point, out, self.order - 1)
+            table = _partial(self.coeffs, axis)
+        return Jet2._of(self.base_point, _finite(table), self.order - 1)
 
     def truncate(self, order: int) -> "Jet2":
         if order > self.order:
@@ -156,9 +158,8 @@ class Jet2:
             other = Jet2.constant(other, self.base_point, self.order)
         if not isinstance(other, Jet2):
             return NotImplemented
-        base = _common_base2(self, other)
-        n = _common_order2(self, other)
-        return Jet2._of(base, self.coeffs + other.coeffs, n)
+        base, n = _common2(self, other)
+        return Jet2._of(base, _finite(self.coeffs + other.coeffs), n)
 
     __radd__ = __add__
 
@@ -178,12 +179,11 @@ class Jet2:
         if isinstance(other, (int, float)):
             # a negative factor turns +0.0 to -0.0 beyond the order
             scaled = _zero_beyond(self.coeffs * other, self.order)
-            return Jet2._of(self.base_point, scaled, self.order)
+            return Jet2._of(self.base_point, _finite(scaled), self.order)
         if not isinstance(other, Jet2):
             return NotImplemented
-        base = _common_base2(self, other)
-        n = _common_order2(self, other)
-        return Jet2._of(base, _order_part(convolve2(self.coeffs, other.coeffs), n), n)
+        base, n = _common2(self, other)
+        return Jet2._of(base, _finite(_product(self.coeffs, other.coeffs, n)), n)
 
     __rmul__ = __mul__
 
@@ -203,8 +203,9 @@ def det2x2(a11: Jet2, a12: Jet2, a21: Jet2, a22: Jet2) -> Jet2:
 
 
 def _zero_beyond(t: np.ndarray, n: int) -> np.ndarray:
-    """The (n+1)-square table t, its entries beyond order n set to +0.0 in place."""
-    t[outside_order(n)] = 0.0
+    """The (n+1)-square table t, or each in a stack of them, its entries
+    beyond order n set to +0.0 in place."""
+    np.copyto(t, 0.0, where=outside_order(n))
     return t
 
 
@@ -216,9 +217,44 @@ def _order_part(product: np.ndarray, n: int) -> np.ndarray:
     return _zero_beyond(product.reshape(2 * n + 1, 2 * n + 1)[: n + 1, : n + 1], n)
 
 
-def _check_base(value: float, base: float) -> None:
-    if abs(value - base) > BASE_MATCH_TOL * (1.0 + abs(base)):
-        raise CompositionBasePointMismatch(f"inner value {value} is not at outer base {base}")
+# The table helpers below check nothing, and _det and _partial are
+# called under _overflow_raises_later: an overflow leaves a non-finite
+# entry, which the caller's one check on its result finds.
+
+
+def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Order-n table of the product of two order-n tables."""
+    return _order_part(convolve2(a, b), n)
+
+
+def _det(a11: np.ndarray, a12: np.ndarray, a21: np.ndarray, a22: np.ndarray, n: int) -> np.ndarray:
+    """Order-n table of a11 a22 - a12 a21, from order-n tables.
+
+    x - y is x + (-y) bit for bit, and +0.0 - +0.0 is +0.0 beyond the order.
+    """
+    return _product(a11, a22, n) - _product(a12, a21, n)
+
+
+def _partial(t: np.ndarray, axis: int) -> np.ndarray:
+    """Table of the partial along u1 (axis 1) or u2 (axis 2) of a square
+    table, or of each in a stack of them, one order lower.
+
+    An entry beyond the lower order comes from one beyond t's order:
+    +0.0 times k.
+    """
+    k = np.arange(1.0, t.shape[-1])
+    if axis == 1:
+        return t[..., 1:, :-1] * k[:, None]
+    if axis == 2:
+        return t[..., :-1, 1:] * k
+    raise ValueError("axis must be 1 or 2")
+
+
+def _check_base(values, bases) -> None:
+    """CompositionBasePointMismatch at the first inner value that is not at its outer base."""
+    for value, base in zip(values, bases):
+        if abs(value - base) > BASE_MATCH_TOL * (1.0 + abs(base)):
+            raise CompositionBasePointMismatch(f"inner value {value} is not at outer base {base}")
 
 
 def compose_univariate(outer: Jet2, inner: Jet2) -> Jet2:
@@ -235,41 +271,40 @@ def compose_univariate(outer: Jet2, inner: Jet2) -> Jet2:
     """
     if outer.coeffs[:, 1:].any():
         raise InvalidJetCombination("the outer jet of compose_univariate must not depend on u2")
-    _check_base(inner.value, outer.base_point[0])
     if outer.order < inner.order:
         raise JetOrderExhausted(f"outer jet order {outer.order} < inner jet order {inner.order}")
-    held = Jet2.constant(outer.base_point[1], inner.base_point, inner.order)
-    return _compose_each([outer], inner, held)[0]
+    return compose_map(outer, inner, Jet2.constant(outer.base_point[1], inner.base_point, inner.order))
 
 
 def compose_map(outer: Jet2, inner1: Jet2, inner2: Jet2) -> Jet2:
     """Jet of outer(inner1(u), inner2(u)) at the inner jets' base point.
 
     The sum of outer.coeffs[i, j] x^i y^j, with x and y the inner jets
-    less their values at the common order n, formed on raw tables.
+    less their values at the common order n: _compose on their tables.
     """
-    return _compose_each([outer], inner1, inner2)[0]
+    base, n = _common_base2(inner1, inner2), min(inner1.order, inner2.order, outer.order)
+    _check_base((inner1.value, inner2.value), outer.base_point)
+    table = _compose(outer.coeffs[None], (inner1.coeffs, inner2.coeffs), n)[0]
+    return Jet2._of(base, _finite(table), n)
 
 
-def _compose_each(outers: Sequence[Jet2], inner1: Jet2, inner2: Jet2) -> list[Jet2]:
-    """compose_map of every outer jet with the same inner pair.
+def _compose(outers: np.ndarray, inners, n: int) -> np.ndarray:
+    """Order-n tables of every outer table in a stack composed with the
+    same two inner tables, each at least (n+1)-square.
 
-    Only what some nonzero outer coefficient within order n reads is
-    formed, once for every outer: x^k up to the largest such i, y^k up
-    to the largest such j, and each cross term x^i y^j.  Each outer's
-    sum adds its terms in (i, j) order, so every result holds the bits
-    a composition of that outer alone gives.
+    x and y are the inner tables with their constant terms dropped, and
+    each result sums outers[k, i, j] x^i y^j within order n.  Only what
+    some nonzero outer coefficient reads is formed, once for every
+    outer: x^k up to the largest such i, y^k up to the largest such j,
+    and each cross term x^i y^j.  The terms of all outers are summed in
+    one reduction from 0.0 in (i, j) order, so every result holds the
+    bits a composition of that outer alone gives.  The results are not
+    checked: a power or a term that overflows leaves a non-finite entry
+    in some result, since every power formed is read.
     """
-    base = _common_base2(inner1, inner2)
-    for outer in outers:
-        for comp, ob in ((inner1, outer.base_point[0]), (inner2, outer.base_point[1])):
-            _check_base(comp.value, ob)
-    n = min(inner1.order, inner2.order, *(outer.order for outer in outers))
-    coeffs = np.array([outer.coeffs[: n + 1, : n + 1] for outer in outers])
-    # the (i, j) within order n where some outer coefficient is nonzero, in
-    # (i, j) order, and the highest power of x and of y among them
-    read = list(zip(*np.nonzero(coeffs.any(axis=0) & ~outside_order(n))))
-    tops = [max((ij[b] for ij in read), default=0) for b in range(2)]
+    coeffs = outers[:, : n + 1, : n + 1]
+    # the (i, j) within order n where some outer coefficient is nonzero, in (i, j) order
+    rows, cols = np.nonzero(coeffs.any(axis=0) & ~outside_order(n))
     w = 2 * n + 1
     # padded[0, k] holds x^k and padded[1, k] y^k, each row padded once to
     # width w; flat[b, k] is the same table as convolve2 flattens it
@@ -278,24 +313,23 @@ def _compose_each(outers: Sequence[Jet2], inner1: Jet2, inner2: Jet2) -> list[Je
     tables = padded[..., : n + 1]
     flat = padded.reshape(2, n + 1, -1)[..., : n * w + n + 1]
     if n:  # an entry beyond order n never reaches one within it, and is zeroed last
-        tables[:, 1] = [c.coeffs[: n + 1, : n + 1] for c in (inner1, inner2)]
+        tables[:, 1] = [c[: n + 1, : n + 1] for c in inners]
         tables[:, 1, 0, 0] = 0.0
-    for b, top in enumerate(tops):
-        for k in range(2, top + 1):
-            tables[b, k] = _order_part(np.convolve(flat[b, k - 1], flat[b, 1]), n)
-    _finite_or_raise(padded)
-    results = np.zeros(coeffs.shape)
-    for i, j in read:
-        if i and j:
-            term = _order_part(np.convolve(flat[0, i], flat[1, j]), n)
-        else:
-            term = tables[0, i] if i else tables[1, j]
-        # each sum starts at 0.0, so it never holds -0.0, and adding a zero
-        # of either sign leaves it as it is: the product of 1 and a power is
-        # that power up to the signs of its zeros, and an outer whose
-        # coefficient is zero adds only zeros
-        results += term * coeffs[:, i, j, None, None]
-    return [Jet2._of(base, _zero_beyond(result, n), n) for result in results]
+    with _overflow_raises_later():
+        for b, top in enumerate((rows.max(initial=0), cols.max(initial=0))):
+            for k in range(2, top + 1):
+                tables[b, k] = _order_part(np.convolve(flat[b, k - 1], flat[b, 1]), n)
+        terms = np.array([_order_part(np.convolve(flat[0, i], flat[1, j]), n) if i and j
+                          else tables[0, i] if i else tables[1, j] for i, j in zip(rows, cols)])
+        # a sum from 0.0 never holds -0.0, and adding a zero of either sign
+        # leaves it as it is: the product of 1 and a power is that power up
+        # to the signs of its zeros, and an outer whose coefficient is zero
+        # adds only zeros.  Below the term axis lie whole tables, so NumPy
+        # adds them term after term, not pairwise; at order 0 an outer
+        # reads one term at most.
+        terms = terms.reshape(len(rows), n + 1, n + 1) * coeffs[:, rows, cols, None, None]
+        results = np.add.reduce(terms, axis=1, initial=0.0)
+    return _zero_beyond(results, n)
 
 
 def poly_to_jet(p: Poly1 | Poly2, base_point, order: int) -> Jet2:
@@ -313,4 +347,4 @@ def poly_to_jet(p: Poly1 | Poly2, base_point, order: int) -> Jet2:
     if not hasattr(base_point, "__len__") or len(base_point) != 2:
         raise InvalidSpec("two-variable polynomial needs a two-component base point")
     base = (float(base_point[0]), float(base_point[1]))
-    return Jet2._of(base, p.recentered_coeffs(base, order), order)
+    return Jet2._of(base, _finite(p.recentered_coeffs(base, order)), order)

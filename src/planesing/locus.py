@@ -46,6 +46,7 @@ from .germs import (
     ClassificationReport,
     PlaneMapGerm,
     ToleranceConfig,
+    _poly_pair,
     classify,
 )
 from .poly import HornerStack, InvalidSpec, Poly1, Poly2, is_number, naming_overflow
@@ -630,12 +631,7 @@ def ruling_map(curve, t0: float = 0.0) -> PlaneMapGerm:
     curve point (else NotRegularCurve); a velocity that overflows there
     raises InvalidSpec.
     """
-    try:
-        a, b = curve
-    except (TypeError, ValueError):  # not a pair
-        a = b = None
-    if not isinstance(a, Poly1) or not isinstance(b, Poly1):
-        raise InvalidSpec("a ruling curve needs two one-variable polynomials")
+    a, b = _poly_pair(curve, "a ruling curve", Poly1)
     da, db = a.derivative(), b.derivative()
     speed = math.hypot(da(t0), db(t0))
     if not math.isfinite(speed):

@@ -307,10 +307,13 @@ class Poly2:
     def __init__(self, coeffs: Mapping[tuple, float] | None = None):
         terms = []
         for e, c in (coeffs or {}).items():
-            if not (isinstance(e, tuple) and len(e) == 2
+            # an exact int pair and a finite float, the common input, skip is_number
+            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                    and e[0] >= 0 and e[1] >= 0 or isinstance(e, tuple) and len(e) == 2
                     and all(is_number(k, count=True) and k >= 0 for k in e)):
                 raise InvalidSpec(f"an exponent key must be two non-negative integers, got {e!r}")
-            terms.append((int(e[0]), int(e[1]), _check_coeff(c)))
+            c = c if type(c) is float and math.isfinite(c) else _check_coeff(c)
+            terms.append((int(e[0]), int(e[1]), c))
         rows = max((i for i, _, _ in terms), default=0) + 1
         cols = max((j for _, j, _ in terms), default=0) + 1
         table = np.zeros((rows, cols))

@@ -27,11 +27,13 @@ from planesing.germs import (
     null_field,
     rank_df,
 )
-from planesing.jets import Jet2, compose_map, poly_to_jet
+from planesing.jets import Jet2, poly_to_jet
+from planesing.locus import ruling_map
 from planesing.parsing import parse_map
 from planesing.poly import InvalidSpec, Poly1, Poly2, _binomial, poly_to_spec
 from planesing.serialize import canonical_json
-from test_locus import _pool_conjugate
+from test_jets import _compose_map_reference
+from test_locus import POOL_ENTROPY, _origin_diffeo, _pool_conjugate
 
 CATALOG = {
     "immersion": IMMERSION,
@@ -302,13 +304,14 @@ def _binomial_shifted_table(self, base):
 
 
 def _conjugate_reference(f, source, target):
-    """conjugate_by_diffeos with one compose_map call per component."""
+    """conjugate_by_diffeos as it was on Jet2 objects, each composition
+    summed term by term with public Jet2 arithmetic."""
     p, order = f.base_point, 4
     s_jets = [poly_to_jet(s, p, order) for s in source]
     t_jets = [poly_to_jet(t, (0.0, 0.0), order) for t in target]
-    mid = [compose_map(poly_to_jet(c, p, order), *s_jets) for c in f.components]
+    mid = [_compose_map_reference(poly_to_jet(c, p, order), *s_jets) for c in f.components]
     mid = [m - m.value for m in mid]
-    return PlaneMapGerm.from_jets(*(compose_map(t, *mid) for t in t_jets))
+    return PlaneMapGerm.from_jets(*(_compose_map_reference(t, *mid) for t in t_jets))
 
 
 def _conjugation_bytes(germs, conjugate):
@@ -322,6 +325,7 @@ def _conjugation_bytes(germs, conjugate):
 
 
 def test_conjugation_matches_the_per_component_reference_bytes(rng, monkeypatch):
+    # the reference composes each component term by term on Jet2 objects
     p = (0.375, -0.625)
     cases = []
     for _ in range(10):
@@ -483,7 +487,8 @@ def test_scaling_one_component_keeps_the_class(name):
 
 
 def _classify_reference(f, tol):
-    # the if/else tree that classify's walk replaced, step for step
+    # classify as it was on Jet2 objects, with public Jet2 arithmetic
+    # only, and the if/else tree that its walk replaced, step for step
     def margin(value, scale):
         if scale <= 0.0:
             decision, m = "zero", 0.0
@@ -530,15 +535,18 @@ def _classify_reference(f, tol):
         return verdict(IMMERSION, "discriminant is nonzero at the base point")
     if dec_lam == "uncertain":
         return between("discriminant value")
-    nf = null_field(f)
+    # null_field picks the row; its jets are formed here from the Jacobian jets
+    provenance = null_field(f).provenance
+    (Pu, Pv), (Qu, Qv) = f.jacobian_jets()
+    eta = [e.truncate(5) for e in ((Pv, -Pu) if provenance == "first-row" else (-Qv, Qu))]
     jets, g = [], lam_deep
     for _ in range(3):
         m = g.order - 1
-        g = nf.eta[0].truncate(m) * g.partial(1) + nf.eta[1].truncate(m) * g.partial(2)
+        g = eta[0].truncate(m) * g.partial(1) + eta[1].truncate(m) * g.partial(2)
         jets.append(g)
     d1, d2, d3 = jets
-    report.eta_at_p = nf.values_at_base()
-    report.eta_provenance = nf.provenance
+    report.eta_at_p = (eta[0].value, eta[1].value)
+    report.eta_provenance = provenance
     report.eta_lambda, report.eta2_lambda, report.eta3_lambda = d1.value, d2.value, d3.value
     dec_e1, margins["eta_lambda"] = margin(d1.value, d1.max_abs_coeff())
     dec_e2, margins["eta2_lambda"] = margin(d2.value, d2.max_abs_coeff())
@@ -583,6 +591,46 @@ def test_walk_matches_the_reference_tree(zero_rel):
     germs += [PlaneMapGerm(parse_map(m)) for m in ("(u^2, v^2)", "(u, 0.5*u*v^2)", "(u, 1e-9*v)")]
     for g in germs:
         assert classify(g, tol).to_dict() == _classify_reference(g, tol).to_dict()
+
+
+def _same_tables(g, h):
+    assert g.base_point == h.base_point
+    for a, b in zip(g.components, h.components):
+        assert (a.table.shape, a.table.tobytes()) == (b.table.shape, b.table.tobytes())
+
+
+def test_classify_and_conjugation_match_their_jet2_references_byte_for_byte(rng):
+    # the tables classify and conjugate_by_diffeos run on against the Jet2
+    # objects they ran on before: every report byte, every conjugate byte
+    p = (0.375, -0.625)
+    germs = []
+    for _ in range(25):
+        source, target = random_origin_diffeo(rng), random_origin_diffeo(rng)
+        moved = tuple(s.shift((-p[0], -p[1])) + c for s, c in zip(source, p))
+        for name in CATALOG:
+            form = builtin_germ(name)
+            at_p = PlaneMapGerm(tuple(c.shift((-p[0], -p[1])) for c in form.components), p)
+            for f, s in ((form, source), (at_p, moved)):
+                g = conjugate_by_diffeos(f, s, target)
+                _same_tables(g, _conjugate_reference(f, s, target))
+                germs.append(g)
+    for entry in FIRST_ROW_RULE_MISSES:
+        pool = np.random.default_rng(np.random.SeedSequence([POOL_ENTROPY, entry]))
+        source, target = _origin_diffeo(pool), _origin_diffeo(pool)
+        for name in CATALOG:
+            g = conjugate_by_diffeos(builtin_germ(name), source, target)
+            _same_tables(g, _conjugate_reference(builtin_germ(name), source, target))
+            germs.append(g)
+    for a in (0.5, -0.75):  # the ruling map's fold at 0 and beaks at -a/3
+        curve = (Poly1({1: 1.0}), Poly1({3: 1.0, 2: a}))
+        germs += [ruling_map(curve, 0.0), ruling_map(curve, -a / 3.0)]
+    germs.append(PlaneMapGerm(parse_map(SMALL_ROWS)))
+    assert len(germs) >= 300 + len(FIRST_ROW_RULE_MISSES) * len(CATALOG)
+    for g in germs:
+        for zero_rel in (1e-7, 1e-3):
+            tol = ToleranceConfig(zero_rel=zero_rel)
+            got = canonical_json(classify(g, tol).to_dict())
+            assert got == canonical_json(_classify_reference(g, tol).to_dict()), g
 
 
 # Reference ports of the dict-based forms that the table reads replaced;
@@ -856,11 +904,17 @@ def test_pool_conjugates_with_one_component_scaled_keep_their_class():
 
 
 def test_eta_derivatives_match_an_exact_sympy_oracle():
-    # eta lambda, eta^2 lambda and eta^3 lambda of the first-row field
-    # (P_v, -P_u), derived in exact rationals, against classify's report
-    # on normal forms in dyadic affine-plus-quadratic coordinates at
-    # dyadic base points; the germs' float coefficients are exact
+    # lambda, d lambda, det Hess lambda, and eta lambda, eta^2 lambda and
+    # eta^3 lambda of the first-row field (P_v, -P_u), derived in exact
+    # rationals, against classify's report on normal forms in dyadic
+    # affine-plus-quadratic coordinates at dyadic base points; the germs'
+    # float coefficients are exact.  So is each margin's scale: the largest
+    # |coefficient| of its quantity's Taylor polynomial at the base point,
+    # through the order classify carries it (3 for lambda, 4 for det Hess
+    # lambda, 6 - k for eta^k lambda), against the tables classify reads.
     sp = pytest.importorskip("sympy")
+    from planesing.germs import _eta_chain, _lambda_table, _null_row
+
     u, v = sp.symbols("u v")
     forms = {
         "fold": v**2,
@@ -873,6 +927,9 @@ def test_eta_derivatives_match_an_exact_sympy_oracle():
 
     def dyadic(bound, den):
         return sp.Rational(int(rng.integers(-bound * den, bound * den + 1)), den)
+
+    def close(got, want):
+        assert abs(sp.Rational(float(got)) - want) <= sp.Rational(1, 10**12) * (1 + abs(want))
 
     for name, q in forms.items():
         for _ in range(4):
@@ -890,12 +947,38 @@ def test_eta_derivatives_match_an_exact_sympy_oracle():
                 terms = sp.Poly(e, u, v).terms()
                 assert all(sp.Rational(float(c)) == c for _, c in terms)
                 comps.append(Poly2({m: float(c) for m, c in terms}))
-            report = classify(PlaneMapGerm(tuple(comps), (float(p[0]), float(p[1]))))
+            f = PlaneMapGerm(tuple(comps), (float(p[0]), float(p[1])))
+            report = classify(f)
             assert report.eta_provenance == "first-row", name
 
-            g = P.diff(u) * Q.diff(v) - P.diff(v) * Q.diff(u)
+            def at_p(g):
+                return g.subs({u: p[0], v: p[1]})
+
+            def scale(g, order):
+                # the Taylor coefficients of g at p, through total order `order`
+                shifted = sp.Poly(sp.expand(g.subs({u: u + p[0], v: v + p[1]}, simultaneous=True)), u, v)
+                return max((abs(c) for (i, j), c in shifted.terms() if i + j <= order), default=0)
+
+            lam = sp.expand(P.diff(u) * Q.diff(v) - P.diff(v) * Q.diff(u))
+            hess = sp.expand(lam.diff(u, 2) * lam.diff(v, 2) - lam.diff(u, v) ** 2)
+            close(report.lambda_jet.value, at_p(lam))
+            close(report.d_lambda[0], at_p(lam.diff(u)))
+            close(report.d_lambda[1], at_p(lam.diff(v)))
+            close(report.det_hess_lambda, at_p(hess))
+            close(report.lambda_jet.max_abs_coeff(), scale(lam, 3))
+
+            chain = _eta_chain(_lambda_table(f), _null_row(f._local_jacobian())[0])
             got = (report.eta_lambda, report.eta2_lambda, report.eta3_lambda)
-            for value in got:
+            g = lam
+            for k, (value, table) in enumerate(zip(got, chain), start=1):
                 g = sp.expand(P.diff(v) * g.diff(u) - P.diff(u) * g.diff(v))
-                want = g.subs({u: p[0], v: p[1]})
-                assert abs(sp.Rational(value) - want) <= sp.Rational(1, 10**12) * (1 + abs(want))
+                close(value, at_p(g))
+                margin = report.margins[("eta_lambda", "eta2_lambda", "eta3_lambda")[k - 1]]
+                assert margin["value"] == value
+                s = float(np.abs(table).max())
+                close(s, scale(g, 6 - k))
+                assert margin["normalized"] == (abs(value) / s if s > 0.0 else 0.0)
+            # det Hess lambda's margin is its value over its scale
+            want = scale(hess, 4)
+            normalized = report.margins["det_hess_lambda"]["normalized"]
+            close(normalized * want, abs(at_p(hess)))

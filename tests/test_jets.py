@@ -412,6 +412,32 @@ def test_compose_map_matches_per_term_reference_bit_for_bit(rng):
             _assert_same_bits(compose_map(outer, *inner), _compose_map_reference(outer, *inner))
 
 
+def test_the_stacked_sum_of_terms_is_the_per_term_loop(rng):
+    # compose sums the terms of every outer in one reduction over a stacked
+    # (outer, term) array.  Beneath that axis lie (n+1)-square tables, so
+    # NumPy adds whole tables one term after another from 0.0, as the loop
+    # over terms it replaced did, with every zero's sign.  (At order 0 a
+    # term is one number, the term axis is the inner loop and NumPy sums it
+    # pairwise; but at order 0 an outer reads one term at most.)
+    for n in range(1, 7):
+        for _ in range(40):
+            count, outers = int(rng.integers(0, (n + 1) * (n + 2) // 2 + 1)), int(rng.integers(1, 4))
+            terms = rng.uniform(-1.0, 1.0, (count, n + 1, n + 1))
+            terms *= 10.0 ** rng.integers(-3, 4, (count, 1, 1))
+            terms[rng.random(terms.shape) < 0.3] = 0.0
+            terms[rng.random(terms.shape) < 0.2] = -0.0
+            if count >= 2:  # terms that cancel exactly
+                terms[1] = -terms[0]
+            coeffs = rng.uniform(-2.0, 2.0, (outers, count))
+            coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
+            coeffs[rng.random(coeffs.shape) < 0.1] = -0.0
+            stacked = np.add.reduce(terms * coeffs[:, :, None, None], axis=1, initial=0.0)
+            loop = np.zeros((outers, n + 1, n + 1))
+            for k in range(count):
+                loop += terms[k] * coeffs[:, k, None, None]
+            assert stacked.tobytes() == loop.tobytes()
+
+
 @pytest.mark.parametrize(
     "inner_scale,outer_coeff",
     [(1e200, 1.0), (1e70, 1e100)],  # an overflowing power, an overflowing term

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -310,6 +311,104 @@ def test_poly2_constructor_takes_integer_exponents_and_finite_coefficients():
     # NumPy scalars are numbers like any other
     p = Poly2({(np.int64(2), np.int32(1)): np.float64(0.5), (1, 0): np.float32(2.0)})
     assert p.table.tobytes() == Poly2({(2, 1): 0.5, (1, 0): 2.0}).table.tobytes()
+
+
+def _poly2_reference(coeffs):
+    """Poly2 built as its constructor did before exact ints and floats
+    skipped is_number: every key and coefficient judged one by one."""
+    terms = []
+    for e, c in (coeffs or {}).items():
+        if not (isinstance(e, tuple) and len(e) == 2
+                and all(poly.is_number(k, count=True) and k >= 0 for k in e)):
+            raise InvalidSpec(f"an exponent key must be two non-negative integers, got {e!r}")
+        terms.append((int(e[0]), int(e[1]), poly._check_coeff(c)))
+    rows = max((i for i, _, _ in terms), default=0) + 1
+    cols = max((j for _, j, _ in terms), default=0) + 1
+    table = np.zeros((rows, cols))
+    for i, j, c in terms:
+        table[i, j] += c
+    return Poly2._of(table)
+
+
+class _Terms(Mapping):
+    """A mapping whose items are the given pairs, a key given twice included."""
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+
+    def items(self):
+        return self.pairs
+
+    def __getitem__(self, key):
+        return dict(self.pairs)[key]
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+#: exponents that are no count, or too large for any table; each huge
+#: one fails in np.zeros before it allocates anything
+_ODD_EXPONENTS = (True, False, 2.0, -1, "1", None, 2**62, 2**64, 10**30)
+_ODD_COEFFICIENTS = (
+    -0.0, 0.0, 3, -2, True, np.float64(0.1), np.float32(0.5), np.int64(4), math.nan,
+    math.inf, -math.inf, 10**400, "1", None, 1e308, -1e308,
+)
+
+
+def _fuzz_key(rng):
+    u = rng.random()
+    if u < 0.05:  # not a pair at all
+        return [(1, 0, 2), (1,), 1, "u"][int(rng.integers(4))]
+    ks = []
+    for _ in range(2):
+        v = rng.random()
+        k = int(rng.integers(0, 6))
+        if v < 0.75:
+            ks.append(k)
+        elif v < 0.85:
+            ks.append([np.int64, np.int32, np.uint8][int(rng.integers(3))](k))
+        else:
+            ks.append(_ODD_EXPONENTS[int(rng.integers(len(_ODD_EXPONENTS)))])
+    return tuple(ks)
+
+
+def _fuzz_coefficient(rng):
+    if rng.random() < 0.8:
+        return float(rng.uniform(-2.0, 2.0) * 10.0 ** rng.integers(-5, 6))
+    return _ODD_COEFFICIENTS[int(rng.integers(len(_ODD_COEFFICIENTS)))]
+
+
+def _outcome(build, coeffs):
+    """(shape, bytes) of the table build makes, or the type and message
+    of what it raises."""
+    try:
+        table = build(coeffs).table
+    except Exception as exc:  # noqa: BLE001 - every failure is compared
+        return type(exc).__name__, str(exc)
+    return table.shape, table.tobytes()
+
+
+def test_poly2_constructor_matches_the_is_number_reference(rng):
+    cases = [
+        # a count and its NumPy twin are one dict key: the first key stays,
+        # with the last coefficient
+        {(1, 0): 1.0, (np.int64(1), 0): 2.0},
+        {(np.int64(1), 0): 2.0, (1, 0): 1.0},
+        # a key given twice is summed in order, and -0.0 lands as +0.0
+        _Terms([((1, 0), 1.0), ((np.int64(1), 0), 2.0), ((0, 0), -0.0)]),
+        _Terms([((1, 0), 1e308), ((1, 0), 1e308)]),
+        _Terms([((2, 1), 0.1), ((2, 1), 0.2), ((2, 1), -0.3)]),
+        {}, None, {(0, 0): -0.0},
+    ]
+    for _ in range(3000):
+        pairs = [(_fuzz_key(rng), _fuzz_coefficient(rng)) for _ in range(int(rng.integers(0, 10)))]
+        cases.append(_Terms(pairs) if rng.random() < 0.2 else dict(pairs))
+    with np.errstate(over="ignore"):  # a sum that overflows is a case like any other
+        for coeffs in cases:
+            assert _outcome(Poly2, coeffs) == _outcome(_poly2_reference, coeffs), coeffs
 
 
 def test_poly2_partials_and_eval():

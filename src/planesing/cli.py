@@ -193,7 +193,9 @@ def run_classify(args: argparse.Namespace) -> int:
 def run_trace(args: argparse.Namespace) -> int:
     germ = _germ_from_args(args)
     curves = sample_singular_set(germ, args.box)
-    images = critical_value_image(germ, curves)
+    # the critical values go only to the csv and svg files
+    drawn = "csv" in args.formats or "svg" in args.formats
+    images = critical_value_image(germ, curves) if drawn else None
     specials = find_special_points(germ, args.box, args.tolerances)
     args.output_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in args.formats:

@@ -44,7 +44,7 @@ from .germs import (
 )
 from .jets import compose_univariate, poly_to_jet
 from .locus import BoxDomain, _distinct, _zero_set, critical_value_image, newton_batch
-from .poly import HornerStack, InvalidSpec, Poly1, Poly2, _overflow_raises_later, naming_overflow
+from .poly import HornerStack, InvalidSpec, Poly1, Poly2, finite, naming_overflow
 from .poly import poly_from_spec, poly_to_spec
 
 __all__ = [
@@ -194,10 +194,9 @@ def singular_time_field(
     trace; None means no finite positive singular time at this point.
     InvalidSpec if the shape operator overflows at u.
     """
-    with _overflow_raises_later():
+    with naming_overflow("the shape operator", f"at {u}"):
         op = shape_operator(prob, u)
-    if not np.isfinite([*op.entries[0], *op.entries[1], op.trace]).all():
-        raise InvalidSpec(f"the shape operator overflows at {u}")
+        finite([*op.entries[0], *op.entries[1], op.trace])
     scale = max(abs(e) for row in op.entries for e in row)
     if op.trace >= -tol.zero_rel * max(scale, 1e-300):
         return None
@@ -438,12 +437,11 @@ def _window_min(a: np.ndarray) -> np.ndarray:
 def _analyze_point(prob, point, t, tol, co_minimizers) -> FirstSingularity:
     tau = prob.trace_poly
     polys = [tau.derivative(order) for order in ((0, 0), (2, 0), (1, 1), (0, 2))]
-    with _overflow_raises_later():
+    with naming_overflow("the singular-time field", f"at {point}"):
         xi = xi_closed_form(prob, point)
         tau_val, h11, h12, h22 = _values_at(polys, point)
-    hess_scale = max(abs(h11), abs(h12), abs(h22))
-    if not np.isfinite([*xi, tau_val, h11, h12, h22, hess_scale * hess_scale]).all():
-        raise InvalidSpec(f"the singular-time field overflows at {point}")
+        hess_scale = max(abs(h11), abs(h12), abs(h22))
+        finite([*xi, tau_val, h11, h12, h22, hess_scale * hess_scale])
     xi3_solid = abs(xi[2]) >= 10.0 * tol.zero_rel * max(hess_scale**2, 1e-300)
     germ = characteristic_map(prob, t, point)
     report = classify(germ, tol)
@@ -512,11 +510,8 @@ def lips_birth_frames(
     grid = box.grid_values(prob.trace_poly, "characteristic trace")
     frames = []
     for t in times:
-        with (naming_overflow("the discriminant 1 + t trace C", f"at t = {t!r}"),
-              _overflow_raises_later()):
-            lam, vals = 1.0 + t * prob.trace_poly, 1.0 + t * grid
-            if not np.isfinite(vals).all():
-                raise InvalidSpec("a node value is not finite")
+        with naming_overflow("the discriminant 1 + t trace C", f"at t = {t!r}"):
+            lam, vals = 1.0 + t * prob.trace_poly, finite(1.0 + t * grid)
         curves = _zero_set(lam, vals, box)
         images = critical_value_image(characteristic_map(prob, t, u_star), curves) if curves else []
         frames.append(Frame(time=t, curves=curves, image_curves=images))

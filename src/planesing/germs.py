@@ -35,11 +35,12 @@ one row of the jets, and lambda is their determinant.
 
 classify and conjugate_by_diffeos run on the raw coefficient tables of
 these jets, with the table kernel of the jets module.  Each quantity
-they name (the discriminant jet, the det Hess lambda jet, each eta^k
-lambda jet, the Jacobian) is checked finite once, and an overflow
-anywhere in its computation is reported under that name; the only Jet2
-classify makes is the lambda jet it reports.  discriminant, null_field
-and eta_derivatives wrap the same table helpers in Jet2s.
+they name (the Jacobian, the discriminant jet, the Hessian of lambda,
+the det Hess lambda jet, each eta^k lambda jet) is checked finite once,
+and an overflow anywhere in its computation is reported under that
+name (poly.naming_overflow); the only Jet2 classify makes is the
+lambda jet it reports.  discriminant, null_field and eta_derivatives
+wrap the same table helpers in Jet2s.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jets import Jet2, JetOrderExhausted, _check_base, _common_base2, _compose, _det, _finite
-from .jets import _partial, _product
-from .poly import InvalidSpec, Poly2, _overflow_raises_later, is_number, naming_overflow, order_cut
+from .jets import Jet2, JetOrderExhausted, _common_base2, _compose, _det, _partial, _product
+from .poly import InvalidSpec, Poly2, _overflow_raises_later, finite, is_number, naming_overflow
+from .poly import order_cut
 
 __all__ = [
     "ToleranceConfig",
@@ -165,7 +166,7 @@ def _decide(value: float, scale: float, zero_rel: float) -> dict:
 def _taylor(polys, base, order: int) -> np.ndarray:
     """The Taylor tables of polys at base through order, stacked; InvalidSpec
     if one is not finite."""
-    return _finite(np.array([q.recentered_coeffs(base, order) for q in polys]))
+    return finite(np.array([q.recentered_coeffs(base, order) for q in polys]))
 
 
 def _poly_pair(pair, what: str, kind: type = Poly2) -> tuple:
@@ -224,10 +225,10 @@ class PlaneMapGerm:
         """The record of df at the base point, built on first use from the
         components recentred to order 7; InvalidSpec if that overflows."""
         if self._local is None:
-            with naming_overflow("the Jacobian", f"at {self.base_point}"), _overflow_raises_later():
+            with naming_overflow("the Jacobian", f"at {self.base_point}"):
                 comps = _taylor(self.components, self.base_point, 7)
                 # [component, axis]: the order-6 table of its partial along that axis
-                tables = _finite(np.stack([_partial(comps, 1), _partial(comps, 2)], axis=1))
+                tables = finite(np.stack([_partial(comps, 1), _partial(comps, 2)], axis=1))
             scales = tuple(float(np.abs(c).ravel()[1:].max(initial=0.0)) for c in comps)
             # a row whose scale is 0 is zero, and stays so
             scaled = tables[:, :, 0, 0] / [[s or 1.0] for s in scales]
@@ -299,8 +300,8 @@ def _lambda_table(f: PlaneMapGerm) -> np.ndarray:
     """Order-6 table of the Jacobian determinant, from the germ's Jacobian jets;
     InvalidSpec if it overflows."""
     (Pu, Pv), (Qu, Qv) = ((d.coeffs for d in row) for row in f.jacobian_jets())
-    with naming_overflow("the discriminant jet", f"at {f.base_point}"), _overflow_raises_later():
-        return _finite(_det(Pu, Pv, Qu, Qv, 6))
+    with naming_overflow("the discriminant jet", f"at {f.base_point}"):
+        return finite(_det(Pu, Pv, Qu, Qv, 6))
 
 
 def discriminant(f: PlaneMapGerm) -> Jet2:
@@ -357,7 +358,7 @@ def _eta_chain(lam: np.ndarray, eta) -> list[np.ndarray]:
         for m in range(lam.shape[0] - 2, lam.shape[0] - 5, -1):  # each iterate one order lower
             # eta's tables may already be of order m: they are cut only to a lower one
             e = [t if t.shape[0] == m + 1 else order_cut(t, m) for t in eta]
-            g = _finite(_product(e[0], _partial(g, 1), m) + _product(e[1], _partial(g, 2), m))
+            g = finite(_product(e[0], _partial(g, 1), m) + _product(e[1], _partial(g, 2), m))
             out.append(g)
     return out
 
@@ -504,14 +505,12 @@ def classify(f: PlaneMapGerm, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Clas
     lam = Jet2._of(f.base_point, order_cut(lam_deep, 3), 3)
     scale_lam = lam.max_abs_coeff()
 
-    with _overflow_raises_later():
-        # the second partials h11, h12 and h22 of lambda: one that overflows
-        # is not named, as a Jet2 partial's is not, and neither is a first
-        # partial that overflows, which leaves a non-finite entry in one
-        h = [_partial(_partial(lam_deep, i), j) for i, j in ((1, 1), (1, 2), (2, 2))]
-        _finite(np.array(h))
-        with naming_overflow("the det Hess lambda jet", f"at {f.base_point}"):
-            det_hess_table = _finite(_det(h[0], h[1], h[1], h[2], 4))
+    # the second partials h11, h12 and h22 of lambda; a first partial that
+    # overflows leaves a non-finite entry in one of them
+    with naming_overflow("the Hessian of lambda", f"at {f.base_point}"):
+        h = finite(np.array([_partial(_partial(lam_deep, i), j) for i, j in ((1, 1), (1, 2), (2, 2))]))
+    with naming_overflow("the det Hess lambda jet", f"at {f.base_point}"):
+        det_hess_table = finite(_det(h[0], h[1], h[1], h[2], 4))
 
     d_lam = (lam.deriv(1, 0), lam.deriv(0, 1))
     hess = ((lam.deriv(2, 0), lam.deriv(1, 1)), (lam.deriv(1, 1), lam.deriv(0, 2)))
@@ -587,11 +586,10 @@ def conjugate_by_diffeos(f: PlaneMapGerm, source, target) -> PlaneMapGerm:
         if abs(np.linalg.det(L)) <= 1e-8 * np.max(np.abs(L)) ** 2:
             raise NotADiffeomorphism(f"{name} map has a singular linear part")
 
-    _check_base(sv, p)
     # _compose drops the constant terms of its inner tables, which
     # recentres the middle germ at the origin of the target's plane
-    mid = _finite(_compose(_taylor(f.components, p, CONJUGATE_ORDER), s, CONJUGATE_ORDER))
-    out = _finite(_compose(t, mid, CONJUGATE_ORDER))
+    mid = finite(_compose(_taylor(f.components, p, CONJUGATE_ORDER), s, CONJUGATE_ORDER))
+    out = finite(_compose(t, mid, CONJUGATE_ORDER))
     return PlaneMapGerm.from_jets(*(Jet2._of(p, c, CONJUGATE_ORDER) for c in out))
 
 

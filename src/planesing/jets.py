@@ -38,7 +38,8 @@ import math
 
 import numpy as np
 
-from .poly import InvalidSpec, Poly1, Poly2, _overflow_raises_later, convolve2, order_cut, outside_order
+from .poly import InvalidSpec, Poly1, Poly2, _overflow_raises_later, convolve2, finite, order_cut
+from .poly import outside_order
 
 __all__ = [
     "Jet2",
@@ -67,13 +68,6 @@ class JetOrderExhausted(ValueError):
 
 class CompositionBasePointMismatch(ValueError):
     """Inner jet's value does not sit at the outer jet's base point."""
-
-
-def _finite(t: np.ndarray) -> np.ndarray:
-    """t itself once every entry is finite; InvalidSpec otherwise."""
-    if not np.isfinite(t).all():
-        raise InvalidSpec("jet coefficients must be finite")
-    return t
 
 
 def _common_base2(a: "Jet2", b: "Jet2") -> tuple[float, float]:
@@ -111,7 +105,7 @@ class Jet2:
         if order < 0:
             raise InvalidSpec("jet order must be non-negative")
         base = (float(base_point[0]), float(base_point[1]))
-        self._own(base, _finite(order_cut(c, order)), int(order))
+        self._own(base, finite(order_cut(c, order)), int(order))
 
     @classmethod
     def _of(cls, base_point: tuple[float, float], table: np.ndarray, order: int) -> "Jet2":
@@ -146,7 +140,7 @@ class Jet2:
             raise JetOrderExhausted("cannot differentiate an order-0 jet")
         with _overflow_raises_later():
             table = _partial(self.coeffs, axis)
-        return Jet2._of(self.base_point, _finite(table), self.order - 1)
+        return Jet2._of(self.base_point, finite(table), self.order - 1)
 
     def truncate(self, order: int) -> "Jet2":
         if order > self.order:
@@ -159,7 +153,7 @@ class Jet2:
         if not isinstance(other, Jet2):
             return NotImplemented
         base, n = _common2(self, other)
-        return Jet2._of(base, _finite(self.coeffs + other.coeffs), n)
+        return Jet2._of(base, finite(self.coeffs + other.coeffs), n)
 
     __radd__ = __add__
 
@@ -179,11 +173,11 @@ class Jet2:
         if isinstance(other, (int, float)):
             # a negative factor turns +0.0 to -0.0 beyond the order
             scaled = _zero_beyond(self.coeffs * other, self.order)
-            return Jet2._of(self.base_point, _finite(scaled), self.order)
+            return Jet2._of(self.base_point, finite(scaled), self.order)
         if not isinstance(other, Jet2):
             return NotImplemented
         base, n = _common2(self, other)
-        return Jet2._of(base, _finite(_product(self.coeffs, other.coeffs, n)), n)
+        return Jet2._of(base, finite(_product(self.coeffs, other.coeffs, n)), n)
 
     __rmul__ = __mul__
 
@@ -218,8 +212,8 @@ def _order_part(product: np.ndarray, n: int) -> np.ndarray:
 
 
 # The table helpers below check nothing, and _det and _partial are
-# called under _overflow_raises_later: an overflow leaves a non-finite
-# entry, which the caller's one check on its result finds.
+# called where NumPy is silenced (naming_overflow): an overflow leaves a
+# non-finite entry, which the caller's one check on its result finds.
 
 
 def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -285,7 +279,7 @@ def compose_map(outer: Jet2, inner1: Jet2, inner2: Jet2) -> Jet2:
     base, n = _common_base2(inner1, inner2), min(inner1.order, inner2.order, outer.order)
     _check_base((inner1.value, inner2.value), outer.base_point)
     table = _compose(outer.coeffs[None], (inner1.coeffs, inner2.coeffs), n)[0]
-    return Jet2._of(base, _finite(table), n)
+    return Jet2._of(base, finite(table), n)
 
 
 def _compose(outers: np.ndarray, inners, n: int) -> np.ndarray:
@@ -347,4 +341,4 @@ def poly_to_jet(p: Poly1 | Poly2, base_point, order: int) -> Jet2:
     if not hasattr(base_point, "__len__") or len(base_point) != 2:
         raise InvalidSpec("two-variable polynomial needs a two-component base point")
     base = (float(base_point[0]), float(base_point[1]))
-    return Jet2._of(base, _finite(p.recentered_coeffs(base, order)), order)
+    return Jet2._of(base, finite(p.recentered_coeffs(base, order)), order)

@@ -49,7 +49,7 @@ from .germs import (
     _poly_pair,
     classify,
 )
-from .poly import HornerStack, InvalidSpec, Poly1, Poly2, is_number, naming_overflow
+from .poly import HornerStack, InvalidSpec, Poly1, Poly2, finite, is_number, naming_overflow
 
 __all__ = [
     "BoxDomain",
@@ -126,11 +126,8 @@ class BoxDomain:
 
         Raises InvalidSpec, naming p by name, when a value overflows.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = p.eval_grid(*self.axes())
-        if not np.isfinite(vals).all():
-            raise InvalidSpec(f"the {name} overflows on the box grid")
-        return vals
+        with naming_overflow(f"the {name}", "on the box grid"):
+            return finite(p.eval_grid(*self.axes()))
 
     def contains(self, u, slack: float = 1e-9):
         """Whether u = (u1, u2), scalars or coordinate arrays, lies in the widened box."""
@@ -200,16 +197,16 @@ def _solve2(a11, a12, a21, a22, b1, b2):
     solved by LU with partial pivoting.  Returns (x1, x2, ok); ok is
     False where x1 or x2 is not finite, which covers an exactly singular
     matrix: a zero pivot turns the division into an infinity or a NaN.
+    newton_batch, which calls it, silences NumPy's warnings for these.
     """
     swap = np.abs(a21) > np.abs(a11)
     p11, p12 = np.where(swap, a21, a11), np.where(swap, a22, a12)
     p21, p22 = np.where(swap, a11, a21), np.where(swap, a12, a22)
     q1, q2 = np.where(swap, b2, b1), np.where(swap, b1, b2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = p21 / p11
-        u22 = p22 - m * p12
-        x2 = (q2 - m * q1) / u22
-        x1 = (q1 - p12 * x2) / p11
+    m = p21 / p11
+    u22 = p22 - m * p12
+    x2 = (q2 - m * q1) / u22
+    x1 = (q1 - p12 * x2) / p11
     return x1, x2, np.isfinite(x1) & np.isfinite(x2)
 
 
@@ -224,9 +221,8 @@ def _newton_step(J, f):
     """
     if len(f) == 1:
         g1, g2 = J
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = g1 * g1 + g2 * g2
-            s1, s2 = -f[0] * g1 / g, -f[0] * g2 / g
+        g = g1 * g1 + g2 * g2
+        s1, s2 = -f[0] * g1 / g, -f[0] * g2 / g
         return s1, s2, np.isfinite(s1) & np.isfinite(s2)
     if len(f) == 2:
         return _solve2(*J, -f[0], -f[1])
@@ -236,11 +232,13 @@ def _newton_step(J, f):
         return x[0] * y[0] + (x[1] * y[1] + x[2] * y[2])
 
     # an overflowing product gives a non-finite step, which _solve2 rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        aa, ab, bb, af, bf = dot(a, a), dot(a, b), dot(b, b), dot(a, f), dot(b, f)
+    aa, ab, bb, af, bf = dot(a, a), dot(a, b), dot(b, b), dot(a, f), dot(b, f)
     return _solve2(aa, ab, ab, bb, -af, -bf)
 
 
+# a step, a trial value or a residual that overflows is a run that fails,
+# by the stopping rules, not an error
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def newton_batch(
     equations,
     seeds,
@@ -298,10 +296,9 @@ def newton_batch(
             # length (ratio 0.4 to 0.6) creeps toward a singular root:
             # the line search tries twice the step first
             l1, l2 = last
-            with np.errstate(invalid="ignore", over="ignore"):
-                sn, ln, dot = s1 * s1 + s2 * s2, l1 * l1 + l2 * l2, s1 * l1 + s2 * l2
-                aligned = (dot >= 0.0) & (dot * dot >= 0.9801 * sn * ln)
-                start[aligned & (0.16 * ln <= sn) & (sn <= 0.36 * ln)] = 2.0
+            sn, ln, dot = s1 * s1 + s2 * s2, l1 * l1 + l2 * l2, s1 * l1 + s2 * l2
+            aligned = (dot >= 0.0) & (dot * dot >= 0.9801 * sn * ln)
+            start[aligned & (0.16 * ln <= sn) & (sn <= 0.36 * ln)] = 2.0
         length = 1.0
         for _ in range(8):
             if not pending.size:
@@ -602,19 +599,22 @@ def critical_value_image(f: PlaneMapGerm, curves: list[CurveSample]) -> list[Cur
     """Push traced source-plane curves through f into the target plane.
 
     Residuals and the closed flag carry over unchanged; they still
-    describe the quality of the source-plane sample.
+    describe the quality of the source-plane sample.  InvalidSpec if a
+    critical value overflows.
     """
     P, Q = f.components
     out = []
-    for c in curves:
-        v = np.array(c.vertices).T
-        out.append(
-            CurveSample(
-                vertices=list(zip(P(v).tolist(), Q(v).tolist())),
-                residuals=list(c.residuals),
-                closed=c.closed,
+    with naming_overflow("the critical value image", "on the traced singular set"):
+        for c in curves:
+            v = np.array(c.vertices).T
+            x1, x2 = finite(P(v)), finite(Q(v))
+            out.append(
+                CurveSample(
+                    vertices=list(zip(x1.tolist(), x2.tolist())),
+                    residuals=list(c.residuals),
+                    closed=c.closed,
+                )
             )
-        )
     return out
 
 

@@ -8,7 +8,11 @@ pass.  A Poly1 is a one-column Poly2, the polynomial in u1 alone, so
 the same kernel serves both arities.  Arithmetic is exact up to float
 rounding; no coefficient thresholding happens here.  This layer backs
 the jet machinery and every place the rest of the package needs a
-globally valid expression rather than a truncated local one.
+globally valid expression rather than a truncated local one.  It also
+holds the package's one overflow rule: a derived value is computed
+under naming_overflow and checked by finite (or by the check of every
+new table), so its overflow is one InvalidSpec that names it, and
+NumPy prints nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "Poly1",
     "Poly2",
     "convolve2",
+    "finite",
     "is_number",
     "naming_overflow",
     "order_cut",
@@ -60,6 +65,10 @@ class InvalidSpec(ValueError):
     """
 
 
+class _NotFinite(InvalidSpec):
+    """A derived value that is not finite, not yet named by naming_overflow."""
+
+
 def _overflow_raises_later():
     # overflow in a table operation yields inf or nan, which the
     # finiteness check of every new table turns into InvalidSpec;
@@ -69,12 +78,34 @@ def _overflow_raises_later():
 
 @contextmanager
 def naming_overflow(quantity: str, where: str):
-    """Re-raise InvalidSpec from inside, an overflow of a derived value, as
-    "<quantity> overflows <where>", which names what overflowed and where."""
+    """The one overflow rule for a derived value: compute it inside and
+    check it with finite, and an overflow exits as one named InvalidSpec.
+
+    Inside, NumPy's overflow and invalid warnings are silenced, since the
+    inf or nan they announce reaches a finiteness check: finite, or that
+    of every new Poly2 table.  The error of either check is re-raised as
+    "<quantity> overflows <where>", which names what overflowed and where.
+    An overflow that already has a name, an inner naming_overflow's or a
+    Poly1 value's, keeps it.
+    """
     try:
-        yield
-    except InvalidSpec as exc:
+        with _overflow_raises_later():
+            yield
+    except _NotFinite as exc:
         raise InvalidSpec(f"{quantity} overflows {where}") from exc
+
+
+def finite(values):
+    """values itself once every entry is finite; InvalidSpec otherwise.
+
+    The one finiteness check of a derived value: an array, a coefficient
+    table or a list of numbers.  Under naming_overflow the error names
+    the quantity; outside any name it reads "jet coefficients must be
+    finite", as for a jet built from a table.
+    """
+    if not np.isfinite(values).all():
+        raise _NotFinite("jet coefficients must be finite")
+    return values
 
 
 def is_number(x, count: bool = False) -> bool:
@@ -330,7 +361,7 @@ class Poly2:
 
     def _set_table(self, table: np.ndarray) -> None:
         if not np.isfinite(table).all():
-            raise InvalidSpec("non-finite coefficient")
+            raise _NotFinite("non-finite coefficient")
         # most tables come out trimmed already: a nonzero last row and column
         if not (table.size and table[-1].any() and table[:, -1].any()):
             nonzero = table != 0.0

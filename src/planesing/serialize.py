@@ -96,7 +96,11 @@ _POINT_COLORS = {"DegenerateCandidate": "#c23b22", "CuspCandidate": "#e08a1e"}
 
 
 def _world_bounds(curves, box):
-    """The box's corners, or without a box the curves' extent padded by 5%."""
+    """The box's corners, or without a box the curves' extent padded by 5%.
+
+    The span is at least 1e-9 times the largest |coordinate| (and at
+    least 1e-9), so its pad never rounds away, even at |x| = 1e20.
+    """
     if box is not None:
         return box.lo[0], box.lo[1], box.hi[0], box.hi[1]
     xs = [v[0] for c in curves for v in c.vertices]
@@ -105,7 +109,8 @@ def _world_bounds(curves, box):
         return -1.0, -1.0, 1.0, 1.0
     lo1, hi1 = min(xs), max(xs)
     lo2, hi2 = min(ys), max(ys)
-    span = max(hi1 - lo1, hi2 - lo2, 1e-9)
+    size = max(1.0, -lo1, hi1, -lo2, hi2)
+    span = max(hi1 - lo1, hi2 - lo2, 1e-9 * size)
     pad = 0.05 * span
     return lo1 - pad, lo2 - pad, hi1 + pad, hi2 + pad
 

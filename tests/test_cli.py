@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -188,6 +189,11 @@ def test_trace_swallowtail_cusp_candidate(tmp_path):
         # a cusp with one target coordinate scaled
         (["classify", "--map", "(u, 1e8*(v^3+u*v))"], "class=Cusp at (0, 0)"),
         (["classify", "--map", "(1e-9*u, v^3+u*v)"], "class=Cusp at (0, 0)"),
+        # P overflows at the vertex (4, 0), but json holds no critical value
+        (["trace", "--map", "(1e306*u^5+v^2, u)", "--box=-4,-4,4,4", "--grid", "8,8",
+          "--format", "json"], "curves=1 special_points=0"),
+        # every critical value rounds to x1 = 1e20: an image without extent
+        (["trace", "--map", "(1e20+u, v^2)", "--format", "svg"], "curves=1 special_points=0"),
     ],
 )
 def test_valid_inputs_raise_no_warning(tmp_path, capsys, args, line):
@@ -517,13 +523,87 @@ def test_an_eta_lambda_that_overflows_is_named_not_blamed_on_the_input(tmp_path,
         (["classify", "--map", "(1e160*u, v^3+u*v)"], "the eta^k lambda jet"),
         (["trace", "--map", "(1e200*u, 1e200*(v^3+u*v))", "--grid", "8,8"], "the discriminant"),
         (["trace", "--map", "(1e307*u, v^5+u*v)", "--grid", "8,8"], "the Newton Jacobian"),
+        # lambda = 1.2e308 u^2 is finite, its second partial 2.4e308 is not
+        (["classify", "--map", "(4e307*u^3, v)"], "the Hessian of lambda"),
+        (["classify", "--map", "(u, 4e307*v^3)"], "the Hessian of lambda"),
     ],
-    ids=["det-hess-jet", "eta-jets", "discriminant", "newton-jacobian"],
+    ids=["det-hess-jet", "eta-jets", "discriminant", "newton-jacobian", "hessian-u", "hessian-v"],
 )
 def test_a_derived_quantity_that_overflows_is_named(tmp_path, capsys, args, quantity):
     where = "at (0.0, 0.0)" if args[0] == "classify" else "on the box (-1.0, -1.0) to (1.0, 1.0)"
     err = _exits_64_with(args, tmp_path, capsys)
     assert err == f"planesing: {quantity} overflows {where}\n"
+
+
+def test_critical_values_that_overflow_exit_64_before_any_file(tmp_path, capsys):
+    # lambda = -2v is finite, but P = 1e306 u^5 + v^2 at the vertex (4, 0) is not
+    args = ["trace", "--map", "(1e306*u^5+v^2, u)", "--box=-4,-4,4,4", "--grid", "8,8",
+            "--format", "csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _exits_64_with(args, tmp_path, capsys)
+    assert err == "planesing: the critical value image overflows on the traced singular set\n"
+
+
+def test_frame_critical_values_that_overflow_exit_64(tmp_path, capsys):
+    # the trace -1 + 3 u1^2 + 1e-6 u2^2 is finite on the box, but the frame
+    # curves reach |u2| = 20, where phi's 1e300 u2^8 overflows
+    prob = tmp_path / "P.json"
+    prob.write_text(json.dumps({
+        "f1": {"vars": 1, "terms": [{"c": 0.5, "e": [2]}]},
+        "f2": {"vars": 1, "terms": []},
+        "phi": {"vars": 2, "terms": [{"c": -1.0, "e": [1, 0]}, {"c": 1.0, "e": [3, 0]},
+                                     {"c": 1e-6, "e": [1, 2]}, {"c": 1e300, "e": [0, 8]}]},
+    }))
+    args = ["conslaw", str(prob), "--box=-20,-20,20,20", "--grid", "16,16", "--time", "0.9,1.1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _exits_64_with(args, tmp_path, capsys)
+    assert err == "planesing: the critical value image overflows on the traced singular set\n"
+
+
+_FUZZ_EXPONENTS = (0, 1, 20, 100, 200, 290, 300, 305, 306, 307)
+_FUZZ_FORMATS = ("json", "csv", "svg", "json,csv", "json,svg", "csv,svg", "json,csv,svg")
+
+
+def _fuzz_args(rng: random.Random) -> list[str]:
+    """A classify or a 6 x 6 trace of a map with finite coefficients as large as 1e307."""
+    def component():
+        terms = [f"{rng.choice('+-')}1e{rng.choice(_FUZZ_EXPONENTS)}"
+                 f"*u^{rng.randint(0, 5)}*v^{rng.randint(0, 5)}" for _ in range(rng.randint(1, 3))]
+        terms.append(rng.choice(["+u", "+v", "+u^2", "+v^3"]))
+        if rng.random() < 0.5:
+            terms.append(rng.choice(["+1", "+1e20", "+1e300"]))
+        return "".join(terms)
+
+    args = ["--map", f"({component()}, {component()})"]
+    if rng.random() < 0.5:
+        return ["classify", *args]
+    w = rng.choice([1, 2, 4, 8, 16])
+    return ["trace", *args, f"--box=-{w},-{w},{w},{w}", "--grid", "6,6",
+            "--format", rng.choice(_FUZZ_FORMATS)]
+
+
+def test_finite_input_never_raises_warns_or_blames_jet_coefficients(tmp_path, capsys):
+    # derived values of these maps overflow in many places; each run must
+    # exit with a code, print no NumPy warning, and name what overflowed
+    rng = random.Random(8)
+    raised, warned, unnamed = [], [], []
+    for _ in range(1500):
+        args = _fuzz_args(rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = run([*args, "--out", str(tmp_path)])
+            except Exception as exc:  # noqa: BLE001 -- every exception is a failure here
+                raised.append((args, repr(exc)))
+                code = None
+        if any(issubclass(w.category, RuntimeWarning) for w in caught):
+            warned.append(args)
+        err = capsys.readouterr().err
+        if code == 64 and err == "planesing: jet coefficients must be finite\n":
+            unnamed.append(args)
+    assert (raised, warned, unnamed) == ([], [], [])
 
 
 @pytest.mark.parametrize("levels", [400, 10000])

@@ -373,6 +373,18 @@ def test_source_diffeo_must_fix_base_point():
         conjugate_by_diffeos(builtin_germ("fold"), shift, ident)
 
 
+def test_the_source_base_point_is_tested_once_by_its_distance():
+    # the cusp at p = (0, 1): a source that moves p by 1.5e-9 lies within
+    # 1e-9 (1 + |p|) = 2e-9 and conjugates; one that moves it by 3e-9 is
+    # no diffeomorphism of the germ
+    u, v = Poly2.variable(1), Poly2.variable(2)
+    cusp = PlaneMapGerm((u, (v - 1.0) * (v - 1.0) * (v - 1.0) + u * (v - 1.0)), (0.0, 1.0))
+    h = conjugate_by_diffeos(cusp, (u + 1.5e-9, v), (u, v))
+    assert (h.base_point, classify(h).singularity_class) == ((0.0, 1.0), CUSP)
+    with pytest.raises(NotADiffeomorphism, match=r"sends base point \(0.0, 1.0\) to \(3e-09, 1.0\)"):
+        conjugate_by_diffeos(cusp, (u + 3e-9, v), (u, v))
+
+
 def test_classification_is_translation_invariant():
     # same local behavior at a nonzero base point, nonzero target value
     comps = (

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from collections.abc import Mapping
 
@@ -15,6 +16,8 @@ from planesing.poly import (
     InvalidSpec,
     Poly1,
     Poly2,
+    finite,
+    naming_overflow,
     poly_from_spec,
     poly_to_spec,
     quote,
@@ -840,3 +843,31 @@ def test_quote_falls_back_to_the_repr_of_what_json_cannot_write():
     assert quote(Poly2) == repr(Poly2)
     assert quote(math.inf) == "Infinity"
     assert len(quote({(1, 0): "x" * 100})) == 60
+
+
+def test_naming_overflow_silences_numpy_and_names_what_finite_rejects():
+    values = np.array([1e300])
+    assert finite(values) is values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec) as info:
+            with naming_overflow("the square", "at 1e300"):
+                finite(values * values)
+    assert str(info.value) == "the square overflows at 1e300"
+    # a table that overflows is named the same way
+    with pytest.raises(InvalidSpec, match="^the product overflows here$"):
+        with naming_overflow("the product", "here"):
+            Poly2({(1, 0): 1e300}) * 1e300
+    # outside any name the check says what it checks
+    with pytest.raises(InvalidSpec, match="^jet coefficients must be finite$"):
+        finite([0.0, math.nan])
+
+
+def test_an_overflow_with_a_name_keeps_it():
+    with pytest.raises(InvalidSpec, match="^the polynomial overflows at 1e"):
+        with naming_overflow("the outer value", "here"):
+            Poly1({6: 1.0})(1e300)
+    with pytest.raises(InvalidSpec, match="^the inner value overflows there$"):
+        with naming_overflow("the outer value", "here"):
+            with naming_overflow("the inner value", "there"):
+                finite([math.inf])

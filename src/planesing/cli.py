@@ -10,6 +10,12 @@ Three subcommands cover the package's workflows:
 Exit codes are scriptable: 0 for a definite class, 2 for
 Degenerate/Unrecognized, 3 when no singularity exists in the requested
 region, 64 for malformed input, 70 for solver failure.
+
+The critical values, the traced curves mapped into the target plane,
+are formed only for the files that hold them (trace's csv and svg,
+conslaw's frame csv), and before the output directory is made: a run
+that writes none never forms them, and one whose critical values
+overflow exits 64 with nothing written.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .conslaw import (
     ConsLawProblem,
     SolverFailed,
     builtin_problem,
+    characteristic_map,
     first_singularity,
     frame_times,
     lips_birth_frames,
@@ -193,7 +200,6 @@ def run_classify(args: argparse.Namespace) -> int:
 def run_trace(args: argparse.Namespace) -> int:
     germ = _germ_from_args(args)
     curves = sample_singular_set(germ, args.box)
-    # the critical values go only to the csv and svg files
     drawn = "csv" in args.formats or "svg" in args.formats
     images = critical_value_image(germ, curves) if drawn else None
     specials = find_special_points(germ, args.box, args.tolerances)
@@ -287,9 +293,12 @@ def run_conslaw(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return EXIT_SOLVER
-    frames = None
+    frames = images = None
     if result is not None and times is not None:
-        frames = lips_birth_frames(prob, result.u_star, result.t_star, times, args.box)
+        frames = lips_birth_frames(prob, result.t_star, times, args.box)
+        if "csv" in args.formats:
+            images = [critical_value_image(characteristic_map(prob, f.time), f.curves)
+                      if f.curves else [] for f in frames]
     args.output_dir.mkdir(parents=True, exist_ok=True)
 
     if result is None:
@@ -315,7 +324,7 @@ def run_conslaw(args: argparse.Namespace) -> int:
             entry: dict = {"index": k, "t": frame.time}
             if "csv" in args.formats:
                 name = f"frame_{k}.csv"
-                write_curves_csv(args.output_dir / name, frame.curves, frame.image_curves)
+                write_curves_csv(args.output_dir / name, frame.curves, images[k])
                 entry["csv"] = name
             if "svg" in args.formats:
                 name = f"frame_{k}.svg"

@@ -43,9 +43,9 @@ from .germs import (
     classify,
 )
 from .jets import compose_univariate, poly_to_jet
-from .locus import BoxDomain, _distinct, _zero_set, critical_value_image, newton_batch
-from .poly import HornerStack, InvalidSpec, Poly1, Poly2, finite, naming_overflow
-from .poly import poly_from_spec, poly_to_spec
+from .locus import BoxDomain, _distinct, _zero_set, newton_batch
+from .poly import HornerStack, InvalidSpec, Poly1, Poly2, as_point, as_real, finite
+from .poly import naming_overflow, poly_from_spec, poly_to_spec
 
 __all__ = [
     "ConsLawProblem",
@@ -171,7 +171,7 @@ def characteristic_map(prob: ConsLawProblem, t: float, base=(0.0, 0.0)) -> Plane
     has rank one; the frames trace that closed form, and the germ
     derives its own as P_u1 Q_u2 - P_u2 Q_u1 where it is asked for.
     """
-    t = float(t)
+    t = as_real(t, "t")
     u1, u2 = Poly2.variable(1), Poly2.variable(2)
     v1, v2 = prob.velocity_polys
     return PlaneMapGerm((u1 + t * v1, u2 + t * v2), base)
@@ -353,7 +353,6 @@ class Frame:
 
     time: float
     curves: list
-    image_curves: list
 
 
 def first_singularity(
@@ -466,45 +465,44 @@ def singularity_at(
 
     With t omitted, the point's own singular time is used; a point
     whose trace is non-negative then has no singular time and raises
-    ValueError.  No search or minimality claim is involved, so the
-    returned record never lists co-minimizers.
+    ValueError; a u that is not two reals, or a t that is not a real,
+    raises InvalidSpec.  No search or minimality claim is involved, so
+    the returned record never lists co-minimizers.
     """
-    u = (float(u[0]), float(u[1]))
+    u = as_point(u, "u")
     if t is None:
         t = singular_time_field(prob, u, tol)
         if t is None:
             raise ValueError(
                 f"characteristic trace is non-negative at {u}; no positive singular time"
             )
-    return _analyze_point(prob, u, float(t), tol, [])
+    return _analyze_point(prob, u, as_real(t, "t"), tol, [])
 
 
 def frame_times(times) -> list[float]:
-    """times as a list of floats; InvalidSpec if there are more than MAX_FRAMES."""
-    times = [float(t) for t in times]
+    """times as a list of floats; InvalidSpec if one is not a real or
+    there are more than MAX_FRAMES."""
+    times = [as_real(t, "frame time") for t in times]
     if len(times) > MAX_FRAMES:
         raise InvalidSpec(f"{len(times)} frame times exceed the cap {MAX_FRAMES}")
     return times
 
 
-def lips_birth_frames(
-    prob: ConsLawProblem, u_star, t_star: float, times, box: BoxDomain
-) -> list[Frame]:
+def lips_birth_frames(prob: ConsLawProblem, t_star: float, times, box: BoxDomain) -> list[Frame]:
     """Singular sets of the frozen-time maps before and after t_star.
 
     times must straddle t_star (at least one strictly below and one
     strictly above) and number at most MAX_FRAMES, else InvalidSpec,
     since the point of the exercise is watching the singular curve be
-    born around u_star.  The singular set at time t is the zero set of
-    1 + t trace C, the level set trace C = -1/t, so the trace is
-    evaluated on the box grid once and each frame marches the node
-    values 1 + t trace and sharpens onto 1 + t trace C = 0 as
-    sample_singular_set does; InvalidSpec if that overflows.  Each frame
-    carries those source-plane curves and their images under
-    characteristic_map, which is built only for a frame with curves;
-    tracing makes no zero test, so no tolerance is taken.
+    born.  The singular set at time t is the zero set of 1 + t trace C,
+    the level set trace C = -1/t, so the trace is evaluated on the box
+    grid once and each frame marches the node values 1 + t trace and
+    sharpens onto 1 + t trace C = 0 as sample_singular_set does;
+    InvalidSpec if that overflows.  Tracing makes no zero test, so no
+    tolerance is taken.
     """
     times = frame_times(times)
+    t_star = as_real(t_star, "t_star")
     if not times or min(times) >= t_star or max(times) <= t_star:
         raise InvalidSpec("frame times must straddle the singular time")
     grid = box.grid_values(prob.trace_poly, "characteristic trace")
@@ -512,9 +510,7 @@ def lips_birth_frames(
     for t in times:
         with naming_overflow("the discriminant 1 + t trace C", f"at t = {t!r}"):
             lam, vals = 1.0 + t * prob.trace_poly, finite(1.0 + t * grid)
-        curves = _zero_set(lam, vals, box)
-        images = critical_value_image(characteristic_map(prob, t, u_star), curves) if curves else []
-        frames.append(Frame(time=t, curves=curves, image_curves=images))
+        frames.append(Frame(time=t, curves=_zero_set(lam, vals, box)))
     return frames
 
 

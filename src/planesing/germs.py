@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .jets import Jet2, JetOrderExhausted, _common_base2, _compose, _det, _partial, _product
-from .poly import InvalidSpec, Poly2, _overflow_raises_later, finite, is_number, naming_overflow
-from .poly import order_cut
+from .poly import InvalidSpec, Poly2, _overflow_raises_later, as_point, finite, is_number
+from .poly import naming_overflow, order_cut
 
 __all__ = [
     "ToleranceConfig",
@@ -186,7 +186,8 @@ class PlaneMapGerm:
 
     Components are exact two-variable polynomials (Poly2); anything else,
     a JSON spec included, raises InvalidSpec, and poly_from_spec turns a
-    spec into one.  The base point just marks where jets are taken.
+    spec into one.  The base point, two reals as is_number judges them
+    (else InvalidSpec), just marks where jets are taken.
     Target constants are irrelevant to every derived quantity (they drop
     out of the Jacobian), so germs are not translated in the target.
     Each component keeps the partials it derives (Poly2.partial), so the
@@ -199,7 +200,7 @@ class PlaneMapGerm:
 
     def __init__(self, components, base_point=(0.0, 0.0)):
         self.components = _poly_pair(components, "germ")
-        self.base_point = (float(base_point[0]), float(base_point[1]))
+        self.base_point = as_point(base_point, "base point")
         self._lam_poly = self._local = None
 
     @classmethod

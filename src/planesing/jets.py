@@ -153,7 +153,9 @@ class Jet2:
         if not isinstance(other, Jet2):
             return NotImplemented
         base, n = _common2(self, other)
-        return Jet2._of(base, finite(self.coeffs + other.coeffs), n)
+        with _overflow_raises_later():
+            table = self.coeffs + other.coeffs
+        return Jet2._of(base, finite(table), n)
 
     __radd__ = __add__
 
@@ -172,12 +174,15 @@ class Jet2:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             # a negative factor turns +0.0 to -0.0 beyond the order
-            scaled = _zero_beyond(self.coeffs * other, self.order)
+            with _overflow_raises_later():
+                scaled = _zero_beyond(self.coeffs * other, self.order)
             return Jet2._of(self.base_point, finite(scaled), self.order)
         if not isinstance(other, Jet2):
             return NotImplemented
         base, n = _common2(self, other)
-        return Jet2._of(base, finite(_product(self.coeffs, other.coeffs, n)), n)
+        with _overflow_raises_later():
+            table = _product(self.coeffs, other.coeffs, n)
+        return Jet2._of(base, finite(table), n)
 
     __rmul__ = __mul__
 

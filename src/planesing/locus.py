@@ -49,7 +49,8 @@ from .germs import (
     _poly_pair,
     classify,
 )
-from .poly import HornerStack, InvalidSpec, Poly1, Poly2, finite, is_number, naming_overflow
+from .poly import HornerStack, InvalidSpec, Poly1, Poly2, as_real, finite, is_number
+from .poly import naming_overflow
 
 __all__ = [
     "BoxDomain",
@@ -632,6 +633,7 @@ def ruling_map(curve, t0: float = 0.0) -> PlaneMapGerm:
     raises InvalidSpec.
     """
     a, b = _poly_pair(curve, "a ruling curve", Poly1)
+    t0 = as_real(t0, "t0")
     da, db = a.derivative(), b.derivative()
     speed = math.hypot(da(t0), db(t0))
     if not math.isfinite(speed):
@@ -643,4 +645,4 @@ def ruling_map(curve, t0: float = 0.0) -> PlaneMapGerm:
     w = Poly2.variable(2)
     comp1 = a.poly2 + w * da.poly2
     comp2 = b.poly2 + w * db.poly2
-    return PlaneMapGerm((comp1, comp2), (float(t0), 0.0))
+    return PlaneMapGerm((comp1, comp2), (t0, 0.0))

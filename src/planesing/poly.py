@@ -34,6 +34,8 @@ __all__ = [
     "MAX_INPUT_DEGREE",
     "Poly1",
     "Poly2",
+    "as_point",
+    "as_real",
     "convolve2",
     "finite",
     "is_number",
@@ -134,10 +136,23 @@ def quote(x) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _check_coeff(c) -> float:
-    if not is_number(c):
-        raise InvalidSpec(f"coefficient must be a finite number, got {quote(c)}")
-    return float(c)
+def as_real(x, what: str) -> float:
+    """x as a float if is_number judges it a real; InvalidSpec naming what otherwise."""
+    if not is_number(x):
+        raise InvalidSpec(f"{what} must be a finite number, got {quote(x)}")
+    return float(x)
+
+
+def as_point(p, what: str) -> tuple[float, float]:
+    """p as two floats if it is a pair of reals, as is_number judges them;
+    InvalidSpec naming what otherwise."""
+    try:
+        u1, u2 = p
+    except (TypeError, ValueError):
+        u1 = u2 = None
+    if not (is_number(u1) and is_number(u2)):
+        raise InvalidSpec(f"{what} must be two finite numbers, got {quote(p)}")
+    return float(u1), float(u2)
 
 
 def _flat(t: np.ndarray, width: int) -> np.ndarray:
@@ -343,7 +358,7 @@ class Poly2:
                     and e[0] >= 0 and e[1] >= 0 or isinstance(e, tuple) and len(e) == 2
                     and all(is_number(k, count=True) and k >= 0 for k in e)):
                 raise InvalidSpec(f"an exponent key must be two non-negative integers, got {e!r}")
-            c = c if type(c) is float and math.isfinite(c) else _check_coeff(c)
+            c = c if type(c) is float and math.isfinite(c) else as_real(c, "coefficient")
             terms.append((int(e[0]), int(e[1]), c))
         rows = max((i for i, _, _ in terms), default=0) + 1
         cols = max((j for _, j, _ in terms), default=0) + 1
@@ -556,7 +571,7 @@ def poly_from_spec(spec: Mapping) -> Poly1 | Poly2:
     for t in terms:
         if not isinstance(t, Mapping):
             raise InvalidSpec(f"a term must be an object, got {quote(t)}")
-        c, e = _check_coeff(t.get("c")), t.get("e")
+        c, e = as_real(t.get("c"), "coefficient"), t.get("e")
         if not isinstance(e, list) or len(e) != nvars:
             raise InvalidSpec(f"e must be a list of {nvars} exponents, got {quote(e)}")
         if not all(is_number(x, count=True) and x >= 0 for x in e):

@@ -11,7 +11,7 @@ import pytest
 
 from planesing import cli
 from planesing.cli import main
-from planesing.conslaw import MAX_FRAMES, MAX_VELOCITY_DEGREE
+from planesing.conslaw import MAX_FRAMES, MAX_VELOCITY_DEGREE, builtin_problem
 from planesing.locus import MAX_GRID
 from planesing.poly import MAX_INPUT_DEGREE
 
@@ -545,9 +545,13 @@ def test_critical_values_that_overflow_exit_64_before_any_file(tmp_path, capsys)
     assert err == "planesing: the critical value image overflows on the traced singular set\n"
 
 
-def test_frame_critical_values_that_overflow_exit_64(tmp_path, capsys):
-    # the trace -1 + 3 u1^2 + 1e-6 u2^2 is finite on the box, but the frame
-    # curves reach |u2| = 20, where phi's 1e300 u2^8 overflows
+def _frame_images_overflow(tmp_path):
+    """A problem file whose first singularity is finite but whose frame
+    critical values overflow on --box=-20,-20,20,20 at t = 1.1.
+
+    The trace -1 + 3 u1^2 + 1e-6 u2^2 is finite on the box, but the frame
+    curves reach |u2| = 20, where phi's 1e300 u2^8 overflows.
+    """
     prob = tmp_path / "P.json"
     prob.write_text(json.dumps({
         "f1": {"vars": 1, "terms": [{"c": 0.5, "e": [2]}]},
@@ -555,11 +559,56 @@ def test_frame_critical_values_that_overflow_exit_64(tmp_path, capsys):
         "phi": {"vars": 2, "terms": [{"c": -1.0, "e": [1, 0]}, {"c": 1.0, "e": [3, 0]},
                                      {"c": 1e-6, "e": [1, 2]}, {"c": 1e300, "e": [0, 8]}]},
     }))
-    args = ["conslaw", str(prob), "--box=-20,-20,20,20", "--grid", "16,16", "--time", "0.9,1.1"]
+    return ["conslaw", str(prob), "--box=-20,-20,20,20", "--grid", "16,16", "--time", "0.9,1.1"]
+
+
+def test_frame_critical_values_that_overflow_exit_64(tmp_path, capsys):
+    args = [*_frame_images_overflow(tmp_path), "--format", "csv"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         err = _exits_64_with(args, tmp_path, capsys)
     assert err == "planesing: the critical value image overflows on the traced singular set\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "svg"])
+def test_frames_without_csv_form_no_critical_values(tmp_path, capsys, fmt):
+    # only frame_k.csv holds critical values, so json and svg never overflow in them
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*_frame_images_overflow(tmp_path), "--format", f"json,{fmt}", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr() == ("class=Lips at (0, 0) t*=1 xi3=1.2e-05\n", "")
+    frames = json.loads((out / "frames.json").read_text())["frames"]
+    assert [f["curves"] for f in frames] == [0, 2]
+    assert not list(out.glob("*.csv"))
+
+
+def test_only_csv_frames_with_curves_build_a_characteristic_map(tmp_path, monkeypatch):
+    built = []
+    make = cli.characteristic_map
+    monkeypatch.setattr(cli, "characteristic_map", lambda prob, t: built.append(t) or make(prob, t))
+    for fmt, want in (("csv", [1.1]), ("json,svg", [])):
+        built.clear()
+        args = ["conslaw", "--builtin", "burgers-lips", "--box=-0.4,-0.4,0.4,0.4",
+                "--time", "0.9,1.1", "--format", fmt, "--out", str(tmp_path / fmt)]
+        assert run(args) == 0
+        assert built == want, fmt
+
+
+def test_frame_csv_rows_hold_the_critical_values(tmp_path):
+    # burgers-lips: f1 = y^2/2, f2 = 0, so the time-t map is (u1 + t phi(u), u2)
+    args = ["conslaw", "--builtin", "burgers-lips", "--box=-0.4,-0.4,0.4,0.4",
+            "--time", "0.9,1.1", "--format", "csv", "--out", str(tmp_path)]
+    assert run(args) == 0
+    phi = builtin_problem("burgers-lips").phi
+    header, *rows = (tmp_path / "frame_1.csv").read_text().splitlines()
+    assert header == "curve,u1,u2,x1,x2" and rows
+    for row in rows:
+        _, u1, u2, x1, x2 = map(float, row.split(","))
+        assert x1 == pytest.approx(u1 + 1.1 * phi((u1, u2)), rel=1e-15, abs=1e-15)
+        assert x2 == u2
+    assert (tmp_path / "frame_0.csv").read_text() == "curve,u1,u2,x1,x2\n"
 
 
 _FUZZ_EXPONENTS = (0, 1, 20, 100, 200, 290, 300, 305, 306, 307)

@@ -19,9 +19,10 @@ from planesing.conslaw import (
     xi_autodiff,
     xi_closed_form,
 )
-from planesing.germs import BEAKS, IMMERSION, LIPS, NEWTON_RESIDUAL, classify, discriminant, rank_df
-from planesing.locus import BoxDomain, sample_singular_set
-from planesing.poly import InvalidSpec, Poly1, Poly2, convolve2
+from planesing.germs import BEAKS, IMMERSION, LIPS, NEWTON_RESIDUAL, PlaneMapGerm, builtin_germ
+from planesing.germs import classify, discriminant, rank_df
+from planesing.locus import BoxDomain, ruling_map, sample_singular_set
+from planesing.poly import InvalidSpec, Poly1, Poly2, convolve2, quote
 
 BURGERS_F1 = Poly1({2: 0.5})
 ZERO_FLUX = Poly1({})
@@ -269,9 +270,7 @@ def test_forced_point_rejects_expanding_directions():
 def test_birth_frames_straddle():
     prob = model_problem()
     res = first_singularity(prob, SMALL_BOX)
-    frames = lips_birth_frames(
-        prob, res.u_star, res.t_star, [0.9, 1.1], SMALL_BOX
-    )
+    frames = lips_birth_frames(prob, res.t_star, [0.9, 1.1], SMALL_BOX)
     assert [f.time for f in frames] == [0.9, 1.1]
     before, after = frames
     assert before.curves == []
@@ -283,7 +282,6 @@ def test_birth_frames_straddle():
     lam = _generic_determinant(g)
     for v in after.curves[0].vertices:
         assert abs(lam(v)) < 1e-9
-    assert len(after.image_curves[0].vertices) == len(after.curves[0].vertices)
 
 
 def test_frames_evaluate_the_trace_on_the_grid_once(monkeypatch):
@@ -292,17 +290,8 @@ def test_frames_evaluate_the_trace_on_the_grid_once(monkeypatch):
     monkeypatch.setattr(Poly2, "eval_grid", lambda p, xs, ys: evaluated.append(p) or eval_grid(p, xs, ys))
     prob = model_problem()
     times = np.linspace(0.9, 1.1, 20).tolist()
-    assert len(lips_birth_frames(prob, (0.0, 0.0), 1.0, times, SMALL_BOX)) == 20
+    assert len(lips_birth_frames(prob, 1.0, times, SMALL_BOX)) == 20
     assert len(evaluated) == 1 and evaluated[0] is prob.trace_poly
-
-
-def test_a_frame_without_curves_builds_no_characteristic_map(monkeypatch):
-    built = []
-    monkeypatch.setattr(conslaw, "characteristic_map",
-                        lambda prob, t, base: built.append(t) or characteristic_map(prob, t, base))
-    frames = lips_birth_frames(model_problem(), (0.0, 0.0), 1.0, [0.9, 1.1], SMALL_BOX)
-    assert [len(f.curves) for f in frames] == [0, 1]
-    assert built == [1.1]
 
 
 def test_frames_around_singular_times_match_the_generic_determinant(base_seed):
@@ -328,7 +317,7 @@ def test_frames_around_singular_times_match_the_generic_determinant(base_seed):
         if res is not None:
             sources.append(("first shock", res.u_star, res.t_star))
         for source, base, t_star in sources:
-            for frame in lips_birth_frames(prob, base, t_star, [0.9 * t_star, 1.1 * t_star], box):
+            for frame in lips_birth_frames(prob, t_star, [0.9 * t_star, 1.1 * t_star], box):
                 germ = characteristic_map(prob, frame.time, base)
                 want = sample_singular_set(germ, box)
                 assert [(c.closed, len(c.vertices)) for c in frame.curves] == [
@@ -359,7 +348,7 @@ def test_birth_frames_require_straddling_times():
     prob = model_problem()
     for times in ([1.1, 1.2], [0.5, 0.9]):
         with pytest.raises(InvalidSpec, match="straddle"):
-            lips_birth_frames(prob, (0.0, 0.0), 1.0, times, SMALL_BOX)
+            lips_birth_frames(prob, 1.0, times, SMALL_BOX)
 
 
 def test_birth_frames_refuse_more_times_than_the_cap(monkeypatch):
@@ -368,11 +357,37 @@ def test_birth_frames_refuse_more_times_than_the_cap(monkeypatch):
     prob = model_problem()
     times = [0.9] + [1.1] * MAX_FRAMES
     with pytest.raises(InvalidSpec, match=f"{MAX_FRAMES + 1} frame times exceed the cap"):
-        lips_birth_frames(prob, (0.0, 0.0), 1.0, times, SMALL_BOX)
+        lips_birth_frames(prob, 1.0, times, SMALL_BOX)
     assert traced == []
     # at the cap every frame is traced
-    assert len(lips_birth_frames(prob, (0.0, 0.0), 1.0, times[:-1], SMALL_BOX)) == MAX_FRAMES
+    assert len(lips_birth_frames(prob, 1.0, times[:-1], SMALL_BOX)) == MAX_FRAMES
     assert len(traced) == MAX_FRAMES
+
+
+@pytest.mark.parametrize("x", ["0", True, None, float("nan"), float("inf")],
+                         ids=["string", "bool", "none", "nan", "inf"])
+def test_library_points_and_times_must_be_reals(x):
+    # each is judged by is_number where it enters, as every input number is
+    prob = model_problem()
+    germ = builtin_germ("cusp")
+    calls = {
+        "base point": (lambda: PlaneMapGerm(germ.components, (x, 0.0)), (x, 0.0)),
+        "rebased point": (lambda: germ.rebase((0.0, x)), (0.0, x)),
+        "t0": (lambda: ruling_map((Poly1({1: 1.0}), Poly1({3: 1.0})), x), x),
+        "t": (lambda: characteristic_map(prob, x), x),
+        "u": (lambda: singularity_at(prob, (x, 0.0), 1.0), (x, 0.0)),
+        "forced t": (lambda: singularity_at(prob, (0.0, 0.0), x), x),
+        "frame time": (lambda: lips_birth_frames(prob, 1.0, [0.5, x], SMALL_BOX), x),
+        "t_star": (lambda: lips_birth_frames(prob, x, [0.5, 2.0], SMALL_BOX), x),
+    }
+    if x is None:  # singularity_at's t=None asks for the point's own singular time
+        del calls["forced t"]
+    for what, (call, value) in calls.items():
+        name = {"rebased point": "base point", "forced t": "t"}.get(what, what)
+        kind = "two finite numbers" if isinstance(value, tuple) else "a finite number"
+        with pytest.raises(InvalidSpec) as info:
+            call()
+        assert str(info.value) == f"{name} must be {kind}, got {quote(value)}", what
 
 
 @pytest.mark.parametrize("data", [[1], "str", 3, None])

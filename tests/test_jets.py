@@ -1,6 +1,7 @@
 """Frozen examples and numeric invariants of the truncated-jet layer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,19 @@ def test_compose_map_overflow_raises_like_the_reference(inner_scale, outer_coeff
         with pytest.raises(InvalidSpec, match="jet coefficients must be finite"):
             with np.errstate(over="ignore"):
                 compose(outer, *inner)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda j: j + j, lambda j: j * 1e10, lambda j: 1e308 + j, lambda j: j - (-j), lambda j: j * j],
+    ids=["sum", "scaled", "number-plus-jet", "difference", "product"],
+)
+def test_a_jet_sum_or_product_that_overflows_raises_without_a_warning(op):
+    j = Jet2(ORIGIN, [[1e308, 0.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match="jet coefficients must be finite"):
+            op(j)
 
 
 def test_compose_map_cuts_an_overflow_beyond_the_order():

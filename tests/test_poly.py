@@ -324,7 +324,9 @@ def _poly2_reference(coeffs):
         if not (isinstance(e, tuple) and len(e) == 2
                 and all(poly.is_number(k, count=True) and k >= 0 for k in e)):
             raise InvalidSpec(f"an exponent key must be two non-negative integers, got {e!r}")
-        terms.append((int(e[0]), int(e[1]), poly._check_coeff(c)))
+        if not poly.is_number(c):
+            raise InvalidSpec(f"coefficient must be a finite number, got {poly.quote(c)}")
+        terms.append((int(e[0]), int(e[1]), float(c)))
     rows = max((i for i, _, _ in terms), default=0) + 1
     cols = max((j for _, j, _ in terms), default=0) + 1
     table = np.zeros((rows, cols))

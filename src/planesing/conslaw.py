@@ -178,6 +178,7 @@ def characteristic_map(prob: ConsLawProblem, t: float, base=(0.0, 0.0)) -> Plane
 
 
 def shape_operator(prob: ConsLawProblem, u) -> ShapeOperator:
+    u = as_point(u, "u")
     y = prob.phi(u)
     a2, b2 = prob.f1.derivative(2)(y), prob.f2.derivative(2)(y)
     p1, p2 = prob.phi.partial(1)(u), prob.phi.partial(2)(u)
@@ -194,6 +195,7 @@ def singular_time_field(
     trace; None means no finite positive singular time at this point.
     InvalidSpec if the shape operator overflows at u.
     """
+    u = as_point(u, "u")
     with naming_overflow("the shape operator", f"at {u}"):
         op = shape_operator(prob, u)
         finite([*op.entries[0], *op.entries[1], op.trace])

@@ -38,8 +38,8 @@ import math
 
 import numpy as np
 
-from .poly import InvalidSpec, Poly1, Poly2, _overflow_raises_later, convolve2, finite, order_cut
-from .poly import outside_order
+from .poly import InvalidSpec, Poly1, Poly2, _overflow_raises_later, as_point, as_real, convolve2
+from .poly import finite, order_cut, outside_order
 
 __all__ = [
     "Jet2",
@@ -335,15 +335,13 @@ def poly_to_jet(p: Poly1 | Poly2, base_point, order: int) -> Jet2:
     """Jet of a polynomial at ``base_point`` (exact Taylor re-centering).
 
     The arity is taken from the polynomial and must match the base
-    point: a scalar base for one variable, a pair for two.  A Poly1 is
+    point, as is_number judges it: a real for one variable, a pair of
+    reals for two, and InvalidSpec otherwise.  A Poly1 is
     a one-column Poly2, so its jet is the jet of that Poly2 at
     (base_point, 0), a jet in u1 alone.
     """
     if isinstance(p, Poly1):
-        if hasattr(base_point, "__len__") and not isinstance(base_point, str):
-            raise InvalidSpec("one-variable polynomial needs a scalar base point")
-        p, base_point = p.poly2, (base_point, 0.0)
-    if not hasattr(base_point, "__len__") or len(base_point) != 2:
-        raise InvalidSpec("two-variable polynomial needs a two-component base point")
-    base = (float(base_point[0]), float(base_point[1]))
+        p, base = p.poly2, (as_real(base_point, "base point"), 0.0)
+    else:
+        base = as_point(base_point, "base point")
     return Jet2._of(base, finite(p.recentered_coeffs(base, order)), order)

@@ -67,7 +67,7 @@ __all__ = [
 #: points closer than this (in source-plane distance) are one point
 DEDUP_RADIUS = 1e-6
 
-#: Newton step-size floor; with the residual bound, defines convergence
+#: Newton step-size floor; with NEWTON_RESIDUAL, defines convergence
 STEP_TOL = 1e-12
 
 #: Most grid cells per axis.  The node values and the Newton loop (one
@@ -147,8 +147,8 @@ class CurveSample:
     """One traced connected component of the singular set.
 
     vertices are ordered along the curve; residuals hold |lambda| at
-    each vertex after Newton sharpening; closed marks a loop (the first
-    vertex is not repeated at the end).
+    each vertex after Newton sharpening, round-off where lambda is
+    regular; closed marks a loop (the first vertex is not repeated).
     """
 
     vertices: list[tuple[float, float]]
@@ -244,7 +244,6 @@ def newton_batch(
     equations,
     seeds,
     box: BoxDomain,
-    residual: float = NEWTON_RESIDUAL,
     absorb=(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped (Gauss-)Newton iteration of one system from many seeds.
@@ -258,15 +257,15 @@ def newton_batch(
     the Jacobian.  Each run iterates on its own: a step that raises the
     residual norm max |F_i| is halved up to eight times, and with three
     equations first tried doubled where it halves the last full step.
-    residual bounds that norm.  A run stops when no step length helps or
-    the step is not finite, on a small step, after NEWTON_MAX_ITER
-    steps, or, with one equation, as soon as its residual is within the
-    bound, so a seed already within it does not move.  It is stopped
+    Every system stops by one rule: when no step length helps or the
+    step is not finite, on a step of at most STEP_TOL (1 + max |x_i|), on
+    a full step of at most 1e3 STEP_TOL with the residual within
+    NEWTON_RESIDUAL, or after NEWTON_MAX_ITER steps.  A run is stopped
     short when it leaves the box by slack 0.5, comes within DEDUP_RADIUS
     of a point in absorb, or, with three equations, when a step lowers a
-    residual above the bound by less than 10%, as on the way to a
-    singular root.  A run is converged when it was not stopped short and
-    its residual is within the bound.  Runs never interact, so each
+    residual above NEWTON_RESIDUAL by less than 10%, as on the way to a
+    singular root.  It is converged when not stopped short with its
+    residual within NEWTON_RESIDUAL.  Runs never interact, so each
     result is the one the run gets alone.  InvalidSpec if a Jacobian
     entry overflows.
     Returns (x, residual_norm, converged), shaped (n, 2), (n,) and (n,).
@@ -282,8 +281,6 @@ def newton_batch(
     active = np.arange(len(seeds))
     last = np.full((2, len(seeds)), np.nan)
     for _ in range(NEWTON_MAX_ITER):
-        if len(equations) == 1:
-            active = active[rnorm[active] > residual]
         if not active.size:
             break
         a1, a2, ra = u1[active], u2[active], rnorm[active]
@@ -328,7 +325,7 @@ def newton_batch(
         )
         for p1, p2 in absorb:
             stop |= (x1 - p1) ** 2 + (x2 - p2) ** 2 <= DEDUP_RADIUS**2
-        small_resid = rnorm[index] <= residual
+        small_resid = rnorm[index] <= NEWTON_RESIDUAL
         if len(equations) == 3:
             stop |= ~small_resid & (rnorm[index] > 0.9 * ra)
         small_step = np.maximum(np.abs(s1), np.abs(s2)) <= 1e3 * STEP_TOL
@@ -339,7 +336,7 @@ def newton_batch(
             # each live run's last full step, NaN after any other step
             full = t[live] == 1.0
             last = np.where(full, s1[live], np.nan), np.where(full, s2[live], np.nan)
-    converged = ~stopped & (rnorm <= residual)
+    converged = ~stopped & (rnorm <= NEWTON_RESIDUAL)
     return np.stack([u1, u2], axis=-1), rnorm, converged
 
 
@@ -398,8 +395,8 @@ def sample_singular_set(f: PlaneMapGerm, box: BoxDomain) -> list[CurveSample]:
     nudged to the positive side for sign bookkeeping, which keeps
     crossings on the correct edges without moving them (interpolation
     still lands on the node).  Each crossing then moves onto lambda = 0
-    by minimum-norm Newton steps until |lambda| is at most
-    NEWTON_RESIDUAL times the largest |lambda| on the grid.  Curves come
+    by minimum-norm newton_batch steps until the step is below STEP_TOL
+    or no step lowers |lambda|, to working precision.  Curves come
     back ordered deterministically, with grid edges ordered by their
     first node (i, j), the edge along u1 first: open chains first, each
     from its smaller end edge, then loops, each from its smallest edge
@@ -410,14 +407,13 @@ def sample_singular_set(f: PlaneMapGerm, box: BoxDomain) -> list[CurveSample]:
 
 def _zero_set(lam: Poly2, vals: np.ndarray, box: BoxDomain) -> list[CurveSample]:
     """The curves of lam = 0 in the box, as sample_singular_set describes,
-    marched over vals, the node values of lam on the box grid.  Where lam
-    is zero at every node the whole box is singular, and no curve is
-    reported."""
+    marched over vals, the node values of lam on the box grid; no grid
+    scale enters the sharpening.  Where lam is zero at every node the
+    whole box is singular, and no curve is reported."""
     segments, x, y = _march(lam, *box.axes(), vals)
     if not len(segments):
         return []
-    scale = float(np.max(np.abs(vals)))
-    u, r, _ = newton_batch((lam,), np.stack([x, y], axis=1), box, NEWTON_RESIDUAL * scale)
+    u, r, _ = newton_batch((lam,), np.stack([x, y], axis=1), box)
     x, y, r = u[:, 0].tolist(), u[:, 1].tolist(), r.tolist()
     chains = _link_curves(segments, len(x))
     curves = [_build_curve(chain, closed, x, y, r) for chain, closed in chains]

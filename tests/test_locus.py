@@ -12,6 +12,7 @@ from planesing.conslaw import (
     builtin_problem,
     characteristic_map,
     first_singularity,
+    lips_birth_frames,
 )
 from planesing.germs import (
     BEAKS,
@@ -115,6 +116,24 @@ def test_vertex_residuals_are_certified():
             for v, r in zip(curve.vertices, curve.residuals):
                 assert r <= 1e-10 * max(grid_scale, 1e-300)
                 assert abs(lam(v)) == pytest.approx(r, abs=1e-16)
+
+
+@pytest.mark.parametrize("grid", [64, 512])
+def test_traced_vertices_lie_on_lambda_to_working_precision(grid):
+    # every crossing is sharpened until its step is below STEP_TOL or no
+    # step lowers |lambda|, however small |lambda| is against the grid
+    box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (grid, grid))
+    traced = []
+    for name in ("cusp", "beaks", "swallowtail"):
+        g = builtin_germ(name)
+        traced.append((name, g.discriminant_poly(), sample_singular_set(g, box)))
+    prob = builtin_problem("burgers-lips")
+    frame = lips_birth_frames(prob, 1.0, [0.9, 1.1], box)[1]
+    traced.append(("burgers-lips 1.1", 1.0 + frame.time * prob.trace_poly, frame.curves))
+    for name, lam, curves in traced:
+        v = np.concatenate([c.vertices for c in curves])
+        scale = np.abs(box.grid_values(lam, "discriminant")).max()
+        assert np.abs(lam(v.T)).max() <= 1e-14 * scale, name
 
 
 def test_lips_has_empty_curve_list_but_a_degenerate_point():
@@ -661,7 +680,15 @@ def _solve2_reference(a11, a12, a21, a22, b1, b2):
 
 
 def _step_reference(rows, f):
-    # Newton's step for two equations, Gauss-Newton's for three
+    # the minimum-norm step for one equation, Newton's for two,
+    # Gauss-Newton's for three
+    if len(f) == 1:
+        ((g1, g2),) = rows
+        g = g1 * g1 + g2 * g2
+        if g == 0.0:
+            return None
+        s1, s2 = -f[0] * g1 / g, -f[0] * g2 / g
+        return (s1, s2) if math.isfinite(s1) and math.isfinite(s2) else None
     if len(f) == 2:
         (a11, a12), (a21, a22) = rows
         return _solve2_reference(a11, a12, a21, a22, -f[0], -f[1])
@@ -778,35 +805,16 @@ def test_newton_batch_matches_scalar_loop(name, max_iter, monkeypatch):
     assert max(it for it, _ in stopped["cusp"] | stopped["absorbed"]) <= 12
 
 
-def _sharpen_reference(lam, pt, resid_bound, max_iter):
-    # the scalar loop that sample_singular_set ran on each vertex, with
-    # the step halved at most eight times (down to t = 1/128)
-    lam1, lam2 = lam.partial(1), lam.partial(2)
-    x, y = pt
-    r = lam((x, y))
-    for _ in range(max_iter):
-        if abs(r) <= resid_bound:
-            break
-        gx, gy = lam1((x, y)), lam2((x, y))
-        g2 = gx * gx + gy * gy
-        if g2 <= 1e-300:
-            break
-        t = 1.0
-        for _ in range(8):
-            cx, cy = x - t * r * gx / g2, y - t * r * gy / g2
-            rc = lam((cx, cy))
-            if abs(rc) <= abs(r):
-                x, y, r = cx, cy, rc
-                break
-            t *= 0.5
-        else:
-            break
-    return float(x), float(y), float(r)
+def _sharpen_reference(lam, pt, box, max_iter):
+    # the scalar loop that _zero_set runs on each crossing: the one stop
+    # rule of every system, with no bound of its own on |lambda|
+    x, rnorm, _, _ = _newton_reference((lam,), pt, box, max_iter=max_iter)
+    return x[0], x[1], rnorm
 
 
-def _sharpen(lam, pts, resid_bound, box):
+def _sharpen(lam, pts, box):
     # the one-equation newton_batch call of sample_singular_set
-    return newton_batch((lam,), pts, box, resid_bound)
+    return newton_batch((lam,), pts, box)
 
 
 def _first_shock_discriminant(rng):
@@ -850,15 +858,13 @@ def test_sharpen_matches_scalar_loop(rng, name, monkeypatch):
                     if k < len(xs) and m < len(ys) and (vals[i, j] >= 0.0) != (vals[k, m] >= 0.0):
                         ends = (xs[i], ys[j]), (xs[k], ys[m])
                         pts.append(_edge_crossing_reference(*ends, vals[i, j], vals[k, m]))
-        resid_bound = NEWTON_RESIDUAL * float(np.max(np.abs(vals)))
         pts = np.array(pts)
         for max_iter in (NEWTON_MAX_ITER, 2):
             monkeypatch.setattr(locus, "NEWTON_MAX_ITER", max_iter)
-            x, r, _ = _sharpen(lam, pts, resid_bound, box)
+            x, r, _ = _sharpen(lam, pts, box)
             for k, pt in enumerate(pts):
-                a, b, want = _sharpen_reference(lam, tuple(pt), resid_bound, max_iter)
-                got = np.array([x[k, 0], x[k, 1], r[k]])
-                assert got.tobytes() == np.array([a, b, abs(want)]).tobytes()
+                want = _sharpen_reference(lam, tuple(pt), box, max_iter)
+                assert np.array([x[k, 0], x[k, 1], r[k]]).tobytes() == np.array(want).tobytes()
 
 
 # The per-cell marching loop that sample_singular_set ran before _march,
@@ -1026,7 +1032,7 @@ def _marching_cases(rng):
         "saddle 10 center-": _saddle_map(0.03, 0.05, -1.0),
         # on the 16x16 grid the center of the saddle cell is a root
         "saddle 5 center 0": _saddle_map(0.0625, 0.05, 1.0),
-        # |lambda| <= 4e-320, so the sharpening bound underflows to zero
+        # |lambda| <= 4e-320 on the box: subnormal values and steps
         "underflow": PlaneMapGerm(parse_map("(1e-160*u, 1e-160*(v^3+u*v))")),
     }
 
@@ -1063,15 +1069,14 @@ def test_march_matches_per_cell_loop(rng, box):
         curves = sample_singular_set(germ, box)
         want = []
         if want_segments:
-            bound = NEWTON_RESIDUAL * float(np.max(np.abs(vals)))
             sharp = {
-                key: _sharpen_reference(lam, pt, bound, NEWTON_MAX_ITER)
+                key: _sharpen_reference(lam, pt, box, NEWTON_MAX_ITER)
                 for key, pt in crossings.items()
             }
             want = _link_curves_reference(
                 want_segments,
                 {key: (x, y) for key, (x, y, _) in sharp.items()},
-                {key: abs(r) for key, (_, _, r) in sharp.items()},
+                {key: r for key, (_, _, r) in sharp.items()},
             )
         assert [_curve_bits(c) for c in curves] == [_curve_bits(c) for c in want], name
         if name == "zero nodes":

@@ -31,16 +31,19 @@ A germ recentres its two components at its base point once, to order
 component's scale, their values with each row divided by that scale,
 and the rank of that matrix.  Every local quantity comes from it:
 rank_df is its rank, null_field's row choice reads its matrix, eta is
-one row of the jets, and lambda is their determinant.
+one row of the jets, and lambda is their determinant.  The rank comes
+from the matrix's two singular values in closed form (_singular_values),
+and conjugate_by_diffeos judges the linear part of each coordinate
+change by the same closed form, so no LAPACK routine runs here.
 
 classify and conjugate_by_diffeos run on the raw coefficient tables of
 these jets, with the table kernel of the jets module.  Each quantity
 they name (the Jacobian, the discriminant jet, the Hessian of lambda,
-the det Hess lambda jet, each eta^k lambda jet) is checked finite once,
-and an overflow anywhere in its computation is reported under that
-name (poly.naming_overflow); the only Jet2 classify makes is the
-lambda jet it reports.  discriminant, null_field and eta_derivatives
-wrap the same table helpers in Jet2s.
+the det Hess lambda jet, each eta^k lambda jet, the conjugated germ) is
+checked finite once, and an overflow anywhere in its computation is
+reported under that name (poly.naming_overflow); the only Jet2 classify
+makes is the lambda jet it reports.  discriminant, null_field and
+eta_derivatives wrap the same table helpers in Jet2s.
 """
 
 from __future__ import annotations
@@ -224,7 +227,9 @@ class PlaneMapGerm:
 
     def _local_jacobian(self) -> "_LocalJacobian":
         """The record of df at the base point, built on first use from the
-        components recentred to order 7; InvalidSpec if that overflows."""
+        components recentred to order 7; InvalidSpec if that overflows.
+        The rank is read off the closed-form singular values of the scaled
+        matrix, whose entries are at most 1 in magnitude."""
         if self._local is None:
             with naming_overflow("the Jacobian", f"at {self.base_point}"):
                 comps = _taylor(self.components, self.base_point, 7)
@@ -234,8 +239,8 @@ class PlaneMapGerm:
             # a row whose scale is 0 is zero, and stays so
             scaled = tables[:, :, 0, 0] / [[s or 1.0] for s in scales]
             scaled.setflags(write=False)
-            sv = np.linalg.svd(scaled, compute_uv=False)
-            rank = 0 if sv[0] <= RANK_THRESHOLD else 1 if sv[1] <= RANK_THRESHOLD * sv[0] else 2
+            s1, s2 = _singular_values(scaled)
+            rank = 0 if s1 <= RANK_THRESHOLD else 1 if s2 <= RANK_THRESHOLD * s1 else 2
             jets = tuple(tuple(Jet2._of(self.base_point, t, 6) for t in row) for row in tables)
             self._local = _LocalJacobian(jets, scales, scaled, rank)
         return self._local
@@ -262,10 +267,21 @@ class PlaneMapGerm:
         return f"PlaneMapGerm({self.components[0]!r}, {self.components[1]!r}, base={self.base_point!r})"
 
 
+def _singular_values(m) -> tuple[float, float]:
+    """The singular values s1 >= s2 of the 2x2 matrix m = [[a, b], [c, d]],
+    in closed form: s1 = (hypot(a+d, c-b) + hypot(a-d, c+b)) / 2, the
+    larger semi-axis of the image of the unit circle, and
+    s2 = |ad - bc| / s1, or 0 when s1 is 0."""
+    (a, b), (c, d) = m.tolist()
+    s1 = 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, c + b))
+    return s1, (abs(a * d - b * c) / s1 if s1 else 0.0)
+
+
 class _LocalJacobian(NamedTuple):
     """df at a germ's base point: the order-6 jets ((P_u1, P_u2), (Q_u1, Q_u2)),
     each component's scale, the jets' values with each row divided by its
-    scale (which scaling P or Q alone leaves as they are), and their rank."""
+    scale (which scaling P or Q alone leaves as they are), and the rank of
+    that scaled matrix, from its two singular values (_singular_values)."""
 
     jets: tuple[tuple[Jet2, Jet2], tuple[Jet2, Jet2]]
     scales: tuple[float, float]
@@ -311,10 +327,11 @@ def discriminant(f: PlaneMapGerm) -> Jet2:
 
 
 def rank_df(f: PlaneMapGerm) -> int:
-    """Numerical rank of df: 0 when the largest singular value of the
+    """Numerical rank of df: 0 when the larger singular value of the
     scaled Jacobian is at most RANK_THRESHOLD, 1 when the smaller one is
     at most RANK_THRESHOLD times the larger, and 2 otherwise; the germ
-    decides it once."""
+    finds both singular values once, in closed form (_singular_values),
+    and decides it then."""
     return f._local_jacobian().rank
 
 
@@ -571,8 +588,12 @@ def conjugate_by_diffeos(f: PlaneMapGerm, source, target) -> PlaneMapGerm:
     source is a pair of Poly2s fixing the germ's base point; target is
     one fixing the origin of the translated target plane (the germ's
     value is subtracted before target applies, so classification data
-    is unaffected).  Both must have invertible linear parts at their
-    base points.  A component that is not a Poly2 raises InvalidSpec.
+    is unaffected).  Both must have invertible linear parts L at their
+    base points, else NotADiffeomorphism: L is singular when
+    |det L| <= 1e-8 max|L|^2, judged on L / max|L| so that no scale of L
+    overflows or underflows the test.  A component that is not a Poly2
+    raises InvalidSpec, and so does a conjugate that overflows, as "the
+    conjugated germ overflows at <base point>".
     """
     p = f.base_point
     s = _taylor(_poly_pair(source, "source"), p, CONJUGATE_ORDER)
@@ -584,14 +605,18 @@ def conjugate_by_diffeos(f: PlaneMapGerm, source, target) -> PlaneMapGerm:
         raise NotADiffeomorphism(f"target map sends the origin to {tv}")
     for name, tables in (("source", s), ("target", t)):
         L = tables[:, (1, 0), (0, 1)]  # row k: the first partials of component k
-        if abs(np.linalg.det(L)) <= 1e-8 * np.max(np.abs(L)) ** 2:
+        m = float(np.abs(L).max())
+        # |det L| <= 1e-8 max|L|^2 on L / max|L|, whose entries are at most 1:
+        # there the product of the singular values is |det| and cannot overflow
+        if m == 0.0 or math.prod(_singular_values(L / m)) <= 1e-8:
             raise NotADiffeomorphism(f"{name} map has a singular linear part")
 
-    # _compose drops the constant terms of its inner tables, which
-    # recentres the middle germ at the origin of the target's plane
-    mid = finite(_compose(_taylor(f.components, p, CONJUGATE_ORDER), s, CONJUGATE_ORDER))
-    out = finite(_compose(t, mid, CONJUGATE_ORDER))
-    return PlaneMapGerm.from_jets(*(Jet2._of(p, c, CONJUGATE_ORDER) for c in out))
+    with naming_overflow("the conjugated germ", f"at {p}"):
+        # _compose drops the constant terms of its inner tables, which
+        # recentres the middle germ at the origin of the target's plane
+        mid = finite(_compose(_taylor(f.components, p, CONJUGATE_ORDER), s, CONJUGATE_ORDER))
+        out = finite(_compose(t, mid, CONJUGATE_ORDER))
+        return PlaneMapGerm.from_jets(*(Jet2._of(p, c, CONJUGATE_ORDER) for c in out))
 
 
 #: The normal forms of the recognized classes, as {(i, j): c} dicts of

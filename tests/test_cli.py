@@ -7,13 +7,16 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from planesing import cli
 from planesing.cli import main
 from planesing.conslaw import MAX_FRAMES, MAX_VELOCITY_DEGREE, builtin_problem
+from planesing.germs import builtin_germ, conjugate_by_diffeos
 from planesing.locus import MAX_GRID
-from planesing.poly import MAX_INPUT_DEGREE
+from planesing.poly import MAX_INPUT_DEGREE, poly_to_spec
+from test_locus import POOL_ENTROPY, _origin_diffeo
 
 
 def run(args):
@@ -770,6 +773,48 @@ def test_map_file_at_another_point_matches_the_inline_map(tmp_path, capsys):
     assert lines[0] == lines[1] == "class=Fold at (-0.75, 0.5)\n"
     report = (tmp_path / "file" / "report.json").read_bytes()
     assert report == (tmp_path / "inline" / "report.json").read_bytes()
+
+
+class _NoLapack:
+    """Stands in for numpy.linalg's LAPACK gufunc module: every use raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"LAPACK was called: numpy.linalg {name}")
+
+
+def test_no_lapack_call_in_classify_trace_or_conslaw(tmp_path, monkeypatch):
+    # the pool diffeos of entry 0 are drawn, with np.linalg.det, first
+    rng = np.random.default_rng(np.random.SeedSequence([POOL_ENTROPY, 0]))
+    diffeos = (_origin_diffeo(rng), _origin_diffeo(rng))
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("a LAPACK-backed numpy.linalg function was called")
+
+    for name in ("cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+                 "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd", "svdvals",
+                 "tensorinv", "tensorsolve"):
+        if hasattr(np.linalg, name):
+            monkeypatch.setattr(np.linalg, name, lapack)
+    # and the gufuncs behind every one of them, for calls from inside numpy
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(impl, "_umath_linalg", _NoLapack())
+    with pytest.raises(AssertionError, match="LAPACK"):
+        np.linalg.norm(np.eye(2), 2)
+
+    for name, expected in (("immersion", "Immersion"), ("fold", "Fold"), ("cusp", "Cusp"),
+                           ("lips", "Lips"), ("beaks", "Beaks"), ("swallowtail", "Swallowtail")):
+        germ = conjugate_by_diffeos(builtin_germ(name), *diffeos)
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"components": [poly_to_spec(c) for c in germ.components]}))
+        assert run(["classify", str(spec), "--out", str(tmp_path / name)]) == 0
+        assert json.loads((tmp_path / name / "report.json").read_text())["class"] == expected
+    assert run(["classify", "--builtin", "ruling", "--curve", "t,t^3+t^2",
+                "--at=-0.3333333333333333", "--out", str(tmp_path / "ruling")]) == 0
+    assert json.loads((tmp_path / "ruling" / "report.json").read_text())["class"] == "Beaks"
+    assert run(["trace", "--builtin", "swallowtail", "--grid", "32,32", "--format", "json,csv,svg",
+                "--out", str(tmp_path / "trace")]) == 0
+    assert run(["conslaw", "--builtin", "burgers-lips", "--time", "0.9,1.1",
+                "--format", "json,csv,svg", "--out", str(tmp_path / "conslaw")]) == 0
 
 
 def test_console_script_entry_point(tmp_path):

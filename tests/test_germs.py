@@ -1,5 +1,7 @@
 """Recognition of the normal-form catalog and its coordinate invariance."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from planesing.germs import (
     FOLD,
     IMMERSION,
     LIPS,
+    RANK_THRESHOLD,
     SWALLOWTAIL,
     UNRECOGNIZED,
     ClassificationReport,
@@ -19,6 +22,7 @@ from planesing.germs import (
     NotADiffeomorphism,
     PlaneMapGerm,
     ToleranceConfig,
+    _singular_values,
     builtin_germ,
     classify,
     conjugate_by_diffeos,
@@ -352,6 +356,69 @@ def test_degenerate_linear_part_rejected():
         conjugate_by_diffeos(builtin_germ("fold"), bad, ident)
     with pytest.raises(NotADiffeomorphism):
         conjugate_by_diffeos(builtin_germ("fold"), ident, tuple(c * 1e-5 for c in bad))
+
+
+@pytest.mark.parametrize("k", [1e160, 1e200, 1e-200])
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_linear_parts_are_judged_at_their_own_scale(k, side):
+    # an invertible k*identity is a change of coordinates however large or
+    # small k is, and a singular part scaled by 1e160 is still singular;
+    # neither test overflows or warns
+    u, v = Poly2.variable(1), Poly2.variable(2)
+    ident = (u, v)
+    scaled = (u * k, v * k)
+    singular = (Poly2({(1, 0): 1e160, (0, 1): 1e160}), Poly2({(1, 0): 1e160, (0, 1): 1e160}))
+    order = (lambda x: (x, ident)) if side == "source" else (lambda x: (ident, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            conjugate_by_diffeos(builtin_germ("cusp"), *order(scaled))
+        except InvalidSpec as exc:  # the conjugate may overflow, but is named
+            assert not isinstance(exc, NotADiffeomorphism)
+            assert str(exc) == "the conjugated germ overflows at (0.0, 0.0)"
+        with pytest.raises(NotADiffeomorphism, match=f"^{side} map has a singular linear part$"):
+            conjugate_by_diffeos(builtin_germ("cusp"), *order(singular))
+
+
+def test_a_conjugation_that_overflows_is_named():
+    u, v = Poly2.variable(1), Poly2.variable(2)
+    with pytest.raises(InvalidSpec, match=r"^the conjugated germ overflows at \(0\.0, 0\.0\)$"):
+        conjugate_by_diffeos(builtin_germ("swallowtail"), (u * 1e80, v * 1e80), (u, v))
+    # off the origin the germ's recentred tables, and the conjugate shifted
+    # back from them, may overflow as well
+    g = PlaneMapGerm((Poly2({(4, 0): 1e306, (1, 0): 1.0}), v), (3.0, 3.0))
+    with pytest.raises(InvalidSpec, match=r"^the conjugated germ overflows at \(3\.0, 3\.0\)$"):
+        conjugate_by_diffeos(g, (u, v), (u, v))
+
+
+def _singular_value_matrices(rng):
+    # random matrices, rank-one matrices with s2/s1 from 1e-12 to 1e-4, a
+    # zero row, and each of them scaled by 1e150 and 1e-150
+    out = list(rng.uniform(-1.0, 1.0, (200, 2, 2)))
+    for ratio in np.logspace(-12, -4, 81):
+        x, y = rng.normal(size=(2, 2))
+        rot = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        out.append(np.outer(x, y) + ratio * np.linalg.norm(x) * np.linalg.norm(y) * rot)
+    out += [np.array([[0.0, 0.0], [0.3, -0.7]]), np.array([[0.4, 0.2], [0.0, 0.0]])]
+    out.append(np.zeros((2, 2)))
+    return out + [m * s for s in (1e150, 1e-150) for m in out]
+
+
+def test_closed_form_singular_values_match_lapack(rng):
+    def rank(s1, s2):
+        return 0 if s1 <= RANK_THRESHOLD else 1 if s2 <= RANK_THRESHOLD * s1 else 2
+
+    def near(x, threshold):
+        return abs(x - threshold) <= 1e-12 * threshold
+
+    for m in _singular_value_matrices(rng):
+        s1, s2 = _singular_values(m)
+        want = np.linalg.svd(m, compute_uv=False)
+        # LAPACK's own values stray from the exact ones by up to about 5 ulps
+        ulp = np.spacing(want[0]) if want[0] else 0.0
+        assert abs(s1 - want[0]) <= 8 * ulp and abs(s2 - want[1]) <= 8 * ulp, m
+        if not (near(want[0], RANK_THRESHOLD) or near(want[1], RANK_THRESHOLD * want[0])):
+            assert rank(s1, s2) == rank(*want), m
 
 
 def test_small_invertible_linear_parts_are_diffeomorphisms():
@@ -789,14 +856,14 @@ def test_jacobian_jets_are_built_once_per_germ(rng, monkeypatch):
 
 
 def test_classify_rank_df_and_null_field_share_one_svd(monkeypatch):
-    svd = np.linalg.svd
+    # the germ finds the singular values of its scaled df once
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return svd(*args, **kwargs)
+        return _singular_values(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr("planesing.germs._singular_values", counted)
     g = builtin_germ("cusp")
     assert classify(g).singularity_class == CUSP
     assert rank_df(g) == 1

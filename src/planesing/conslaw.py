@@ -111,7 +111,8 @@ class ConsLawProblem:
             raise InvalidSpec("flux components must be one-variable polynomials")
         if not isinstance(self.phi, Poly2):
             raise InvalidSpec("initial profile must be a two-variable polynomial")
-        degree = max(self.f1.derivative().degree(), self.f2.derivative().degree())
+        with naming_overflow("the flux derivative", "in its coefficients"):
+            degree = max(self.f1.derivative().degree(), self.f2.derivative().degree())
         degree *= self.phi.degree()
         if degree > MAX_VELOCITY_DEGREE:
             raise InvalidSpec(
@@ -140,14 +141,16 @@ class ConsLawProblem:
     @cached_property
     def velocity_polys(self) -> tuple[Poly2, Poly2]:
         """The characteristic velocity (f1'(phi), f2'(phi)) as exact polynomials."""
-        return tuple(f.derivative().compose2(self.phi) for f in (self.f1, self.f2))
+        with naming_overflow("the characteristic velocity", "in its coefficients"):
+            return tuple(f.derivative().compose2(self.phi) for f in (self.f1, self.f2))
 
     @cached_property
     def trace_poly(self) -> Poly2:
         """trace C as an exact polynomial: the divergence of velocity_polys,
         which equals f1''(phi) phi_1 + f2''(phi) phi_2."""
         v1, v2 = self.velocity_polys
-        return v1.partial(1) + v2.partial(2)
+        with naming_overflow("trace C", "in its coefficients"):
+            return v1.partial(1) + v2.partial(2)
 
 
 @dataclass(frozen=True)

@@ -630,7 +630,8 @@ def ruling_map(curve, t0: float = 0.0) -> PlaneMapGerm:
     """
     a, b = _poly_pair(curve, "a ruling curve", Poly1)
     t0 = as_real(t0, "t0")
-    da, db = a.derivative(), b.derivative()
+    with naming_overflow("the curve velocity", "in its coefficients"):
+        da, db = a.derivative(), b.derivative()
     speed = math.hypot(da(t0), db(t0))
     if not math.isfinite(speed):
         raise InvalidSpec(f"curve velocity overflows at t0={t0}")

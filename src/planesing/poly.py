@@ -265,14 +265,30 @@ def _pascal(n: int) -> tuple[np.ndarray, np.ndarray]:
     return comb, gap
 
 
-def _binomial(d: float, n: int) -> np.ndarray:
-    """B[a, i] = C(i, a) d**(i - a), n x n.
+def _binomial(d: float, n: int, rows: int | None = None) -> np.ndarray:
+    """B[a, i] = C(i, a) d**(i - a) for i < n and the first rows a (all n by default).
 
-    B @ c holds the coefficients in w of sum_i c_i (d + w)**i.
+    Row a of B, summed against c, is the coefficient of w**a in
+    sum_i c_i (d + w)**i.  The powers of d are running products, since
+    NumPy's float power rounds differently on CPUs with AVX-512.
     """
     comb, gap = _pascal(n)
+    powers = np.full(n, d)
+    powers[0] = 1.0
     with _overflow_raises_later():
-        return comb * d**gap
+        return comb[:rows] * np.multiply.accumulate(powers)[gap[:rows]]
+
+
+def _contract(b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_i b[a, i] t[i, j] at every (a, j), summed in ascending i from +0.0.
+
+    Elementwise products and a running sum, with no BLAS call, so each
+    entry's bits depend on IEEE multiply and add alone: on neither the
+    CPU's BLAS kernel nor which other entries are formed.  The last
+    partial sum plus +0.0 is the sum from +0.0; np.add.reduce would not
+    do, since it sums pairwise when it forms a single entry.
+    """
+    return np.add.accumulate(b.T[:, :, None] * t[:, None, :])[-1] + 0.0
 
 
 class Poly1:
@@ -515,32 +531,37 @@ class Poly2:
 
     __rmul__ = __mul__
 
-    def _shifted_table(self, base) -> np.ndarray:
+    def _shifted_table(self, base, rows: int | None = None) -> np.ndarray:
+        """The table of p(base + w), or its first rows rows and columns:
+        B(d1) T B(d2)^T, contracted over T's rows and then its columns."""
         t = self.table
         d1, d2 = float(base[0]), float(base[1])
         if d1 == 0.0 and d2 == 0.0:
-            # the binomial matrices are the identity, and a product of
-            # them sums each entry with zeros from +0.0: the entry itself,
-            # with -0.0 turned to +0.0
+            # the binomial matrices are the identity, and each sum adds the
+            # entry to zeros from +0.0: the entry itself, with -0.0 turned
+            # to +0.0
             return t + 0.0
-        b1, b2 = _binomial(d1, t.shape[0]), _binomial(d2, t.shape[1])
+        b1, b2 = _binomial(d1, t.shape[0], rows), _binomial(d2, t.shape[1], rows)
         with _overflow_raises_later():
-            return b1 @ t @ b2.T
+            return _contract(b2, _contract(b1, t).T).T
 
     def shift(self, base) -> "Poly2":
         """Rewrite p(u) as a polynomial in (u - base), exactly.
 
-        The returned poly q satisfies q(w) = p(base + w) for all w.
+        The returned poly q satisfies q(w) = p(base + w) for all w.  Each
+        coefficient of q is summed in one fixed order (poly._contract),
+        so its bits are the same on every CPU.
         """
         return Poly2._of(self._shifted_table(base))
 
     def recentered_coeffs(self, base, order: int) -> np.ndarray:
         """Taylor coefficient table at ``base``, truncated at total order.
 
-        The whole shifted table is computed before truncating, so every
-        order gives the same bits for the coefficients it keeps.
+        Only the orders through ``order`` along each axis are formed.
+        Each coefficient is summed in the fixed order of shift, whatever
+        else is formed, so it has the bits of shift's at every order.
         """
-        return order_cut(self._shifted_table(base), order)
+        return order_cut(self._shifted_table(base, order + 1), order)
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.table)))

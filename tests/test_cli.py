@@ -538,6 +538,43 @@ def test_a_derived_quantity_that_overflows_is_named(tmp_path, capsys, args, quan
     assert err == f"planesing: {quantity} overflows {where}\n"
 
 
+def _flux_problem(tmp_path, f1, phi):
+    """A problem file with flux (f1, 0) and profile phi, each given as {exponents: c}."""
+    prob = tmp_path / "P.json"
+    prob.write_text(json.dumps({
+        "f1": {"vars": 1, "terms": [{"c": c, "e": [k]} for k, c in f1.items()]},
+        "f2": {"vars": 1, "terms": []},
+        "phi": {"vars": 2, "terms": [{"c": c, "e": list(e)} for e, c in phi.items()]},
+    }))
+    return str(prob)
+
+
+@pytest.mark.parametrize(
+    "f1, phi, quantity",
+    [
+        # f1' = 2e308 y
+        ({2: 1e308}, {(1, 0): 1.0}, "the flux derivative"),
+        # f1'(phi) = 3e400 u1^2
+        ({3: 1.0}, {(1, 0): 1e200}, "the characteristic velocity"),
+        # f1'(phi) = 1e308 u1^2 is finite, its partial 2e308 u1 is not
+        ({2: 1.0}, {(2, 0): 5e307}, "trace C"),
+    ],
+    ids=["flux-derivative", "velocity", "trace"],
+)
+def test_a_derived_flux_polynomial_that_overflows_is_named(tmp_path, capsys, f1, phi, quantity):
+    args = ["conslaw", _flux_problem(tmp_path, f1, phi)]
+    err = _exits_64_with(args, tmp_path, capsys)
+    assert err == f"planesing: {quantity} overflows in its coefficients\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "trace"])
+def test_a_ruling_velocity_that_overflows_is_named(tmp_path, capsys, command):
+    # the curve's coefficients are finite, its velocity's 2e308 t is not
+    args = [command, "--builtin", "ruling", "--curve", "1e308*t^2+t,t^3"]
+    err = _exits_64_with(args, tmp_path, capsys)
+    assert err == "planesing: the curve velocity overflows in its coefficients\n"
+
+
 def test_critical_values_that_overflow_exit_64_before_any_file(tmp_path, capsys):
     # lambda = -2v is finite, but P = 1e306 u^5 + v^2 at the vertex (4, 0) is not
     args = ["trace", "--map", "(1e306*u^5+v^2, u)", "--box=-4,-4,4,4", "--grid", "8,8",

@@ -300,11 +300,16 @@ def test_random_conjugation_suite(rng):
             assert classify(h).singularity_class == expected, name
 
 
-def _binomial_shifted_table(self, base):
-    """Poly2's shift as the two binomial products, even for a zero shift."""
+def _binomial_shifted_table(self, base, rows=None):
+    """Poly2's shift as the two binomial products, even for a zero shift,
+    each entry summed in ascending order from +0.0: outer products added
+    by Python's sum, the whole table whatever rows asks for."""
     t = self.table
+    b1, b2 = _binomial(float(base[0]), t.shape[0]), _binomial(float(base[1]), t.shape[1])
+    zero = np.zeros((t.shape[0], t.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _binomial(float(base[0]), t.shape[0]) @ t @ _binomial(float(base[1]), t.shape[1]).T
+        m = sum((np.outer(b1[:, i], t[i]) for i in range(t.shape[0])), zero)
+        return sum((np.outer(m[:, j], b2[:, j]) for j in range(t.shape[1])), zero)
 
 
 def _conjugate_reference(f, source, target):

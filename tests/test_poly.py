@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 from collections.abc import Mapping
@@ -766,6 +769,121 @@ def test_zero_shift_matches_the_binomial_product_bit_for_bit(rng):
             cut = np.where(np.add.outer(range(order + 1), range(order + 1)) <= order,
                            full[: order + 1, : order + 1], 0.0)
             assert p.recentered_coeffs(base, order).tobytes() == cut.tobytes()
+
+
+def running_binomial(d: float, n: int) -> list[list[float]]:
+    """B[a][i] = C(i, a) d**(i - a), each power of d a running product."""
+    powers = [1.0]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * d)
+    return [[math.comb(i, a) * powers[i - a] if i >= a else 0.0 for i in range(n)]
+            for a in range(n)]
+
+
+def fixed_order_shift(t: np.ndarray, base) -> np.ndarray:
+    """The table of p(base + w) by plain float loops: each M[a, j] sums
+    B1[a, i] T[i, j] in ascending i from 0.0, then each entry sums
+    M[a, j] B2[b, j] in ascending j from 0.0."""
+    rows, cols = t.shape
+    b1 = running_binomial(float(base[0]), rows)
+    b2 = running_binomial(float(base[1]), cols)
+    t = t.tolist()
+    m = [[0.0] * cols for _ in range(rows)]
+    for a in range(rows):
+        for j in range(cols):
+            s = 0.0
+            for i in range(rows):
+                s += b1[a][i] * t[i][j]
+            m[a][j] = s
+    out = [[0.0] * cols for _ in range(rows)]
+    for a in range(rows):
+        for b in range(cols):
+            s = 0.0
+            for j in range(cols):
+                s += m[a][j] * b2[b][j]
+            out[a][b] = s
+    return np.array(out)
+
+
+def _padded_cut(table: np.ndarray, order: int) -> np.ndarray:
+    """table's entries of total order at most order, in an (order+1)-square of +0.0."""
+    full = np.zeros((max(order + 1, table.shape[0]), max(order + 1, table.shape[1])))
+    full[: table.shape[0], : table.shape[1]] = table
+    kept = np.add.outer(range(order + 1), range(order + 1)) <= order
+    return np.where(kept, full[: order + 1, : order + 1], 0.0)
+
+
+def _random_shift_cases(rng, count):
+    """Random tables, tall, wide and square up to degree 16, each with a
+    random nonzero base; a column of 8 or more rows summed into one entry
+    is where a pairwise sum would part from the ascending one."""
+    shapes = [(12, 1), (1, 12), (17, 17), (9, 2)]
+    shapes += [tuple(rng.integers(1, 18, 2)) for _ in range(count - len(shapes))]
+    for shape in shapes:
+        t = rng.uniform(-2.0, 2.0, shape) * 10.0 ** rng.integers(-6, 7, shape)
+        t[rng.random(shape) < 0.2] = 0.0
+        t[-1, 0] = t[0, -1] = 1.0
+        yield Poly2._of(t), t, rng.uniform(-1.5, 1.5, 2) * 10.0 ** rng.integers(-3, 2, 2)
+
+
+def test_shift_sums_in_one_fixed_order(rng):
+    for p, t, base in _random_shift_cases(rng, 60):
+        want = fixed_order_shift(t, base)
+        got = p.shift(base).table
+        # the trimmed rows and columns hold +0.0, as every sum from +0.0 does
+        padded = np.zeros(want.shape)
+        padded[: got.shape[0], : got.shape[1]] = got
+        assert padded.tobytes() == want.tobytes()
+        for order in (0, 1, 4, 9):
+            assert p.recentered_coeffs(base, order).tobytes() == _padded_cut(want, order).tobytes()
+
+
+def test_recentering_keeps_the_bits_of_the_shift_at_every_order(rng):
+    for p, _, base in _random_shift_cases(rng, 40):
+        full = p.shift(base).table
+        for order in range(10):
+            assert p.recentered_coeffs(base, order).tobytes() == _padded_cut(full, order).tobytes()
+
+
+_RECENTRED_HASH = """
+import hashlib
+import numpy as np
+from planesing.poly import Poly2
+rng = np.random.default_rng(39)
+h = hashlib.sha256()
+for _ in range(40):
+    p = Poly2._of(rng.uniform(-1.0, 1.0, tuple(rng.integers(2, 18, 2))))
+    base = rng.uniform(-1.0, 1.0, 2)
+    h.update(p.shift(base).table.tobytes())
+    for order in range(8):
+        h.update(p.recentered_coeffs(base, order).tobytes())
+print(h.hexdigest())
+"""
+
+
+def _dynamic_openblas() -> bool:
+    """Whether NumPy's BLAS is an OpenBLAS that picks its kernel at run time."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # NumPy before 1.25 only prints its configuration
+        return False
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="NumPy's BLAS is no DYNAMIC_ARCH OpenBLAS")
+def test_recentred_tables_do_not_depend_on_the_openblas_kernel():
+    # Prescott's kernel has no FMA and Haswell's has, so a BLAS product
+    # rounds differently under the two
+    src = os.path.dirname(os.path.dirname(poly.__file__))
+    digests = []
+    for core in ("Prescott", "Haswell"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _RECENTRED_HASH], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_spec_round_trip():

@@ -228,80 +228,39 @@ def xi_closed_form(prob: ConsLawProblem, u) -> tuple[float, float, float]:
     Returns (xi1, xi2, xi3) where xi1, xi2 are the partials of 1/t(u)
     and xi3 = det Hess(1/t).  Since 1/t = -trace C, the gradient is the
     negated gradient of the trace while the Hessian determinant is
-    unaffected by the sign (two dimensions).  Everything is expressed
-    directly in flux derivatives at y = phi(u) and profile derivatives
-    at u, with no composition machinery involved; the independent jet
-    route is xi_autodiff.
+    unaffected by the sign (two dimensions).  Both follow by the chain
+    rule from trace C = sum_i f_i''(phi) phi_i, with the flux derivatives
+    f_i^(m) at y = phi(u) and the profile partials phi_i = d phi / d u_i
+    at u:
+
+        trace_k  = sum_i f_i''' phi_k phi_i + f_i'' phi_ik
+        trace_kl = sum_i f_i'''' phi_k phi_l phi_i
+                         + f_i''' (phi_kl phi_i + phi_k phi_il + phi_l phi_ik)
+                         + f_i'' phi_ikl
+
+    Each product starts at its flux derivative, so a vanishing one drops
+    its term even where the profile factors overflow.  No composition
+    machinery is involved; the independent jet route is xi_autodiff.
     """
     d, flux = _phi_data(prob, u)
-    p1, p2, p11, p12, p22, p111, p112, p122, p222 = d
-    a2, a3, a4, b2, b3, b4 = flux
+    p = d[0:2]
+    pp = ((d[2], d[3]), (d[3], d[4]))
+    ppp = (((d[5], d[6]), (d[6], d[7])), ((d[6], d[7]), (d[7], d[8])))
+    f2, f3, f4 = flux[0::3], flux[1::3], flux[2::3]
 
-    trace_u1 = a3 * p1 * p1 + b3 * p1 * p2 + a2 * p11 + b2 * p12
-    trace_u2 = a3 * p1 * p2 + b3 * p2 * p2 + a2 * p12 + b2 * p22
+    def term_k(k, i):
+        return f3[i] * p[k] * p[i] + f2[i] * pp[i][k]
 
-    # Recurring combinations: S pairs second derivatives of phi with the
-    # squared gradient; T1, T2 do the same with third derivatives.
-    S = p1 * p1 * p22 - 2.0 * p1 * p2 * p12 + p2 * p2 * p11
-    T1 = p1 * p1 * p122 - 2.0 * p1 * p2 * p112 + p2 * p2 * p111
-    T2 = p1 * p1 * p222 - 2.0 * p1 * p2 * p122 + p2 * p2 * p112
+    def term_kl(k, l, i):
+        return (
+            f4[i] * p[k] * p[l] * p[i]
+            + f3[i] * (pp[k][l] * p[i] + p[k] * pp[i][l] + p[l] * pp[i][k])
+            + f2[i] * ppp[i][k][l]
+        )
 
-    xi3 = (
-        a4 * (a3 * p1 * p1 * S + a2 * p1 * T1 + b3 * p1 * p2 * S + b2 * p1 * T2)
-        + b4 * (a3 * p1 * p2 * S + a2 * p2 * T1 + b3 * p2 * p2 * S + b2 * p2 * T2)
-        + a3 * a3 * (
-            p1 * p11 * (3.0 * p1 * p22 + 2.0 * p2 * p12)
-            - 4.0 * p1 * p1 * p12 * p12
-            - p2 * p2 * p11 * p11
-        )
-        + b3 * b3 * (
-            p2 * p22 * (2.0 * p1 * p12 + 3.0 * p2 * p11)
-            - p1 * p1 * p22 * p22
-            - 4.0 * p2 * p2 * p12 * p12
-        )
-        + a3 * b3 * (
-            -2.0 * p1 * p1 * p12 * p22
-            - 4.0 * p1 * p2 * p12 * p12
-            + 8.0 * p1 * p2 * p11 * p22
-            - 2.0 * p2 * p2 * p11 * p12
-        )
-        + a3 * (
-            a2 * (
-                3.0 * p1 * p11 * p122
-                - 4.0 * p1 * p12 * p112
-                - 2.0 * p2 * p11 * p112
-                + p1 * p22 * p111
-                + 2.0 * p2 * p12 * p111
-            )
-            + b2 * (
-                -4.0 * p1 * p12 * p122
-                + 3.0 * p1 * p11 * p222
-                - 2.0 * p2 * p11 * p122
-                + p1 * p22 * p112
-                + 2.0 * p2 * p12 * p112
-            )
-        )
-        + b3 * (
-            a2 * (
-                2.0 * p1 * p12 * p122
-                + p2 * p11 * p122
-                - 2.0 * p1 * p22 * p112
-                - 4.0 * p2 * p12 * p112
-                + 3.0 * p2 * p22 * p111
-            )
-            + b2 * (
-                2.0 * p1 * p12 * p222
-                - 2.0 * p1 * p22 * p122
-                - 4.0 * p2 * p12 * p122
-                + p2 * p11 * p222
-                + 3.0 * p2 * p22 * p112
-            )
-        )
-        + a2 * a2 * (p111 * p122 - p112 * p112)
-        + b2 * b2 * (p112 * p222 - p122 * p122)
-        + a2 * b2 * (p111 * p222 - p112 * p122)
-    )
-    return (-trace_u1, -trace_u2, xi3)
+    t1, t2 = (term_k(k, 0) + term_k(k, 1) for k in (0, 1))
+    t11, t12, t22 = (term_kl(k, l, 0) + term_kl(k, l, 1) for k, l in ((0, 0), (0, 1), (1, 1)))
+    return (-t1, -t2, t11 * t22 - t12 * t12)
 
 
 def xi_autodiff(prob: ConsLawProblem, u) -> tuple[float, float, float]:

@@ -41,8 +41,9 @@ these jets, with the table kernel of the jets module.  Each quantity
 they name (the Jacobian, the discriminant jet, the Hessian of lambda,
 the det Hess lambda jet, each eta^k lambda jet, the conjugated germ) is
 checked finite once, and an overflow anywhere in its computation is
-reported under that name (poly.naming_overflow); the only Jet2 classify
-makes is the lambda jet it reports.  discriminant, null_field and
+reported under that name (poly.naming_overflow).  The only Jet2s classify
+makes are the four order-6 Jacobian jets of the df record, built once per
+germ, and the lambda jet it reports.  discriminant, null_field and
 eta_derivatives wrap the same table helpers in Jet2s.
 """
 

@@ -1,5 +1,7 @@
 """Characteristic maps, shape operator identities, and first-shock search."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,76 @@ def test_xi_oracles_agree(rng):
             b = xi_autodiff(prob, u)
             for x, y in zip(a, b):
                 assert abs(x - y) <= 1e-9 * max(abs(x), abs(y), 1e-3)
+
+
+def test_xi_closed_form_stays_finite_where_the_profile_slope_overflows_its_square():
+    # tau = 3 u1^2 + u2^2 - 1 for burgers-lips; at u1 = 1e100 phi_1^2 overflows,
+    # but f1''' = f1'''' = 0 multiply it
+    prob, u = builtin_problem("burgers-lips"), (1e100, 0.0)
+    assert xi_closed_form(prob, u) == xi_autodiff(prob, u) == (-6.0000000000000005e100, -0.0, 12.0)
+
+
+def _q_mul(a, b):
+    out = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + x * y
+    return out
+
+
+def _q_partial(a, axis):
+    out = {}
+    for (i, j), x in a.items():
+        if (i, j)[axis]:
+            out[(i - 1, j) if axis == 0 else (i, j - 1)] = (i, j)[axis] * x
+    return out
+
+
+def _q_value(a, u):
+    return sum(x * u[0] ** i * u[1] ** j for (i, j), x in a.items())
+
+
+def _exact_trace_derivatives(f1, f2, phi, u):
+    """The gradient and Hessian of trace C = f1''(phi) phi_1 + f2''(phi) phi_2
+    at u, composed in rational arithmetic from the coefficient dicts f1, f2
+    ({k: c}) and phi ({(i, j): c})."""
+    tau = {}
+    for f, axis in ((f1, 0), (f2, 1)):
+        outer = {}  # f''(phi) by Horner's rule
+        for k in range(max(f), 1, -1):
+            outer = _q_mul(outer, phi)
+            outer[0, 0] = outer.get((0, 0), 0) + k * (k - 1) * f.get(k, 0)
+        for e, x in _q_mul(outer, _q_partial(phi, axis)).items():
+            tau[e] = tau.get(e, 0) + x
+    t1, t2 = (_q_partial(tau, k) for k in (0, 1))
+    derivatives = (t1, t2, _q_partial(t1, 0), _q_partial(t1, 1), _q_partial(t2, 1))
+    return [_q_value(d, u) for d in derivatives]
+
+
+def test_xi_matches_an_exact_rational_composition_at_dyadic_points():
+    # fixed dyadic problems: flux degree 5 and profile degree 4 with
+    # coefficients k/64, at points j/16, so every input float is exact
+    draw = np.random.default_rng(40)
+    for _ in range(6):
+        f1, f2 = ({k: Fraction(int(draw.integers(-64, 65)), 64) for k in range(6)} for _ in "ab")
+        phi = {
+            (i, j): Fraction(int(draw.integers(-64, 65)), 64) for i in range(5) for j in range(5 - i)
+        }
+        prob = ConsLawProblem(
+            Poly1({k: float(c) for k, c in f1.items()}),
+            Poly1({k: float(c) for k, c in f2.items()}),
+            Poly2({e: float(c) for e, c in phi.items()}),
+        )
+        for _ in range(6):
+            u = tuple(Fraction(int(j), 16) for j in draw.integers(-16, 17, 2))
+            t1, t2, t11, t12, t22 = _exact_trace_derivatives(f1, f2, phi, u)
+            want = (-t1, -t2, t11 * t22 - t12 * t12)
+            grad_bound = 1e-13 * max(abs(t1), abs(t2), 1)
+            hess_bound = 1e-13 * max(abs(t11), abs(t12), abs(t22), 1) ** 2
+            for route in (xi_closed_form, xi_autodiff):
+                xi = route(prob, tuple(map(float, u)))
+                for got, exact, bound in zip(xi, want, (grad_bound, grad_bound, hess_bound)):
+                    assert abs(Fraction(got) - exact) <= bound, (route.__name__, u, xi)
 
 
 def test_xi_linear_profile_drops_hessian_terms(rng):

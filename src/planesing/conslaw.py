@@ -16,12 +16,12 @@ discriminant of g_t collapses to
 
 exactly, because det C vanishes identically, with trace C the
 divergence of the velocity polynomials.  So the singular set of g_t is
-the level set trace C = -1/t of one polynomial: lips_birth_frames
-evaluates the trace on the box grid once and traces every frame from
-those node values.  A point u first goes singular at
-t(u) = -1 / trace C(u) (only where the trace is negative), so the
-earliest singularity in a region minimizes t(u), i.e. extremizes the
-trace.  The gradient and Hessian determinant of 1/t drive both the
+the level set trace C = -1/t of one polynomial: the problem evaluates
+the trace on a box grid once (ConsLawProblem.trace_grid), and the
+search and every frame read those node values.  A point u first goes
+singular at t(u) = -1 / trace C(u) (only where the trace is negative),
+so the earliest singularity in a region minimizes t(u), i.e.
+extremizes the trace.  The gradient and Hessian determinant of 1/t drive both the
 search and the generic-versus-degenerate verdict; they are available
 in closed form through fourth derivatives of the flux and third
 derivatives of the profile, and independently through jet arithmetic.
@@ -151,6 +151,16 @@ class ConsLawProblem:
         v1, v2 = self.velocity_polys
         with naming_overflow("trace C", "in its coefficients"):
             return v1.partial(1) + v2.partial(2)
+
+    def trace_grid(self, box: BoxDomain) -> np.ndarray:
+        """trace C at the grid nodes of box, read-only: evaluated on the
+        first call for a box and kept, as trace_poly is, so the search and
+        the frames of one run share one grid."""
+        grids = self.__dict__.setdefault("_trace_grids", {})
+        if box not in grids:
+            grids[box] = box.grid_values(self.trace_poly, "characteristic trace")
+            grids[box].setflags(write=False)
+        return grids[box]
 
 
 @dataclass(frozen=True)
@@ -337,7 +347,7 @@ def first_singularity(
     """
     tau = prob.trace_poly
     xs, ys = box.axes()
-    tg = box.grid_values(tau, "characteristic trace")
+    tg = prob.trace_grid(box)
     neg = tg < 0.0
     if not bool(np.any(neg)):
         return None
@@ -459,17 +469,17 @@ def lips_birth_frames(prob: ConsLawProblem, t_star: float, times, box: BoxDomain
     strictly above) and number at most MAX_FRAMES, else InvalidSpec,
     since the point of the exercise is watching the singular curve be
     born.  The singular set at time t is the zero set of 1 + t trace C,
-    the level set trace C = -1/t, so the trace is evaluated on the box
-    grid once and each frame marches the node values 1 + t trace and
-    sharpens onto 1 + t trace C = 0 as sample_singular_set does;
-    InvalidSpec if that overflows.  Tracing makes no zero test, so no
-    tolerance is taken.
+    the level set trace C = -1/t, so every frame reads the trace grid
+    the problem keeps for the box (ConsLawProblem.trace_grid), marches
+    the node values 1 + t trace and sharpens onto 1 + t trace C = 0 as
+    sample_singular_set does; InvalidSpec if that overflows.  Tracing
+    makes no zero test, so no tolerance is taken.
     """
     times = frame_times(times)
     t_star = as_real(t_star, "t_star")
     if not times or min(times) >= t_star or max(times) <= t_star:
         raise InvalidSpec("frame times must straddle the singular time")
-    grid = box.grid_values(prob.trace_poly, "characteristic trace")
+    grid = prob.trace_grid(box)
     frames = []
     for t in times:
         with naming_overflow("the discriminant 1 + t trace C", f"at t = {t!r}"):

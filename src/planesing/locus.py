@@ -2,16 +2,16 @@
 
 The singular set of a polynomial plane map is the zero level set of
 its discriminant.  This module walks that level set over a rectangular
-domain: the discriminant is evaluated on the box's tensor grid by
-separable Horner (each node value bit for bit its point value), and a
-marching-squares pass classifies every cell at once as arrays and
-visits only the cells whose corner signs change (linear interpolation
-on cell edges, center-sample disambiguation for saddle cells, both
-computed as arrays).  It numbers the sign-changing edges once and
-returns each cell segment as the pair of edge numbers it joins.  Every
-crossing is sharpened onto lambda = 0 by the same Newton loop as the
-point searches, as a one-equation system, and the segments are linked
-into polylines by a walk over plain adjacency lists.
+domain: the discriminant is evaluated on the box's tensor grid by its
+HornerStack (Poly2.eval_grid; each node value bit for bit its point
+value), and a marching-squares pass classifies every cell at once as
+arrays and visits only the cells whose corner signs change (linear
+interpolation on cell edges, center-sample disambiguation for saddle
+cells, both computed as arrays).  It numbers the sign-changing edges
+once and returns each cell segment as the pair of edge numbers it
+joins.  Every crossing is sharpened onto lambda = 0 by the same Newton
+loop as the point searches, as a one-equation system, and the segments
+are linked into polylines by a walk over plain adjacency lists.
 
 On top of the traced curves it searches for the two kinds of points
 the classification tree cares about beyond folds: critical points of
@@ -28,6 +28,9 @@ singular root of the cusp system per step, it tries a doubled step.
 Converged runs are sorted and reduced to distinct roots by one array
 helper (_distinct), and each located point is classified by re-basing
 the germ there; a point classified Immersion or Fold is not reported.
+critical_value_image maps traced curves into the target plane, both
+components in one HornerStack pass, so every value here, at points or
+on the grid, comes from poly.HornerStack.
 """
 
 from __future__ import annotations
@@ -595,16 +598,16 @@ def find_special_points(
 def critical_value_image(f: PlaneMapGerm, curves: list[CurveSample]) -> list[CurveSample]:
     """Push traced source-plane curves through f into the target plane.
 
-    Residuals and the closed flag carry over unchanged; they still
-    describe the quality of the source-plane sample.  InvalidSpec if a
-    critical value overflows.
+    One HornerStack of both components gives P and Q at each curve's
+    vertices in one pass.  Residuals and the closed flag carry over
+    unchanged; they still describe the quality of the source-plane
+    sample.  InvalidSpec if a critical value overflows.
     """
-    P, Q = f.components
+    stack = HornerStack([p.table for p in f.components])
     out = []
     with naming_overflow("the critical value image", "on the traced singular set"):
         for c in curves:
-            v = np.array(c.vertices).T
-            x1, x2 = finite(P(v)), finite(Q(v))
+            x1, x2 = finite(stack(*np.array(c.vertices).T))
             out.append(
                 CurveSample(
                     vertices=list(zip(x1.tolist(), x2.tolist())),

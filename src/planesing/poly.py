@@ -2,10 +2,12 @@
 
 A Poly2 keeps one dense coefficient table, and its products, shifts
 and derivatives are array operations on that table; convolve2,
-outside_order and order_cut are the table kernel that the jets share,
-and HornerStack evaluates several tables at the same points in one
-pass.  A Poly1 is a one-column Poly2, the polynomial in u1 alone, so
-the same kernel serves both arities.  Arithmetic is exact up to float
+outside_order and order_cut are the table kernel that the jets share.
+HornerStack is the one evaluator of Poly2 tables: several tables at
+the same points in one pass, or on a tensor grid, and a Poly2 keeps a
+one-table stack for its own values.  A Poly1 is a one-column Poly2,
+the polynomial in u1 alone, so the same kernel serves both arities; a
+Poly1 value is a power sum of its own.  Arithmetic is exact up to float
 rounding; no coefficient thresholding happens here.  This layer backs
 the jet machinery and every place the rest of the package needs a
 globally valid expression rather than a truncated local one.  It also
@@ -175,24 +177,32 @@ def convolve2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #: Most stacked entries, points times stacked columns, that one block of
 #: a HornerStack evaluation holds; the block length in points follows
 #: from the stack.  Horner runs in place, so a block holds one array of
-#: that many floats (8 MB).  On 2 vCPUs, `trace` of a map with dense
-#: degree-16 components at the 512 x 512 grid cap took 85-97 s and
-#: peaked at 253 MB RSS with this budget, 145 s and 250 MB with 2**18
-#: entries, and 178 s and 322 MB with 2**22.
+#: that many floats (8 MB).  `trace` of CI's dense degree-16 map at the
+#: 512 x 512 grid cap took 38.6 s of CPU and peaked at 151 MB RSS with
+#: this budget, 53.9 s and 151 MB with 2**18 entries, and 38.6 s and
+#: 183 MB with 2**22 (one run each on 2 shared vCPUs of an AVX-512 Xeon,
+#: Python 3.11.7, NumPy 2.4.6).
 _EVAL_BLOCK = 1 << 20
 
 
 class HornerStack:
     """Coefficient tables evaluated at the same points in one Horner pass.
 
-    The columns of all tables form one stacked table, ordered by
-    descending u2 power and, within a power, widest table first; a table
-    with fewer rows gets leading zero rows.  Horner in u1 runs in place
-    over every stacked column at once.  Horner in u2 then runs, for each
-    power j, over the tables wider than j, which come first.  A leading
-    zero adds +0.0, and 0*x + t equals numpy's polyval t + x*0, so each
-    value is bit for bit the Poly2 value at its point.  A table given
-    twice (the same object) is stacked once.
+    The one evaluator of Poly2 tables: Poly2.__call__ and eval_grid run
+    a one-table stack, and the Newton loop and the critical value image
+    stack several tables.  The columns of all tables form one stacked
+    table, ordered by descending u2 power and, within a power, widest
+    table first; a table with fewer rows gets leading zero rows.  Horner
+    in u1 runs in place over every stacked column at once.  Horner in u2
+    then runs, for each power j, over the tables wider than j, which
+    come first.  Each pass starts from the top coefficient plus the
+    coordinate times zero, then multiplies by the coordinate and adds
+    the next coefficient: NumPy's own order for polynomial values, so
+    each value has the bits NumPy gives its table at its point, or on
+    its grid.  A leading zero row adds +0.0 to a running +0.0 and so
+    changes no bit at a finite point; an infinite or nan coordinate
+    gives nan either way.  A table given twice (the same object) is
+    stacked once.
     """
 
     __slots__ = ("_top", "_rows", "_runs", "_take", "_count")
@@ -204,35 +214,61 @@ class HornerStack:
                 distinct.append(t)
         distinct.sort(key=lambda t: -t.shape[1])
         take = [next(k for k, d in enumerate(distinct) if d is t) for t in tables]
-        height = max(t.shape[0] for t in distinct)
-        columns, runs = [], []
-        for j in range(distinct[0].shape[1] - 1, -1, -1):
-            wider = [t for t in distinct if t.shape[1] > j]
-            runs.append((slice(len(wider)), slice(len(columns), len(columns) + len(wider))))
-            columns += [t[:, j] for t in wider]
-        stacked = np.zeros((height, len(columns)))
-        for c, col in enumerate(columns):
-            stacked[: len(col), c] = col
-        self._top, *self._rows = [stacked[i, :, None] for i in range(height - 1, -1, -1)]
+        widths = [t.shape[1] for t in distinct]
+        # one zero-padded block, filled one table at a time and read once
+        # in run order
+        block = np.zeros((max(t.shape[0] for t in distinct), widths[0], len(distinct)))
+        for k, t in enumerate(distinct):
+            block[: t.shape[0], : t.shape[1], k] = t
+        runs, power, which, n = [], [], [], 0
+        for j in range(widths[0] - 1, -1, -1):
+            while n < len(widths) and widths[n] > j:  # the tables wider than j
+                n += 1
+            runs.append((slice(n), slice(len(power), len(power) + n)))
+            power += [j] * n
+            which += range(n)
+        # the read leaves each row strided; a row is read on every step
+        stacked = np.ascontiguousarray(block[::-1, power, which])
+        self._top, *self._rows = list(stacked[:, :, None])
         self._runs = runs
         self._take = None if take == list(range(len(distinct))) else take
         self._count = len(distinct)
 
+    def _along_u1(self, x1: np.ndarray) -> np.ndarray:
+        """Horner in u1 over every stacked column: row c holds column c at each x1."""
+        c = self._top + x1 * 0.0
+        for row in self._rows:
+            c *= x1
+            c += row
+        return c
+
+    def _along_u2(self, c: np.ndarray, x2: np.ndarray, out: np.ndarray) -> None:
+        """Horner in u2 over the column values c, into out in place, one run per power."""
+        for tables, columns in self._runs:
+            head = out[tables]
+            head *= x2
+            head += c[columns]
+
     def __call__(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        """Values at the points (u1[i], u2[i]) of 1-D arrays, one row per table given."""
+        """Values at the points (u1[i], u2[i]) of 1-D arrays, one row per table given.
+
+        The points run in blocks of at most _EVAL_BLOCK stacked entries.
+        """
         n = len(u1)
         out = np.zeros((self._count, n))
         block = max(1, _EVAL_BLOCK // len(self._top))
         for a in range(0, n, block):
-            x1, x2, d = u1[a : a + block], u2[a : a + block], out[:, a : a + block]
-            c = self._top + x1 * 0.0
-            for row in self._rows:
-                c *= x1
-                c += row
-            for tables, columns in self._runs:
-                head = d[tables]
-                head *= x2
-                head += c[columns]
+            x1, x2 = u1[a : a + block], u2[a : a + block]
+            self._along_u2(self._along_u1(x1), x2, out[:, a : a + block])
+        return out if self._take is None else out[self._take]
+
+    def grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Values on the tensor grid of the 1-D axes xs and ys, one
+        (len(xs), len(ys)) plane per table given: entry (a, b) is the
+        value at (xs[a], ys[b]).  The u1 pass runs once per column along
+        xs, and the u2 pass as an outer product with ys."""
+        out = np.zeros((self._count, len(xs), len(ys)))
+        self._along_u2(self._along_u1(xs)[:, :, None], ys, out)
         return out if self._take is None else out[self._take]
 
 
@@ -364,7 +400,7 @@ class Poly2:
     column each hold a nonzero entry (the zero polynomial is [[0.0]]).
     """
 
-    __slots__ = ("table", "_kept", "_root", "__weakref__")
+    __slots__ = ("table", "_kept", "_root", "_stack", "__weakref__")
 
     def __init__(self, coeffs: Mapping[tuple, float] | None = None):
         terms = []
@@ -470,33 +506,39 @@ class Poly2:
             p._root = weakref.ref(self), self.table, (i, j)
         return kept[i, j]
 
+    def _own_stack(self) -> HornerStack:
+        """The one-table HornerStack of the table, made on first use and kept."""
+        if not hasattr(self, "_stack"):
+            self._stack = HornerStack([self.table])
+        return self._stack
+
     def __call__(self, u):
-        """Value at the point u = (u1, u2).
+        """Value at the point u = (u1, u2), by the polynomial's kept HornerStack.
 
-        u1 and u2 may also be coordinate arrays of one shape; the values
-        then come back as an array, each bit for bit the value at its
-        point, since the same Horner table serves both.
+        u1 and u2 may also be coordinate arrays that broadcast to one
+        shape; the values then come back as an array of that shape, each
+        bit for bit the value at its point, since every point runs the
+        same Horner order.
         """
-        from numpy.polynomial import polynomial as npp
-
-        out = npp.polyval2d(
-            np.asarray(u[0], dtype=float), np.asarray(u[1], dtype=float), self.table
-        )
-        return float(out) if out.ndim == 0 else out
+        u1, u2 = np.asarray(u[0], dtype=float), np.asarray(u[1], dtype=float)
+        if u1.shape != u2.shape:
+            u1, u2 = np.broadcast_arrays(u1, u2)
+        out = self._own_stack()(u1.ravel(), u2.ravel())[0]
+        return float(out[0]) if u1.ndim == 0 else out.reshape(u1.shape)
 
     def eval_grid(self, xs, ys) -> np.ndarray:
         """Values on the tensor grid of the 1-D axes xs and ys.
 
         Entry (a, b) of the (len(xs), len(ys)) result is the value at
-        (xs[a], ys[b]).  The grid is evaluated by separable Horner, first
-        along xs for every column of the table and then along ys, the
-        order __call__ takes at one point, so every entry equals the point
+        (xs[a], ys[b]).  The kept HornerStack runs its two passes on the
+        grid (HornerStack.grid): along xs for every column of the table,
+        then along ys as an outer product, in place.  That is the order
+        __call__ takes at one point, so every entry equals the point
         value bit for bit.  No BLAS product is involved, so the bits do
         not depend on the BLAS thread count either.
         """
-        from numpy.polynomial import polynomial as npp
-
-        return npp.polygrid2d(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), self.table)
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        return self._own_stack().grid(xs, ys)[0]
 
     def __add__(self, other):
         if isinstance(other, (int, float)):

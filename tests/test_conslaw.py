@@ -1,11 +1,14 @@
 """Characteristic maps, shape operator identities, and first-shock search."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from planesing import conslaw
+from planesing.cli import main
 from planesing.conslaw import (
     MAX_FRAMES,
     ConsLawProblem,
@@ -357,7 +360,7 @@ def test_birth_frames_straddle():
         assert abs(lam(v)) < 1e-9
 
 
-def test_frames_evaluate_the_trace_on_the_grid_once(monkeypatch):
+def test_frames_evaluate_the_trace_on_the_grid_once(monkeypatch, tmp_path):
     evaluated = []
     eval_grid = Poly2.eval_grid
     monkeypatch.setattr(Poly2, "eval_grid", lambda p, xs, ys: evaluated.append(p) or eval_grid(p, xs, ys))
@@ -365,6 +368,14 @@ def test_frames_evaluate_the_trace_on_the_grid_once(monkeypatch):
     times = np.linspace(0.9, 1.1, 20).tolist()
     assert len(lips_birth_frames(prob, 1.0, times, SMALL_BOX)) == 20
     assert len(evaluated) == 1 and evaluated[0] is prob.trace_poly
+    # the search and the frames of one run share the grid, which stays read-only
+    assert first_singularity(prob, SMALL_BOX) is not None and len(evaluated) == 1
+    assert not prob.trace_grid(SMALL_BOX).flags.writeable
+    evaluated.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["conslaw", "--builtin", "burgers-lips", "--time", "0.9,1.1",
+                     "--out", str(tmp_path)])
+    assert code == 0 and len(evaluated) == 1
 
 
 def test_frames_around_singular_times_match_the_generic_determinant(base_seed):

@@ -9,6 +9,7 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from planesing import poly
 from planesing.jets import poly_to_jet
@@ -657,6 +658,107 @@ def test_horner_stack_matches_poly2_call_bits(rng, monkeypatch):
                     m.setattr(poly, "_EVAL_BLOCK", budget)
                     _assert_stack_matches_calls(stack, chosen, u1, u2)
     assert HornerStack([polys[0].table])(u1[:0], u2[:0]).shape == (1, 0)
+
+
+# An oracle independent of the kernel: NumPy's own polynomial
+# evaluation, which the package does not import.  Every value agrees in
+# every bit; a nan agrees as a nan (its payload is in no output).
+
+
+def _oracle_table(rng, rows: int, cols: int) -> np.ndarray:
+    # zeros of both signs inside, a nonzero last row and column
+    t = rng.uniform(-2.0, 2.0, (rows, cols))
+    t[rng.random((rows, cols)) < 0.2] = 0.0
+    t[rng.random((rows, cols)) < 0.2] = -0.0
+    t[-1, -1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+    return t
+
+
+def _assert_same_values(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_poly2_call_matches_numpy_bit_for_bit(rng):
+    u1, u2 = _stack_points(rng)
+    scalars = list(zip(u1[:30].tolist(), u2[:30].tolist()))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for degree in range(65):
+            rows = int(rng.integers(1, degree + 2))
+            shape = (rows, degree + 2 - rows) if rng.random() < 0.5 else (degree + 1, rows)
+            p = Poly2._of(_oracle_table(rng, *shape))
+            _assert_same_values(p((u1, u2)), npp.polyval2d(u1, u2, p.table))
+            for a, b in scalars:
+                got = p((a, b))
+                assert type(got) is float
+                _assert_same_values(np.float64(got), npp.polyval2d(a, b, p.table))
+            # coordinate arrays that broadcast to one 2-D shape
+            x, y = u1[:, None], u2[None, :7]
+            _assert_same_values(p((x, y)), npp.polyval2d(*np.broadcast_arrays(x, y), p.table))
+            _assert_same_values(p((u1[:0], u2[:0])), np.zeros(0))
+
+
+def test_horner_stack_matches_numpy_bit_for_bit(rng, monkeypatch):
+    # mixed heights and widths, one table given twice, blocks of one,
+    # of a few and of all points
+    shapes = ((1, 1), (1, 9), (7, 1), (65, 3), (2, 65), (12, 12), (30, 31), (5, 40))
+    tables = [_oracle_table(rng, rows, cols) for rows, cols in shapes]
+    given = [tables[k] for k in rng.permutation(len(tables))]
+    given.insert(int(rng.integers(len(given) + 1)), tables[3])
+    u1, u2 = _stack_points(rng)
+    xs, ys = np.sort(u1[-25:]), u2[-17:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for budget in (poly._EVAL_BLOCK, 97, 1):
+            with monkeypatch.context() as m:
+                m.setattr(poly, "_EVAL_BLOCK", budget)
+                stack = HornerStack(given)
+                values, grids = stack(u1, u2), stack.grid(xs, ys)
+            assert values.shape == (len(given), len(u1))
+            assert grids.shape == (len(given), len(xs), len(ys))
+            for t, row, grid in zip(given, values, grids):
+                _assert_same_values(row, npp.polyval2d(u1, u2, t))
+                _assert_same_values(grid, npp.polygrid2d(xs, ys, t))
+
+
+def test_eval_grid_matches_numpy_bit_for_bit(rng):
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    xs = np.array(special + rng.uniform(-1.5, 1.5, 20).tolist())
+    ys = np.array(rng.uniform(-1.5, 1.5, 11).tolist() + special)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for degree in range(65):
+            rows = int(rng.integers(1, degree + 2))
+            p = Poly2._of(_oracle_table(rng, rows, degree + 2 - rows))
+            _assert_same_values(p.eval_grid(xs, ys), npp.polygrid2d(xs, ys, p.table))
+    # dense triangles on box axes, up to the 512 x 512 grid cap
+    for n, degree in ((64, 15), (512, 30), (512, 60)):
+        t = _oracle_table(rng, degree + 1, degree + 1)
+        t[np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) > degree] = 0.0
+        t[degree, 0] = t[0, degree] = 1.0
+        xs, ys = np.linspace(-1.0, 1.0, n + 1), np.linspace(-0.7, 1.3, n + 1)
+        _assert_same_values(Poly2._of(t).eval_grid(xs, ys), npp.polygrid2d(xs, ys, t))
+
+
+_EVALUATE_WITHOUT_NUMPY_POLYNOMIAL = """
+import contextlib, io, sys, tempfile
+from planesing.cli import main
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["trace", "--builtin", "beaks", "--out", out]),
+             main(["conslaw", "--builtin", "burgers-lips", "--time", "0.9,1.1", "--out", out])]
+print(codes, "numpy.polynomial" in sys.modules)
+"""
+
+
+def test_the_command_line_never_imports_numpy_polynomial():
+    # HornerStack is the one evaluator, so a trace and a conslaw run with
+    # frames, which evaluate at points and on grids, load no other
+    src = os.path.dirname(os.path.dirname(poly.__file__))
+    proc = subprocess.run([sys.executable, "-c", _EVALUATE_WITHOUT_NUMPY_POLYNOMIAL],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["[0,", "0]", "False"]
 
 
 def test_poly2_shift():

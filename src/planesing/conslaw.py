@@ -239,9 +239,19 @@ def xi_closed_form(prob: ConsLawProblem, u) -> tuple[float, float, float]:
     and xi3 = det Hess(1/t).  Since 1/t = -trace C, the gradient is the
     negated gradient of the trace while the Hessian determinant is
     unaffected by the sign (two dimensions).  Both follow by the chain
-    rule from trace C = sum_i f_i''(phi) phi_i, with the flux derivatives
-    f_i^(m) at y = phi(u) and the profile partials phi_i = d phi / d u_i
-    at u:
+    rule, as _xi_and_trace_hessian forms them.  No composition machinery
+    is involved; the independent jet route is xi_autodiff.
+    """
+    return _xi_and_trace_hessian(prob, u)[0]
+
+
+def _xi_and_trace_hessian(prob: ConsLawProblem, u):
+    """(xi1, xi2, xi3) as xi_closed_form returns it, and the Hessian
+    (trace_11, trace_12, trace_22) of trace C that gives xi3.
+
+    The entries follow by the chain rule from trace C = sum_i f_i''(phi)
+    phi_i, with the flux derivatives f_i^(m) at y = phi(u) and the
+    profile partials phi_i = d phi / d u_i at u:
 
         trace_k  = sum_i f_i''' phi_k phi_i + f_i'' phi_ik
         trace_kl = sum_i f_i'''' phi_k phi_l phi_i
@@ -249,8 +259,7 @@ def xi_closed_form(prob: ConsLawProblem, u) -> tuple[float, float, float]:
                          + f_i'' phi_ikl
 
     Each product starts at its flux derivative, so a vanishing one drops
-    its term even where the profile factors overflow.  No composition
-    machinery is involved; the independent jet route is xi_autodiff.
+    its term even where the profile factors overflow.
     """
     d, flux = _phi_data(prob, u)
     p = d[0:2]
@@ -270,7 +279,7 @@ def xi_closed_form(prob: ConsLawProblem, u) -> tuple[float, float, float]:
 
     t1, t2 = (term_k(k, 0) + term_k(k, 1) for k in (0, 1))
     t11, t12, t22 = (term_kl(k, l, 0) + term_kl(k, l, 1) for k, l in ((0, 0), (0, 1), (1, 1)))
-    return (-t1, -t2, t11 * t22 - t12 * t12)
+    return (-t1, -t2, t11 * t22 - t12 * t12), (t11, t12, t22)
 
 
 def xi_autodiff(prob: ConsLawProblem, u) -> tuple[float, float, float]:
@@ -408,11 +417,9 @@ def _window_min(a: np.ndarray) -> np.ndarray:
 
 
 def _analyze_point(prob, point, t, tol, co_minimizers) -> FirstSingularity:
-    tau = prob.trace_poly
-    polys = [tau.derivative(order) for order in ((0, 0), (2, 0), (1, 1), (0, 2))]
     with naming_overflow("the singular-time field", f"at {point}"):
-        xi = xi_closed_form(prob, point)
-        tau_val, h11, h12, h22 = _values_at(polys, point)
+        xi, (h11, h12, h22) = _xi_and_trace_hessian(prob, point)
+        tau_val = prob.trace_poly(point)
         hess_scale = max(abs(h11), abs(h12), abs(h22))
         finite([*xi, tau_val, h11, h12, h22, hess_scale * hess_scale])
     xi3_solid = abs(xi[2]) >= 10.0 * tol.zero_rel * max(hess_scale**2, 1e-300)

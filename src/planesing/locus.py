@@ -411,15 +411,19 @@ def sample_singular_set(f: PlaneMapGerm, box: BoxDomain) -> list[CurveSample]:
 def _zero_set(lam: Poly2, vals: np.ndarray, box: BoxDomain) -> list[CurveSample]:
     """The curves of lam = 0 in the box, as sample_singular_set describes,
     marched over vals, the node values of lam on the box grid; no grid
-    scale enters the sharpening.  Where lam is zero at every node the
-    whole box is singular, and no curve is reported."""
+    scale enters the sharpening.  A vertex closer than min(1e-15, 1e-9
+    times the smallest cell width) to the one before it, in L1 distance,
+    is dropped, so a tiny box keeps its curves.  Where lam is zero at
+    every node the whole box is singular, and no curve is reported."""
     segments, x, y = _march(lam, *box.axes(), vals)
     if not len(segments):
         return []
     u, r, _ = newton_batch((lam,), np.stack([x, y], axis=1), box)
     x, y, r = u[:, 0].tolist(), u[:, 1].tolist(), r.tolist()
     chains = _link_curves(segments, len(x))
-    curves = [_build_curve(chain, closed, x, y, r) for chain, closed in chains]
+    cell = min((box.hi[k] - box.lo[k]) / box.grid[k] for k in (0, 1))
+    gap = min(1e-15, 1e-9 * cell)
+    curves = [_build_curve(chain, closed, x, y, r, gap) for chain, closed in chains]
     return [c for c in curves if len(c.vertices) >= 2]
 
 
@@ -491,13 +495,14 @@ def _link_curves(segments: np.ndarray, n: int) -> list[tuple[list[int], bool]]:
     return chains
 
 
-def _build_curve(chain, closed, x, y, r) -> CurveSample:
-    """The curve through the crossings (x[k], y[k]) with residuals r[k], k in chain."""
+def _build_curve(chain, closed, x, y, r, gap) -> CurveSample:
+    """The curve through the crossings (x[k], y[k]) with residuals r[k], k
+    in chain, less each one within L1 distance gap of the vertex before it."""
     verts: list[tuple[float, float]] = []
     res: list[float] = []
     for k in chain:
         pt = (x[k], y[k])
-        if verts and abs(pt[0] - verts[-1][0]) + abs(pt[1] - verts[-1][1]) < 1e-15:
+        if verts and abs(pt[0] - verts[-1][0]) + abs(pt[1] - verts[-1][1]) < gap:
             continue
         verts.append(pt)
         res.append(r[k])

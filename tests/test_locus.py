@@ -104,6 +104,18 @@ def test_fold_singular_set_is_one_line():
     assert min(u1) < -0.95 and max(u1) > 0.95
 
 
+@pytest.mark.parametrize("name, count", [("fold", 1), ("beaks", 2)])
+def test_a_box_smaller_than_the_vertex_gap_keeps_its_curves(name, count):
+    # every cell of this box is 2.5e-17 wide, so an absolute gap of 1e-15
+    # between kept vertices would fold each curve into one vertex
+    box = BoxDomain((-1e-16, -1e-16), (1e-16, 1e-16), (8, 8))
+    curves = sample_singular_set(builtin_germ(name), box)
+    assert len(curves) == count
+    for c in curves:
+        assert len(c.vertices) >= 9
+        assert all(box.contains(v) for v in c.vertices)
+
+
 def test_vertex_residuals_are_certified():
     for name in ("fold", "cusp", "beaks", "swallowtail"):
         g = builtin_germ(name)

@@ -22,9 +22,11 @@ search and every frame read those node values.  A point u first goes
 singular at t(u) = -1 / trace C(u) (only where the trace is negative),
 so the earliest singularity in a region minimizes t(u), i.e.
 extremizes the trace.  The gradient and Hessian determinant of 1/t drive both the
-search and the generic-versus-degenerate verdict; they are available
-in closed form through fourth derivatives of the flux and third
-derivatives of the profile, and independently through jet arithmetic.
+search and the generic-versus-degenerate verdict.  Both come from the
+partials trace_poly keeps: the search's Newton run drives the gradient
+tables to zero with the Hessian tables as its Jacobian, and the verdict
+reads the same tables at the point it stopped.  Jet arithmetic on the
+flux and profile gives them independently (xi_autodiff).
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def singular_time_field(
 
     1 + t trace C(u) = 0 has a positive solution only for negative
     trace; None means no finite positive singular time at this point.
-    InvalidSpec if the shape operator overflows at u.
+    InvalidSpec if the shape operator or the singular time overflows at u.
     """
     u = as_point(u, "u")
     with naming_overflow("the shape operator", f"at {u}"):
@@ -215,21 +217,26 @@ def singular_time_field(
     scale = max(abs(e) for row in op.entries for e in row)
     if op.trace >= -tol.zero_rel * max(scale, 1e-300):
         return None
-    return -1.0 / op.trace
+    return _singular_time(op.trace, f"at {u}")
 
 
-def _values_at(polys, u) -> list[float]:
-    """The values of several Poly2s at the point u, read in one HornerStack pass."""
-    stack = HornerStack([p.table for p in polys])
-    return stack(np.array([float(u[0])]), np.array([float(u[1])]))[:, 0].tolist()
+def _singular_time(trace, where: str):
+    """The singular times -1 / trace of negative trace C values, a float
+    or an array, under the one overflow rule: a trace so near zero that
+    its time overflows is one InvalidSpec that names the singular time
+    and where."""
+    with naming_overflow("the singular time -1 / trace C", where):
+        return finite(-1.0 / trace)
 
 
-def _phi_data(prob: ConsLawProblem, u):
-    """phi's partials (p1, p2, p11, p12, p22, p111, p112, p122, p222) at u,
-    and (a2, a3, a4, b2, b3, b4), derivatives two to four of f1 and f2, at phi(u)."""
-    orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
-    y, *d = _values_at([prob.phi.derivative(order) for order in orders], u)
-    return d, [f.derivative(m)(y) for f in (prob.f1, prob.f2) for m in (2, 3, 4)]
+def _trace_partials(prob: ConsLawProblem, u) -> list[float]:
+    """(tau, tau_1, tau_2, tau_11, tau_12, tau_22) at u: trace C, its
+    gradient, which first_singularity's Newton run drives to zero, and
+    its Hessian, that run's Jacobian, read in one HornerStack pass from
+    the partials trace_poly keeps."""
+    orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    tables = [prob.trace_poly.derivative(order).table for order in orders]
+    return HornerStack(tables)(np.array([float(u[0])]), np.array([float(u[1])]))[:, 0].tolist()
 
 
 def xi_closed_form(prob: ConsLawProblem, u) -> tuple[float, float, float]:
@@ -238,48 +245,13 @@ def xi_closed_form(prob: ConsLawProblem, u) -> tuple[float, float, float]:
     Returns (xi1, xi2, xi3) where xi1, xi2 are the partials of 1/t(u)
     and xi3 = det Hess(1/t).  Since 1/t = -trace C, the gradient is the
     negated gradient of the trace while the Hessian determinant is
-    unaffected by the sign (two dimensions).  Both follow by the chain
-    rule, as _xi_and_trace_hessian forms them.  No composition machinery
+    unaffected by the sign (two dimensions).  Both are read off the
+    partials trace_poly keeps, so at a first shock xi1 and xi2 are the
+    values the Newton search drove to zero.  No composition machinery
     is involved; the independent jet route is xi_autodiff.
     """
-    return _xi_and_trace_hessian(prob, u)[0]
-
-
-def _xi_and_trace_hessian(prob: ConsLawProblem, u):
-    """(xi1, xi2, xi3) as xi_closed_form returns it, and the Hessian
-    (trace_11, trace_12, trace_22) of trace C that gives xi3.
-
-    The entries follow by the chain rule from trace C = sum_i f_i''(phi)
-    phi_i, with the flux derivatives f_i^(m) at y = phi(u) and the
-    profile partials phi_i = d phi / d u_i at u:
-
-        trace_k  = sum_i f_i''' phi_k phi_i + f_i'' phi_ik
-        trace_kl = sum_i f_i'''' phi_k phi_l phi_i
-                         + f_i''' (phi_kl phi_i + phi_k phi_il + phi_l phi_ik)
-                         + f_i'' phi_ikl
-
-    Each product starts at its flux derivative, so a vanishing one drops
-    its term even where the profile factors overflow.
-    """
-    d, flux = _phi_data(prob, u)
-    p = d[0:2]
-    pp = ((d[2], d[3]), (d[3], d[4]))
-    ppp = (((d[5], d[6]), (d[6], d[7])), ((d[6], d[7]), (d[7], d[8])))
-    f2, f3, f4 = flux[0::3], flux[1::3], flux[2::3]
-
-    def term_k(k, i):
-        return f3[i] * p[k] * p[i] + f2[i] * pp[i][k]
-
-    def term_kl(k, l, i):
-        return (
-            f4[i] * p[k] * p[l] * p[i]
-            + f3[i] * (pp[k][l] * p[i] + p[k] * pp[i][l] + p[l] * pp[i][k])
-            + f2[i] * ppp[i][k][l]
-        )
-
-    t1, t2 = (term_k(k, 0) + term_k(k, 1) for k in (0, 1))
-    t11, t12, t22 = (term_kl(k, l, 0) + term_kl(k, l, 1) for k, l in ((0, 0), (0, 1), (1, 1)))
-    return (-t1, -t2, t11 * t22 - t12 * t12), (t11, t12, t22)
+    _, t1, t2, t11, t12, t22 = _trace_partials(prob, u)
+    return (-t1, -t2, t11 * t22 - t12 * t12)
 
 
 def xi_autodiff(prob: ConsLawProblem, u) -> tuple[float, float, float]:
@@ -353,6 +325,7 @@ def first_singularity(
     converges, or when the grid minimum beats every converged critical
     point -- that means the true minimizer sits on the box boundary or
     was missed, and reporting it as a first singularity would be wrong.
+    InvalidSpec when a singular time it forms overflows.
     """
     tau = prob.trace_poly
     xs, ys = box.axes()
@@ -361,10 +334,10 @@ def first_singularity(
     if not bool(np.any(neg)):
         return None
 
-    tau_min = float(np.min(tg))
+    on_box = f"on the box {box.lo} to {box.hi}"
     idx_min = np.unravel_index(int(np.argmin(tg)), tg.shape)
     grid_best_point = (float(xs[idx_min[0]]), float(ys[idx_min[1]]))
-    t_grid_min = -1.0 / tau_min
+    t_grid_min = float(_singular_time(tg[idx_min], on_box))
 
     # Seeds: the most negative trace nodes, then every interior local
     # minimum of the trace over the negative region in row-major order.
@@ -380,7 +353,8 @@ def first_singularity(
     tv = tau(x.T)
     x, tv = x[tv < 0.0], tv[tv < 0.0]
     kept = _distinct(x)
-    roots = [(-1.0 / t, (a, b)) for (a, b), t in zip(x[kept].tolist(), tv[kept].tolist())]
+    times = _singular_time(tv[kept], on_box).tolist()
+    roots = [(t, (a, b)) for t, (a, b) in zip(times, x[kept].tolist())]
 
     if not roots:
         raise SolverFailed(
@@ -418,8 +392,8 @@ def _window_min(a: np.ndarray) -> np.ndarray:
 
 def _analyze_point(prob, point, t, tol, co_minimizers) -> FirstSingularity:
     with naming_overflow("the singular-time field", f"at {point}"):
-        xi, (h11, h12, h22) = _xi_and_trace_hessian(prob, point)
-        tau_val = prob.trace_poly(point)
+        tau_val, t1, t2, h11, h12, h22 = _trace_partials(prob, point)
+        xi = (-t1, -t2, h11 * h22 - h12 * h12)
         hess_scale = max(abs(h11), abs(h12), abs(h22))
         finite([*xi, tau_val, h11, h12, h22, hess_scale * hess_scale])
     xi3_solid = abs(xi[2]) >= 10.0 * tol.zero_rel * max(hess_scale**2, 1e-300)

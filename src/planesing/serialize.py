@@ -26,8 +26,9 @@ def format_float(x: float) -> str:
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     if x == 0.0:
         return "0.0"
-    if x == int(x) and abs(x) < 1e16:
-        # keep integral floats readable and unambiguous
+    if x == int(x) and abs(x) < 1e17:
+        # keep integral floats readable and unambiguous: .17g writes one
+        # below 1e17 as a bare integer, which JSON reads back as an int
         return f"{x:.1f}"
     return format(x, ".17g")
 

@@ -77,6 +77,14 @@ def test_classify_json_input(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["class"] == "Fold"
 
 
+def test_classify_report_floats_read_back_as_floats(tmp_path):
+    # eta at p is (0, -2e16), which .17g alone writes as a bare integer
+    assert run(["classify", "--map", "(2e16*u, v^2)", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["eta_at_p"] == [0.0, -2e16]
+    assert [type(x) for x in report["eta_at_p"]] == [float, float]
+
+
 def test_classify_report_is_byte_stable(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
@@ -577,6 +585,27 @@ def test_a_derived_flux_polynomial_that_overflows_is_named(tmp_path, capsys, f1,
     args = ["conslaw", _flux_problem(tmp_path, f1, phi)]
     err = _exits_64_with(args, tmp_path, capsys)
     assert err == f"planesing: {quantity} overflows in its coefficients\n"
+
+
+@pytest.mark.parametrize(
+    "phi, box, where",
+    [
+        # trace C = 1e-318 (3 u1^2 + u2^2 - 1): the search's singular time
+        # -1 / trace C at the origin is 1e318
+        ({(1, 0): -1e-318, (3, 0): 1e-318, (1, 2): 1e-318}, [], "(-1.0, -1.0) to (1.0, 1.0)"),
+        # trace C = u1 - 5.000000001e-301 has no critical point; its grid
+        # minimum -1e-310 at u1 = 5e-301 would be the solver failure's best time
+        ({(2, 0): 0.5, (1, 0): -5.000000001e-301}, ["--box=5e-301,-1,1,1", "--grid", "4,4"],
+         "(5e-301, -1.0) to (1.0, 1.0)"),
+    ],
+    ids=["search", "solver-failure"],
+)
+def test_a_singular_time_that_overflows_is_named_not_blamed_on_the_input(
+    tmp_path, capsys, phi, box, where
+):
+    args = ["conslaw", _flux_problem(tmp_path, {2: 0.5}, phi), *box]
+    err = _exits_64_with(args, tmp_path, capsys)
+    assert err == f"planesing: the singular time -1 / trace C overflows on the box {where}\n"
 
 
 @pytest.mark.parametrize("command", ["classify", "trace"])

@@ -25,7 +25,7 @@ from planesing.conslaw import (
     xi_closed_form,
 )
 from planesing.germs import BEAKS, IMMERSION, LIPS, NEWTON_RESIDUAL, PlaneMapGerm, builtin_germ
-from planesing.germs import classify, discriminant, rank_df
+from planesing.germs import ToleranceConfig, classify, discriminant, rank_df
 from planesing.jets import poly_to_jet
 from planesing.locus import BoxDomain, ruling_map, sample_singular_set
 from planesing.poly import InvalidSpec, Poly1, Poly2, convolve2, quote
@@ -284,6 +284,17 @@ def test_xi_matches_an_exact_rational_composition_at_dyadic_points():
                     assert abs(Fraction(got) - exact) <= bound, (route.__name__, u, xi)
 
 
+def test_a_singular_time_that_overflows_at_a_point_is_named():
+    # at zero_rel 1e-9 the zero test passes any trace C below -1e-309, and
+    # -1 / trace C overflows for trace C = -3e-309
+    prob = ConsLawProblem(BURGERS_F1, ZERO_FLUX, Poly2({(1, 0): -3e-309}))
+    tol = ToleranceConfig(zero_rel=1e-9)
+    for call in (singular_time_field, lambda prob, u, tol: singularity_at(prob, u, None, tol)):
+        with pytest.raises(InvalidSpec) as info:
+            call(prob, (0.0, 0.0), tol)
+        assert str(info.value) == "the singular time -1 / trace C overflows at (0.0, 0.0)"
+
+
 def test_xi_linear_profile_drops_hessian_terms(rng):
     # with phi linear the closed form keeps only third-derivative flux terms
     for _ in range(10):
@@ -310,6 +321,29 @@ def test_first_singularity_model_problem():
     assert res.report.singularity_class == LIPS
     assert not res.xi3_degenerate
     assert res.co_minimizers == []
+
+
+def test_first_shock_xi_is_the_negated_trace_gradient_the_newton_run_drove_to_zero(
+    rng, monkeypatch
+):
+    # xi1 and xi2 at u* are read from the partials trace_poly keeps, the
+    # equations first_singularity hands to newton_batch, so they are bit for
+    # bit the negated values of those equations at the point the run stopped
+    systems = []
+    newton = conslaw.newton_batch
+    monkeypatch.setattr(conslaw, "newton_batch", lambda eqs, *a: systems.append(eqs) or newton(eqs, *a))
+    for _ in range(10):
+        # burgers-lips with small terms on every monomial up to degree 4,
+        # which keeps a first shock near the origin
+        small = {(i, j): rng.uniform(-0.05, 0.05) for i in range(5) for j in range(5 - i)}
+        phi = Poly2({e: PHI_LIPS.coeffs.get(e, 0.0) + c for e, c in small.items()})
+        f1 = Poly1({2: 0.5, 3: rng.uniform(-0.05, 0.05)})
+        prob = ConsLawProblem(f1, Poly1({2: rng.uniform(-0.05, 0.05)}), phi)
+        res = first_singularity(prob, SMALL_BOX)
+        tau1, tau2 = systems[-1]
+        assert tau1 is prob.trace_poly.derivative((1, 0))
+        assert tau2 is prob.trace_poly.derivative((0, 1))
+        assert res.xi[:2] == (-tau1(res.u_star), -tau2(res.u_star))
 
 
 def test_first_singularity_rarefaction_returns_none():

@@ -23,6 +23,15 @@ def test_format_float_fixed_rules():
     assert float(format_float(math.pi)) == math.pi
 
 
+def test_format_float_writes_every_float_as_a_json_float():
+    # every double in [1e16, 1e17) is an integer, and .17g writes all its digits
+    for x in (2.0**53, 1e16, 2e16, -2e16, 99999999999999984.0, 1e17, 1.5e300, 1e-300):
+        text = format_float(x)
+        assert type(json.loads(text)) is float and float(text) == x, text
+    assert format_float(2e16) == "20000000000000000.0"
+    assert format_float(1e17) == "1e+17"
+
+
 def test_format_float_rejects_non_finite():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):

@@ -80,14 +80,16 @@ def tier1(tmp):
 
 
 def seeds(tmp):
-    """Acceptance 3 and 5, and all of tests/test_conslaw.py, whose frames test is the one that
-    depends on the seed, under PLANESING_SEED 0-7."""
+    """Acceptance 3, 5 and 6, and all of tests/test_conslaw.py, whose frames test is the one that
+    depends on the seed, under PLANESING_SEED 0-7.  Acceptance 8 is left out: it fails at seed 0,
+    where its det Hess lambda margin depends on the unit of length (ROADMAP item 20)."""
     failed = 0
     for seed in range(8):
         print(f"PLANESING_SEED={seed}")
         failed += python("-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_conslaw.py",
                          "tests/test_acceptance.py::test_acceptance_3_coordinate_invariance",
                          "tests/test_acceptance.py::test_acceptance_5_xi_oracle_equivalence",
+                         "tests/test_acceptance.py::test_acceptance_6_rank_one_identities",
                          PLANESING_SEED=str(seed)).returncode
     return not failed
 

@@ -182,6 +182,15 @@ def _germ_from_args(args: argparse.Namespace) -> PlaneMapGerm:
     return germ.rebase(parse_reals(args.at, 2)) if args.at else germ
 
 
+def _make_dir(path: Path) -> None:
+    """Make the output directory path and its parents; InvalidSpec naming
+    it if a file stands in the way, so nothing is written."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InvalidSpec(f"cannot make the output directory {path}: {exc.strerror}") from None
+
+
 def _class_exit(report) -> int:
     return EXIT_OK if report.is_definite else EXIT_INDEFINITE
 
@@ -189,7 +198,7 @@ def _class_exit(report) -> int:
 def run_classify(args: argparse.Namespace) -> int:
     germ = _germ_from_args(args)
     report = classify(germ, args.tolerances)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(args.output_dir)
     if "json" in args.formats:
         dump_json(report.to_dict(), args.output_dir / "report.json")
     p = report.base_point
@@ -203,7 +212,7 @@ def run_trace(args: argparse.Namespace) -> int:
     drawn = "csv" in args.formats or "svg" in args.formats
     images = critical_value_image(germ, curves) if drawn else None
     specials = find_special_points(germ, args.box, args.tolerances)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(args.output_dir)
     if "csv" in args.formats:
         write_curves_csv(args.output_dir / "singular_set.csv", curves)
         write_curves_csv(args.output_dir / "critical_values.csv", curves, images)
@@ -260,7 +269,7 @@ def run_conslaw(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             print("no singularity at the requested point")
             return EXIT_NO_SINGULARITY
-        args.output_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(args.output_dir)
         if "json" in args.formats:
             dump_json(record.to_dict(), args.output_dir / "point_analysis.json")
         print(
@@ -275,7 +284,7 @@ def run_conslaw(args: argparse.Namespace) -> int:
     try:
         result = first_singularity(prob, args.box, args.tolerances)
     except SolverFailed as exc:
-        args.output_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(args.output_dir)
         dump_json(
             {
                 "error": "SolverFailed",
@@ -299,7 +308,7 @@ def run_conslaw(args: argparse.Namespace) -> int:
         if "csv" in args.formats:
             images = [critical_value_image(characteristic_map(prob, f.time), f.curves)
                       if f.curves else [] for f in frames]
-    args.output_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(args.output_dir)
 
     if result is None:
         if "json" in args.formats:

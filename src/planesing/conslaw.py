@@ -193,6 +193,7 @@ def characteristic_map(prob: ConsLawProblem, t: float, base=(0.0, 0.0)) -> Plane
 
 
 def shape_operator(prob: ConsLawProblem, u) -> ShapeOperator:
+    """The velocity Jacobian C at u, as library API; the package reads trace C from trace_poly."""
     u = as_point(u, "u")
     y = prob.phi(u)
     a2, b2 = prob.f1.derivative(2)(y), prob.f2.derivative(2)(y)
@@ -207,17 +208,18 @@ def singular_time_field(
     """Time at which the characteristic map first degenerates over u.
 
     1 + t trace C(u) = 0 has a positive solution only for negative
-    trace; None means no finite positive singular time at this point.
-    InvalidSpec if the shape operator or the singular time overflows at u.
+    trace C, read from trace_poly and judged zero against its table with
+    absolute coefficients at |u|; None means no finite positive singular
+    time here.  InvalidSpec if that bound or the singular time overflows.
     """
     u = as_point(u, "u")
-    with naming_overflow("the shape operator", f"at {u}"):
-        op = shape_operator(prob, u)
-        finite([*op.entries[0], *op.entries[1], op.trace])
-    scale = max(abs(e) for row in op.entries for e in row)
-    if op.trace >= -tol.zero_rel * max(scale, 1e-300):
+    table = prob.trace_poly.table
+    with naming_overflow("trace C with absolute coefficients", f"at {u}"):
+        at = np.array([u, np.abs(u)]).T
+        (tau, _), (_, bound) = finite(HornerStack([table, np.abs(table)])(*at)).tolist()
+    if tau >= -tol.zero_rel * max(bound, 1e-300):
         return None
-    return _singular_time(op.trace, f"at {u}")
+    return _singular_time(tau, f"at {u}")
 
 
 def _singular_time(trace, where: str):

@@ -6,15 +6,15 @@ outside_order and order_cut are the table kernel that the jets share.
 HornerStack is the one evaluator of Poly2 tables: several tables at
 the same points in one pass, or on a tensor grid, and a Poly2 keeps a
 one-table stack for its own values.  A Poly1 is a one-column Poly2,
-the polynomial in u1 alone, so the same kernel serves both arities; a
-Poly1 value is a power sum of its own.  Arithmetic is exact up to float
-rounding; no coefficient thresholding happens here.  This layer backs
-the jet machinery and every place the rest of the package needs a
-globally valid expression rather than a truncated local one.  It also
-holds the package's one overflow rule: a derived value is computed
-under naming_overflow and checked by finite (or by the check of every
-new table), so its overflow is one InvalidSpec that names it, and
-NumPy prints nothing.
+the polynomial in u1 alone, so the same kernel serves both arities,
+values included: p(y) is its Poly2's value at (y, 0).  Arithmetic is
+exact up to float rounding; no coefficient thresholding happens here.
+This layer backs the jet machinery and every place the rest of the
+package needs a globally valid expression rather than a truncated
+local one.  It also holds the package's one overflow rule: a derived
+value is computed under naming_overflow and checked by finite (or by
+the check of every new table), so its overflow is one InvalidSpec that
+names it, and NumPy prints nothing.
 """
 
 from __future__ import annotations
@@ -371,11 +371,9 @@ class Poly1:
         return Poly1._of(self.poly2.derivative((m, 0)))
 
     def __call__(self, y: float) -> float:
-        """Value at y, the power sum over the nonzero terms in ascending k."""
-        try:
-            return float(sum(c * y**k for k, c in self.coeffs.items()))
-        except OverflowError:
-            raise InvalidSpec(f"the polynomial overflows at {y!r}") from None
+        """Value at y: its Poly2's value at (y, 0), by that kept HornerStack."""
+        with naming_overflow("the polynomial", f"at {y!r}"):
+            return finite(self.poly2((y, 0.0)))
 
     def compose2(self, inner: "Poly2") -> "Poly2":
         """Exact substitution self(inner(u1, u2)) via Horner's scheme."""

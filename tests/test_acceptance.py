@@ -41,6 +41,7 @@ from planesing.germs import (
 from planesing.locus import BoxDomain, ruling_map
 from planesing.poly import Poly1, Poly2
 
+from test_conslaw import EPS, determinant_operands
 from test_germs import random_origin_diffeo
 
 EXPECTED_CLASSES = {
@@ -182,10 +183,12 @@ def test_acceptance_6_rank_one_identities(capsys, base_seed):
                 a = np.eye(2) + t * m
                 lhs = float(np.linalg.det(a))
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, float(np.max(np.abs(a))) ** 2)
+                # lambda's jet and 1 + t tr C each round by a few eps of the
+                # determinant's operands at |u|; the worst gap over seeds 0-7
+                # is 5.3 eps of them
                 germ = characteristic_map(prob, t, u)
                 lam = discriminant(germ)
-                lam_scale = max(1.0, germ.discriminant_poly().max_abs_coeff())
-                assert abs(lam.value - rhs) <= 1e-10 * lam_scale
+                assert abs(lam.value - rhs) <= 16.0 * EPS * determinant_operands(germ, [u])[0]
     announce(
         capsys,
         "ACCEPTANCE 6 PASS: shape operator is rank one and "

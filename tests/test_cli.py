@@ -608,6 +608,49 @@ def test_a_singular_time_that_overflows_is_named_not_blamed_on_the_input(
     assert err == f"planesing: the singular time -1 / trace C overflows on the box {where}\n"
 
 
+def test_a_trace_bound_that_overflows_at_the_forced_point_is_named(tmp_path, capsys):
+    # trace C = 1e308 - 1e308 u1 is 0 at (1, 0); its table with absolute
+    # coefficients, which the zero test reads, overflows there
+    args = ["conslaw", _flux_problem(tmp_path, {2: 0.5}, {(1, 0): 1e308, (2, 0): -5e307}),
+            "--at", "1,0"]
+    err = _exits_64_with(args, tmp_path, capsys)
+    assert err == "planesing: trace C with absolute coefficients overflows at (1.0, 0.0)\n"
+
+
+def _refuses_out(args, out, tmp_path, capsys):
+    """Run args into out, below a regular file: exit 64 with one line that
+    names out, and the file stays the only thing in tmp_path."""
+    (tmp_path / "afile").write_text("kept")
+    assert run([*args, "--out", str(tmp_path / out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    said = f"planesing: cannot make the output directory {tmp_path / out}: "
+    assert captured.err.startswith(said)
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept"
+
+
+def test_classify_into_an_out_that_is_a_file_exits_64(tmp_path, capsys):
+    _refuses_out(["classify", "--builtin", "cusp"], "afile", tmp_path, capsys)
+
+
+def test_trace_into_an_out_below_a_file_exits_64(tmp_path, capsys):
+    _refuses_out(["trace", "--builtin", "cusp", "--grid", "8,8"], "afile/x", tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "args, out",
+    [
+        (["--builtin", "burgers-lips", "--time", "0.5,1.5"], "afile"),
+        (["--builtin", "burgers-saddle", "--box=-0.4,-0.4,0.4,0.4"], "afile"),  # SolverFailed
+        (["--builtin", "burgers-lips", "--at", "0,0"], "afile/x"),
+    ],
+    ids=["frames", "solver-failure", "forced-point"],
+)
+def test_conslaw_into_an_out_that_is_not_a_directory_exits_64(tmp_path, capsys, args, out):
+    _refuses_out(["conslaw", *args], out, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("command", ["classify", "trace"])
 def test_a_ruling_velocity_that_overflows_is_named(tmp_path, capsys, command):
     # the curve's coefficients are finite, its velocity's 2e308 t is not

@@ -28,17 +28,32 @@ from planesing.germs import BEAKS, IMMERSION, LIPS, NEWTON_RESIDUAL, PlaneMapGer
 from planesing.germs import ToleranceConfig, classify, discriminant, rank_df
 from planesing.jets import poly_to_jet
 from planesing.locus import BoxDomain, ruling_map, sample_singular_set
-from planesing.poly import InvalidSpec, Poly1, Poly2, convolve2, quote
+from planesing.poly import HornerStack, InvalidSpec, Poly1, Poly2, convolve2, quote
 
 BURGERS_F1 = Poly1({2: 0.5})
 ZERO_FLUX = Poly1({})
 PHI_LIPS = Poly2({(1, 0): -1.0, (3, 0): 1.0, (1, 2): 1.0})
 PHI_SADDLE = Poly2({(1, 0): -1.0, (3, 0): 1.0, (1, 2): -1.0})
 SMALL_BOX = BoxDomain((-0.4, -0.4), (0.4, 0.4))
+EPS = float(np.finfo(float).eps)
 
 
 def model_problem():
     return ConsLawProblem(BURGERS_F1, ZERO_FLUX, PHI_LIPS)
+
+
+def determinant_operands(germ, v) -> np.ndarray:
+    """(P~1 Q~2 + P~2 Q~1)(|v|) at each row of the (n, 2) array v.
+
+    P~1 is the partial P_u1 of the germ's first component with absolute
+    coefficients, and so on: the determinant P_u1 Q_u2 - P_u2 Q_u1 with
+    its two products' absolute values, each summed term by term.  Forming
+    and evaluating the determinant rounds it by a small multiple of eps
+    times this (Higham, Accuracy and Stability, 3.1 and 5.1).
+    """
+    (p, q), at = germ.components, np.abs(np.asarray(v, dtype=float)).T
+    p1, p2, q1, q2 = HornerStack([np.abs(f.partial(k).table) for f in (p, q) for k in (1, 2)])(*at)
+    return p1 * q2 + p2 * q1
 
 
 def random_problem(rng):
@@ -295,6 +310,18 @@ def test_a_singular_time_that_overflows_at_a_point_is_named():
         assert str(info.value) == "the singular time -1 / trace C overflows at (0.0, 0.0)"
 
 
+def test_a_trace_bound_that_overflows_at_a_point_is_named():
+    # trace C = 1e308 - 1e308 u1 is 0 at (1, 0), where its table with
+    # absolute coefficients, 1e308 + 1e308 u1, overflows: the zero test
+    # has no yardstick there
+    prob = ConsLawProblem(BURGERS_F1, ZERO_FLUX, Poly2({(1, 0): 1e308, (2, 0): -5e307}))
+    assert prob.trace_poly((1.0, 0.0)) == 0.0
+    for call in (singular_time_field, lambda prob, u: singularity_at(prob, u)):
+        with pytest.raises(InvalidSpec) as info:
+            call(prob, (1.0, 0.0))
+        assert str(info.value) == "trace C with absolute coefficients overflows at (1.0, 0.0)"
+
+
 def test_xi_linear_profile_drops_hessian_terms(rng):
     # with phi linear the closed form keeps only third-derivative flux terms
     for _ in range(10):
@@ -418,11 +445,14 @@ def test_frames_around_singular_times_match_the_generic_determinant(base_seed):
     # counts of sample_singular_set on the characteristic map, which traces
     # P_u1 Q_u2 - P_u2 Q_u1.  Around a first shock the vertices agree within
     # 1e-12.  Around the first of the ten points with a singular time, each
-    # route puts its vertices on its own lambda = 0 to working precision, but
-    # the two polynomials differ by the determinant's coefficient rounding:
-    # 3.7e-8 at grid scale 3.2e4 and |grad lambda| = 28 for PLANESING_SEED=0,
-    # where the vertices lie 2.2e-9 apart.  That is far below
-    # NEWTON_RESIDUAL * scale, and the bound allows twice that over |grad lambda|.
+    # route puts its vertices on its own lambda = 0, within NEWTON_RESIDUAL
+    # * scale, but the two polynomials differ by their rounding: the
+    # determinant's, within a few eps of its operands (determinant_operands),
+    # and 1 + t trace C's, within a few eps of 1 + t times trace C with
+    # absolute coefficients, all at |v|.  So a vertex v moves by at most
+    # twice the Newton stop plus eps times that sum S(v), over |grad lambda|;
+    # the rounding term is what lets a vertex 1.64e-9 from its twin at the
+    # default seed pass, where twice the Newton stop allows 1.43e-9.
     rng = np.random.default_rng(np.random.SeedSequence([base_seed, 5]))
     box = BoxDomain((-1.0, -1.0), (1.0, 1.0), (32, 32))
     compared = {"first shock": 0, "singular time": 0}
@@ -451,7 +481,10 @@ def test_frames_around_singular_times_match_the_generic_determinant(base_seed):
                         lam = germ.discriminant_poly()
                         scale = np.abs(box.grid_values(lam, "discriminant")).max()
                         grad = np.hypot(lam.partial(1)(v.T), lam.partial(2)(v.T))
-                        assert (np.hypot(*d.T) <= 2.0 * NEWTON_RESIDUAL * scale / grad).all()
+                        trace_abs = HornerStack([np.abs(prob.trace_poly.table)])(*np.abs(v.T))[0]
+                        rounding = determinant_operands(germ, v) + 1.0 + frame.time * trace_abs
+                        bound = (2.0 * NEWTON_RESIDUAL * scale + EPS * rounding) / grad
+                        assert (np.hypot(*d.T) <= bound).all()
                     compared[source] += 1
     assert compared["first shock"] and compared["singular time"] >= 100
 

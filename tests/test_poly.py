@@ -6,6 +6,7 @@ import sys
 import warnings
 import weakref
 from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,34 @@ def assert_close_to_reference(got: dict, ref: dict, bound: dict):
     for e in set(got) | set(ref):
         err = abs(got.get(e, 0.0) - ref.get(e, 0.0))
         assert err <= REF_REL_TOL * bound.get(e, 0.0), (e, err, bound.get(e, 0.0))
+
+
+def horner_bound(table: np.ndarray, u) -> float:
+    """gamma * p~(|u|): how far the HornerStack value of table at the
+    point u may lie from its exact value, barring underflow (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1 and 5.1).
+
+    p~ is the table with absolute coefficients.  A term a_ij u1^i u2^j
+    meets at most rows - 1 multiplications and as many additions in the
+    u1 pass, and cols - 1 of each in the u2 pass, so the value is off by
+    at most gamma_n p~(|u|) with n = 2 (rows - 1) + 2 (cols - 1) and
+    gamma_n = n 2^-53 / (1 - n 2^-53).  p~(|u|) is itself a HornerStack
+    value, whose terms are all non-negative, so it is below the exact one
+    by at most the factor 1 - gamma_n; gamma = gamma_2n covers that and
+    the rounding of the product, since gamma_n / (1 - gamma_n) <= gamma_2n
+    with a factor 2 to spare.
+    """
+    n = 2 * (table.shape[0] - 1 + table.shape[1] - 1)
+    gamma = 2 * n * 2.0**-53 / (1.0 - 2 * n * 2.0**-53)
+    return gamma * float(HornerStack([np.abs(table)])(*np.abs([[u[0]], [u[1]]]))[0, 0])
+
+
+def exact_value(table: np.ndarray, u) -> Fraction:
+    """The value of table at the point u, summed exactly in Fractions."""
+    x, y = Fraction(u[0]), Fraction(u[1])
+    xs, ys = [x**i for i in range(table.shape[0])], [y**j for j in range(table.shape[1])]
+    terms = (Fraction(c) * xs[i] * ys[j] for (i, j), c in np.ndenumerate(table) if c)
+    return sum(terms, Fraction(0))
 
 
 def test_poly1_evaluation_and_degree():
@@ -170,6 +199,18 @@ def random_poly1_coeffs(rng, max_degree: int = MAX_INPUT_DEGREE) -> dict:
     return {k: float(rng.uniform(-2.0, 2.0)) for k in range(n + 1) if keep[k]}
 
 
+def _assert_poly1_value_matches(p, ref, y):
+    # p(y) has the bits of its Poly2's HornerStack value at (y, 0).  The
+    # reference's power sum rounds each of its at most d + 1 terms about
+    # d + 3 times (pow within one ulp, the product, the running sum), fewer
+    # than the 4d of horner_bound's gamma, so each side lies within
+    # horner_bound of the exact value
+    got = p(y)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(p.poly2((y, 0.0))).tobytes()
+    assert abs(got - ref(y)) <= 2.0 * horner_bound(p.poly2.table, (y, 0.0))
+
+
 def test_poly1_matches_the_dict_reference_bit_for_bit(rng):
     inner = Poly2({(1, 0): 0.7, (0, 1): -1.3, (1, 1): 0.4, (0, 0): 0.2})
     for _ in range(300):
@@ -180,11 +221,11 @@ def test_poly1_matches_the_dict_reference_bit_for_bit(rng):
         assert p.is_zero() == (not ref.coeffs)
         assert p.max_abs_coeff() == max(map(abs, ref.coeffs.values()), default=0.0)
         for y in (0.0, -0.0, 1.0, -1.0, *rng.uniform(-3.0, 3.0, 4)):
-            assert np.float64(p(y)).tobytes() == np.float64(ref(y)).tobytes()
+            _assert_poly1_value_matches(p, ref, float(y))
         for m in range(5):
             assert p.derivative(m).coeffs == ref.derivative(m).coeffs
             y = float(rng.uniform(-2.0, 2.0))
-            assert np.float64(p.derivative(m)(y)).tobytes() == np.float64(ref.derivative(m)(y)).tobytes()
+            _assert_poly1_value_matches(p.derivative(m), ref.derivative(m), y)
         if p.degree() <= 8:
             assert p.compose2(inner).table.tobytes() == ref.compose2(inner).table.tobytes()
 
@@ -658,6 +699,30 @@ def test_horner_stack_matches_poly2_call_bits(rng, monkeypatch):
                     m.setattr(poly, "_EVAL_BLOCK", budget)
                     _assert_stack_matches_calls(stack, chosen, u1, u2)
     assert HornerStack([polys[0].table])(u1[:0], u2[:0]).shape == (1, 0)
+
+
+def test_horner_values_lie_within_the_rounding_bound_of_the_exact_value(rng, monkeypatch):
+    # triangles and rectangles up to degree 16, and Poly1 columns, at
+    # random points, with blocks of all points, of a few and of one
+    tables = []
+    for degree in rng.integers(0, 17, 30):
+        rows = int(rng.integers(1, degree + 2))
+        shapes = [(degree + 1, degree + 1), (rows, degree + 2 - rows), (degree + 1, 1)]
+        shape = shapes[len(tables) % 3]
+        t = rng.uniform(-2.0, 2.0, shape)
+        t[np.add.outer(np.arange(shape[0]), np.arange(shape[1])) > degree] = 0.0
+        tables.append(t)
+    u1, u2 = rng.uniform(-1.5, 1.5, (2, 24))
+    exact = [[exact_value(t, u) for u in zip(u1, u2)] for t in tables]
+    bounds = [[Fraction(horner_bound(t, u)) for u in zip(u1, u2)] for t in tables]
+    for budget in (poly._EVAL_BLOCK, 97, 1):
+        monkeypatch.setattr(poly, "_EVAL_BLOCK", budget)
+        for t, row, want, bound in zip(tables, HornerStack(tables)(u1, u2), exact, bounds):
+            assert all(abs(Fraction(v) - w) <= b for v, w, b in zip(row.tolist(), want, bound))
+    for t in tables[2::3]:
+        p = Poly1._of(Poly2._of(t))
+        for y in u1.tolist():
+            assert abs(Fraction(p(y)) - exact_value(t, (y, 0.0))) <= horner_bound(t, (y, 0.0))
 
 
 # An oracle independent of the kernel: NumPy's own polynomial

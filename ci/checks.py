@@ -211,7 +211,8 @@ def no_warning(tmp):
     return not failed
 
 
-# run under one and two BLAS threads, each writing its own directory
+# run under one and two BLAS threads and under the default and the Prescott OpenBLAS kernel, each
+# writing its own directory
 BY_THREADS = [
     "conslaw --builtin burgers-lips --time 0.9,1.1 --grid 256,256 --format json,csv,svg",
     # the lips point comes from grad lambda = 0 alone, the cusp point from the cusp system alone
@@ -220,30 +221,28 @@ BY_THREADS = [
     *(f"classify --builtin {g} --format json"
       for g in ("immersion", "fold", "cusp", "lips", "beaks", "swallowtail")),
     "classify --builtin ruling --curve 't,t^3' --format json",
+    "classify --builtin ruling --curve 't,t^3+0.5*t^2' --at -0.16666666666666666 --format json",
     # away from the origin the recentring shift matrices are not the identity
     "classify --map '(u, v^3+u*v)' --at 0.3,0.1 --format json",
+    "trace --map '((u-0.37109375)*(v+0.078125)+(v+0.078125)^4, u-0.37109375)'"
+    " --at 0.37109375,-0.078125 --box=-0.62890625,-1.078125,1.37109375,0.921875 --grid 12,12"
+    " --format json,csv,svg",
     # a cusp of two dense degree-5 components, all 21 terms each, off the
     # origin: a full table recentred, and the eta^k lambda chain on dense tables
     "classify --format json --at 0.3,-0.2 --map '((u-0.3) + 0.5*(u-0.3)*(v+0.2) - 0.25*(v+0.2)^2"
     " + 0.125*(u-0.3)^3 + 0.3*(v+0.2)^4 + 0.01*(u+v-0.1)^5, (v+0.2)^3 + (u-0.3)*(v+0.2)"
     " + 0.5*(u-0.3)^2 + 0.25*(u-0.3)^3*(v+0.2) - 0.02*(u+v-0.1)^5)'",
 ]
-# recentred tables are summed in one fixed order, so these runs away from the origin do not
-# depend on the OpenBLAS kernel either; the dense-map classify and the conslaw run are left
-# out, since np.convolve still sums in the kernel's order
-BY_KERNEL = [
-    "classify --builtin ruling --curve 't,t^3+0.5*t^2' --at -0.16666666666666666 --format json",
-    "classify --map '(u, v^3+u*v)' --at 0.3,0.1 --format json",
-    "trace --map '((u-0.37109375)*(v+0.078125)+(v+0.078125)^4, u-0.37109375)'"
-    " --at 0.37109375,-0.078125 --box=-0.62890625,-1.078125,1.37109375,0.921875 --grid 12,12"
-    " --format json,csv,svg",
-]
 
 
 def blas(tmp):
-    def runs(top, commands, **env):
+    """Run BY_THREADS under one BLAS thread and the default OpenBLAS kernel, again under two
+    threads and again under the Prescott kernel, and check that all three write the same bytes.
+    Products, recentring and values are each summed in one fixed order with no BLAS call."""
+    def runs(top, **env):
+        env = {"OPENBLAS_CORETYPE": None, **env}  # the default kernel unless env names one
         return all([planesing(*shlex.split(c), "--out", f"{top}/{k}", capture=False, **env)
-                    .returncode == 0 for k, c in enumerate(commands)])
+                    .returncode == 0 for k, c in enumerate(BY_THREADS)])
 
     def same_files(a, b):
         a, b = ({p.relative_to(top): p.read_bytes() for p in Path(top).rglob("*") if p.is_file()}
@@ -252,12 +251,12 @@ def blas(tmp):
         print("".join(f"{name} differs\n" for name in differ), end="")
         return not differ
 
-    ok = runs(f"{tmp}/threads-1", BY_THREADS)
-    ok &= runs(f"{tmp}/threads-2", BY_THREADS, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
-    ok &= same_files(f"{tmp}/threads-1", f"{tmp}/threads-2")
-    ok &= runs(f"{tmp}/core-default", BY_KERNEL, OPENBLAS_CORETYPE=None)
-    ok &= runs(f"{tmp}/core-Prescott", BY_KERNEL, OPENBLAS_CORETYPE="Prescott")
-    return ok & same_files(f"{tmp}/core-default", f"{tmp}/core-Prescott")
+    ok = runs(f"{tmp}/default")
+    for name, env in (("threads-2", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}),
+                      ("core-Prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        ok &= runs(f"{tmp}/{name}", **env)
+        ok &= same_files(f"{tmp}/default", f"{tmp}/{name}")
+    return ok
 
 
 def under_memory_bound(label, bound, args, show_stdout=False):

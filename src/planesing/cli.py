@@ -182,13 +182,21 @@ def _germ_from_args(args: argparse.Namespace) -> PlaneMapGerm:
     return germ.rebase(parse_reals(args.at, 2)) if args.at else germ
 
 
-def _make_dir(path: Path) -> None:
-    """Make the output directory path and its parents; InvalidSpec naming
-    it if a file stands in the way, so nothing is written."""
+def _write(out: Path, files: dict) -> None:
+    """Make the output directory out and its parents, and write the files
+    into it: files maps each name to a function that writes that file at
+    the path it is given.  Every path is checked first, so a directory
+    where a file goes, or a file where the output directory goes, is one
+    InvalidSpec that names it, and nothing is written."""
+    for name in files:
+        if (out / name).is_dir():
+            raise InvalidSpec(f"cannot write {out / name}: it is a directory")
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
-        raise InvalidSpec(f"cannot make the output directory {path}: {exc.strerror}") from None
+        raise InvalidSpec(f"cannot make the output directory {out}: {exc.strerror}") from None
+    for name, write in files.items():
+        write(out / name)
 
 
 def _class_exit(report) -> int:
@@ -198,9 +206,8 @@ def _class_exit(report) -> int:
 def run_classify(args: argparse.Namespace) -> int:
     germ = _germ_from_args(args)
     report = classify(germ, args.tolerances)
-    _make_dir(args.output_dir)
-    if "json" in args.formats:
-        dump_json(report.to_dict(), args.output_dir / "report.json")
+    json_file = {"report.json": lambda path: dump_json(report.to_dict(), path)}
+    _write(args.output_dir, json_file if "json" in args.formats else {})
     p = report.base_point
     print(f"class={report.singularity_class} at ({p[0]:g}, {p[1]:g})")
     return _class_exit(report)
@@ -212,23 +219,21 @@ def run_trace(args: argparse.Namespace) -> int:
     drawn = "csv" in args.formats or "svg" in args.formats
     images = critical_value_image(germ, curves) if drawn else None
     specials = find_special_points(germ, args.box, args.tolerances)
-    _make_dir(args.output_dir)
+    files = {}
     if "csv" in args.formats:
-        write_curves_csv(args.output_dir / "singular_set.csv", curves)
-        write_curves_csv(args.output_dir / "critical_values.csv", curves, images)
+        files["singular_set.csv"] = lambda path: write_curves_csv(path, curves)
+        files["critical_values.csv"] = lambda path: write_curves_csv(path, curves, images)
     if "json" in args.formats:
-        dump_json(
-            {
-                "curves": [c.to_dict() for c in curves],
-                "special_points": [sp.to_dict() for sp in specials],
-            },
-            args.output_dir / "special_points.json",
-        )
+        files["special_points.json"] = lambda path: dump_json({
+            "curves": [c.to_dict() for c in curves],
+            "special_points": [sp.to_dict() for sp in specials],
+        }, path)
     if "svg" in args.formats:
-        write_svg(args.output_dir / "singular_set.svg", curves, specials, args.box,
-                  label="singular set")
-        write_svg(args.output_dir / "critical_values.svg", images, (), None,
-                  label="critical values")
+        files["singular_set.svg"] = lambda path: write_svg(path, curves, specials, args.box,
+                                                           label="singular set")
+        files["critical_values.svg"] = lambda path: write_svg(path, images, (), None,
+                                                              label="critical values")
+    _write(args.output_dir, files)
     kinds = ", ".join(f"{sp.kind}:{sp.report.singularity_class}" for sp in specials)
     print(
         f"curves={len(curves)} special_points={len(specials)}"
@@ -269,9 +274,8 @@ def run_conslaw(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             print("no singularity at the requested point")
             return EXIT_NO_SINGULARITY
-        _make_dir(args.output_dir)
-        if "json" in args.formats:
-            dump_json(record.to_dict(), args.output_dir / "point_analysis.json")
+        json_file = {"point_analysis.json": lambda path: dump_json(record.to_dict(), path)}
+        _write(args.output_dir, json_file if "json" in args.formats else {})
         print(
             f"class={record.report.singularity_class} at "
             f"({record.u_star[0]:g}, {record.u_star[1]:g}) t={record.t_star:g}"
@@ -284,16 +288,12 @@ def run_conslaw(args: argparse.Namespace) -> int:
     try:
         result = first_singularity(prob, args.box, args.tolerances)
     except SolverFailed as exc:
-        _make_dir(args.output_dir)
-        dump_json(
-            {
-                "error": "SolverFailed",
-                "message": str(exc),
-                "best_point": list(exc.best_point) if exc.best_point else None,
-                "best_time": exc.best_time,
-            },
-            args.output_dir / "solver_failure.json",
-        )
+        _write(args.output_dir, {"solver_failure.json": lambda path: dump_json({
+            "error": "SolverFailed",
+            "message": str(exc),
+            "best_point": list(exc.best_point) if exc.best_point else None,
+            "best_time": exc.best_time,
+        }, path)})
         print(f"solver failure: {exc}", file=sys.stderr)
         if exc.best_point is not None:
             print(
@@ -308,44 +308,38 @@ def run_conslaw(args: argparse.Namespace) -> int:
         if "csv" in args.formats:
             images = [critical_value_image(characteristic_map(prob, f.time), f.curves)
                       if f.curves else [] for f in frames]
-    _make_dir(args.output_dir)
-
-    if result is None:
-        if "json" in args.formats:
-            dump_json(
-                {"result": "NoSingularity", "box": {"lo": list(args.box.lo), "hi": list(args.box.hi)}},
-                args.output_dir / "first_singularity.json",
-            )
-        print("no singularity: characteristic trace is non-negative over the box")
-        return EXIT_NO_SINGULARITY
-
+    files = {}
     if "json" in args.formats:
-        dump_json(result.to_dict(), args.output_dir / "first_singularity.json")
-    print(
-        f"class={result.report.singularity_class} at "
-        f"({result.u_star[0]:g}, {result.u_star[1]:g}) t*={result.t_star:g} "
-        f"xi3={result.xi[2]:g}"
-    )
-
+        files["first_singularity.json"] = lambda path: dump_json({
+            "result": "NoSingularity", "box": {"lo": list(args.box.lo), "hi": list(args.box.hi)}}
+            if result is None else result.to_dict(), path)
     if frames is not None:
         manifest = []
         for k, frame in enumerate(frames):
             entry: dict = {"index": k, "t": frame.time}
             if "csv" in args.formats:
-                name = f"frame_{k}.csv"
-                write_curves_csv(args.output_dir / name, frame.curves, images[k])
-                entry["csv"] = name
+                entry["csv"] = f"frame_{k}.csv"
+                files[entry["csv"]] = lambda path, f=frame, image=images[k]: write_curves_csv(
+                    path, f.curves, image)
             if "svg" in args.formats:
-                name = f"frame_{k}.svg"
-                write_svg(args.output_dir / name, frame.curves, (), args.box,
-                          label=f"t={frame.time:g}")
-                entry["svg"] = name
+                entry["svg"] = f"frame_{k}.svg"
+                files[entry["svg"]] = lambda path, f=frame: write_svg(
+                    path, f.curves, (), args.box, label=f"t={f.time:g}")
             entry["curves"] = len(frame.curves)
             manifest.append(entry)
         if "json" in args.formats:
-            dump_json({"t_star": result.t_star, "frames": manifest},
-                      args.output_dir / "frames.json")
+            files["frames.json"] = lambda path: dump_json(
+                {"t_star": result.t_star, "frames": manifest}, path)
+    _write(args.output_dir, files)
 
+    if result is None:
+        print("no singularity: characteristic trace is non-negative over the box")
+        return EXIT_NO_SINGULARITY
+    print(
+        f"class={result.report.singularity_class} at "
+        f"({result.u_star[0]:g}, {result.u_star[1]:g}) t*={result.t_star:g} "
+        f"xi3={result.xi[2]:g}"
+    )
     return _class_exit(result.report)
 
 

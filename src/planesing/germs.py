@@ -55,9 +55,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jets import Jet2, JetOrderExhausted, _common_base2, _compose, _det, _partial, _product
+from .jets import Jet2, JetOrderExhausted, _common_base2, _compose, _det, _partial
 from .poly import InvalidSpec, Poly2, _overflow_raises_later, as_point, finite, is_number
-from .poly import naming_overflow, order_cut
+from .poly import convolve2, naming_overflow, order_cut
 
 __all__ = [
     "ToleranceConfig",
@@ -377,7 +377,7 @@ def _eta_chain(lam: np.ndarray, eta) -> list[np.ndarray]:
         for m in range(lam.shape[0] - 2, lam.shape[0] - 5, -1):  # each iterate one order lower
             # eta's tables may already be of order m: they are cut only to a lower one
             e = [t if t.shape[0] == m + 1 else order_cut(t, m) for t in eta]
-            g = finite(_product(e[0], _partial(g, 1), m) + _product(e[1], _partial(g, 2), m))
+            g = finite(convolve2(e[0], _partial(g, 1), m) + convolve2(e[1], _partial(g, 2), m))
             out.append(g)
     return out
 

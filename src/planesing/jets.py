@@ -11,14 +11,15 @@ order n is (n+1)-square and represents ``sum c[i, j] * (u1 - p1)**i *
 (u2 - p2)**j`` over ``i + j <= n``, +0.0 beyond, so the (i, j)-th
 partial derivative at the base point is ``c[i, j] * i! * j!``.  A jet
 table is a `Poly2` table cut to that triangle, and the kernel here runs
-on raw tables: `_product` is the same ``convolve2`` cut back to the
-order, `_partial` the same scaled slice one order lower, and a
-truncation is `order_cut`.  `_compose` composes a stack of outer
-tables with one pair of inner tables; it forms only the powers of the
-inner tables that some outer coefficient reads, and sums every outer's
-terms in one reduction.  A table-level chain checks finiteness once,
-on the quantity it computes: an overflow inside the chain leaves a
-non-finite entry in that result.
+on raw tables: a product is ``convolve2`` given the order, `_partial`
+the same scaled slice one order lower, and a truncation is
+`order_cut`.  `_compose` composes a stack of outer tables with one pair
+of inner tables; it forms only the powers of the inner tables that
+some outer coefficient reads, each power and cross term one
+``convolve2`` product, and sums every outer's terms in one reduction.
+A table-level chain checks finiteness once, on the quantity it
+computes: an overflow inside the chain leaves a non-finite entry in
+that result.
 
 `Jet2` is the public wrapper: a base point, an order and one frozen
 table.  Each operation is a table helper, a finiteness check on the
@@ -181,7 +182,7 @@ class Jet2:
             return NotImplemented
         base, n = _common2(self, other)
         with _overflow_raises_later():
-            table = _product(self.coeffs, other.coeffs, n)
+            table = convolve2(self.coeffs, other.coeffs, n)
         return Jet2._of(base, finite(table), n)
 
     __rmul__ = __mul__
@@ -208,22 +209,9 @@ def _zero_beyond(t: np.ndarray, n: int) -> np.ndarray:
     return t
 
 
-def _order_part(product: np.ndarray, n: int) -> np.ndarray:
-    """Order-n table of a product of two order-n tables, full or flat.
-
-    A view of the leading (n+1) x (n+1) block, zeroed beyond order n.
-    """
-    return _zero_beyond(product.reshape(2 * n + 1, 2 * n + 1)[: n + 1, : n + 1], n)
-
-
 # The table helpers below check nothing, and _det and _partial are
 # called where NumPy is silenced (naming_overflow): an overflow leaves a
 # non-finite entry, which the caller's one check on its result finds.
-
-
-def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Order-n table of the product of two order-n tables."""
-    return _order_part(convolve2(a, b), n)
 
 
 def _det(a11: np.ndarray, a12: np.ndarray, a21: np.ndarray, a22: np.ndarray, n: int) -> np.ndarray:
@@ -231,7 +219,7 @@ def _det(a11: np.ndarray, a12: np.ndarray, a21: np.ndarray, a22: np.ndarray, n: 
 
     x - y is x + (-y) bit for bit, and +0.0 - +0.0 is +0.0 beyond the order.
     """
-    return _product(a11, a22, n) - _product(a12, a21, n)
+    return convolve2(a11, a22, n) - convolve2(a12, a21, n)
 
 
 def _partial(t: np.ndarray, axis: int) -> np.ndarray:
@@ -289,13 +277,14 @@ def compose_map(outer: Jet2, inner1: Jet2, inner2: Jet2) -> Jet2:
 
 def _compose(outers: np.ndarray, inners, n: int) -> np.ndarray:
     """Order-n tables of every outer table in a stack composed with the
-    same two inner tables, each at least (n+1)-square.
+    same two inner tables.
 
-    x and y are the inner tables with their constant terms dropped, and
-    each result sums outers[k, i, j] x^i y^j within order n.  Only what
-    some nonzero outer coefficient reads is formed, once for every
-    outer: x^k up to the largest such i, y^k up to the largest such j,
-    and each cross term x^i y^j.  The terms of all outers are summed in
+    x and y are the inner tables cut to order n, their constant terms
+    dropped, and each result sums outers[k, i, j] x^i y^j within order
+    n.  Only what some nonzero outer coefficient reads is formed, once
+    for every outer, each a convolve2 product cut to order n: x^k up to
+    the largest such i, y^k up to the largest such j, and each cross
+    term x^i y^j.  The terms of all outers are summed in
     one reduction from 0.0 in (i, j) order, so every result holds the
     bits a composition of that outer alone gives.  The results are not
     checked: a power or a term that overflows leaves a non-finite entry
@@ -304,31 +293,27 @@ def _compose(outers: np.ndarray, inners, n: int) -> np.ndarray:
     coeffs = outers[:, : n + 1, : n + 1]
     # the (i, j) within order n where some outer coefficient is nonzero, in (i, j) order
     rows, cols = np.nonzero(coeffs.any(axis=0) & ~outside_order(n))
-    w = 2 * n + 1
-    # padded[0, k] holds x^k and padded[1, k] y^k, each row padded once to
-    # width w; flat[b, k] is the same table as convolve2 flattens it
-    padded = np.zeros((2, n + 1, n + 1, w))
-    padded[:, 0, 0, 0] = 1.0
-    tables = padded[..., : n + 1]
-    flat = padded.reshape(2, n + 1, -1)[..., : n * w + n + 1]
-    if n:  # an entry beyond order n never reaches one within it, and is zeroed last
-        tables[:, 1] = [c[: n + 1, : n + 1] for c in inners]
-        tables[:, 1, 0, 0] = 0.0
+    one = order_cut(np.ones((1, 1)), n)
     with _overflow_raises_later():
-        for b, top in enumerate((rows.max(initial=0), cols.max(initial=0))):
-            for k in range(2, top + 1):
-                tables[b, k] = _order_part(np.convolve(flat[b, k - 1], flat[b, 1]), n)
-        terms = np.array([_order_part(np.convolve(flat[0, i], flat[1, j]), n) if i and j
-                          else tables[0, i] if i else tables[1, j] for i, j in zip(rows, cols)])
+        # x^0, x^1, ... up to the largest i read, and y^0, y^1, ... up to the largest j
+        x, y = [], []
+        for powers, inner, top in zip((x, y), inners, (rows.max(initial=0), cols.max(initial=0))):
+            first = order_cut(inner, n)
+            first[0, 0] = 0.0
+            powers += [one, first]
+            for _ in range(2, top + 1):
+                powers.append(convolve2(powers[-1], first, n))
+        terms = np.array([convolve2(x[i], y[j], n) if i and j else x[i] if i else y[j]
+                          for i, j in zip(rows, cols)])
         # a sum from 0.0 never holds -0.0, and adding a zero of either sign
         # leaves it as it is: the product of 1 and a power is that power up
         # to the signs of its zeros, and an outer whose coefficient is zero
-        # adds only zeros.  Below the term axis lie whole tables, so NumPy
+        # adds only zeros; every term is +0.0 beyond order n, so every
+        # result is too.  Below the term axis lie whole tables, so NumPy
         # adds them term after term, not pairwise; at order 0 an outer
         # reads one term at most.
         terms = terms.reshape(len(rows), n + 1, n + 1) * coeffs[:, rows, cols, None, None]
-        results = np.add.reduce(terms, axis=1, initial=0.0)
-    return _zero_beyond(results, n)
+        return np.add.reduce(terms, axis=1, initial=0.0)
 
 
 def poly_to_jet(p: Poly1 | Poly2, base_point, order: int) -> Jet2:

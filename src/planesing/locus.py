@@ -640,9 +640,9 @@ def ruling_map(curve, t0: float = 0.0) -> PlaneMapGerm:
     t0 = as_real(t0, "t0")
     with naming_overflow("the curve velocity", "in its coefficients"):
         da, db = a.derivative(), b.derivative()
-    speed = math.hypot(da(t0), db(t0))
-    if not math.isfinite(speed):
-        raise InvalidSpec(f"curve velocity overflows at t0={t0}")
+    with naming_overflow("the curve velocity", f"at t0={t0}"):
+        velocity = HornerStack([da.poly2.table, db.poly2.table])(np.array([t0]), np.zeros(1))
+        speed = finite(math.hypot(*velocity[:, 0]))
     coeff_scale = max(a.max_abs_coeff(), b.max_abs_coeff(), 1.0)
     if speed <= 1e-9 * coeff_scale:
         raise NotRegularCurve(f"curve velocity vanishes at t0={t0}")

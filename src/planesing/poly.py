@@ -3,6 +3,9 @@
 A Poly2 keeps one dense coefficient table, and its products, shifts
 and derivatives are array operations on that table; convolve2,
 outside_order and order_cut are the table kernel that the jets share.
+convolve2 is the one product kernel, of Poly2s and of jets, and sums
+every entry in one fixed order, so a product has the same bits on
+every CPU.
 HornerStack is the one evaluator of Poly2 tables: several tables at
 the same points in one pass, or on a tensor grid, and a Poly2 keeps a
 one-table stack for its own values.  A Poly1 is a one-column Poly2,
@@ -157,21 +160,39 @@ def as_point(p, what: str) -> tuple[float, float]:
     return float(u1), float(u2)
 
 
-def _flat(t: np.ndarray, width: int) -> np.ndarray:
-    padded = np.zeros((t.shape[0], width))
-    padded[:, : t.shape[1]] = t
-    return padded.ravel()[: (t.shape[0] - 1) * width + t.shape[1]]
+@lru_cache(maxsize=None)
+def _landing(a_shape, b_shape, order: int | None):
+    """convolve2's plan for an a_shape and a b_shape table: the entries of
+    the flat outer product it sums (all, or with an order those within
+    it), the flat index in the result where each lands, and its shape.
+    The index arrays are read-only; the degree caps bound the shapes."""
+    (ra, ca), (rb, cb) = a_shape, b_shape
+    shape = (ra + rb - 1, ca + cb - 1) if order is None else (order + 1, order + 1)
+    i, j, k, l = np.ogrid[:ra, :ca, :rb, :cb]
+    keep = slice(None) if order is None else np.flatnonzero(i + j + k + l <= order)
+    land = ((i + k) * shape[1] + j + l).ravel()[keep]
+    land.setflags(write=False)
+    if order is not None:
+        keep.setflags(write=False)
+    return keep, land, shape
 
 
-def convolve2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full 2-D convolution of two coefficient tables: the product's table.
+def convolve2(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
+    """The product's table of two coefficient tables, or with an order
+    its (order+1)-square table cut to that total order.
 
-    Both tables are padded to the product's width and flattened, so one
-    1-D convolution gives every entry: a column index never reaches the
-    width, hence no entry wraps into the next row.
+    The one product kernel.  Each entry is summed from +0.0 in one fixed
+    order, ascending over a's entries (i, j), then b's (k, l): the flat
+    outer product holds the products in that order, and np.bincount
+    adds each into its entry in the order given.  So the bits depend on
+    IEEE multiply and add alone, not on the CPU's kernels.  With an
+    order, only the products that land within it are summed, the same
+    ones in the same order: each entry has the full product's bits, and
+    every entry beyond the order is +0.0.
     """
-    rows, width = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
-    return np.convolve(_flat(a, width), _flat(b, width)).reshape(rows, width)
+    keep, land, shape = _landing(a.shape, b.shape, order)
+    products = np.multiply.outer(a, b).ravel()[keep]
+    return np.bincount(land, products, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 #: Most stacked entries, points times stacked columns, that one block of

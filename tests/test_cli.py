@@ -651,12 +651,49 @@ def test_conslaw_into_an_out_that_is_not_a_directory_exits_64(tmp_path, capsys, 
     _refuses_out(["conslaw", *args], out, tmp_path, capsys)
 
 
+def _refuses_file(args, name, tmp_path, capsys):
+    """Run args into tmp_path/out, where out/name is a directory: exit 64
+    with one line that names that path, and nothing written."""
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert run([*args, "--out", str(tmp_path / "out")]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"planesing: cannot write {tmp_path / 'out' / name}: it is a directory\n"
+    assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] == [
+        "out", f"out/{name}"]
+
+
+def test_classify_into_a_report_path_that_is_a_directory_exits_64(tmp_path, capsys):
+    _refuses_file(["classify", "--builtin", "cusp"], "report.json", tmp_path, capsys)
+
+
+def test_trace_into_a_file_path_that_is_a_directory_writes_nothing(tmp_path, capsys):
+    # singular_set.csv and critical_values.csv come before special_points.json
+    _refuses_file(["trace", "--builtin", "cusp", "--grid", "8,8"], "special_points.json",
+                  tmp_path, capsys)
+
+
+def test_conslaw_into_a_frame_path_that_is_a_directory_writes_nothing(tmp_path, capsys):
+    # first_singularity.json and frame_0.csv come before frame_1.csv
+    args = ["conslaw", "--builtin", "burgers-lips", "--time", "0.9,1.1", "--format", "json,csv"]
+    _refuses_file(args, "frame_1.csv", tmp_path, capsys)
+
+
 @pytest.mark.parametrize("command", ["classify", "trace"])
 def test_a_ruling_velocity_that_overflows_is_named(tmp_path, capsys, command):
     # the curve's coefficients are finite, its velocity's 2e308 t is not
     args = [command, "--builtin", "ruling", "--curve", "1e308*t^2+t,t^3"]
     err = _exits_64_with(args, tmp_path, capsys)
     assert err == "planesing: the curve velocity overflows in its coefficients\n"
+
+
+@pytest.mark.parametrize("curve, t0", [("t,t^3", "1e200"), ("1.5e308*t,1.5e308*t", "1")],
+                         ids=["velocity", "speed"])
+def test_a_ruling_velocity_that_overflows_at_t0_is_named(tmp_path, capsys, curve, t0):
+    # 3 t0^2 overflows at t0 = 1e200; each velocity entry 1.5e308 is finite, their norm is not
+    args = ["classify", "--builtin", "ruling", "--curve", curve, "--at", t0]
+    err = _exits_64_with(args, tmp_path, capsys)
+    assert err == f"planesing: the curve velocity overflows at t0={float(t0)}\n"
 
 
 def test_critical_values_that_overflow_exit_64_before_any_file(tmp_path, capsys):

@@ -480,6 +480,20 @@ def test_translated_fold_is_a_fold(shift):
     assert (report.singularity_class, report.rank) == (FOLD, 1)
 
 
+def test_a_singular_discriminant_hessian_stays_degenerate_when_translated(rng):
+    # (u, v^3 + u^4 v) has lambda = 3v^2 + u^4 and Hess lambda = diag(0, 6).
+    # Translated, h11 comes out as rounding noise, and det Hess lambda is
+    # judged zero against its own jet.  A yardstick of |h11 h22| + h12^2 is
+    # that same noise times 6, and calls some of these points Lips or Beaks
+    # (ROADMAP item 20)
+    form = PlaneMapGerm(parse_map("(u, v^3+u^4*v)"))
+    for p in rng.uniform(-3.0, 3.0, (40, 2)).tolist():
+        g = PlaneMapGerm(tuple(c.shift((-p[0], -p[1])) for c in form.components), tuple(p))
+        report = classify(g)
+        assert (report.singularity_class, report.note) == (
+            DEGENERATE, "discriminant Hessian is singular at a critical point"), p
+
+
 def test_tolerance_validation():
     # InvalidSpec, a ValueError, naming the value
     assert issubclass(InvalidSpec, ValueError)

@@ -850,6 +850,34 @@ def test_product_matches_sparse_reference(rng, da, db):
     assert_close_to_reference(got, sparse_mul(a, b), sparse_mul(absolute(a), absolute(b)))
 
 
+def _convolve_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product's table, each entry a pure-Python sum from +0.0 over
+    a's entries (i, j) in ascending order: the order convolve2 promises."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    out = [[0.0] * (ca + cb - 1) for _ in range(ra + rb - 1)]
+    for (i, j), x in np.ndenumerate(a):
+        for (k, l), y in np.ndenumerate(b):
+            out[i + k][j + l] += float(x) * float(y)
+    return np.array(out)
+
+
+def test_convolve2_sums_in_one_fixed_order_and_cuts_to_an_order_bit_for_bit(rng):
+    def table(shape):
+        t = rng.uniform(-2.0, 2.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
+        t[rng.random(shape) < 0.2] = 0.0
+        t[rng.random(shape) < 0.1] = -0.0
+        return t
+
+    shapes = [((1, 1), (1, 1)), ((17, 17), (17, 17)), ((1, 17), (17, 1))]
+    shapes += [tuple(tuple(rng.integers(1, 18, 2)) for _ in "ab") for _ in range(12)]
+    for sa, sb in shapes:
+        a, b = table(sa), table(sb)
+        full = poly.convolve2(a, b)
+        assert full.tobytes() == _convolve_in_order(a, b).tobytes(), (sa, sb)
+        for order in {0, 1, int(rng.integers(0, 34)), sum(full.shape) - 2}:
+            assert poly.convolve2(a, b, order).tobytes() == _padded_cut(full, order).tobytes()
+
+
 @pytest.mark.parametrize("degree", [0, 1, 3, 6, 12, MAX_INPUT_DEGREE])
 def test_shift_and_recentering_match_sparse_reference(rng, degree):
     c = random_coeffs(rng, degree)
